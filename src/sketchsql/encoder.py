@@ -1,18 +1,17 @@
-"""Input encoding: word+type embeddings and the two bidirectional encoders.
+"""Input embeddings: frozen word vectors, type-tag rows and column-name vectors.
 
 Word vectors are frozen and loaded from text files (one `token v1 .. vd`
-line each); type vectors are trainable rows of a parameter table. A
-question encodes through one bi-LSTM over word+type pairs; columns encode
-by averaging their name-word vectors and running a second bi-LSTM across
-the columns in schema order.
+line each). `TYPE_INDEX` gives each tag kind its row of the trainable
+type table, which `slots.SketchModel` registers. A column is represented
+by the mean of its name-word vectors; the bi-LSTMs that encode questions
+and columns belong to the slot models.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernel as K
-from .tagger import BASE_TAGS, COLUMN_VALUE, TaggedQuestion, tokenize
+from .tagger import BASE_TAGS, tokenize
 
 TYPE_INDEX = {kind: i for i, kind in enumerate(BASE_TAGS)}
 
@@ -88,7 +87,7 @@ def load_embeddings(paths) -> EmbeddingStore:
 
 
 # ---------------------------------------------------------------------------
-# Question and column inputs
+# Column names
 # ---------------------------------------------------------------------------
 
 def column_name_vector(name: str, emb: EmbeddingStore) -> np.ndarray:
@@ -97,66 +96,3 @@ def column_name_vector(name: str, emb: EmbeddingStore) -> np.ndarray:
     if not words:
         return np.zeros(emb.dim)
     return np.mean([emb.word_vec(w) for w in words], axis=0)
-
-
-def column_inputs(header: list[str], emb: EmbeddingStore) -> K.Tensor:
-    """Constant (C, d_w) matrix of averaged column-name vectors."""
-    if not header:
-        raise ValueError("empty schema")
-    return K.constant(np.stack([column_name_vector(name, emb) for name in header]))
-
-
-def embed_question(tq: TaggedQuestion, emb: EmbeddingStore, type_table: K.Tensor,
-                   header: list[str]) -> K.Tensor:
-    """(T, d_w + d_t) inputs: frozen word vector ++ type vector per token.
-
-    Regular tags pull trainable rows of `type_table`; content-mode value
-    tags use the mean word vector of their column's name instead, so the
-    type width must equal the word width in content mode.
-    """
-    d_type = type_table.shape[1]
-    word_part = K.constant(np.stack([emb.word_vec(tok) for tok in tq.tokens]))
-    indices = []
-    const_part = np.zeros((len(tq.tokens), d_type))
-    for t, tag in enumerate(tq.tags):
-        if tag.kind == COLUMN_VALUE:
-            vec = column_name_vector(header[tag.column], emb)
-            if vec.size != d_type:
-                raise EmbeddingError(
-                    f"content-mode value tags need type width == word width "
-                    f"({d_type} != {vec.size})")
-            indices.append(-1)
-            const_part[t] = vec
-        else:
-            indices.append(TYPE_INDEX[tag.kind])
-    type_part = K.add(K.embed_rows(type_table, indices), K.constant(const_part))
-    return K.concat_cols(word_part, type_part)
-
-
-def encode_question(q_input: K.Tensor, weights: "BiLstm") -> K.Tensor:
-    """H_qt: run the question bi-LSTM over the (T, d) input rows."""
-    return K.bilstm_encode(q_input, weights.fw, weights.bw)
-
-
-def encode_columns(col_input: K.Tensor, weights: "BiLstm") -> K.Tensor:
-    """H_col: run the column bi-LSTM across the (C, d_w) column vectors."""
-    if col_input.shape[0] < 1:
-        raise ValueError("empty schema")
-    return K.bilstm_encode(col_input, weights.fw, weights.bw)
-
-
-class BiLstm:
-    """Forward+backward LSTM weights registered under a common name prefix."""
-
-    def __init__(self, store: K.ParamStore, prefix: str, d_in: int, hidden: int):
-        self.fw = _lstm_weights(store, f"{prefix}.fw", d_in, hidden)
-        self.bw = _lstm_weights(store, f"{prefix}.bw", d_in, hidden)
-        self.hidden = hidden
-
-
-def _lstm_weights(store: K.ParamStore, prefix: str, d_in: int, hidden: int) -> K.LstmWeights:
-    return K.LstmWeights(
-        Wx=store.add(f"{prefix}.Wx", 4 * hidden, d_in),
-        Wh=store.add(f"{prefix}.Wh", 4 * hidden, hidden),
-        b=store.add(f"{prefix}.b", 1, 4 * hidden, init="zeros"),
-    )

@@ -127,8 +127,13 @@ class TrainConfig:
     decoder_max_len: int = 20
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        for name in ("hidden_width", "batch_size", "epochs", "eval_every", "decoder_max_len"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        lr = self.learning_rate
+        if not isinstance(lr, (int, float)) or isinstance(lr, bool) or not lr > 0:
+            raise ValueError(f"learning_rate must be a number > 0, got {lr!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.hidden_width % 2 != 0:
@@ -156,12 +161,8 @@ class PreparedExample:
     """Tagged question plus cached numpy inputs and located gold value spans."""
 
     tq: TaggedQuestion
-    header: list[str]
-    table_id: str
-    gold: SqlQuery | None
-    word: np.ndarray
-    type_indices: list[int]
-    type_const: np.ndarray
+    gold: SqlQuery
+    q_parts: tuple  # (word, type indices, type constants) from SketchModel.question_parts
     col_matrix: np.ndarray
     gold_spans: list[list[int] | None] = field(default_factory=list)
 
@@ -184,12 +185,10 @@ def prepare_example(model: S.SketchModel, example: Example, table: Table,
     tq = recognize(example.question, table.header,
                    table=table if model.mode == "content" else None,
                    mode=model.mode, gazetteer=gazetteer)
-    word, indices, const = model.question_parts(tq, table.header)
     spans = [find_token_span(tq.tokens, val) for _, _, val in example.gold.conds]
-    return PreparedExample(tq=tq, header=table.header, table_id=table.id,
-                           gold=example.gold, word=word, type_indices=indices,
-                           type_const=const, col_matrix=model.column_matrix(table.header),
-                           gold_spans=spans)
+    return PreparedExample(tq=tq, gold=example.gold,
+                           q_parts=model.question_parts(tq, table.header),
+                           col_matrix=model.column_matrix(table.header), gold_spans=spans)
 
 
 def total_loss(model: S.SketchModel, prep: PreparedExample, training: bool = True,
@@ -202,16 +201,11 @@ def total_loss(model: S.SketchModel, prep: PreparedExample, training: bool = Tru
     for each condition value that occurs in the question.
     """
     gold = prep.gold
-    if gold is None:
-        raise ValueError("total_loss needs a gold query")
-    n_cols = len(prep.header)
+    n_cols = prep.col_matrix.shape[0]
     terms: list[K.Tensor] = []
 
     # column model: select column, condition count, condition columns
-    q_in = model.question_input(prep.word, prep.type_indices, prep.type_const)
-    col_in = K.constant(prep.col_matrix)
-    H_qt, H_col = model.encode("col", q_in, col_in, training, rng)
-    H_qt_col = model.attend("col", H_qt, H_col, training, rng)
+    _, _, H_col, H_qt_col = model.read("col", prep.q_parts, prep.col_matrix, training, rng)
     terms.append(K.cross_entropy(S.select_scores(H_qt_col, H_col, model.select_head), gold.sel))
     terms.append(K.cross_entropy(S.cond_number_scores(H_qt_col, model.cond_num_head),
                                  len(gold.conds)))
@@ -224,30 +218,27 @@ def total_loss(model: S.SketchModel, prep: PreparedExample, training: bool = Tru
         targets, pos_weight=COND_COL_POS_WEIGHT))
 
     # aggregator model, conditioned on the gold select column
-    q_in_a = model.question_input(prep.word, prep.type_indices, prep.type_const)
-    H_qt_a, H_col_a = model.encode("agg", q_in_a, K.constant(prep.col_matrix), training, rng)
-    H_qt_col_a = model.attend("agg", H_qt_a, H_col_a, training, rng)
+    _, _, _, H_qt_col_a = model.read("agg", prep.q_parts, prep.col_matrix, training, rng)
     terms.append(K.cross_entropy(S.agg_scores(K.row(H_qt_col_a, gold.sel), model.agg_head),
                                  gold.agg))
 
     # operator/value model, one term pair per gold condition
     if gold.conds:
-        q_in_o = model.question_input(prep.word, prep.type_indices, prep.type_const)
-        H_qt_o, H_col_o = model.encode("opval", q_in_o, K.constant(prep.col_matrix), training, rng)
-        H_qt_col_o = model.attend("opval", H_qt_o, H_col_o, training, rng)
+        q_in, H_qt, H_col, H_qt_col = model.read("opval", prep.q_parts, prep.col_matrix,
+                                                 training, rng)
         t_len = len(prep.tq.tokens)
         for (col, op, _val), span in zip(gold.conds, prep.gold_spans):
             terms.append(K.cross_entropy(
-                S.op_scores(K.row(H_qt_col_o, col), K.row(H_col_o, col), model.op_head), op))
+                S.op_scores(K.row(H_qt_col, col), K.row(H_col, col), model.op_head), op))
             if span is None:
                 continue  # value absent from the question; no pointer signal
-            context = S.pointer_context(model.val_pointer, H_qt_o, K.row(H_col_o, col))
+            context = S.pointer_context(model.val_pointer, H_qt, K.row(H_col, col))
             h, c, x = S.pointer_init(model.val_pointer)
             for target in list(span) + [t_len]:
                 scores, h, c = S.pointer_step(model.val_pointer, context, h, c, x)
                 terms.append(K.cross_entropy(scores, target))
                 if target < t_len:
-                    x = K.row(q_in_o, target)
+                    x = K.row(q_in, target)
     return K.sum_all(K.concat_rows(terms))
 
 

@@ -10,8 +10,9 @@ never cached.
 
 from __future__ import annotations
 
+import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,11 +356,11 @@ def embed_rows(table: Tensor, indices) -> Tensor:
     return _node(out, (table,), bwd)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout: scaling happens at train time, inference is a no-op."""
+def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: kept entries scale by 1/(1-rate); callers skip it at inference."""
     if not (0.0 <= rate < 1.0):
         raise KernelError(f"dropout rate {rate} outside [0, 1)")
-    if rate == 0.0 or not training:
+    if rate == 0.0:
         return a
     keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
 
@@ -597,9 +598,6 @@ class ParamStore:
             out[name] = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
         return out
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.items()}
-
     def load_state(self, state: dict[str, np.ndarray]):
         """Replace all parameter values; name sets and shapes must match exactly."""
         if set(state) != set(self._entries):
@@ -686,18 +684,28 @@ CHECKPOINT_MAGIC = b"TSQ1"
 
 
 def save_checkpoint(store: ParamStore, path):
-    """Write all parameters as float32 little-endian records."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(store)))
-        for name, t in store.items():
-            raw = name.encode("utf-8")
-            arr = np.ascontiguousarray(t.data, dtype="<f4")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    """Write all parameters as float32 little-endian records, via a temporary
+    file renamed over `path`, so a failed save leaves the old checkpoint intact."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", len(store)))
+            for name, t in store.items():
+                raw = name.encode("utf-8")
+                arr = np.ascontiguousarray(t.data, dtype="<f4")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

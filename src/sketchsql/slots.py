@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel as K
-from .encoder import TYPE_INDEX, BiLstm, EmbeddingStore, column_name_vector
+from .encoder import TYPE_INDEX, EmbeddingStore, column_name_vector
 from .sketch import MAX_CONDITIONS
 from .tagger import BASE_TAGS, COLUMN_VALUE, TaggedQuestion
 
@@ -112,18 +112,10 @@ def select_scores(H_qt_col: K.Tensor, H_col: K.Tensor, head: SelectHead) -> K.Te
     return K.transpose(K.linear(hidden, head.V))
 
 
-def predict_select_col(H_qt_col: K.Tensor, H_col: K.Tensor, head: SelectHead) -> K.Tensor:
-    return K.softmax_rows(select_scores(H_qt_col, H_col, head))
-
-
 def cond_number_scores(H_qt_col: K.Tensor, head: CondNumHead) -> K.Tensor:
     """(1, 5) logits for the number of conditions, from the column-summed summary."""
     pooled = K.sum_over_rows(H_qt_col)
     return K.linear(K.tanh(K.linear(pooled, head.Wqt)), head.V)
-
-
-def predict_cond_number(H_qt_col: K.Tensor, head: CondNumHead) -> K.Tensor:
-    return K.softmax_rows(cond_number_scores(H_qt_col, head))
 
 
 def cond_col_scores(H_qt_col: K.Tensor, H_col: K.Tensor, H_qt_scol: K.Tensor,
@@ -153,17 +145,9 @@ def agg_scores(h_qt_scol: K.Tensor, head: AggHead) -> K.Tensor:
     return K.linear(K.tanh(K.linear(h_qt_scol, head.Wqt)), head.V)
 
 
-def predict_agg(h_qt_scol: K.Tensor, head: AggHead) -> K.Tensor:
-    return K.softmax_rows(agg_scores(h_qt_scol, head))
-
-
 def op_scores(h_qt_col: K.Tensor, h_col: K.Tensor, head: OpHead) -> K.Tensor:
     """(1, 3) logits over [=, >, <] for one condition column."""
     return K.linear(K.tanh(K.add(K.linear(h_col, head.Wc), K.linear(h_qt_col, head.Wqt))), head.Wt)
-
-
-def predict_op(h_qt_col: K.Tensor, h_col: K.Tensor, head: OpHead) -> K.Tensor:
-    return K.softmax_rows(op_scores(h_qt_col, h_col, head))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +201,22 @@ def decode_cond_val(H_qt: K.Tensor, q_input: K.Tensor, h_col: K.Tensor,
 # The three-model bundle
 # ---------------------------------------------------------------------------
 
+class BiLstm:
+    """Forward+backward LSTM weights registered under a common name prefix."""
+
+    def __init__(self, store: K.ParamStore, prefix: str, d_in: int, hidden: int):
+        self.fw = _lstm_weights(store, f"{prefix}.fw", d_in, hidden)
+        self.bw = _lstm_weights(store, f"{prefix}.bw", d_in, hidden)
+
+
+def _lstm_weights(store: K.ParamStore, prefix: str, d_in: int, hidden: int) -> K.LstmWeights:
+    return K.LstmWeights(
+        Wx=store.add(f"{prefix}.Wx", 4 * hidden, d_in),
+        Wh=store.add(f"{prefix}.Wh", 4 * hidden, hidden),
+        b=store.add(f"{prefix}.b", 1, 4 * hidden, init="zeros"),
+    )
+
+
 MODEL_NAMES = ("col", "agg", "opval")
 
 
@@ -233,9 +233,7 @@ class SketchModel:
                  dropout: float = 0.3, decoder_max_len: int = 20):
         if width % 2 != 0:
             raise ValueError("bidirectional width must be even")
-        self.store = store
         self.emb = emb
-        self.width = width
         self.mode = mode
         self.dropout = dropout
         self.decoder_max_len = decoder_max_len
@@ -302,6 +300,9 @@ class SketchModel:
         return word, indices, const
 
     def column_matrix(self, header: list[str]) -> np.ndarray:
+        """(C, d_w) averaged column-name vectors, one row per column in schema order."""
+        if not header:
+            raise ValueError("empty schema")
         return np.stack([column_name_vector(name, self.emb) for name in header])
 
     def question_input(self, word: np.ndarray, indices, const: np.ndarray) -> K.Tensor:
@@ -330,39 +331,42 @@ class SketchModel:
             H_qt_col = K.dropout(H_qt_col, self.dropout, rng)
         return H_qt_col
 
+    def read(self, which: str, q_parts, col_matrix: np.ndarray,
+             training: bool = False, rng: np.random.Generator | None = None):
+        """(q_in, H_qt, H_col, H_qt_col) for one model. Each model builds its own q_in:
+        one shared q_in would sum the type-table gradient in another order."""
+        q_in = self.question_input(*q_parts)
+        H_qt, H_col = self.encode(which, q_in, K.constant(col_matrix), training, rng)
+        return q_in, H_qt, H_col, self.attend(which, H_qt, H_col, training, rng)
+
     # -- inference ---------------------------------------------------------
 
     def predict_slots(self, tq: TaggedQuestion, header: list[str]) -> SlotPrediction:
         """Greedy slot filling; conditioned slots consume predicted antecedents."""
         with K.no_grad():
-            word, indices, const = self.question_parts(tq, header)
+            q_parts = self.question_parts(tq, header)
             col_matrix = self.column_matrix(header)
 
-            q_in = self.question_input(word, indices, const)
-            col_in = K.constant(col_matrix)
-            H_qt, H_col = self.encode("col", q_in, col_in)
-            H_qt_col = self.attend("col", H_qt, H_col)
-            sel = int(np.argmax(predict_select_col(H_qt_col, H_col, self.select_head).data[0]))
-            count = int(np.argmax(predict_cond_number(H_qt_col, self.cond_num_head).data[0]))
+            _, _, H_col, H_qt_col = self.read("col", q_parts, col_matrix)
+            # argmax over logits: softmax is monotonic, so it would pick the same index
+            sel = int(np.argmax(select_scores(H_qt_col, H_col, self.select_head).data[0]))
+            count = int(np.argmax(cond_number_scores(H_qt_col, self.cond_num_head).data[0]))
             count = min(count, len(header))
             H_qt_scol = K.tile_rows(K.row(H_qt_col, sel), len(header))
             cond_cols = predict_cond_cols(H_qt_col, H_col, H_qt_scol, self.cond_col_head, count)
 
-            q_in_a = self.question_input(word, indices, const)
-            H_qt_a, H_col_a = self.encode("agg", q_in_a, K.constant(col_matrix))
-            H_qt_col_a = self.attend("agg", H_qt_a, H_col_a)
-            agg = int(np.argmax(predict_agg(K.row(H_qt_col_a, sel), self.agg_head).data[0]))
+            _, _, _, H_qt_col_a = self.read("agg", q_parts, col_matrix)
+            agg = int(np.argmax(agg_scores(K.row(H_qt_col_a, sel), self.agg_head).data[0]))
 
             ops: list[int] = []
             spans: list[list[int]] = []
             if cond_cols:
-                q_in_o = self.question_input(word, indices, const)
-                H_qt_o, H_col_o = self.encode("opval", q_in_o, K.constant(col_matrix))
-                H_qt_col_o = self.attend("opval", H_qt_o, H_col_o)
+                q_in, H_qt, H_col, H_qt_col = self.read("opval", q_parts, col_matrix)
                 for col in cond_cols:
-                    probs = predict_op(K.row(H_qt_col_o, col), K.row(H_col_o, col), self.op_head)
-                    ops.append(int(np.argmax(probs.data[0])))
-                    spans.append(decode_cond_val(H_qt_o, q_in_o, K.row(H_col_o, col),
-                                                 self.val_pointer, self.decoder_max_len))
+                    h_col = K.row(H_col, col)
+                    op = op_scores(K.row(H_qt_col, col), h_col, self.op_head)
+                    ops.append(int(np.argmax(op.data[0])))
+                    spans.append(decode_cond_val(H_qt, q_in, h_col, self.val_pointer,
+                                                 self.decoder_max_len))
             return SlotPrediction(select_col=sel, agg=agg, cond_count=len(cond_cols),
                                   cond_cols=cond_cols, cond_ops=ops, cond_val_spans=spans)

@@ -91,14 +91,14 @@ class TestCriterion2EquationFidelity:
             sel_head = S.SelectHead(Wc=K.constant(rng.normal(size=(d, width))),
                                     Wqt=K.constant(rng.normal(size=(d, width))),
                                     V=K.constant(rng.normal(size=(1, d))))
-            got = S.predict_select_col(K.constant(hqc), K.constant(H_col), sel_head)
+            got = K.softmax_rows(S.select_scores(K.constant(hqc), K.constant(H_col), sel_head))
             want = ref.ref_select(hqc, H_col, sel_head.Wc.data, sel_head.Wqt.data,
                                   sel_head.V.data)
             np.testing.assert_allclose(got.data[0], want, atol=self.TOL)
 
             num_head = S.CondNumHead(Wqt=K.constant(rng.normal(size=(d, width))),
                                      V=K.constant(rng.normal(size=(5, d))))
-            got = S.predict_cond_number(K.constant(hqc), num_head)
+            got = K.softmax_rows(S.cond_number_scores(K.constant(hqc), num_head))
             want = ref.ref_cond_number(hqc, num_head.Wqt.data, num_head.V.data)
             np.testing.assert_allclose(got.data[0], want, atol=self.TOL)
 
@@ -116,14 +116,15 @@ class TestCriterion2EquationFidelity:
             agg_head = S.AggHead(Wqt=K.constant(rng.normal(size=(d, width))),
                                  V=K.constant(rng.normal(size=(6, d))))
             row = hqc[0:1]
-            got = S.predict_agg(K.constant(row), agg_head)
+            got = K.softmax_rows(S.agg_scores(K.constant(row), agg_head))
             want = ref.ref_agg(row[0], agg_head.Wqt.data, agg_head.V.data)
             np.testing.assert_allclose(got.data[0], want, atol=self.TOL)
 
             op_head = S.OpHead(Wc=K.constant(rng.normal(size=(d, width))),
                                Wqt=K.constant(rng.normal(size=(d, width))),
                                Wt=K.constant(rng.normal(size=(3, d))))
-            got = S.predict_op(K.constant(hqc[0:1]), K.constant(H_col[0:1]), op_head)
+            got = K.softmax_rows(S.op_scores(K.constant(hqc[0:1]), K.constant(H_col[0:1]),
+                                             op_head))
             want = ref.ref_op(hqc[0], H_col[0], op_head.Wc.data, op_head.Wqt.data,
                               op_head.Wt.data)
             np.testing.assert_allclose(got.data[0], want, atol=self.TOL)

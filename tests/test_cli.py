@@ -85,6 +85,17 @@ class TestArgumentErrors:
         assert code == 2
 
 
+class TestConfigErrors:
+    @pytest.mark.parametrize("bad", [{"eval_every": 0}, {"epochs": "2"}])
+    def test_bad_field_is_one_line_error(self, bad, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict({"hidden_width": 8}, **bad)), encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert next(iter(bad)) in err
+
+
 class TestTrainEvalPredictPipeline:
     def test_end_to_end_small(self, tmp_path, capsys):
         paths = generate_corpus(tmp_path / "corpus", seed=0, n_train=12, n_dev=4)

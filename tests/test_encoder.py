@@ -3,16 +3,34 @@ import pytest
 
 from helpers import demo_gazetteer, magazine_table
 from sketchsql import kernel as K
-from sketchsql.encoder import (BiLstm, EmbeddingError, EmbeddingStore,
-                               column_inputs, column_name_vector, embed_question,
-                               encode_columns, encode_question, load_embedding_file,
-                               load_embeddings)
+from sketchsql.encoder import (EmbeddingError, EmbeddingStore, column_name_vector,
+                               load_embedding_file, load_embeddings)
+from sketchsql.slots import SketchModel
 from sketchsql.tagger import TAG_NONE, TaggedQuestion, TypeTag, recognize
 
 
 def tiny_store(dim=4, tokens=("spoofed", "title", "artist", "issue", "mort", "drucker")):
     rng = np.random.default_rng(99)
     return EmbeddingStore({t: rng.normal(size=dim) for t in tokens}, dim)
+
+
+def tiny_model(seed=0, width=8, mode="insensitive", type_dim=3):
+    """Slot model over `tiny_store`; content mode forces the type width to 4."""
+    return SketchModel(K.ParamStore(seed=seed), tiny_store(), width=width, mode=mode,
+                       type_dim=type_dim, dropout=0.0)
+
+
+def embed(model, tq, header):
+    return model.question_input(*model.question_parts(tq, header))
+
+
+def encode(model, q_input, header):
+    """(H_qt, H_col) of the column model for a question input and a header."""
+    return model.encode("col", q_input, K.constant(model.column_matrix(header)))
+
+
+def one_token_input(model):
+    return K.constant(np.ones((1, model.d_in)))
 
 
 def write_emb(path, entries):
@@ -57,54 +75,42 @@ class TestEmbeddingFiles:
 
 
 class TestEmbedQuestion:
-    def make_type_table(self, store, d_t):
-        return store.add("emb.type", 11, d_t)
-
     def test_known_word_none_tag(self):
-        emb = tiny_store()
-        store = K.ParamStore(seed=0)
-        table = self.make_type_table(store, 3)
+        model = tiny_model()
         tq = TaggedQuestion(tokens=["artist"], tags=[TAG_NONE], char_spans=[(0, 6)])
-        out = embed_question(tq, emb, table, ["artist"])
+        out = embed(model, tq, ["artist"])
         assert out.shape == (1, 7)
-        np.testing.assert_array_equal(out.data[0, :4], emb.word_vec("artist"))
-        np.testing.assert_array_equal(out.data[0, 4:], table.data[0])
+        np.testing.assert_array_equal(out.data[0, :4], model.emb.word_vec("artist"))
+        np.testing.assert_array_equal(out.data[0, 4:], model.type_table.data[0])
 
     def test_unknown_word_zero_prefix(self):
-        emb = tiny_store()
-        store = K.ParamStore(seed=0)
-        table = self.make_type_table(store, 3)
+        model = tiny_model()
         tq = TaggedQuestion(tokens=["zzz"], tags=[TypeTag("integer")], char_spans=[(0, 3)])
-        out = embed_question(tq, emb, table, ["artist"])
+        out = embed(model, tq, ["artist"])
         np.testing.assert_array_equal(out.data[0, :4], 0.0)
         assert np.abs(out.data[0, 4:]).sum() > 0
 
     def test_column_value_uses_mean_column_name_vector(self):
-        emb = tiny_store()
-        store = K.ParamStore(seed=0)
-        table = self.make_type_table(store, 4)  # content mode: type width == word width
+        model = tiny_model(mode="content")  # content mode: type width == word width
         tq = TaggedQuestion(tokens=["mort"], tags=[TypeTag("column_value", column=0)],
                             char_spans=[(0, 4)])
-        out = embed_question(tq, emb, table, ["artist"])
-        np.testing.assert_allclose(out.data[0, 4:], emb.word_vec("artist"), atol=1e-12)
+        out = embed(model, tq, ["artist"])
+        np.testing.assert_allclose(out.data[0, 4:], model.emb.word_vec("artist"), atol=1e-12)
 
     def test_content_mode_width_mismatch_rejected(self):
-        emb = tiny_store()
-        store = K.ParamStore(seed=0)
-        table = self.make_type_table(store, 3)
+        model = tiny_model()
         tq = TaggedQuestion(tokens=["mort"], tags=[TypeTag("column_value", column=0)],
                             char_spans=[(0, 4)])
-        with pytest.raises(EmbeddingError, match="type width"):
-            embed_question(tq, emb, table, ["artist"])
+        with pytest.raises(ValueError, match="type width"):
+            model.question_parts(tq, ["artist"])
 
     def test_gradient_reaches_type_table(self):
-        emb = tiny_store()
-        store = K.ParamStore(seed=0)
-        table = self.make_type_table(store, 3)
+        model = tiny_model()
         tq = TaggedQuestion(tokens=["artist", "zzz"], tags=[TAG_NONE, TypeTag("float")],
                             char_spans=[(0, 1), (1, 2)])
-        out = embed_question(tq, emb, table, ["artist"])
+        out = embed(model, tq, ["artist"])
         K.backward(K.sum_all(out))
+        table = model.type_table
         assert table.grad is not None
         assert np.abs(table.grad[0]).sum() > 0   # none tag row
         assert np.abs(table.grad[3]).sum() > 0   # float tag row
@@ -121,56 +127,45 @@ class TestColumnEncoding:
         np.testing.assert_array_equal(column_name_vector("quux corge", emb), 0.0)
 
     def test_single_column_shape(self):
-        emb = tiny_store()
-        store = K.ParamStore(seed=1)
-        weights = BiLstm(store, "col", emb.dim, 5)
-        out = encode_columns(column_inputs(["artist"], emb), weights)
+        model = tiny_model(seed=1, width=10)
+        _, out = encode(model, one_token_input(model), ["artist"])
         assert out.shape == (1, 10)
 
     def test_empty_schema_errors(self):
         with pytest.raises(ValueError, match="empty schema"):
-            column_inputs([], tiny_store())
+            tiny_model().column_matrix([])
 
     def test_column_order_sensitivity(self):
-        emb = tiny_store()
-        store = K.ParamStore(seed=2)
-        weights = BiLstm(store, "col", emb.dim, 6)
-        a = encode_columns(column_inputs(["spoofed title", "artist", "issue"], emb), weights)
-        b = encode_columns(column_inputs(["issue", "artist", "spoofed title"], emb), weights)
+        model = tiny_model(seed=2, width=12)
+        q_input = one_token_input(model)
+        _, a = encode(model, q_input, ["spoofed title", "artist", "issue"])
+        _, b = encode(model, q_input, ["issue", "artist", "spoofed title"])
         # the LSTM is order-sensitive: rows move beyond a pure permutation
         assert not np.allclose(a.data[1], b.data[1])
 
 
 class TestEncodeQuestion:
     def test_zero_weights_zero_output(self):
-        emb = tiny_store()
-        store = K.ParamStore(seed=3)
-        weights = BiLstm(store, "qt", 7, 4)
-        for t in (weights.fw, weights.bw):
+        model = tiny_model(seed=3)
+        for t in model.encoders["col"][0].fw, model.encoders["col"][0].bw:
             t.Wx.data[:] = 0
             t.Wh.data[:] = 0
             t.b.data[:] = 0
-        x = K.constant(np.random.default_rng(0).normal(size=(3, 7)))
-        out = encode_question(x, weights)
+        x = K.constant(np.random.default_rng(0).normal(size=(3, model.d_in)))
+        out, _ = encode(model, x, ["artist"])
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_worked_example_row_count(self):
         table = magazine_table()
         tq = recognize("the spoofed title with mort drucker as the artist for issue 88.5?",
                        table.header, table=table, mode="content", gazetteer=demo_gazetteer())
-        emb = tiny_store()
-        store = K.ParamStore(seed=4)
-        type_table = store.add("emb.type", 11, emb.dim)
-        q_input = embed_question(tq, emb, type_table, table.header)
-        weights = BiLstm(store, "qt", emb.dim * 2, 8)
-        out = encode_question(q_input, weights)
+        model = tiny_model(seed=4, width=16, mode="content")
+        out, _ = encode(model, embed(model, tq, table.header), table.header)
         assert out.shape == (13, 16)
 
     def test_deterministic(self):
-        emb = tiny_store()
-        store = K.ParamStore(seed=5)
-        weights = BiLstm(store, "qt", emb.dim, 4)
-        x = np.random.default_rng(1).normal(size=(4, emb.dim))
-        one = encode_question(K.constant(x), weights).data
-        two = encode_question(K.constant(x), weights).data
+        model = tiny_model(seed=5)
+        x = np.random.default_rng(1).normal(size=(4, model.d_in))
+        one = encode(model, K.constant(x), ["artist"])[0].data
+        two = encode(model, K.constant(x), ["artist"])[0].data
         np.testing.assert_array_equal(one, two)

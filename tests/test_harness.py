@@ -106,9 +106,13 @@ class TestTrainConfig:
         assert cfg.learning_rate == 1e-3
 
     @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"dropout": 1.0},
-                                    {"hidden_width": 15}, {"mode": "telepathy"}])
+                                    {"hidden_width": 15}, {"mode": "telepathy"},
+                                    {"eval_every": 0}, {"epochs": "2"}, {"epochs": True},
+                                    {"batch_size": 2.0}, {"decoder_max_len": 0},
+                                    {"learning_rate": 0.0}, {"learning_rate": "0.1"},
+                                    {"hidden_width": "32"}])
     def test_validation(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             H.TrainConfig(**kw)
 
     def test_from_file_rejects_unknown_keys(self, tmp_path):
@@ -161,6 +165,16 @@ class TestTotalLoss:
         assert prep.gold_spans == [None]
         assert np.isfinite(H.total_loss(model, prep, training=False).item())
 
+    def test_dropout_applies_only_in_training(self):
+        emb = tiny_embeddings()
+        model = S.SketchModel(K.ParamStore(seed=6), emb, width=12, mode="content", dropout=0.5)
+        prep = H.prepare_example(model, magazine_example(), magazine_table(),
+                                 demo_gazetteer())
+        held_out = H.total_loss(model, prep, training=False).item()
+        assert H.total_loss(model, prep, training=False).item() == held_out
+        trained = H.total_loss(model, prep, training=True, rng=np.random.default_rng(0))
+        assert trained.item() != held_out
+
     def test_overfitting_one_example_drives_loss_to_zero(self):
         emb = tiny_embeddings()
         store = K.ParamStore(seed=5)
@@ -196,9 +210,7 @@ class TestParameterSharing:
                               type_dim=4, dropout=0.0)
         table = magazine_table()
         prep = H.prepare_example(model, magazine_example(), table)
-        q_in = model.question_input(prep.word, prep.type_indices, prep.type_const)
-        H_qt, H_col = model.encode("col", q_in, K.constant(prep.col_matrix))
-        H_qt_col = model.attend("col", H_qt, H_col)
+        _, _, H_col, H_qt_col = model.read("col", prep.q_parts, prep.col_matrix)
         loss = K.cross_entropy(S.select_scores(H_qt_col, H_col, model.select_head), 0)
         grads = K.backward(loss, store)
         touched = {n for n, g in grads.items() if np.abs(g).sum() > 0}

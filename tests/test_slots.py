@@ -68,15 +68,15 @@ class TestSelectCol:
         H_qt, _ = rand_states(rng)
         att = S.column_attention(const(H_qt), const(rng.normal(size=(1, 8))),
                                  const(rng.normal(size=(8, 8))))
-        probs = S.predict_select_col(att.H_qt_col, const(rng.normal(size=(1, 8))),
-                                     select_head(rng))
+        probs = K.softmax_rows(S.select_scores(att.H_qt_col, const(rng.normal(size=(1, 8))),
+                                               select_head(rng)))
         np.testing.assert_allclose(probs.data, [[1.0]], atol=1e-12)
 
     def test_zero_parameters_uniform(self):
         rng = np.random.default_rng(5)
         H_qt, H_col = rand_states(rng)
-        probs = S.predict_select_col(const(rng.normal(size=(3, 8))), const(H_col),
-                                     zero_select_head())
+        probs = K.softmax_rows(S.select_scores(const(rng.normal(size=(3, 8))), const(H_col),
+                                               zero_select_head()))
         np.testing.assert_allclose(probs.data, 1 / 3, atol=1e-12)
 
     def test_matches_oracle(self):
@@ -85,7 +85,7 @@ class TestSelectCol:
             H_qt_col = rng.normal(size=(3, 8))
             H_col = rng.normal(size=(3, 8))
             head = select_head(rng)
-            probs = S.predict_select_col(const(H_qt_col), const(H_col), head)
+            probs = K.softmax_rows(S.select_scores(const(H_qt_col), const(H_col), head))
             want = ref.ref_select(H_qt_col, H_col, head.Wc.data, head.Wqt.data, head.V.data)
             np.testing.assert_allclose(probs.data[0], want, atol=1e-12)
 
@@ -93,7 +93,8 @@ class TestSelectCol:
 class TestCondNumber:
     def test_zero_parameters_uniform_over_five(self):
         head = S.CondNumHead(Wqt=const(np.zeros((8, 8))), V=const(np.zeros((5, 8))))
-        probs = S.predict_cond_number(const(np.random.default_rng(0).normal(size=(3, 8))), head)
+        H = const(np.random.default_rng(0).normal(size=(3, 8)))
+        probs = K.softmax_rows(S.cond_number_scores(H, head))
         np.testing.assert_allclose(probs.data, 0.2, atol=1e-12)
 
     def test_argmax_shift_invariant(self):
@@ -111,7 +112,7 @@ class TestCondNumber:
             H = rng.normal(size=(4, 8))
             head = S.CondNumHead(Wqt=const(rng.normal(size=(8, 8))),
                                  V=const(rng.normal(size=(5, 8))))
-            probs = S.predict_cond_number(const(H), head)
+            probs = K.softmax_rows(S.cond_number_scores(const(H), head))
             want = ref.ref_cond_number(H, head.Wqt.data, head.V.data)
             np.testing.assert_allclose(probs.data[0], want, atol=1e-12)
 
@@ -169,13 +170,14 @@ class TestCondCols:
 class TestAgg:
     def test_zero_parameters_uniform_over_six(self):
         head = S.AggHead(Wqt=const(np.zeros((8, 8))), V=const(np.zeros((6, 8))))
-        probs = S.predict_agg(const(np.random.default_rng(0).normal(size=(1, 8))), head)
+        h = const(np.random.default_rng(0).normal(size=(1, 8)))
+        probs = K.softmax_rows(S.agg_scores(h, head))
         np.testing.assert_allclose(probs.data, 1 / 6, atol=1e-12)
 
     def test_distribution_sums_to_one(self):
         rng = np.random.default_rng(13)
         head = S.AggHead(Wqt=const(rng.normal(size=(8, 8))), V=const(rng.normal(size=(6, 8))))
-        probs = S.predict_agg(const(rng.normal(size=(1, 8))), head)
+        probs = K.softmax_rows(S.agg_scores(const(rng.normal(size=(1, 8))), head))
         assert probs.data.sum() == pytest.approx(1.0, abs=1e-9)
         assert (probs.data >= 0).all()
 
@@ -184,7 +186,7 @@ class TestAgg:
         for _ in range(20):
             h = rng.normal(size=(1, 8))
             head = S.AggHead(Wqt=const(rng.normal(size=(8, 8))), V=const(rng.normal(size=(6, 8))))
-            probs = S.predict_agg(const(h), head)
+            probs = K.softmax_rows(S.agg_scores(const(h), head))
             want = ref.ref_agg(h[0], head.Wqt.data, head.V.data)
             np.testing.assert_allclose(probs.data[0], want, atol=1e-12)
 
@@ -193,14 +195,16 @@ class TestOp:
     def test_zero_parameters_uniform_over_three(self):
         head = S.OpHead(Wc=const(np.zeros((8, 8))), Wqt=const(np.zeros((8, 8))),
                         Wt=const(np.zeros((3, 8))))
-        probs = S.predict_op(const(np.ones((1, 8))), const(np.ones((1, 8))), head)
+        ones = const(np.ones((1, 8)))
+        probs = K.softmax_rows(S.op_scores(ones, ones, head))
         np.testing.assert_allclose(probs.data, 1 / 3, atol=1e-12)
 
     def test_three_way_output(self):
         rng = np.random.default_rng(15)
         head = S.OpHead(Wc=const(rng.normal(size=(8, 8))), Wqt=const(rng.normal(size=(8, 8))),
                         Wt=const(rng.normal(size=(3, 8))))
-        probs = S.predict_op(const(rng.normal(size=(1, 8))), const(rng.normal(size=(1, 8))), head)
+        probs = K.softmax_rows(S.op_scores(const(rng.normal(size=(1, 8))),
+                                           const(rng.normal(size=(1, 8))), head))
         assert probs.shape == (1, 3)
 
     def test_matches_oracle(self):
@@ -211,7 +215,7 @@ class TestOp:
             head = S.OpHead(Wc=const(rng.normal(size=(8, 8))),
                             Wqt=const(rng.normal(size=(8, 8))),
                             Wt=const(rng.normal(size=(3, 8))))
-            probs = S.predict_op(const(hq), const(hc), head)
+            probs = K.softmax_rows(S.op_scores(const(hq), const(hc), head))
             want = ref.ref_op(hq[0], hc[0], head.Wc.data, head.Wqt.data, head.Wt.data)
             np.testing.assert_allclose(probs.data[0], want, atol=1e-12)
 
