@@ -9,6 +9,8 @@ and columns belong to the slot models.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tagger import BASE_TAGS, tokenize
@@ -52,9 +54,13 @@ def load_embedding_file(path) -> tuple[dict[str, np.ndarray], int]:
                 raise EmbeddingError(f"{path}:{lineno}: expected 'token v1 .. vd'")
             token = parts[0]
             try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                values = [float(x) for x in parts[1:]]
             except ValueError:
                 raise EmbeddingError(f"{path}:{lineno}: non-numeric vector component") from None
+            # a finite sum proves every component finite; only a failing line is checked fully
+            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+                raise EmbeddingError(f"{path}:{lineno}: non-finite vector component")
+            vec = np.array(values, dtype=np.float64)
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:

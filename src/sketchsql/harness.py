@@ -127,15 +127,23 @@ class TrainConfig:
     decoder_max_len: int = 20
 
     def __post_init__(self):
-        for name in ("hidden_width", "batch_size", "epochs", "eval_every", "decoder_max_len"):
+        least = dict.fromkeys(("hidden_width", "batch_size", "epochs", "eval_every",
+                               "decoder_max_len"), 1)
+        least["seed"] = 0
+        if self.type_dim is not None:  # None picks the mode's default width
+            least["type_dim"] = 1
+        for name, low in least.items():
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        lr = self.learning_rate
-        if not isinstance(lr, (int, float)) or isinstance(lr, bool) or not lr > 0:
-            raise ValueError(f"learning_rate must be a number > 0, got {lr!r}")
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("learning_rate", "dropout"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must lie in [0, 1)")
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout!r}")
         if self.hidden_width % 2 != 0:
             raise ValueError("hidden_width must be even")
         if self.mode not in ("insensitive", "content"):
@@ -232,13 +240,14 @@ def total_loss(model: S.SketchModel, prep: PreparedExample, training: bool = Tru
                 S.op_scores(K.row(H_qt_col, col), K.row(H_col, col), model.op_head), op))
             if span is None:
                 continue  # value absent from the question; no pointer signal
-            context = S.pointer_context(model.val_pointer, H_qt, K.row(H_col, col))
-            h, c, x = S.pointer_init(model.val_pointer)
-            for target in list(span) + [t_len]:
-                scores, h, c = S.pointer_step(model.val_pointer, context, h, c, x)
-                terms.append(K.cross_entropy(scores, target))
-                if target < t_len:
-                    x = K.row(q_in, target)
+            # teacher-forced decoder: the start input, then the gold tokens
+            vp = model.val_pointer
+            context = S.pointer_context(vp, H_qt, K.row(H_col, col))
+            H_dec = K.lstm_sequence(K.concat_rows([vp.start] + [K.row(q_in, t) for t in span]),
+                                    vp.dec)
+            for step, target in enumerate(list(span) + [t_len]):
+                terms.append(K.cross_entropy(S.pointer_step(vp, context, K.row(H_dec, step)),
+                                             target))
     return K.sum_all(K.concat_rows(terms))
 
 
@@ -287,7 +296,7 @@ def build_model(config: TrainConfig, emb: EmbeddingStore) -> tuple[S.SketchModel
 def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, Table],
           dev_examples: list[Example] | None = None, emb: EmbeddingStore | None = None,
           gazetteer: Gazetteer | None = None, log=None) -> TrainResult:
-    """Seeded mini-batch training with Adam; keeps the best-dev checkpoint."""
+    """Seeded mini-batch Adam training with best-dev checkpoints; a non-finite loss raises."""
     if emb is None:
         if not config.embedding_paths:
             raise ValueError("no embeddings: set embedding_paths or pass emb")
@@ -315,9 +324,13 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
             store.zero_grad()
             losses = [total_loss(model, prepared[i], training=True, rng=rng) for i in batch]
             batch_loss = K.scale(K.sum_all(K.concat_rows(losses)), 1.0 / len(batch))
+            value = batch_loss.item()
+            if not np.isfinite(value):  # stop before the update, so weights stay finite
+                raise ValueError(f"non-finite loss at epoch {epoch}, "
+                                 f"batch {at // config.batch_size + 1}")
             K.backward(batch_loss)
             K.adam_step(store, adam)
-            total += batch_loss.item() * len(batch)
+            total += value * len(batch)
         epoch_loss = total / len(prepared)
         epoch_losses.append(epoch_loss)
 

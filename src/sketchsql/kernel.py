@@ -1,11 +1,11 @@
 """Dense 2-D tensor kernel with reverse-mode autodiff.
 
 Everything the slot-filling models need and nothing more: matrices on a
-gradient tape, an LSTM cell and bidirectional sequence encoder, stable
-softmax / cross-entropy / weighted BCE, inverted dropout, Adam, and a
-binary checkpoint format. Arrays are numpy; every tensor is 2-D (row
-vectors are 1xN, scalars 1x1). The tape is rebuilt per example or batch,
-never cached.
+gradient tape, one LSTM cell (a fused sequence node, and an untaped step
+for greedy decoding), stable softmax / cross-entropy / weighted BCE,
+inverted dropout, Adam, and a binary checkpoint format. Arrays are numpy;
+every tensor is 2-D (row vectors are 1xN, scalars 1x1). The tape is
+rebuilt per example or batch, never cached.
 """
 
 from __future__ import annotations
@@ -168,17 +168,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise KernelError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-
-    def bwd(g, a=a, b=b, ad=a.data, bd=b.data):
-        _accum(a, g * bd)
-        _accum(b, g * ad)
-
-    return _node(a.data * b.data, (a, b), bwd)
-
-
 def scale(a: Tensor, k: float) -> Tensor:
     def bwd(g, a=a, k=k):
         _accum(a, g * k)
@@ -221,19 +210,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def bwd(g, a=a, out=out):
         _accum(a, g * (1.0 - out * out))
-
-    return _node(out, (a,), bwd)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = np.empty_like(a.data)
-    pos = a.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    ex = np.exp(a.data[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def bwd(g, a=a, out=out):
-        _accum(a, g * out * (1.0 - out))
 
     return _node(out, (a,), bwd)
 
@@ -286,18 +262,6 @@ def row(a: Tensor, i: int) -> Tensor:
         a.grad[i, :] += g[0]
 
     return _node(a.data[i : i + 1].copy(), (a,), bwd)
-
-
-def cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    if not (0 <= j0 < j1 <= a.shape[1]):
-        raise KernelError(f"column slice [{j0}:{j1}] out of range for shape {a.shape}")
-
-    def bwd(g, a=a, j0=j0, j1=j1):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[:, j0:j1] += g
-
-    return _node(a.data[:, j0:j1].copy(), (a,), bwd)
 
 
 def concat_rows(parts) -> Tensor:
@@ -430,27 +394,36 @@ class LstmWeights:
         return self.Wh.shape[1]
 
 
+def _cell(pre: np.ndarray, c: np.ndarray):
+    """The LSTM cell on one (4H,) row of gate pre-activations and the previous (H,) cell.
+
+    Returns (sig, g, c, tanh c, h): sig is the sigmoid of every pre-activation,
+    whose first, second and fourth quarters are the i, f and o gates, and g is
+    the candidate, tanh of the third quarter. Callers silence exp overflow,
+    which saturates the sigmoid correctly.
+    """
+    hid = c.shape[0]
+    sig = 1.0 / (1.0 + np.exp(-pre))
+    g = np.tanh(pre[2 * hid : 3 * hid])
+    c = sig[hid : 2 * hid] * c + sig[:hid] * g
+    tanh_c = np.tanh(c)
+    return sig, g, c, tanh_c, sig[3 * hid :] * tanh_c
+
+
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights):
-    """One LSTM cell update; returns (h, c)."""
-    hid = w.hidden
+    """One untaped LSTM cell update on 1-row inputs, for greedy decoding; returns (h, c).
+
+    Training runs every recurrence through lstm_sequence: a gradient request is an error.
+    """
     if x.shape[1] != w.Wx.shape[1]:
         raise KernelError(f"lstm_step shape mismatch: {x.shape} with weight {w.Wx.shape}")
-    if not (_grad_enabled and (x.requires_grad or h_prev.requires_grad or c_prev.requires_grad
-                               or w.Wx.requires_grad or w.Wh.requires_grad or w.b.requires_grad)):
-        pre = x.data @ w.Wx.data.T + h_prev.data @ w.Wh.data.T + w.b.data
-        with np.errstate(over="ignore"):
-            sig = 1.0 / (1.0 + np.exp(-pre))
-        c = sig[:, hid : 2 * hid] * c_prev.data + sig[:, :hid] * np.tanh(pre[:, 2 * hid : 3 * hid])
-        h = sig[:, 3 * hid :] * np.tanh(c)
-        return Tensor._wrap(h), Tensor._wrap(c)
-    gates = add(add(linear(x, w.Wx), linear(h_prev, w.Wh)), w.b)
-    i = sigmoid(cols(gates, 0, hid))
-    f = sigmoid(cols(gates, hid, 2 * hid))
-    g = tanh(cols(gates, 2 * hid, 3 * hid))
-    o = sigmoid(cols(gates, 3 * hid, 4 * hid))
-    c = add(mul(f, c_prev), mul(i, g))
-    h = mul(o, tanh(c))
-    return h, c
+    if _grad_enabled and (x.requires_grad or h_prev.requires_grad or c_prev.requires_grad
+                          or w.Wx.requires_grad or w.Wh.requires_grad or w.b.requires_grad):
+        raise KernelError("lstm_step records no gradient; use lstm_sequence or no_grad()")
+    pre = x.data @ w.Wx.data.T + h_prev.data @ w.Wh.data.T + w.b.data
+    with np.errstate(over="ignore"):
+        _, _, c, _, h = _cell(pre[0], c_prev.data[0])
+    return Tensor._wrap(h.reshape(1, -1)), Tensor._wrap(c.reshape(1, -1))
 
 
 def lstm_sequence(xs: Tensor, w: LstmWeights, reverse: bool = False) -> Tensor:
@@ -458,7 +431,7 @@ def lstm_sequence(xs: Tensor, w: LstmWeights, reverse: bool = False) -> Tensor:
 
     Forward precomputes all input projections in one matmul and loops only
     the recurrence; the backward is hand-written backprop through time.
-    Initial state is zero, matching lstm_step chains from a zero state.
+    The initial state is zero.
     """
     t_len = xs.shape[0]
     if t_len < 1:
@@ -470,57 +443,29 @@ def lstm_sequence(xs: Tensor, w: LstmWeights, reverse: bool = False) -> Tensor:
     idx = np.arange(t_len - 1, -1, -1) if reverse else np.arange(t_len)
 
     pre_x = xs.data @ Wx.T + b[0]
-    if not (_grad_enabled and (xs.requires_grad or w.Wx.requires_grad
-                               or w.Wh.requires_grad or w.b.requires_grad)):
-        out = np.empty((t_len, hid))
-        h = np.zeros(hid)
-        c = np.zeros(hid)
-        with np.errstate(over="ignore"):
-            for t in idx:
-                pre = pre_x[t] + h @ Wh.T
-                sig = 1.0 / (1.0 + np.exp(-pre))
-                c = sig[hid : 2 * hid] * c + sig[:hid] * np.tanh(pre[2 * hid : 3 * hid])
-                h = sig[3 * hid :] * np.tanh(c)
-                out[t] = h
-        return Tensor._wrap(out)
-    gi = np.empty((t_len, hid))
-    gf = np.empty((t_len, hid))
-    gg = np.empty((t_len, hid))
-    go = np.empty((t_len, hid))
-    cells = np.empty((t_len, hid))
-    tanh_c = np.empty((t_len, hid))
-    h_prev = np.empty((t_len, hid))
-    hidden_scan = np.empty((t_len, hid))
+    out = np.empty((t_len, hid))
+    steps = []  # (sig, g, c, tanh c) per scan step, kept for the backward
     h = np.zeros(hid)
     c = np.zeros(hid)
-    with np.errstate(over="ignore"):  # exp overflow saturates sigmoid correctly
-        for sp, t in enumerate(idx):
-            h_prev[sp] = h
-            pre = pre_x[t] + h @ Wh.T
-            sig = 1.0 / (1.0 + np.exp(-pre))
-            gi[sp] = sig[:hid]
-            gf[sp] = sig[hid : 2 * hid]
-            gg[sp] = np.tanh(pre[2 * hid : 3 * hid])
-            go[sp] = sig[3 * hid :]
-            c = gf[sp] * c + gi[sp] * gg[sp]
-            cells[sp] = c
-            tanh_c[sp] = np.tanh(c)
-            h = go[sp] * tanh_c[sp]
-            hidden_scan[sp] = h
-    out = np.empty((t_len, hid))
-    out[idx] = hidden_scan
+    with np.errstate(over="ignore"):
+        for t in idx:
+            sig, gate_g, c, tanh_c, h = _cell(pre_x[t] + h @ Wh.T, c)
+            steps.append((sig, gate_g, c, tanh_c))
+            out[t] = h
 
     def bwd(g):
         g_scan = g[idx]
+        h_prev = np.zeros((t_len, hid))
+        h_prev[1:] = out[idx[:-1]]
         dpre = np.empty((t_len, 4 * hid))
         dh_next = np.zeros(hid)
         dc_next = np.zeros(hid)
         for sp in range(t_len - 1, -1, -1):
-            i, f, gate_g, o = gi[sp], gf[sp], gg[sp], go[sp]
-            tc = tanh_c[sp]
+            sig, gate_g, _, tc = steps[sp]
+            i, f, o = sig[:hid], sig[hid : 2 * hid], sig[3 * hid :]
             dh = g_scan[sp] + dh_next
             dc = dh * o * (1.0 - tc * tc) + dc_next
-            c_before = cells[sp - 1] if sp > 0 else 0.0
+            c_before = steps[sp - 1][2] if sp > 0 else 0.0
             dpre[sp, :hid] = dc * gate_g * i * (1.0 - i)
             dpre[sp, hid : 2 * hid] = dc * c_before * f * (1.0 - f)
             dpre[sp, 2 * hid : 3 * hid] = dc * i * (1.0 - gate_g * gate_g)

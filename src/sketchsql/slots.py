@@ -154,13 +154,6 @@ def op_scores(h_qt_col: K.Tensor, h_col: K.Tensor, head: OpHead) -> K.Tensor:
 # Pointer decoder for condition values
 # ---------------------------------------------------------------------------
 
-def pointer_init(vp: ValPointer):
-    """Fresh decoder state and the learned start input."""
-    hid = vp.dec.hidden
-    zeros = np.zeros((1, hid))
-    return K.constant(zeros), K.constant(zeros.copy()), vp.start
-
-
 def pointer_context(vp: ValPointer, H_qt: K.Tensor, h_col: K.Tensor) -> K.Tensor:
     """Decode-invariant part of the pointer scores, (T+1, d).
 
@@ -170,12 +163,10 @@ def pointer_context(vp: ValPointer, H_qt: K.Tensor, h_col: K.Tensor) -> K.Tensor
     return K.add(K.linear(H_qt_ext, vp.Wqt), K.linear(h_col, vp.Wc))
 
 
-def pointer_step(vp: ValPointer, context: K.Tensor, h_dec: K.Tensor,
-                 c_dec: K.Tensor, x: K.Tensor):
-    """Advance the decoder one token; returns ((1, T+1) logits, h, c)."""
-    h_dec, c_dec = K.lstm_step(x, h_dec, c_dec, vp.dec)
+def pointer_step(vp: ValPointer, context: K.Tensor, h_dec: K.Tensor) -> K.Tensor:
+    """(1, T+1) logits for the next token, given the decoder state after reading its input."""
     hidden = K.tanh(K.add(context, K.linear(h_dec, vp.Wh)))
-    return K.transpose(K.linear(hidden, vp.V)), h_dec, c_dec
+    return K.transpose(K.linear(hidden, vp.V))
 
 
 def decode_cond_val(H_qt: K.Tensor, q_input: K.Tensor, h_col: K.Tensor,
@@ -185,11 +176,12 @@ def decode_cond_val(H_qt: K.Tensor, q_input: K.Tensor, h_col: K.Tensor,
         raise ValueError("max_len must be at least 1")
     t_len = H_qt.shape[0]
     context = pointer_context(vp, H_qt, h_col)
-    h, c, x = pointer_init(vp)
+    zeros = K.constant(np.zeros((1, vp.dec.hidden)))
+    h, c, x = zeros, zeros, vp.start
     emitted: list[int] = []
     while len(emitted) < max_len:
-        scores, h, c = pointer_step(vp, context, h, c, x)
-        choice = int(np.argmax(scores.data[0]))
+        h, c = K.lstm_step(x, h, c, vp.dec)
+        choice = int(np.argmax(pointer_step(vp, context, h).data[0]))
         if choice == t_len:
             break
         emitted.append(choice)
@@ -237,7 +229,7 @@ class SketchModel:
         self.mode = mode
         self.dropout = dropout
         self.decoder_max_len = decoder_max_len
-        self.type_dim = emb.dim if mode == "content" else (type_dim or 30)
+        self.type_dim = emb.dim if mode == "content" else (30 if type_dim is None else type_dim)
         self.d_in = emb.dim + self.type_dim
         h = width // 2
 

@@ -140,8 +140,9 @@ class TestCriterion2EquationFidelity:
                 start=K.constant(rng.normal(size=(1, 5))),
                 end=K.constant(rng.normal(size=(1, width))))
             context = S.pointer_context(vp, K.constant(H_qt), K.constant(H_col[0:1]))
-            h, c, x = S.pointer_init(vp)
-            scores, _, _ = S.pointer_step(vp, context, h, c, x)
+            zeros = K.constant(np.zeros((1, width)))
+            h, _ = K.lstm_step(vp.start, zeros, zeros, vp.dec)
+            scores = S.pointer_step(vp, context, h)
             h_ref, _ = ref.ref_lstm_step(vp.start.data[0], np.zeros(width), np.zeros(width),
                                          vp.dec.Wx.data, vp.dec.Wh.data, vp.dec.b.data[0])
             H_ext = np.vstack([H_qt, vp.end.data])

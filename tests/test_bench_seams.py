@@ -40,6 +40,7 @@ def test_tracer_counts_the_read_path_in_training_and_inference():
     assert trained["slots.question_input.calls"] == 3
     assert trained["slots.encode.calls"] == 3
     assert trained["slots.pointer.steps"] > 0
+    assert trained["kernel.lstm_step.calls"] == 0  # the teacher-forced decoder is one sequence
     assert served["slots.question_input.calls"] > trained["slots.question_input.calls"]
     assert served["slots.encode.calls"] > trained["slots.encode.calls"]
     assert served["kernel.lstm_sequence.calls"] > trained["kernel.lstm_sequence.calls"]

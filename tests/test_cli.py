@@ -86,7 +86,9 @@ class TestArgumentErrors:
 
 
 class TestConfigErrors:
-    @pytest.mark.parametrize("bad", [{"eval_every": 0}, {"epochs": "2"}])
+    @pytest.mark.parametrize("bad", [{"eval_every": 0}, {"epochs": "2"}, {"dropout": "0.3"},
+                                     {"dropout": True}, {"seed": "1"}, {"seed": 1.5},
+                                     {"seed": -1}, {"type_dim": "10"}, {"type_dim": 0}])
     def test_bad_field_is_one_line_error(self, bad, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict({"hidden_width": 8}, **bad)), encoding="utf-8")

@@ -68,6 +68,20 @@ class TestEmbeddingFiles:
         with pytest.raises(EmbeddingError, match=":2"):
             load_embedding_file(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_component_reports_line(self, tmp_path, bad):
+        p = tmp_path / "a.txt"
+        p.write_text(f"cat 1.0 2.0\ndog 1.0 {bad}\n", encoding="utf-8")
+        with pytest.raises(EmbeddingError, match="a.txt:2: non-finite"):
+            load_embedding_file(p)
+
+    def test_finite_components_with_overflowing_sum_accepted(self, tmp_path):
+        p = tmp_path / "a.txt"
+        p.write_text("cat 1e308 1e308\n", encoding="utf-8")
+        vectors, dim = load_embedding_file(p)
+        assert dim == 2
+        np.testing.assert_array_equal(vectors["cat"], 1e308)
+
     def test_unknown_word_is_zero_vector(self):
         emb = tiny_store()
         np.testing.assert_array_equal(emb.word_vec("zzz"), 0.0)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_impls as ref
 from helpers import (MAGAZINE_GOLD_SQL, MAGAZINE_QUESTION, demo_gazetteer,
                      magazine_table)
 from sketchsql import harness as H
@@ -165,6 +166,36 @@ class TestTotalLoss:
         assert prep.gold_spans == [None]
         assert np.isfinite(H.total_loss(model, prep, training=False).item())
 
+    def test_pointer_terms_match_step_oracle(self):
+        model = S.SketchModel(K.ParamStore(seed=7), tiny_embeddings(), width=12, mode="content",
+                              dropout=0.0)
+        prep = H.prepare_example(model, magazine_example(), magazine_table(),
+                                 demo_gazetteer())
+        spans = prep.gold_spans
+        assert spans and None not in spans
+        full = H.total_loss(model, prep, training=False).item()
+        prep.gold_spans = [None] * len(spans)
+        without = H.total_loss(model, prep, training=False).item()
+
+        # the teacher-forced decoder, one reference LSTM step at a time
+        q_in, H_qt, H_col, _ = model.read("opval", prep.q_parts, prep.col_matrix)
+        vp = model.val_pointer
+        H_ext = np.vstack([H_qt.data, vp.end.data])
+        t_len = H_qt.shape[0]
+        want = 0.0
+        for (col, _, _), span in zip(prep.gold.conds, spans):
+            h = c = np.zeros(vp.dec.hidden)
+            x = vp.start.data[0]
+            for target in span + [t_len]:
+                h, c = ref.ref_lstm_step(x, h, c, vp.dec.Wx.data, vp.dec.Wh.data,
+                                         vp.dec.b.data[0])
+                scores = ref.ref_pointer_scores(H_ext, H_col.data[col], h, vp.Wqt.data,
+                                                vp.Wc.data, vp.Wh.data, vp.V.data)
+                want -= math.log(ref.ref_softmax_vec(scores)[target])
+                if target < t_len:
+                    x = q_in.data[target]
+        assert full - without == pytest.approx(want, abs=1e-12)
+
     def test_dropout_applies_only_in_training(self):
         emb = tiny_embeddings()
         model = S.SketchModel(K.ParamStore(seed=6), emb, width=12, mode="content", dropout=0.5)
@@ -293,6 +324,21 @@ class TestTrainLoop:
         one = H.train(base, examples, tables, emb=tiny_embeddings())
         two = H.train(other, examples, tables, emb=tiny_embeddings())
         assert one.epoch_losses != two.epoch_losses
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_stops_before_the_update(self, tmp_path, monkeypatch):
+        examples, tables = quick_corpus(tmp_path)
+        emb = tiny_embeddings()
+        emb = EmbeddingStore(dict(emb.word_vectors, artist=np.full(emb.dim, np.nan)), emb.dim)
+        updates = []
+        monkeypatch.setattr(K, "adam_step", lambda store, adam: updates.append(store))
+        ckpt = tmp_path / "model.tsq"
+        cfg = H.TrainConfig(hidden_width=8, type_dim=4, dropout=0.0, batch_size=4,
+                            epochs=1, seed=0, mode="insensitive", checkpoint_path=str(ckpt))
+        with pytest.raises(ValueError, match="non-finite loss at epoch 1, batch 1"):
+            H.train(cfg, examples, tables, emb=emb)
+        assert updates == []
+        assert not ckpt.exists()
 
     def test_checkpoint_round_trip_reproduces_predictions(self, tmp_path):
         examples, tables = quick_corpus(tmp_path)

@@ -104,10 +104,29 @@ class TestLstm:
         x = rng.normal(size=d_in)
         h0 = rng.normal(size=hid)
         c0 = rng.normal(size=hid)
-        h, c = K.lstm_step(K.constant(x), K.constant(h0), K.constant(c0), w)
+        with K.no_grad():
+            h, c = K.lstm_step(K.constant(x), K.constant(h0), K.constant(c0), w)
         h_ref, c_ref = scalar_lstm_step(x, h0, c0, w.Wx.data, w.Wh.data, w.b.data[0])
         np.testing.assert_allclose(h.data[0], h_ref, atol=1e-12)
         np.testing.assert_allclose(c.data[0], c_ref, atol=1e-12)
+
+    def test_step_refuses_to_drop_gradients(self):
+        w = make_lstm_weights(np.random.default_rng(12), 3, 4)
+        zeros = K.constant(np.zeros((1, 4)))
+        with pytest.raises(K.KernelError, match="no gradient"):
+            K.lstm_step(K.constant(np.zeros((1, 3))), zeros, zeros, w)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_sequence_matches_scalar_step_chain(self, reverse):
+        rng = np.random.default_rng(13)
+        d_in, hid, t_len = 3, 4, 5
+        w = make_lstm_weights(rng, d_in, hid)
+        xs = rng.normal(size=(t_len, d_in))
+        out = K.lstm_sequence(K.constant(xs), w, reverse=reverse)
+        h, c = np.zeros(hid), np.zeros(hid)
+        for t in (range(t_len - 1, -1, -1) if reverse else range(t_len)):
+            h, c = scalar_lstm_step(xs[t], h, c, w.Wx.data, w.Wh.data, w.b.data[0])
+            np.testing.assert_allclose(out.data[t], h, atol=1e-12)
 
     def test_dimension_mismatch_errors(self):
         w = zero_lstm_weights(3, 4)
@@ -151,7 +170,7 @@ class TestBilstm:
 class TestBackward:
     def test_square_sum_gradient(self):
         x = K.Tensor(np.array([[3.0]]), requires_grad=True)
-        loss = K.sum_all(K.mul(x, x))
+        loss = K.sum_all(K.matmul(x, x))
         K.backward(loss)
         np.testing.assert_allclose(x.grad, [[6.0]], atol=1e-12)
 
@@ -159,7 +178,7 @@ class TestBackward:
         store = K.ParamStore(seed=0)
         used = store.add("used", 1, 2)
         store.add("unused", 1, 2)
-        loss = K.sum_all(K.mul(used, used))
+        loss = K.sum_all(K.linear(used, used))  # used @ used.T, the sum of squares
         grads = K.backward(loss, store)
         assert grads is not None
         np.testing.assert_array_equal(grads["unused"], 0.0)
@@ -167,7 +186,7 @@ class TestBackward:
 
     def test_double_backward_errors(self):
         x = K.Tensor(np.array([[2.0]]), requires_grad=True)
-        loss = K.sum_all(K.mul(x, x))
+        loss = K.sum_all(K.matmul(x, x))
         K.backward(loss)
         with pytest.raises(K.KernelError, match="already ran"):
             K.backward(loss)
@@ -175,7 +194,7 @@ class TestBackward:
     def test_non_scalar_loss_errors(self):
         x = K.Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(K.KernelError, match="scalar"):
-            K.backward(K.mul(x, x))
+            K.backward(K.matmul(x, x))
 
     def test_composite_graph_matches_finite_differences(self):
         store = K.ParamStore(seed=9)
