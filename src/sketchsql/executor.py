@@ -40,13 +40,12 @@ class ResultSet:
         return cls(kind="scalar", scalar=float(value) if isinstance(value, (int, float)) else value)
 
 
-def _condition_holds(cell, op: int, val: str) -> bool:
+def _condition_holds(cell, op: int, val_num, val_text: str) -> bool:
     cell_num = parse_number(cell)
-    val_num = parse_number(val)
     if op == OP_EQ:
         if cell_num is not None and val_num is not None:
             return cell_num == val_num
-        return normalize_text(str(cell)) == normalize_text(val)
+        return normalize_text(str(cell)) == val_text
     if cell_num is None or val_num is None:
         return False
     return cell_num > val_num if op == OP_GT else cell_num < val_num
@@ -55,8 +54,10 @@ def _condition_holds(cell, op: int, val: str) -> bool:
 def execute(query: SqlQuery, table: Table) -> ResultSet:
     """Run one sketch query; scalar aggregates over zero rows give EMPTY."""
     query.validate_against(table.n_columns)
-    kept = [row for row in table.rows
-            if all(_condition_holds(row[col], op, val) for col, op, val in query.conds)]
+    kept = table.rows
+    for col, op, val in query.conds:  # AND: each condition filters the survivors of the last
+        val_num, val_text = parse_number(val), normalize_text(val)
+        kept = [row for row in kept if _condition_holds(row[col], op, val_num, val_text)]
     if query.agg == AGG_COUNT:
         return ResultSet.of_scalar(len(kept))
     cells = [row[query.sel] for row in kept]

@@ -144,6 +144,10 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout!r}")
+        qm = self.stop_at_train_qm
+        if qm is not None and (not isinstance(qm, (int, float)) or isinstance(qm, bool)
+                               or not 0.0 <= qm <= 1.0):
+            raise ValueError(f"stop_at_train_qm must be null or a number in [0, 1], got {qm!r}")
         if self.hidden_width % 2 != 0:
             raise ValueError("hidden_width must be even")
         if self.mode not in ("insensitive", "content"):

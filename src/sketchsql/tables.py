@@ -36,10 +36,6 @@ class Table:
     def n_columns(self) -> int:
         return len(self.header)
 
-    @property
-    def schema(self) -> list[tuple[str, str]]:
-        return list(zip(self.header, self.types))
-
 
 def normalize_text(s: str) -> str:
     """Trim, collapse internal whitespace, lowercase."""

@@ -8,6 +8,7 @@ always win over shorter ones, and a token is never retagged.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -196,16 +197,56 @@ def tag_schema_columns(tq: TaggedQuestion, header: list[str]) -> TaggedQuestion:
     return tq
 
 
+# The cell text of a number starts with a digit, after an optional sign, or
+# is inf or nan; other tokens skip the float() attempt.
+_NUMBER_START = re.compile(r"-?(?:\d|inf$)|nan$")
+
+
+def _question_numbers(tokens: list[str]) -> dict[float, str]:
+    """Single tokens that are the cell text of their own float, keyed by that float.
+
+    A number's cell text never holds a space, so no longer span can equal one.
+    """
+    numbers = {}
+    for token in filter(_NUMBER_START.match, set(tokens)):
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        if cell_text(value) == token:
+            numbers[value] = token
+    return numbers
+
+
 def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
-    """Content mode: tag spans equal to a cell value with that cell's column."""
+    """Content mode: tag spans equal to a cell value with that cell's column.
+
+    The index maps each cell text to the lowest column holding it. It is
+    built column by column: a plain-str column normalises only its distinct
+    values, and a plain int/float column is matched by float value against
+    the question's number tokens. Any other column (bools, None, mixed
+    types, NaN) goes through `cell_text` cell by cell, since a set would
+    merge True with 1 and lose NaN, which never equals itself.
+    """
     values: dict[str, int] = {}
-    for row_cells in table.rows:
-        for col, cell in enumerate(row_cells):
-            text = cell_text(cell)
-            if not text:
+    numbers = _question_numbers(tq.tokens)
+    for col, column in enumerate(zip(*table.rows)):
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            for text in map(normalize_text, set(column)):
+                if text:
+                    values.setdefault(text, col)
+            continue
+        if kinds <= {int, float}:
+            floats = set(map(float, column))
+            if not any(map(math.isnan, floats)):
+                for value in floats.intersection(numbers):
+                    values.setdefault(numbers[value], col)
                 continue
-            if col < values.get(text, len(table.header)):
-                values[text] = col
+        for cell in column:
+            text = cell_text(cell)
+            if text:
+                values.setdefault(text, col)
 
     def match(text: str):
         col = values.get(text)

@@ -2,9 +2,14 @@
 
 Deliberately naive and written without reference to the package's
 executor or slot code: per-row loops, literal formula transcriptions.
+The content-tagging oracle shares the package's span matcher and
+`cell_text` and differs only in how it builds the cell index.
 """
 
 import numpy as np
+
+from sketchsql.tables import cell_text
+from sketchsql.tagger import COLUMN_VALUE, TypeTag, _apply_span_matches
 
 
 def naive_number(value):
@@ -69,6 +74,25 @@ def reference_execute(query, table):
         return ("scalar", min(nums) if query.agg == 2 else max(nums))
     texts = [naive_norm(c) for c in picked]
     return ("scalar", min(texts) if query.agg == 2 else max(texts))
+
+
+def reference_tag_content(tq, table):
+    """Whole-table content tagging: index every cell's `cell_text`, lowest column wins."""
+    values = {}
+    for row_cells in table.rows:
+        for col, cell in enumerate(row_cells):
+            text = cell_text(cell)
+            if not text:
+                continue
+            if col < values.get(text, len(table.header)):
+                values[text] = col
+
+    def match(text):
+        col = values.get(text)
+        return TypeTag(COLUMN_VALUE, column=col) if col is not None else None
+
+    _apply_span_matches(tq, match)
+    return tq
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from helpers import MAGAZINE_QUESTION, demo_gazetteer, magazine_table
 from test_harness import magazine_example, tiny_embeddings
+from sketchsql import executor as X
 from sketchsql import harness as H
 from sketchsql import kernel as K
 from sketchsql import slots as S
@@ -45,3 +46,23 @@ def test_tracer_counts_the_read_path_in_training_and_inference():
     assert served["slots.encode.calls"] > trained["slots.encode.calls"]
     assert served["kernel.lstm_sequence.calls"] > trained["kernel.lstm_sequence.calls"]
     assert K.backward.__module__ == "sketchsql.kernel"  # the tracer put the original back
+
+
+def test_tracer_sees_content_tagging_and_scoring_executions():
+    model = S.SketchModel(K.ParamStore(seed=3), tiny_embeddings(), width=12, mode="content",
+                          dropout=0.0)
+    table, gazetteer = magazine_table(), demo_gazetteer()
+    example = magazine_example()
+    tracer = load_tracer_class()()
+    tracer.install()
+    try:
+        pred = H.predict(model, MAGAZINE_QUESTION, table, gazetteer)
+        tagged = tracer.per_layer()
+        X.evaluate_dataset([pred, example.gold], [example.gold] * 2, ["mag"] * 2,
+                           {"mag": table})
+        scored = tracer.per_layer()
+    finally:
+        tracer.remove()
+
+    assert tagged["tagger.cells_indexed"] == len(table.rows) * table.n_columns
+    assert scored["executor.execute.calls"] == 2 * 2  # prediction and gold, per example

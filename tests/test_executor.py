@@ -157,6 +157,40 @@ class TestAgainstReferenceInterpreter:
             else:
                 assert got.kind == "empty"
 
+    def test_fuzzed_messy_cells_match(self):
+        # bools, None, padded text and numeric strings, in columns of either kind
+        cells = [True, False, None, "", "  ", " 42 ", "42", "42.0", "  Alpha  ", "alpha",
+                 "beta\tgamma", "beta  gamma", "7.0", "-3.5", "1e3", 7, 7.0, -3.5, 0, 1000.0]
+        vals = [" 42 ", "ALPHA", "beta gamma", "none", "true", "7", "1000", "x"]
+        rnd = random.Random(20261018)
+        for _ in range(1000):
+            n_cols = rnd.randint(1, 4)
+            types = [rnd.choice(["text", "real"]) for _ in range(n_cols)]
+            rows = [[rnd.choice(cells) for _ in range(n_cols)] for _ in range(rnd.randint(0, 12))]
+            table = Table(id="messy", header=[f"c{i}" for i in range(n_cols)], types=types,
+                          rows=rows)
+            conds = [(col, rnd.choice([0, 1, 2]),
+                      str(rnd.choice(rows)[col]) if rows and rnd.random() < 0.5
+                      else rnd.choice(vals))
+                     for col in rnd.sample(range(n_cols), k=rnd.randint(0, n_cols))]
+            query = SqlQuery(agg=rnd.randrange(6), sel=rnd.randrange(n_cols), conds=conds)
+            kind, payload = reference_execute(query, table)
+            if kind == "error":
+                with pytest.raises(ExecutionError):
+                    execute(query, table)
+                continue
+            got = execute(query, table)
+            if kind == "rows":
+                assert to_comparable(got) == ("rows", sorted(map(str, payload)))
+            elif kind == "scalar":
+                assert got.kind == "scalar"
+                if isinstance(payload, str):
+                    assert got.scalar == payload
+                else:
+                    assert got.scalar == pytest.approx(payload, abs=1e-12)
+            else:
+                assert got.kind == "empty"
+
     def test_reflexivity_on_fuzzed_queries(self):
         rnd = random.Random(7)
         for _ in range(200):

@@ -111,7 +111,9 @@ class TestTrainConfig:
                                     {"eval_every": 0}, {"epochs": "2"}, {"epochs": True},
                                     {"batch_size": 2.0}, {"decoder_max_len": 0},
                                     {"learning_rate": 0.0}, {"learning_rate": "0.1"},
-                                    {"hidden_width": "32"}])
+                                    {"hidden_width": "32"}, {"stop_at_train_qm": "0.9"},
+                                    {"stop_at_train_qm": True}, {"stop_at_train_qm": 1.5},
+                                    {"stop_at_train_qm": -0.1}])
     def test_validation(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             H.TrainConfig(**kw)

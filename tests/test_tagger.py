@@ -9,8 +9,9 @@ from helpers import (
     demo_gazetteer,
     magazine_table,
 )
+from reference_impls import reference_tag_content
 from sketchsql import tagger as T
-from sketchsql.tables import Table
+from sketchsql.tables import Table, cell_text
 from sketchsql.tagger import Gazetteer, GazetteerError, TaggedQuestion, TypeTag
 
 
@@ -186,6 +187,33 @@ class TestGazetteerFile:
             Gazetteer.from_tsv(path)
 
 
+# Cells that a per-column index could get wrong: True == 1, 1 == 1.0 == -0.0,
+# NaN != NaN, ints above 2**53 that round as floats, and text that only
+# normalises to a number or to nothing.
+STR_CELLS = ["", "  ", "Mort  Drucker", "mort drucker", "\tal\tjaffee ", " STAR ", "star",
+             "1", "1.0", "-0.0", "1e-05", "true", "nan", "inf", "none", "2004"]
+INT_CELLS = [0, 1, -1, 7, 2004, 2**53, 2**53 + 1, -(2**53 + 1), 2**64]
+FLOAT_CELLS = [0.0, -0.0, 1.0, 7.5, 1e-05, 88.5, 2004.0, 2.0**53, 1e16, 0.1,
+               float("nan"), float("inf"), float("-inf")]
+BOOL_CELLS = [True, False, 0, 1, 1.0]
+CELL_POOLS = [STR_CELLS, INT_CELLS, FLOAT_CELLS, INT_CELLS + FLOAT_CELLS, BOOL_CELLS,
+              STR_CELLS + INT_CELLS + FLOAT_CELLS + BOOL_CELLS + [None]]
+QUESTION_WORDS = ["1", "1.0", "0", "-1", "true", "false", "none", "nan", "inf", "1e-05",
+                  "2004", "7", "9007199254740992", "9007199254740993",
+                  "18446744073709551616", "88.5", "star", "mort drucker", "al jaffee", "x"]
+
+
+@st.composite
+def adversarial_tables(draw):
+    n_rows = draw(st.integers(0, 5))
+    n_cols = draw(st.integers(1, 4))
+    columns = [draw(st.lists(st.sampled_from(draw(st.sampled_from(CELL_POOLS))),
+                             min_size=n_rows, max_size=n_rows))
+               for _ in range(n_cols)]
+    return Table(id="adv", header=[f"c{i}" for i in range(n_cols)], types=["text"] * n_cols,
+                 rows=[list(row) for row in zip(*columns)])
+
+
 class TestContent:
     def test_worked_example_sequence(self):
         table = magazine_table()
@@ -211,6 +239,19 @@ class TestContent:
         tq = fresh(["203"])
         T.tag_content(tq, table)
         assert tq.tags[0] == TypeTag("column_value", column=0)
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_whole_table_reference(self, data):
+        table = data.draw(adversarial_tables())
+        texts = sorted({cell_text(cell) for row in table.rows for cell in row} - {""})
+        words = data.draw(st.lists(st.sampled_from(QUESTION_WORDS + texts), min_size=1,
+                                   max_size=8))
+        # raw words may hold spaces or a leading '-', which tokenize would split
+        tokens = words if data.draw(st.booleans()) else T.tokenize(" ".join(words))[0]
+        got = T.tag_content(fresh(tokens), table)
+        want = reference_tag_content(fresh(tokens), table)
+        assert got.tags == want.tags
 
 
 class TestRecognize:
