@@ -148,6 +148,14 @@ class TrainConfig:
         if qm is not None and (not isinstance(qm, (int, float)) or isinstance(qm, bool)
                                or not 0.0 <= qm <= 1.0):
             raise ValueError(f"stop_at_train_qm must be null or a number in [0, 1], got {qm!r}")
+        paths = self.embedding_paths
+        if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
+            raise ValueError(f"embedding_paths must be a list of strings, got {paths!r}")
+        for name in ("gazetteer_path", "train_path", "dev_path", "tables_path",
+                     "checkpoint_path"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be null or a string, got {value!r}")
         if self.hidden_width % 2 != 0:
             raise ValueError("hidden_width must be even")
         if self.mode not in ("insensitive", "content"):
@@ -217,7 +225,8 @@ def total_loss(model: S.SketchModel, prep: PreparedExample, training: bool = Tru
     terms: list[K.Tensor] = []
 
     # column model: select column, condition count, condition columns
-    _, _, H_col, H_qt_col = model.read("col", prep.q_parts, prep.col_matrix, training, rng)
+    [(_, _, H_col, H_qt_col)] = model.read(("col",), prep.q_parts, prep.col_matrix,
+                                           training, rng)
     terms.append(K.cross_entropy(S.select_scores(H_qt_col, H_col, model.select_head), gold.sel))
     terms.append(K.cross_entropy(S.cond_number_scores(H_qt_col, model.cond_num_head),
                                  len(gold.conds)))
@@ -230,14 +239,14 @@ def total_loss(model: S.SketchModel, prep: PreparedExample, training: bool = Tru
         targets, pos_weight=COND_COL_POS_WEIGHT))
 
     # aggregator model, conditioned on the gold select column
-    _, _, _, H_qt_col_a = model.read("agg", prep.q_parts, prep.col_matrix, training, rng)
+    [(_, _, _, H_qt_col_a)] = model.read(("agg",), prep.q_parts, prep.col_matrix, training, rng)
     terms.append(K.cross_entropy(S.agg_scores(K.row(H_qt_col_a, gold.sel), model.agg_head),
                                  gold.agg))
 
     # operator/value model, one term pair per gold condition
     if gold.conds:
-        q_in, H_qt, H_col, H_qt_col = model.read("opval", prep.q_parts, prep.col_matrix,
-                                                 training, rng)
+        [(q_in, H_qt, H_col, H_qt_col)] = model.read(("opval",), prep.q_parts, prep.col_matrix,
+                                                     training, rng)
         t_len = len(prep.tq.tokens)
         for (col, op, _val), span in zip(gold.conds, prep.gold_spans):
             terms.append(K.cross_entropy(

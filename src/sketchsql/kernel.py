@@ -1,8 +1,9 @@
 """Dense 2-D tensor kernel with reverse-mode autodiff.
 
 Everything the slot-filling models need and nothing more: matrices on a
-gradient tape, one LSTM cell (a fused sequence node, and an untaped step
-for greedy decoding), stable softmax / cross-entropy / weighted BCE,
+gradient tape, one LSTM cell (a fused sequence node that runs a group of
+directions over one input in a single loop, and an untaped step for
+greedy decoding), stable softmax / cross-entropy / weighted BCE,
 inverted dropout, Adam, and a binary checkpoint format. Arrays are numpy;
 every tensor is 2-D (row vectors are 1xN, scalars 1x1). The tape is
 rebuilt per example or batch, never cached.
@@ -264,6 +265,19 @@ def row(a: Tensor, i: int) -> Tensor:
     return _node(a.data[i : i + 1].copy(), (a,), bwd)
 
 
+def cols(a: Tensor, j0: int, j1: int) -> Tensor:
+    """Columns j0:j1 of a, as a contiguous copy."""
+    if not (0 <= j0 < j1 <= a.shape[1]):
+        raise KernelError(f"column slice [{j0}:{j1}] out of range for shape {a.shape}")
+
+    def bwd(g, a=a, j0=j0, j1=j1):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[:, j0:j1] += g
+
+    return _node(a.data[:, j0:j1].copy(), (a,), bwd)
+
+
 def concat_rows(parts) -> Tensor:
     parts = list(parts)
     if not parts:
@@ -395,19 +409,19 @@ class LstmWeights:
 
 
 def _cell(pre: np.ndarray, c: np.ndarray):
-    """The LSTM cell on one (4H,) row of gate pre-activations and the previous (H,) cell.
+    """The LSTM cell on (k, 4H) rows of gate pre-activations and the previous (k, H) cells.
 
     Returns (sig, g, c, tanh c, h): sig is the sigmoid of every pre-activation,
     whose first, second and fourth quarters are the i, f and o gates, and g is
     the candidate, tanh of the third quarter. Callers silence exp overflow,
     which saturates the sigmoid correctly.
     """
-    hid = c.shape[0]
+    hid = c.shape[-1]
     sig = 1.0 / (1.0 + np.exp(-pre))
-    g = np.tanh(pre[2 * hid : 3 * hid])
-    c = sig[hid : 2 * hid] * c + sig[:hid] * g
+    g = np.tanh(pre[:, 2 * hid : 3 * hid])
+    c = sig[:, hid : 2 * hid] * c + sig[:, :hid] * g
     tanh_c = np.tanh(c)
-    return sig, g, c, tanh_c, sig[3 * hid :] * tanh_c
+    return sig, g, c, tanh_c, sig[:, 3 * hid :] * tanh_c
 
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights):
@@ -422,70 +436,83 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights):
         raise KernelError("lstm_step records no gradient; use lstm_sequence or no_grad()")
     pre = x.data @ w.Wx.data.T + h_prev.data @ w.Wh.data.T + w.b.data
     with np.errstate(over="ignore"):
-        _, _, c, _, h = _cell(pre[0], c_prev.data[0])
-    return Tensor._wrap(h.reshape(1, -1)), Tensor._wrap(c.reshape(1, -1))
+        _, _, c, _, h = _cell(pre, c_prev.data)
+    return Tensor._wrap(h), Tensor._wrap(c)
 
 
-def lstm_sequence(xs: Tensor, w: LstmWeights, reverse: bool = False) -> Tensor:
-    """Run one LSTM direction over a (T, d_in) matrix as a single fused node.
+def lstm_sequence(xs: Tensor, ws, reverse=False) -> Tensor:
+    """Run a group of LSTM directions over one (T, d_in) matrix as a single fused node.
 
-    Forward precomputes all input projections in one matmul and loops only
-    the recurrence; the backward is hand-written backprop through time.
-    The initial state is zero.
+    `ws` is one LstmWeights and `reverse` a bool, or both are parallel lists. The output
+    is (T, k*H), direction blocks in group order, each bitwise as if run alone. One loop
+    runs all k recurrences from a zero state; the backward is one hand-written BPTT loop.
     """
-    t_len = xs.shape[0]
+    if isinstance(ws, LstmWeights):
+        ws, reverse = [ws], [reverse]
+    k, t_len = len(ws), xs.shape[0]
+    if k == 0:
+        raise KernelError("lstm_sequence needs at least one direction")
+    if isinstance(reverse, bool) or len(reverse) != k:
+        raise KernelError(f"lstm_sequence needs one reverse flag per direction, got {reverse!r}")
+    hid = ws[0].hidden
+    for w in ws:
+        if w.hidden != hid:
+            raise KernelError(f"lstm_sequence hidden widths differ: {w.hidden} vs {hid}")
+        if xs.shape[1] != w.Wx.shape[1]:
+            raise KernelError(f"lstm_sequence shape mismatch: {xs.shape} with weight {w.Wx.shape}")
     if t_len < 1:
         raise KernelError("empty sequence")
-    hid = w.hidden
-    Wx, Wh, b = w.Wx.data, w.Wh.data, w.b.data
-    if xs.shape[1] != Wx.shape[1]:
-        raise KernelError(f"lstm_sequence shape mismatch: {xs.shape} with weight {Wx.shape}")
-    idx = np.arange(t_len - 1, -1, -1) if reverse else np.arange(t_len)
+    # order[s, j]: the time row direction j reads at scan step s (and writes h to)
+    order = np.array([np.arange(t_len)[::-1] if rev else np.arange(t_len) for rev in reverse]).T
+    dirs = np.arange(k)
+    Wh = np.stack([w.Wh.data for w in ws])  # (k, 4H, H)
+    Wh_T = Wh.transpose(0, 2, 1)  # per direction the same strided view as Wh.T
 
-    pre_x = xs.data @ Wx.T + b[0]
-    out = np.empty((t_len, hid))
+    pre_x = np.stack([xs.data @ w.Wx.data.T + w.b.data[0] for w in ws], axis=1)[order, dirs]
+    hs = np.empty((t_len, k, hid))  # h per scan step
     steps = []  # (sig, g, c, tanh c) per scan step, kept for the backward
-    h = np.zeros(hid)
-    c = np.zeros(hid)
+    h = np.zeros((k, hid))
+    c = np.zeros((k, hid))
     with np.errstate(over="ignore"):
-        for t in idx:
-            sig, gate_g, c, tanh_c, h = _cell(pre_x[t] + h @ Wh.T, c)
+        for sp in range(t_len):
+            sig, gate_g, c, tanh_c, h = _cell(pre_x[sp] + np.matmul(h[:, None], Wh_T)[:, 0], c)
             steps.append((sig, gate_g, c, tanh_c))
-            out[t] = h
+            hs[sp] = h
+    out = hs[order, dirs].reshape(t_len, k * hid)
 
     def bwd(g):
-        g_scan = g[idx]
-        h_prev = np.zeros((t_len, hid))
-        h_prev[1:] = out[idx[:-1]]
-        dpre = np.empty((t_len, 4 * hid))
-        dh_next = np.zeros(hid)
-        dc_next = np.zeros(hid)
+        g_scan = g.reshape(t_len, k, hid)[order, dirs]
+        dpre = np.empty((t_len, k, 4 * hid))
+        dh_next = np.zeros((k, hid))
+        dc_next = np.zeros((k, hid))
         for sp in range(t_len - 1, -1, -1):
             sig, gate_g, _, tc = steps[sp]
-            i, f, o = sig[:hid], sig[hid : 2 * hid], sig[3 * hid :]
+            i, f, o = sig[:, :hid], sig[:, hid : 2 * hid], sig[:, 3 * hid :]
             dh = g_scan[sp] + dh_next
             dc = dh * o * (1.0 - tc * tc) + dc_next
             c_before = steps[sp - 1][2] if sp > 0 else 0.0
-            dpre[sp, :hid] = dc * gate_g * i * (1.0 - i)
-            dpre[sp, hid : 2 * hid] = dc * c_before * f * (1.0 - f)
-            dpre[sp, 2 * hid : 3 * hid] = dc * i * (1.0 - gate_g * gate_g)
-            dpre[sp, 3 * hid :] = dh * tc * o * (1.0 - o)
+            dpre[sp, :, :hid] = dc * gate_g * i * (1.0 - i)
+            dpre[sp, :, hid : 2 * hid] = dc * c_before * f * (1.0 - f)
+            dpre[sp, :, 2 * hid : 3 * hid] = dc * i * (1.0 - gate_g * gate_g)
+            dpre[sp, :, 3 * hid :] = dh * tc * o * (1.0 - o)
             dc_next = dc * f
-            dh_next = dpre[sp] @ Wh
-        _accum(w.b, dpre.sum(axis=0, keepdims=True))
-        _accum(w.Wh, dpre.T @ h_prev)
-        _accum(w.Wx, dpre.T @ xs.data[idx])
-        if xs.requires_grad:
-            dxs = np.empty_like(xs.data)
-            dxs[idx] = dpre @ Wx
-            _accum(xs, dxs)
+            dh_next = np.matmul(dpre[sp][:, None], Wh)[:, 0]
+        # per direction from contiguous copies: numpy leaves BLAS on strided operands
+        for j, w in enumerate(ws):
+            idx = order[:, j]
+            dpre_j = np.ascontiguousarray(dpre[:, j])
+            h_prev = np.zeros((t_len, hid))
+            h_prev[1:] = hs[:-1, j]
+            _accum(w.b, dpre_j.sum(axis=0, keepdims=True))
+            _accum(w.Wh, dpre_j.T @ h_prev)
+            _accum(w.Wx, dpre_j.T @ xs.data[idx])
+            if xs.requires_grad:
+                dxs = np.empty_like(xs.data)
+                dxs[idx] = dpre_j @ w.Wx.data
+                _accum(xs, dxs)
 
-    return _node(out, (xs, w.Wx, w.Wh, w.b), bwd)
-
-
-def bilstm_encode(xs: Tensor, fw: LstmWeights, bw: LstmWeights) -> Tensor:
-    """Encode a (T, d_in) sequence into (T, 2H): forward states ++ backward states."""
-    return concat_cols(lstm_sequence(xs, fw), lstm_sequence(xs, bw, reverse=True))
+    params = tuple(p for w in ws for p in (w.Wx, w.Wh, w.b))
+    return _node(out, (xs,) + params, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -193,14 +193,6 @@ def decode_cond_val(H_qt: K.Tensor, q_input: K.Tensor, h_col: K.Tensor,
 # The three-model bundle
 # ---------------------------------------------------------------------------
 
-class BiLstm:
-    """Forward+backward LSTM weights registered under a common name prefix."""
-
-    def __init__(self, store: K.ParamStore, prefix: str, d_in: int, hidden: int):
-        self.fw = _lstm_weights(store, f"{prefix}.fw", d_in, hidden)
-        self.bw = _lstm_weights(store, f"{prefix}.bw", d_in, hidden)
-
-
 def _lstm_weights(store: K.ParamStore, prefix: str, d_in: int, hidden: int) -> K.LstmWeights:
     return K.LstmWeights(
         Wx=store.add(f"{prefix}.Wx", 4 * hidden, d_in),
@@ -237,8 +229,10 @@ class SketchModel:
         self.encoders = {}
         self.attention = {}
         for name in MODEL_NAMES:
-            self.encoders[name] = (BiLstm(store, f"{name}.qt", self.d_in, h),
-                                   BiLstm(store, f"{name}.col", emb.dim, h))
+            # (question, column) bi-LSTMs, each a [forward, backward] direction pair
+            self.encoders[name] = tuple(
+                [_lstm_weights(store, f"{name}.{part}.{d}", d_in, h) for d in ("fw", "bw")]
+                for part, d_in in (("qt", self.d_in), ("col", emb.dim)))
             self.attention[name] = store.add(f"{name}.att.Wct", width, width)
 
         d = width
@@ -303,16 +297,22 @@ class SketchModel:
 
     # -- encoding ----------------------------------------------------------
 
-    def encode(self, which: str, q_input: K.Tensor, col_input: K.Tensor,
+    def encode(self, which: tuple[str, ...], q_input: K.Tensor, col_input: K.Tensor,
                training: bool = False, rng: np.random.Generator | None = None):
-        """(H_qt, H_col) for one of the three models, with output dropout."""
-        qt, col = self.encoders[which]
-        H_qt = K.bilstm_encode(q_input, qt.fw, qt.bw)
-        H_col = K.bilstm_encode(col_input, col.fw, col.bw)
-        if training and self.dropout > 0:
-            H_qt = K.dropout(H_qt, self.dropout, rng)
-            H_col = K.dropout(H_col, self.dropout, rng)
-        return H_qt, H_col
+        """[(H_qt, H_col)] per named model, with output dropout. The named models'
+        question bi-LSTMs run as one grouped scan, their column bi-LSTMs as another."""
+        flags = [False, True] * len(which)
+        H_q = K.lstm_sequence(q_input, [d for m in which for d in self.encoders[m][0]], flags)
+        H_c = K.lstm_sequence(col_input, [d for m in which for d in self.encoders[m][1]], flags)
+        width = H_q.shape[1] // len(which)
+        out = []
+        for i in range(len(which)):
+            H_qt, H_col = (K.cols(H, i * width, (i + 1) * width) for H in (H_q, H_c))
+            if training and self.dropout > 0:
+                H_qt = K.dropout(H_qt, self.dropout, rng)
+                H_col = K.dropout(H_col, self.dropout, rng)
+            out.append((H_qt, H_col))
+        return out
 
     def attend(self, which: str, H_qt: K.Tensor, H_col: K.Tensor,
                training: bool = False, rng: np.random.Generator | None = None) -> K.Tensor:
@@ -323,13 +323,14 @@ class SketchModel:
             H_qt_col = K.dropout(H_qt_col, self.dropout, rng)
         return H_qt_col
 
-    def read(self, which: str, q_parts, col_matrix: np.ndarray,
+    def read(self, which: tuple[str, ...], q_parts, col_matrix: np.ndarray,
              training: bool = False, rng: np.random.Generator | None = None):
-        """(q_in, H_qt, H_col, H_qt_col) for one model. Each model builds its own q_in:
-        one shared q_in would sum the type-table gradient in another order."""
+        """[(q_in, H_qt, H_col, H_qt_col)] per named model, from one q_in. Training reads one
+        model at a time: a shared q_in would sum the type-table gradient in another order."""
         q_in = self.question_input(*q_parts)
-        H_qt, H_col = self.encode(which, q_in, K.constant(col_matrix), training, rng)
-        return q_in, H_qt, H_col, self.attend(which, H_qt, H_col, training, rng)
+        encoded = self.encode(which, q_in, K.constant(col_matrix), training, rng)
+        return [(q_in, H_qt, H_col, self.attend(name, H_qt, H_col, training, rng))
+                for name, (H_qt, H_col) in zip(which, encoded)]
 
     # -- inference ---------------------------------------------------------
 
@@ -339,7 +340,8 @@ class SketchModel:
             q_parts = self.question_parts(tq, header)
             col_matrix = self.column_matrix(header)
 
-            _, _, H_col, H_qt_col = self.read("col", q_parts, col_matrix)
+            col_read, agg_read, opval_read = self.read(MODEL_NAMES, q_parts, col_matrix)
+            _, _, H_col, H_qt_col = col_read
             # argmax over logits: softmax is monotonic, so it would pick the same index
             sel = int(np.argmax(select_scores(H_qt_col, H_col, self.select_head).data[0]))
             count = int(np.argmax(cond_number_scores(H_qt_col, self.cond_num_head).data[0]))
@@ -347,18 +349,17 @@ class SketchModel:
             H_qt_scol = K.tile_rows(K.row(H_qt_col, sel), len(header))
             cond_cols = predict_cond_cols(H_qt_col, H_col, H_qt_scol, self.cond_col_head, count)
 
-            _, _, _, H_qt_col_a = self.read("agg", q_parts, col_matrix)
+            _, _, _, H_qt_col_a = agg_read
             agg = int(np.argmax(agg_scores(K.row(H_qt_col_a, sel), self.agg_head).data[0]))
 
             ops: list[int] = []
             spans: list[list[int]] = []
-            if cond_cols:
-                q_in, H_qt, H_col, H_qt_col = self.read("opval", q_parts, col_matrix)
-                for col in cond_cols:
-                    h_col = K.row(H_col, col)
-                    op = op_scores(K.row(H_qt_col, col), h_col, self.op_head)
-                    ops.append(int(np.argmax(op.data[0])))
-                    spans.append(decode_cond_val(H_qt, q_in, h_col, self.val_pointer,
-                                                 self.decoder_max_len))
+            q_in, H_qt, H_col, H_qt_col = opval_read
+            for col in cond_cols:
+                h_col = K.row(H_col, col)
+                op = op_scores(K.row(H_qt_col, col), h_col, self.op_head)
+                ops.append(int(np.argmax(op.data[0])))
+                spans.append(decode_cond_val(H_qt, q_in, h_col, self.val_pointer,
+                                             self.decoder_max_len))
             return SlotPrediction(select_col=sel, agg=agg, cond_count=len(cond_cols),
                                   cond_cols=cond_cols, cond_ops=ops, cond_val_spans=spans)

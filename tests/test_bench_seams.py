@@ -37,14 +37,20 @@ def test_tracer_counts_the_read_path_in_training_and_inference():
     finally:
         tracer.remove()
 
-    # the worked example has two conditions, so all three models read it
+    # the worked example has two conditions, so all three models read it, one at a time
+    located = sum(span is not None for span in prep.gold_spans)
+    assert located == 2
     assert trained["slots.question_input.calls"] == 3
     assert trained["slots.encode.calls"] == 3
+    # per model read, one scan over the question and one over the columns (two directions
+    # each), then one teacher-forced decoder sequence per located gold span
+    assert trained["kernel.lstm_sequence.calls"] == 2 * 3 + located
     assert trained["slots.pointer.steps"] > 0
     assert trained["kernel.lstm_step.calls"] == 0  # the teacher-forced decoder is one sequence
-    assert served["slots.question_input.calls"] > trained["slots.question_input.calls"]
-    assert served["slots.encode.calls"] > trained["slots.encode.calls"]
-    assert served["kernel.lstm_sequence.calls"] > trained["kernel.lstm_sequence.calls"]
+    # inference reads the three models at once: six bi-LSTMs in two grouped scans
+    assert served["slots.question_input.calls"] - trained["slots.question_input.calls"] == 1
+    assert served["slots.encode.calls"] - trained["slots.encode.calls"] == 1
+    assert served["kernel.lstm_sequence.calls"] - trained["kernel.lstm_sequence.calls"] == 2
     assert K.backward.__module__ == "sketchsql.kernel"  # the tracer put the original back
 
 

@@ -89,7 +89,10 @@ class TestConfigErrors:
     @pytest.mark.parametrize("bad", [{"eval_every": 0}, {"epochs": "2"}, {"dropout": "0.3"},
                                      {"dropout": True}, {"seed": "1"}, {"seed": 1.5},
                                      {"seed": -1}, {"type_dim": "10"}, {"type_dim": 0},
-                                     {"stop_at_train_qm": "0.9"}])
+                                     {"stop_at_train_qm": "0.9"},
+                                     {"embedding_paths": "emb.txt"},
+                                     {"train_path": 5, "tables_path": "tables.jsonl"},
+                                     {"checkpoint_path": ["model.tsq"]}])
     def test_bad_field_is_one_line_error(self, bad, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict({"hidden_width": 8}, **bad)), encoding="utf-8")

@@ -26,7 +26,8 @@ def embed(model, tq, header):
 
 def encode(model, q_input, header):
     """(H_qt, H_col) of the column model for a question input and a header."""
-    return model.encode("col", q_input, K.constant(model.column_matrix(header)))
+    [out] = model.encode(("col",), q_input, K.constant(model.column_matrix(header)))
+    return out
 
 
 def one_token_input(model):
@@ -161,7 +162,7 @@ class TestColumnEncoding:
 class TestEncodeQuestion:
     def test_zero_weights_zero_output(self):
         model = tiny_model(seed=3)
-        for t in model.encoders["col"][0].fw, model.encoders["col"][0].bw:
+        for t in model.encoders["col"][0]:
             t.Wx.data[:] = 0
             t.Wh.data[:] = 0
             t.b.data[:] = 0

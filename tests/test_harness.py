@@ -113,7 +113,12 @@ class TestTrainConfig:
                                     {"learning_rate": 0.0}, {"learning_rate": "0.1"},
                                     {"hidden_width": "32"}, {"stop_at_train_qm": "0.9"},
                                     {"stop_at_train_qm": True}, {"stop_at_train_qm": 1.5},
-                                    {"stop_at_train_qm": -0.1}])
+                                    {"stop_at_train_qm": -0.1},
+                                    {"embedding_paths": "emb.txt"},
+                                    {"embedding_paths": ["emb.txt", 5]},
+                                    {"gazetteer_path": ["gaz.tsv"]}, {"train_path": 5},
+                                    {"dev_path": 5}, {"tables_path": 5},
+                                    {"checkpoint_path": 5.0}])
     def test_validation(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             H.TrainConfig(**kw)
@@ -180,7 +185,7 @@ class TestTotalLoss:
         without = H.total_loss(model, prep, training=False).item()
 
         # the teacher-forced decoder, one reference LSTM step at a time
-        q_in, H_qt, H_col, _ = model.read("opval", prep.q_parts, prep.col_matrix)
+        [(q_in, H_qt, H_col, _)] = model.read(("opval",), prep.q_parts, prep.col_matrix)
         vp = model.val_pointer
         H_ext = np.vstack([H_qt.data, vp.end.data])
         t_len = H_qt.shape[0]
@@ -243,7 +248,7 @@ class TestParameterSharing:
                               type_dim=4, dropout=0.0)
         table = magazine_table()
         prep = H.prepare_example(model, magazine_example(), table)
-        _, _, H_col, H_qt_col = model.read("col", prep.q_parts, prep.col_matrix)
+        [(_, _, H_col, H_qt_col)] = model.read(("col",), prep.q_parts, prep.col_matrix)
         loss = K.cross_entropy(S.select_scores(H_qt_col, H_col, model.select_head), 0)
         grads = K.backward(loss, store)
         touched = {n for n, g in grads.items() if np.abs(g).sum() > 0}

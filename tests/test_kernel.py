@@ -135,11 +135,16 @@ class TestLstm:
                         K.constant(np.zeros((1, 4))), w)
 
 
+def bilstm(xs, fw, bw):
+    """A bi-LSTM as one grouped call: forward states ++ backward states."""
+    return K.lstm_sequence(xs, [fw, bw], [False, True])
+
+
 class TestBilstm:
     def test_zero_weights_zero_output(self):
         fw = zero_lstm_weights(3, 5)
         bw = zero_lstm_weights(3, 5)
-        out = K.bilstm_encode(K.constant(np.random.default_rng(0).normal(size=(1, 3))), fw, bw)
+        out = bilstm(K.constant(np.random.default_rng(0).normal(size=(1, 3))), fw, bw)
         assert out.shape == (1, 10)
         np.testing.assert_array_equal(out.data, 0.0)
 
@@ -147,13 +152,13 @@ class TestBilstm:
         rng = np.random.default_rng(3)
         fw = make_lstm_weights(rng, 4, 60)
         bw = make_lstm_weights(rng, 4, 60)
-        out = K.bilstm_encode(K.constant(rng.normal(size=(5, 4))), fw, bw)
+        out = bilstm(K.constant(rng.normal(size=(5, 4))), fw, bw)
         assert out.shape == (5, 120)
 
     def test_empty_sequence_errors(self):
         fw = zero_lstm_weights(3, 2)
         with pytest.raises(K.KernelError, match="empty sequence"):
-            K.bilstm_encode(K.Tensor(np.zeros((0, 3))), fw, fw)
+            bilstm(K.Tensor(np.zeros((0, 3))), fw, fw)
 
     def test_direction_symmetry(self):
         # Running the forward weights over a reversed input must reproduce the
@@ -162,9 +167,82 @@ class TestBilstm:
         fw = make_lstm_weights(rng, 3, 4)
         bw = make_lstm_weights(rng, 3, 4)
         xs = rng.normal(size=(6, 3))
-        enc = K.bilstm_encode(K.constant(xs), fw, bw)
-        flipped = K.bilstm_encode(K.constant(xs[::-1].copy()), bw, fw)
+        enc = bilstm(K.constant(xs), fw, bw)
+        flipped = bilstm(K.constant(xs[::-1].copy()), bw, fw)
         np.testing.assert_allclose(enc.data[:, 4:], flipped.data[::-1, :4], atol=1e-12)
+
+
+class TestLstmGroup:
+    @pytest.mark.parametrize("t_len", [1, 7])
+    @pytest.mark.parametrize("reverse", [[False], [True], [False, True],
+                                         [False, True, True, False, False, True]])
+    def test_matches_one_call_per_direction_bitwise(self, reverse, t_len):
+        k, d_in, hid = len(reverse), 5, 4
+        rng = np.random.default_rng(100 + 10 * k + t_len)
+        xs = rng.normal(size=(t_len, d_in))
+        weights = [make_lstm_weights(rng, d_in, hid) for _ in range(k)]
+        a = K.constant(rng.normal(size=(1, t_len)))
+        m = rng.normal(size=(k * hid, 1))
+
+        def probe(out, m):
+            """A scalar whose gradient with respect to out is the outer product a.T @ m.T."""
+            return K.sum_all(K.matmul(K.matmul(a, out), K.constant(m)))
+
+        x_group = K.Tensor(xs.copy(), requires_grad=True)
+        out = K.lstm_sequence(x_group, weights, reverse)
+        K.backward(probe(out, m))
+        group_grads = [(w.Wx.grad, w.Wh.grad, w.b.grad) for w in weights]
+
+        outs, dxs = [], None
+        for j, (w, rev) in enumerate(zip(weights, reverse)):
+            for t in (w.Wx, w.Wh, w.b):
+                t.zero_grad()
+            x_one = K.Tensor(xs.copy(), requires_grad=True)
+            one = K.lstm_sequence(x_one, w, rev)
+            K.backward(probe(one, m[j * hid : (j + 1) * hid]))
+            outs.append(one.data)
+            dxs = x_one.grad.copy() if dxs is None else dxs + x_one.grad  # in group order
+            for got, want in zip(group_grads[j], (w.Wx.grad, w.Wh.grad, w.b.grad)):
+                np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(out.data, np.hstack(outs))
+        np.testing.assert_array_equal(x_group.grad, dxs)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(21)
+        d_in, hid, t_len = 3, 2, 4
+        store = K.ParamStore(seed=21)
+        xs = store.add("xs", t_len, d_in)
+        weights = [K.LstmWeights(Wx=store.add(f"{j}.Wx", 4 * hid, d_in),
+                                 Wh=store.add(f"{j}.Wh", 4 * hid, hid),
+                                 b=store.add(f"{j}.b", 1, 4 * hid))
+                   for j in range(3)]
+        a = K.constant(rng.normal(size=(1, t_len)))
+        m = K.constant(rng.normal(size=(2 * hid, 1)))
+
+        def loss(s):
+            out = K.lstm_sequence(xs, weights, [False, True, True])
+            # overlapping column slices, so the slice backward accumulates
+            both = K.add(K.cols(out, 0, 2 * hid), K.cols(out, hid, 3 * hid))
+            return K.sum_all(K.matmul(K.matmul(a, K.tanh(both)), m))
+
+        grads = K.backward(loss(store), store)
+        fd = K.finite_diff_grad(lambda s: loss(s).item(), store, eps=1e-6)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, fd[name], atol=1e-6, err_msg=name)
+
+    def test_bad_groups_error(self):
+        rng = np.random.default_rng(22)
+        x = K.constant(rng.normal(size=(2, 3)))
+        w = make_lstm_weights(rng, 3, 4)
+        with pytest.raises(K.KernelError, match="at least one direction"):
+            K.lstm_sequence(x, [], [])
+        with pytest.raises(K.KernelError, match="hidden widths differ"):
+            K.lstm_sequence(x, [w, make_lstm_weights(rng, 3, 5)], [False, True])
+        for reverse in ([False], [False, True, False], True):
+            with pytest.raises(K.KernelError, match="one reverse flag per direction"):
+                K.lstm_sequence(x, [w, w], reverse)
+        with pytest.raises(K.KernelError, match="shape mismatch"):
+            K.lstm_sequence(x, [w, make_lstm_weights(rng, 5, 4)], [False, True])
 
 
 class TestBackward:
@@ -368,8 +446,8 @@ class TestDeterminism:
         rng = np.random.default_rng(8)
         xs = rng.normal(size=(4, 3))
         w = make_lstm_weights(np.random.default_rng(9), 3, 5)
-        one = K.bilstm_encode(K.constant(xs), w, w).data
-        two = K.bilstm_encode(K.constant(xs), w, w).data
+        one = bilstm(K.constant(xs), w, w).data
+        two = bilstm(K.constant(xs), w, w).data
         np.testing.assert_array_equal(one, two)
 
 

@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 import reference_impls as ref
+from helpers import MAGAZINE_QUESTION, demo_gazetteer, magazine_table
+from test_harness import tiny_embeddings
+from sketchsql import harness as H
 from sketchsql import kernel as K
 from sketchsql import slots as S
+from sketchsql.encoder import load_embeddings
+from sketchsql.synth import generate_corpus
+from sketchsql.tagger import Gazetteer, recognize
 
 
 def rand_states(rng, t_len=4, n_cols=3, width=8):
@@ -304,3 +310,69 @@ class TestSlotPredictionInvariants:
         with pytest.raises(ValueError, match="outside"):
             S.SlotPrediction(select_col=0, agg=0, cond_count=5, cond_cols=[0, 1, 2, 3, 4],
                              cond_ops=[0] * 5, cond_val_spans=[[0]] * 5)
+
+
+LOGITS = ("select_scores", "cond_number_scores", "cond_col_scores", "agg_scores", "op_scores",
+          "pointer_step")
+
+
+def logged_predictions(model, questions, monkeypatch):
+    """predict_slots on each (tagged question, header), with every slot logit recorded."""
+    log = []
+    for name in LOGITS:
+        def logged(*args, fn=getattr(S, name), name=name):
+            out = fn(*args)
+            log.append((name, out.data.copy()))
+            return out
+
+        monkeypatch.setattr(S, name, logged)
+    preds = [model.predict_slots(tq, header) for tq, header in questions]
+    monkeypatch.undo()
+    return preds, log
+
+
+def magazine_questions():
+    # seed 1 predicts three conditions, with empty and non-empty value spans
+    model = S.SketchModel(K.ParamStore(seed=1), tiny_embeddings(), width=12, mode="content")
+    table = magazine_table()
+    tq = recognize(MAGAZINE_QUESTION, table.header, table=table, mode="content",
+                   gazetteer=demo_gazetteer())
+    return model, [(tq, table.header)]
+
+
+def synth_questions(tmp_path):
+    paths = generate_corpus(tmp_path / "corpus", seed=4, n_train=30, n_dev=0)
+    examples, tables = H.load_dataset(paths.train, paths.tables)
+    gazetteer = Gazetteer.from_tsv(paths.gazetteer)
+    model = S.SketchModel(K.ParamStore(seed=5), load_embeddings([paths.embeddings]), width=16,
+                          mode="content")
+    questions = []
+    for ex in examples:
+        table = tables[ex.table_id]
+        questions.append((recognize(ex.question, table.header, table=table, mode="content",
+                                    gazetteer=gazetteer), table.header))
+    return model, questions
+
+
+class TestGroupedRead:
+    @pytest.mark.parametrize("sample", ["magazine", "synth"])
+    def test_three_model_read_matches_each_model_alone(self, sample, tmp_path, monkeypatch):
+        if sample == "magazine":
+            model, questions = magazine_questions()
+        else:
+            model, questions = synth_questions(tmp_path)
+        grouped, grouped_log = logged_predictions(model, questions, monkeypatch)
+
+        read = model.read
+
+        def read_each_alone(which, *args):
+            return [read((name,), *args)[0] for name in which]
+
+        monkeypatch.setattr(model, "read", read_each_alone)
+        alone, alone_log = logged_predictions(model, questions, monkeypatch)
+
+        assert grouped == alone
+        assert [name for name, _ in grouped_log] == [name for name, _ in alone_log]
+        assert {name for name, _ in grouped_log} == set(LOGITS)
+        for (name, got), (_, want) in zip(grouped_log, alone_log):
+            np.testing.assert_array_equal(got, want, err_msg=name)
