@@ -165,6 +165,8 @@ class TrainConfig:
     def from_file(cls, path) -> "TrainConfig":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
@@ -211,57 +213,92 @@ def prepare_example(model: S.SketchModel, example: Example, table: Table,
                            col_matrix=model.column_matrix(table.header), gold_spans=spans)
 
 
-def total_loss(model: S.SketchModel, prep: PreparedExample, training: bool = True,
-               rng: np.random.Generator | None = None) -> K.Tensor:
-    """Sum of all slot losses for one example, teacher-forced on the gold query.
+SLOTS = ("select", "count", "cond_cols", "agg", "op", "pointer")
 
-    Cross-entropy for the select column, condition count, aggregator, and
-    each condition's operator; weighted per-column BCE for the condition
-    columns; per-step pointer cross-entropy (gold span then the end token)
-    for each condition value that occurs in the question.
+
+def total_loss(model: S.SketchModel, preps: list[PreparedExample], training: bool = True,
+               rng: np.random.Generator | None = None) -> tuple[K.Tensor, dict[str, float]]:
+    """Teacher-forced loss of a minibatch, built as one taped forward.
+
+    Returns the batch mean of each example's summed slot losses, and per slot
+    (SLOTS) its term summed over the batch. The terms: cross-entropy for the
+    select column, condition count, aggregator, and each condition's operator;
+    weighted per-column BCE for the condition columns; per-step pointer
+    cross-entropy (gold span then the end token) for each condition value that
+    occurs in the question.
     """
-    gold = prep.gold
-    n_cols = prep.col_matrix.shape[0]
-    terms: list[K.Tensor] = []
+    q_lens = [len(p.tq.tokens) for p in preps]
+    c_lens = [p.col_matrix.shape[0] for p in preps]
+    q_at = np.cumsum(q_lens) - q_lens  # each example's first stacked question row
+    c_at = np.cumsum(c_lens) - c_lens  # and first stacked column row
+    words, indices, consts = zip(*(p.q_parts for p in preps))
+    q_parts = (np.vstack(words), [i for idx in indices for i in idx], np.vstack(consts))
+    col_read, agg_read, opval_read = model.read(
+        S.MODEL_NAMES, q_parts, np.vstack([p.col_matrix for p in preps]), q_lens, c_lens,
+        training, rng)
+    golds = [p.gold for p in preps]
+    sel_rows = c_at + [gold.sel for gold in golds]
+    conds = [(i, c_at[i] + col, op, span) for i, p in enumerate(preps)
+             for (col, op, _), span in zip(p.gold.conds, p.gold_spans)]
 
     # column model: select column, condition count, condition columns
-    [(_, _, H_col, H_qt_col)] = model.read(("col",), prep.q_parts, prep.col_matrix,
-                                           training, rng)
-    terms.append(K.cross_entropy(S.select_scores(H_qt_col, H_col, model.select_head), gold.sel))
-    terms.append(K.cross_entropy(S.cond_number_scores(H_qt_col, model.cond_num_head),
-                                 len(gold.conds)))
-    H_qt_scol = K.tile_rows(K.row(H_qt_col, gold.sel), n_cols)
-    targets = np.zeros(n_cols)
-    for col, _, _ in gold.conds:
-        targets[col] = 1.0
-    terms.append(K.binary_cross_entropy(
-        S.cond_col_scores(H_qt_col, H_col, H_qt_scol, model.cond_col_head),
-        targets, pos_weight=COND_COL_POS_WEIGHT))
-
+    _, _, H_col, H_qt_col = col_read
+    targets = np.zeros(sum(c_lens))
+    targets[[row for _, row, _, _ in conds]] = 1.0
+    H_qt_scol = K.gather_rows(H_qt_col, np.repeat(sel_rows, c_lens))
+    terms = {
+        "select": K.cross_entropy(S.select_scores(H_qt_col, H_col, model.select_head),
+                                  [gold.sel for gold in golds], c_lens),
+        "count": K.cross_entropy(S.cond_number_scores(H_qt_col, model.cond_num_head, c_lens),
+                                 [len(gold.conds) for gold in golds]),
+        "cond_cols": K.binary_cross_entropy(
+            S.cond_col_scores(H_qt_col, H_col, H_qt_scol, model.cond_col_head),
+            targets, pos_weight=COND_COL_POS_WEIGHT),
+    }
     # aggregator model, conditioned on the gold select column
-    [(_, _, _, H_qt_col_a)] = model.read(("agg",), prep.q_parts, prep.col_matrix, training, rng)
-    terms.append(K.cross_entropy(S.agg_scores(K.row(H_qt_col_a, gold.sel), model.agg_head),
-                                 gold.agg))
+    terms["agg"] = K.cross_entropy(
+        S.agg_scores(K.gather_rows(agg_read[3], sel_rows), model.agg_head),
+        [gold.agg for gold in golds])
 
-    # operator/value model, one term pair per gold condition
-    if gold.conds:
-        [(q_in, H_qt, H_col, H_qt_col)] = model.read(("opval",), prep.q_parts, prep.col_matrix,
-                                                     training, rng)
-        t_len = len(prep.tq.tokens)
-        for (col, op, _val), span in zip(gold.conds, prep.gold_spans):
-            terms.append(K.cross_entropy(
-                S.op_scores(K.row(H_qt_col, col), K.row(H_col, col), model.op_head), op))
-            if span is None:
-                continue  # value absent from the question; no pointer signal
-            # teacher-forced decoder: the start input, then the gold tokens
-            vp = model.val_pointer
-            context = S.pointer_context(vp, H_qt, K.row(H_col, col))
-            H_dec = K.lstm_sequence(K.concat_rows([vp.start] + [K.row(q_in, t) for t in span]),
-                                    vp.dec)
-            for step, target in enumerate(list(span) + [t_len]):
-                terms.append(K.cross_entropy(S.pointer_step(vp, context, K.row(H_dec, step)),
-                                             target))
-    return K.sum_all(K.concat_rows(terms))
+    # operator/value model, one operator term per gold condition
+    q_in, H_qt, H_col, H_qt_col = opval_read
+    terms["op"] = terms["pointer"] = K.constant([[0.0]])
+    if conds:
+        rows = [row for _, row, _, _ in conds]
+        terms["op"] = K.cross_entropy(
+            S.op_scores(K.gather_rows(H_qt_col, rows), K.gather_rows(H_col, rows),
+                        model.op_head), [op for _, _, op, _ in conds])
+    located = [(i, row, span) for i, row, _, span in conds if span is not None]
+    if located:  # a value absent from the question gives no pointer signal
+        terms["pointer"] = _pointer_loss(model.val_pointer, q_in, H_qt, H_col, located,
+                                         q_lens, q_at)
+    loss = K.sum_all(K.concat_rows([terms[slot] for slot in SLOTS]), scale=1.0 / len(preps))
+    return loss, {slot: terms[slot].item() for slot in SLOTS}
+
+
+def _pointer_loss(vp: S.ValPointer, q_in: K.Tensor, H_qt: K.Tensor, H_col: K.Tensor,
+                  located, q_lens, q_at) -> K.Tensor:
+    """Pointer cross-entropy of every located gold span, teacher-forced as one ragged
+    decoder scan over [start, gold tokens...] per span; each decoder step scores its
+    own question's T positions and the end state."""
+    dec_rows, positions, conds, steps, targets, widths = [], [], [], [], [], []
+    end_row = sum(q_lens)  # the end state's row in pointer_context's [H_qt; end]
+    for j, (i, _, span) in enumerate(located):
+        scored = list(range(q_at[i], q_at[i] + q_lens[i])) + [end_row]
+        for target in span + [q_lens[i]]:
+            steps += [len(widths)] * len(scored)
+            widths.append(len(scored))
+            targets.append(target)
+        positions += scored * (len(span) + 1)
+        conds += [j] * (len(scored) * (len(span) + 1))
+        # row 0 of [start; q_in] is the start input, row 1 + r is stacked question row r
+        dec_rows += [0] + [1 + q_at[i] + t for t in span]
+    dec_in = K.gather_rows(K.concat_rows([vp.start, q_in]), dec_rows)
+    H_dec = K.lstm_sequence(dec_in, vp.dec, lengths=[len(span) + 1 for _, _, span in located])
+    h_cols = K.gather_rows(H_col, [row for _, row, _ in located])
+    context = S.pointer_context(vp, H_qt, h_cols, positions, conds)
+    return K.cross_entropy(S.pointer_step(vp, context, K.gather_rows(H_dec, steps)),
+                           targets, widths)
 
 
 def predict(model: S.SketchModel, question: str, table: Table,
@@ -332,11 +369,12 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(prepared))
         total = 0.0
+        slot_totals = dict.fromkeys(SLOTS, 0.0)
         for at in range(0, len(order), config.batch_size):
             batch = order[at : at + config.batch_size]
             store.zero_grad()
-            losses = [total_loss(model, prepared[i], training=True, rng=rng) for i in batch]
-            batch_loss = K.scale(K.sum_all(K.concat_rows(losses)), 1.0 / len(batch))
+            batch_loss, slot_sums = total_loss(model, [prepared[i] for i in batch],
+                                               training=True, rng=rng)
             value = batch_loss.item()
             if not np.isfinite(value):  # stop before the update, so weights stay finite
                 raise ValueError(f"non-finite loss at epoch {epoch}, "
@@ -344,10 +382,13 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
             K.backward(batch_loss)
             K.adam_step(store, adam)
             total += value * len(batch)
+            for slot, term in slot_sums.items():
+                slot_totals[slot] += term
         epoch_loss = total / len(prepared)
         epoch_losses.append(epoch_loss)
 
         entry = {"epoch": epoch, "loss": epoch_loss,
+                 "slot_losses": {slot: slot_totals[slot] / len(prepared) for slot in SLOTS},
                  "seconds": round(time.monotonic() - started, 2)}
         stop = False
         if epoch % config.eval_every == 0 or epoch == config.epochs:

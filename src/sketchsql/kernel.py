@@ -5,8 +5,9 @@ gradient tape, one LSTM cell (a fused sequence node that runs a group of
 directions over one input in a single loop, and an untaped step for
 greedy decoding), stable softmax / cross-entropy / weighted BCE,
 inverted dropout, Adam, and a binary checkpoint format. Arrays are numpy;
-every tensor is 2-D (row vectors are 1xN, scalars 1x1). The tape is
-rebuilt per example or batch, never cached.
+every tensor is 2-D (row vectors are 1xN, scalars 1x1). A minibatch is its
+examples' rows stacked, with segment lengths saying which rows belong to
+which example; the tape is rebuilt per minibatch, never cached.
 """
 
 from __future__ import annotations
@@ -169,13 +170,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), bwd)
 
 
-def scale(a: Tensor, k: float) -> Tensor:
-    def bwd(g, a=a, k=k):
-        _accum(a, g * k)
-
-    return _node(a.data * k, (a,), bwd)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise KernelError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
@@ -237,20 +231,38 @@ def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    def bwd(g, a=a):
-        _accum(a, np.full_like(a.data, g[0, 0]))
-
-    return _node(np.array([[a.data.sum()]], dtype=a.data.dtype), (a,), bwd)
-
-
-def sum_over_rows(a: Tensor) -> Tensor:
-    """Column sums: (R, C) -> (1, C)."""
+def sum_all(a: Tensor, scale: float = 1.0) -> Tensor:
+    """scale times the sum of every entry, as a 1x1 tensor."""
 
     def bwd(g, a=a):
-        _accum(a, np.broadcast_to(g, a.shape).copy())
+        _accum(a, np.full_like(a.data, g[0, 0] * scale))
 
-    return _node(a.data.sum(axis=0, keepdims=True), (a,), bwd)
+    return _node(np.array([[a.data.sum() * scale]], dtype=a.data.dtype), (a,), bwd)
+
+
+def _segments(lengths, n_rows: int) -> np.ndarray:
+    """Validated segment lengths over n_rows stacked rows; None is one segment of all rows."""
+    if lengths is None:
+        return np.array([n_rows])
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0 or (lengths < 1).any() or lengths.sum() != n_rows:
+        raise KernelError(f"segment lengths {lengths.tolist()} do not split {n_rows} rows")
+    return lengths
+
+
+def segment_sum(a: Tensor, lengths=None) -> Tensor:
+    """Column sums per segment of consecutive rows: (sum of lengths, C) -> (segments, C)."""
+    lengths = _segments(lengths, a.shape[0])
+    out = np.empty((lengths.size, a.shape[1]), dtype=a.data.dtype)
+    at = 0
+    for i, n in enumerate(lengths.tolist()):
+        a.data[at : at + n].sum(axis=0, out=out[i])
+        at += n
+
+    def bwd(g, a=a):
+        _accum(a, np.repeat(g, lengths, axis=0))
+
+    return _node(out, (a,), bwd)
 
 
 def row(a: Tensor, i: int) -> Tensor:
@@ -315,13 +327,13 @@ def tile_rows(a: Tensor, n: int) -> Tensor:
     return _node(np.repeat(a.data, n, axis=0), (a,), bwd)
 
 
-def embed_rows(table: Tensor, indices) -> Tensor:
-    """Gather rows of `table` by index; index -1 yields a zero row."""
+def gather_rows(table: Tensor, indices) -> Tensor:
+    """Rows of `table` by index, repeats allowed; index -1 yields a zero row."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
-        raise KernelError("embed_rows takes a flat index list")
+        raise KernelError("gather_rows takes a flat index list")
     if (idx >= table.shape[0]).any() or (idx < -1).any():
-        raise KernelError("embed_rows index out of range")
+        raise KernelError(f"gather_rows index out of range for shape {table.shape}")
     out = np.zeros((len(idx), table.shape[1]), dtype=table.data.dtype)
     valid = idx >= 0
     out[valid] = table.data[idx[valid]]
@@ -352,29 +364,42 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 # Losses
 # ---------------------------------------------------------------------------
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """-log softmax(logits)[target] for a 1xK logit row."""
-    if logits.shape[0] != 1:
-        raise KernelError(f"cross_entropy expects a 1xK row, got {logits.shape}")
-    k = logits.shape[1]
-    if not (0 <= target < k):
-        raise KernelError(f"cross-entropy target {target} out of range for {k} classes")
-    z = logits.data[0]
-    m = z.max()
-    e = np.exp(z - m)
-    probs = e / e.sum()
-    loss = float(m + np.log(e.sum()) - z[target])
+def cross_entropy(logits: Tensor, targets, lengths=None) -> Tensor:
+    """Sum over segments of -log softmax(segment)[target].
 
-    def bwd(g, logits=logits, probs=probs, target=target):
-        d = probs.copy()
-        d[target] -= 1.0
-        _accum(logits, g[0, 0] * d.reshape(1, -1))
+    The logits are read in row-major order and cut into consecutive segments
+    of the given lengths; by default each row is one segment. `targets` holds
+    one in-segment index per segment (an int for a single segment).
+    """
+    z = logits.data.reshape(-1)
+    if lengths is None:
+        lengths = np.full(logits.shape[0], logits.shape[1])
+    lengths = _segments(lengths, z.size)
+    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    if targets.shape != lengths.shape:
+        raise KernelError(f"{targets.size} cross-entropy targets for {lengths.size} segments")
+    if ((targets < 0) | (targets >= lengths)).any():
+        raise KernelError(f"cross-entropy target out of range: {targets.tolist()} "
+                          f"for {lengths.tolist()} classes")
+    starts = np.cumsum(lengths) - lengths
+    seg = np.repeat(np.arange(lengths.size), lengths)
+    m = np.maximum.reduceat(z, starts)
+    e = np.exp(z - m[seg])
+    total = np.add.reduceat(e, starts)
+    picked = starts + targets
+    loss = float((m + np.log(total) - z[picked]).sum())
+
+    def bwd(g, logits=logits):
+        d = e / total[seg]
+        d[picked] -= 1.0
+        _accum(logits, g[0, 0] * d.reshape(logits.shape))
 
     return _node(np.array([[loss]], dtype=logits.data.dtype), (logits,), bwd)
 
 
 def binary_cross_entropy(logits: Tensor, targets, pos_weight: float = 1.0) -> Tensor:
-    """Sum over entries of weighted BCE-with-logits for a 1xC logit row."""
+    """Sum over entries of weighted BCE-with-logits for a 1xC logit row (a whole batch's
+    stacked columns sum alike)."""
     if logits.shape[0] != 1:
         raise KernelError(f"binary_cross_entropy expects a 1xC row, got {logits.shape}")
     y = np.asarray(targets, dtype=logits.data.dtype).reshape(1, -1)
@@ -409,7 +434,7 @@ class LstmWeights:
 
 
 def _cell(pre: np.ndarray, c: np.ndarray):
-    """The LSTM cell on (k, 4H) rows of gate pre-activations and the previous (k, H) cells.
+    """The LSTM cell on (..., 4H) gate pre-activations and the previous (..., H) cells.
 
     Returns (sig, g, c, tanh c, h): sig is the sigmoid of every pre-activation,
     whose first, second and fourth quarters are the i, f and o gates, and g is
@@ -418,10 +443,10 @@ def _cell(pre: np.ndarray, c: np.ndarray):
     """
     hid = c.shape[-1]
     sig = 1.0 / (1.0 + np.exp(-pre))
-    g = np.tanh(pre[:, 2 * hid : 3 * hid])
-    c = sig[:, hid : 2 * hid] * c + sig[:, :hid] * g
+    g = np.tanh(pre[..., 2 * hid : 3 * hid])
+    c = sig[..., hid : 2 * hid] * c + sig[..., :hid] * g
     tanh_c = np.tanh(c)
-    return sig, g, c, tanh_c, sig[:, 3 * hid :] * tanh_c
+    return sig, g, c, tanh_c, sig[..., 3 * hid :] * tanh_c
 
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights):
@@ -440,16 +465,21 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights):
     return Tensor._wrap(h), Tensor._wrap(c)
 
 
-def lstm_sequence(xs: Tensor, ws, reverse=False) -> Tensor:
-    """Run a group of LSTM directions over one (T, d_in) matrix as a single fused node.
+def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None) -> Tensor:
+    """Run a group of LSTM directions over row-stacked sequences as a single fused node.
 
-    `ws` is one LstmWeights and `reverse` a bool, or both are parallel lists. The output
-    is (T, k*H), direction blocks in group order, each bitwise as if run alone. One loop
-    runs all k recurrences from a zero state; the backward is one hand-written BPTT loop.
+    `ws` is one LstmWeights and `reverse` a bool, or both are parallel lists. `xs` stacks
+    B sequences of the given `lengths` row-wise, (sum of lengths, d_in); by default it
+    is one sequence. The output has the same rows, (., k*H), direction blocks in group
+    order. One loop runs all k*B recurrences from a zero state against the stacked Wh:
+    every sequence starts at scan step 0 in both directions, so a shorter one idles only
+    at the end of the scan, where no output reads it and no gradient reaches it. A single
+    sequence's output is bitwise as if each direction ran alone. The backward is one
+    hand-written BPTT loop.
     """
     if isinstance(ws, LstmWeights):
         ws, reverse = [ws], [reverse]
-    k, t_len = len(ws), xs.shape[0]
+    k, n_rows = len(ws), xs.shape[0]
     if k == 0:
         raise KernelError("lstm_sequence needs at least one direction")
     if isinstance(reverse, bool) or len(reverse) != k:
@@ -460,56 +490,70 @@ def lstm_sequence(xs: Tensor, ws, reverse=False) -> Tensor:
             raise KernelError(f"lstm_sequence hidden widths differ: {w.hidden} vs {hid}")
         if xs.shape[1] != w.Wx.shape[1]:
             raise KernelError(f"lstm_sequence shape mismatch: {xs.shape} with weight {w.Wx.shape}")
-    if t_len < 1:
+    if n_rows < 1:
         raise KernelError("empty sequence")
-    # order[s, j]: the time row direction j reads at scan step s (and writes h to)
-    order = np.array([np.arange(t_len)[::-1] if rev else np.arange(t_len) for rev in reverse]).T
+    # rows[s, j, b]: the row direction j reads in sequence b at scan step s; step and seq:
+    # the scan step and the sequence that write each output row, per direction
+    lengths = _segments(lengths, n_rows)
+    n_seq, t_max = lengths.size, int(lengths.max())
+    if n_seq == 1:  # a reversal is its own inverse, so rows == step
+        step = np.array([np.arange(n_rows)[::-1] if r else np.arange(n_rows)
+                         for r in reverse]).T
+        rows, seq = step[:, :, None], 0
+    else:
+        starts = np.cumsum(lengths) - lengths
+        rev = np.array(reverse)[:, None]  # (k, 1)
+        t = np.minimum(np.arange(t_max)[:, None, None], lengths - 1)  # idle: re-read the last
+        rows = starts + np.where(rev, lengths - 1 - t, t)  # (t_max, k, B)
+        seq = np.repeat(np.arange(n_seq), lengths)[:, None]  # (rows, 1)
+        pos = np.arange(n_rows)[:, None] - starts[seq]
+        step = np.where(rev.T, lengths[seq] - 1 - pos, pos)  # (rows, k)
     dirs = np.arange(k)
     Wh = np.stack([w.Wh.data for w in ws])  # (k, 4H, H)
     Wh_T = Wh.transpose(0, 2, 1)  # per direction the same strided view as Wh.T
 
-    pre_x = np.stack([xs.data @ w.Wx.data.T + w.b.data[0] for w in ws], axis=1)[order, dirs]
-    hs = np.empty((t_len, k, hid))  # h per scan step
+    pre_x = np.stack([xs.data @ w.Wx.data.T + w.b.data[0] for w in ws], axis=1)
+    pre_x = pre_x[rows, dirs[:, None]]  # (t_max, k, B, 4H) in scan order
+    hs = np.empty((t_max, k, n_seq, hid))  # h per scan step
     steps = []  # (sig, g, c, tanh c) per scan step, kept for the backward
-    h = np.zeros((k, hid))
-    c = np.zeros((k, hid))
+    h = np.zeros((k, n_seq, hid))
+    c = np.zeros((k, n_seq, hid))
     with np.errstate(over="ignore"):
-        for sp in range(t_len):
-            sig, gate_g, c, tanh_c, h = _cell(pre_x[sp] + np.matmul(h[:, None], Wh_T)[:, 0], c)
+        for sp in range(t_max):
+            sig, gate_g, c, tanh_c, h = _cell(pre_x[sp] + np.matmul(h, Wh_T), c)
             steps.append((sig, gate_g, c, tanh_c))
             hs[sp] = h
-    out = hs[order, dirs].reshape(t_len, k * hid)
+    out = hs[step, dirs, seq].reshape(n_rows, k * hid)
 
     def bwd(g):
-        g_scan = g.reshape(t_len, k, hid)[order, dirs]
-        dpre = np.empty((t_len, k, 4 * hid))
-        dh_next = np.zeros((k, hid))
-        dc_next = np.zeros((k, hid))
-        for sp in range(t_len - 1, -1, -1):
+        g_scan = np.zeros((t_max, k, n_seq, hid))
+        g_scan[step, dirs, seq] = g.reshape(n_rows, k, hid)
+        dpre = np.empty((t_max, k, n_seq, 4 * hid))
+        dh_next = np.zeros((k, n_seq, hid))
+        dc_next = np.zeros((k, n_seq, hid))
+        for sp in range(t_max - 1, -1, -1):
             sig, gate_g, _, tc = steps[sp]
-            i, f, o = sig[:, :hid], sig[:, hid : 2 * hid], sig[:, 3 * hid :]
+            i, f, o = sig[..., :hid], sig[..., hid : 2 * hid], sig[..., 3 * hid :]
             dh = g_scan[sp] + dh_next
             dc = dh * o * (1.0 - tc * tc) + dc_next
             c_before = steps[sp - 1][2] if sp > 0 else 0.0
-            dpre[sp, :, :hid] = dc * gate_g * i * (1.0 - i)
-            dpre[sp, :, hid : 2 * hid] = dc * c_before * f * (1.0 - f)
-            dpre[sp, :, 2 * hid : 3 * hid] = dc * i * (1.0 - gate_g * gate_g)
-            dpre[sp, :, 3 * hid :] = dh * tc * o * (1.0 - o)
+            dpre[sp, ..., :hid] = dc * gate_g * i * (1.0 - i)
+            dpre[sp, ..., hid : 2 * hid] = dc * c_before * f * (1.0 - f)
+            dpre[sp, ..., 2 * hid : 3 * hid] = dc * i * (1.0 - gate_g * gate_g)
+            dpre[sp, ..., 3 * hid :] = dh * tc * o * (1.0 - o)
             dc_next = dc * f
-            dh_next = np.matmul(dpre[sp][:, None], Wh)[:, 0]
+            dh_next = np.matmul(dpre[sp], Wh)
+        h_prev = np.zeros_like(hs)
+        h_prev[1:] = hs[:-1]
+        dpre_rows = dpre[step, dirs, seq]  # (rows, k, 4H) back in row order
         # per direction from contiguous copies: numpy leaves BLAS on strided operands
         for j, w in enumerate(ws):
-            idx = order[:, j]
-            dpre_j = np.ascontiguousarray(dpre[:, j])
-            h_prev = np.zeros((t_len, hid))
-            h_prev[1:] = hs[:-1, j]
-            _accum(w.b, dpre_j.sum(axis=0, keepdims=True))
-            _accum(w.Wh, dpre_j.T @ h_prev)
-            _accum(w.Wx, dpre_j.T @ xs.data[idx])
+            d_rows = np.ascontiguousarray(dpre_rows[:, j])
+            _accum(w.b, d_rows.sum(axis=0, keepdims=True))
+            _accum(w.Wh, dpre[:, j].reshape(-1, 4 * hid).T @ h_prev[:, j].reshape(-1, hid))
+            _accum(w.Wx, d_rows.T @ xs.data)
             if xs.requires_grad:
-                dxs = np.empty_like(xs.data)
-                dxs[idx] = dpre_j @ w.Wx.data
-                _accum(xs, dxs)
+                _accum(xs, d_rows @ w.Wx.data)
 
     params = tuple(p for w in ws for p in (w.Wx, w.Wh, w.b))
     return _node(out, (xs,) + params, bwd)
@@ -619,33 +663,6 @@ def adam_step(store: ParamStore, state: AdamState):
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
         p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-
-
-# ---------------------------------------------------------------------------
-# Finite differences (reference oracle, also used by the test suite)
-# ---------------------------------------------------------------------------
-
-def finite_diff_grad(f, store: ParamStore, eps: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central-difference gradient of f(store) per scalar parameter entry.
-
-    f must be pure and deterministic (dropout off); it runs untaped.
-    """
-    grads = {}
-    with no_grad():
-        for name, p in store.items():
-            g = np.zeros_like(p.data)
-            flat = p.data.reshape(-1)
-            gflat = g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                hi = f(store)
-                flat[i] = orig - eps
-                lo = f(store)
-                flat[i] = orig
-                gflat[i] = (hi - lo) / (2.0 * eps)
-            grads[name] = g
-    return grads
 
 
 # ---------------------------------------------------------------------------

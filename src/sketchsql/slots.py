@@ -6,6 +6,10 @@ operator/value model (comparison operator plus a pointer decoder that
 copies the condition value out of the question). Each model owns its own
 question and column bi-LSTMs (six in total) and its own attention matrix;
 all predictors inside one model share that model's encoders.
+
+Every function here works on a minibatch: its questions' rows stacked
+(sum of T, .), its tables' column rows stacked (sum of C, .), plus the
+segment lengths. Inference is the batch of one.
 """
 
 from __future__ import annotations
@@ -50,10 +54,18 @@ class AttentionResult:
     H_qt_col: K.Tensor   # (C, 2h) = alpha @ H_qt
 
 
-def column_attention(H_qt: K.Tensor, H_col: K.Tensor, W_ct: K.Tensor) -> AttentionResult:
-    """Per-column softmax over question positions and the weighted summary."""
+def block_mask(c_lens, q_lens) -> np.ndarray:
+    """(sum of C, sum of T) mask pairing each example's columns with its own question
+    positions only."""
+    return np.repeat(np.repeat(np.eye(len(c_lens), dtype=bool), c_lens, axis=0), q_lens, axis=1)
+
+
+def column_attention(H_qt: K.Tensor, H_col: K.Tensor, W_ct: K.Tensor,
+                     mask: np.ndarray | None = None) -> AttentionResult:
+    """Per-column softmax over question positions (those the mask allows) and the
+    weighted summary."""
     scores = K.matmul(K.matmul(H_col, W_ct), K.transpose(H_qt))
-    alpha = K.softmax_rows(scores)
+    alpha = K.softmax_rows(scores, mask)
     return AttentionResult(alpha=alpha, H_qt_col=K.matmul(alpha, H_qt))
 
 
@@ -107,20 +119,22 @@ class ValPointer:
 
 
 def select_scores(H_qt_col: K.Tensor, H_col: K.Tensor, head: SelectHead) -> K.Tensor:
-    """(1, C) logits for the select column."""
+    """(1, C) logits for the select column, one per stacked column row."""
     hidden = K.tanh(K.add(K.linear(H_col, head.Wc), K.linear(H_qt_col, head.Wqt)))
     return K.transpose(K.linear(hidden, head.V))
 
 
-def cond_number_scores(H_qt_col: K.Tensor, head: CondNumHead) -> K.Tensor:
-    """(1, 5) logits for the number of conditions, from the column-summed summary."""
-    pooled = K.sum_over_rows(H_qt_col)
+def cond_number_scores(H_qt_col: K.Tensor, head: CondNumHead, c_lens=None) -> K.Tensor:
+    """(B, 5) logits for the number of conditions, from each example's column-summed
+    summary; c_lens splits the stacked columns into examples (default: one)."""
+    pooled = K.segment_sum(H_qt_col, c_lens)
     return K.linear(K.tanh(K.linear(pooled, head.Wqt)), head.V)
 
 
 def cond_col_scores(H_qt_col: K.Tensor, H_col: K.Tensor, H_qt_scol: K.Tensor,
                     head: CondColHead) -> K.Tensor:
-    """(1, C) logits for condition columns, conditioned on the chosen select column."""
+    """(1, C) logits for condition columns, conditioned on the chosen select column
+    (H_qt_scol: its summary repeated on each of its example's column rows)."""
     hidden = K.tanh(K.add(K.add(K.linear(H_col, head.Wc), K.linear(H_qt_col, head.Wqt)),
                           K.linear(H_qt_scol, head.Wscol)))
     return K.transpose(K.linear(hidden, head.V))
@@ -141,12 +155,12 @@ def predict_cond_cols(H_qt_col: K.Tensor, H_col: K.Tensor, H_qt_scol: K.Tensor,
 
 
 def agg_scores(h_qt_scol: K.Tensor, head: AggHead) -> K.Tensor:
-    """(1, 6) logits over [none, max, min, count, sum, avg]."""
+    """(B, 6) logits over [none, max, min, count, sum, avg], one row per select column."""
     return K.linear(K.tanh(K.linear(h_qt_scol, head.Wqt)), head.V)
 
 
 def op_scores(h_qt_col: K.Tensor, h_col: K.Tensor, head: OpHead) -> K.Tensor:
-    """(1, 3) logits over [=, >, <] for one condition column."""
+    """(n, 3) logits over [=, >, <], one row per condition column."""
     return K.linear(K.tanh(K.add(K.linear(h_col, head.Wc), K.linear(h_qt_col, head.Wqt))), head.Wt)
 
 
@@ -154,17 +168,24 @@ def op_scores(h_qt_col: K.Tensor, h_col: K.Tensor, head: OpHead) -> K.Tensor:
 # Pointer decoder for condition values
 # ---------------------------------------------------------------------------
 
-def pointer_context(vp: ValPointer, H_qt: K.Tensor, h_col: K.Tensor) -> K.Tensor:
-    """Decode-invariant part of the pointer scores, (T+1, d).
+def pointer_context(vp: ValPointer, H_qt: K.Tensor, h_col: K.Tensor,
+                    rows=None, cols=None) -> K.Tensor:
+    """Decode-invariant part of the pointer scores, one row per scored position.
 
-    Row T comes from the learned end state, so logit index T means 'stop'.
+    Position t < T is question row t and position T the learned end state, so
+    logit index T means 'stop'. Row m scores position rows[m] for condition column
+    cols[m] of h_col; by default all T+1 positions for the first, (T+1, d).
     """
-    H_qt_ext = K.concat_rows([H_qt, vp.end])
-    return K.add(K.linear(H_qt_ext, vp.Wqt), K.linear(h_col, vp.Wc))
+    positions = K.linear(K.concat_rows([H_qt, vp.end]), vp.Wqt)
+    columns = K.linear(h_col, vp.Wc)
+    if rows is None:  # one condition: its column term broadcasts over every position
+        return K.add(positions, columns)
+    return K.add(K.gather_rows(positions, rows), K.gather_rows(columns, cols))
 
 
 def pointer_step(vp: ValPointer, context: K.Tensor, h_dec: K.Tensor) -> K.Tensor:
-    """(1, T+1) logits for the next token, given the decoder state after reading its input."""
+    """(1, T+1) logits for the next token, given the decoder state after reading its input
+    (one row for every context row, or one row for all)."""
     hidden = K.tanh(K.add(context, K.linear(h_dec, vp.Wh)))
     return K.transpose(K.linear(hidden, vp.V))
 
@@ -292,18 +313,22 @@ class SketchModel:
         return np.stack([column_name_vector(name, self.emb) for name in header])
 
     def question_input(self, word: np.ndarray, indices, const: np.ndarray) -> K.Tensor:
-        type_part = K.add(K.embed_rows(self.type_table, indices), K.constant(const))
+        type_part = K.add(K.gather_rows(self.type_table, indices), K.constant(const))
         return K.concat_cols(K.constant(word), type_part)
 
     # -- encoding ----------------------------------------------------------
 
     def encode(self, which: tuple[str, ...], q_input: K.Tensor, col_input: K.Tensor,
-               training: bool = False, rng: np.random.Generator | None = None):
+               q_lens=None, c_lens=None, training: bool = False,
+               rng: np.random.Generator | None = None):
         """[(H_qt, H_col)] per named model, with output dropout. The named models'
-        question bi-LSTMs run as one grouped scan, their column bi-LSTMs as another."""
+        question bi-LSTMs run as one grouped scan over every question of the batch
+        (lengths q_lens), their column bi-LSTMs as another (lengths c_lens)."""
         flags = [False, True] * len(which)
-        H_q = K.lstm_sequence(q_input, [d for m in which for d in self.encoders[m][0]], flags)
-        H_c = K.lstm_sequence(col_input, [d for m in which for d in self.encoders[m][1]], flags)
+        H_q = K.lstm_sequence(q_input, [d for m in which for d in self.encoders[m][0]], flags,
+                              q_lens)
+        H_c = K.lstm_sequence(col_input, [d for m in which for d in self.encoders[m][1]], flags,
+                              c_lens)
         width = H_q.shape[1] // len(which)
         out = []
         for i in range(len(which)):
@@ -314,22 +339,24 @@ class SketchModel:
             out.append((H_qt, H_col))
         return out
 
-    def attend(self, which: str, H_qt: K.Tensor, H_col: K.Tensor,
+    def attend(self, which: str, H_qt: K.Tensor, H_col: K.Tensor, mask=None,
                training: bool = False, rng: np.random.Generator | None = None) -> K.Tensor:
         """Attention-weighted question summary per column, with dropout."""
-        att = column_attention(H_qt, H_col, self.attention[which])
+        att = column_attention(H_qt, H_col, self.attention[which], mask)
         H_qt_col = att.H_qt_col
         if training and self.dropout > 0:
             H_qt_col = K.dropout(H_qt_col, self.dropout, rng)
         return H_qt_col
 
     def read(self, which: tuple[str, ...], q_parts, col_matrix: np.ndarray,
-             training: bool = False, rng: np.random.Generator | None = None):
-        """[(q_in, H_qt, H_col, H_qt_col)] per named model, from one q_in. Training reads one
-        model at a time: a shared q_in would sum the type-table gradient in another order."""
+             q_lens=None, c_lens=None, training: bool = False,
+             rng: np.random.Generator | None = None):
+        """[(q_in, H_qt, H_col, H_qt_col)] per named model, from one q_in, for a batch of
+        stacked questions and columns with lengths q_lens and c_lens (default: one)."""
         q_in = self.question_input(*q_parts)
-        encoded = self.encode(which, q_in, K.constant(col_matrix), training, rng)
-        return [(q_in, H_qt, H_col, self.attend(name, H_qt, H_col, training, rng))
+        encoded = self.encode(which, q_in, K.constant(col_matrix), q_lens, c_lens, training, rng)
+        mask = None if q_lens is None else block_mask(c_lens, q_lens)
+        return [(q_in, H_qt, H_col, self.attend(name, H_qt, H_col, mask, training, rng))
                 for name, (H_qt, H_col) in zip(which, encoded)]
 
     # -- inference ---------------------------------------------------------

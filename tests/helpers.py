@@ -1,5 +1,9 @@
-"""Shared fixtures: the worked-example table/question and a small gazetteer."""
+"""Shared fixtures: the worked-example table/question, a small gazetteer, and the
+finite-difference gradient oracle."""
 
+import numpy as np
+
+from sketchsql import kernel as K
 from sketchsql.tables import Table
 from sketchsql.tagger import Gazetteer
 
@@ -42,3 +46,26 @@ def demo_gazetteer() -> Gazetteer:
         ("red sox", "organization"),
         ("baseball", "sport"),
     ])
+
+
+def finite_diff_grad(f, store: K.ParamStore, eps: float = 1e-5) -> dict[str, np.ndarray]:
+    """Central-difference gradient of f(store) per scalar parameter entry.
+
+    f must be pure and deterministic (dropout off); it runs untaped.
+    """
+    grads = {}
+    with K.no_grad():
+        for name, p in store.items():
+            g = np.zeros_like(p.data)
+            flat = p.data.reshape(-1)
+            gflat = g.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = f(store)
+                flat[i] = orig - eps
+                lo = f(store)
+                flat[i] = orig
+                gflat[i] = (hi - lo) / (2.0 * eps)
+            grads[name] = g
+    return grads

@@ -3,11 +3,17 @@
 Deliberately naive and written without reference to the package's
 executor or slot code: per-row loops, literal formula transcriptions.
 The content-tagging oracle shares the package's span matcher and
-`cell_text` and differs only in how it builds the cell index.
+`cell_text` and differs only in how it builds the cell index. The
+per-example loss oracle shares the slot formulas and kernel ops and
+differs in how it batches: one example, one model read, one decoder
+sequence and one pointer step at a time.
 """
 
 import numpy as np
 
+from sketchsql import kernel as K
+from sketchsql import slots as S
+from sketchsql.harness import COND_COL_POS_WEIGHT
 from sketchsql.tables import cell_text
 from sketchsql.tagger import COLUMN_VALUE, TypeTag, _apply_span_matches
 
@@ -152,3 +158,52 @@ def ref_lstm_step(x, h, c, Wx, Wh, b):
     g, o = np.tanh(pre[2 * hid:3 * hid]), sig(pre[3 * hid:])
     c2 = f * c + i * g
     return o * np.tanh(c2), c2
+
+
+# ---------------------------------------------------------------------------
+# The training loss one example at a time
+# ---------------------------------------------------------------------------
+
+def reference_total_loss(model, prep):
+    """One example's summed slot losses (untrained path, no dropout), read model by model,
+    with one teacher-forced decoder sequence per located span and one pointer step per
+    token. Returns the loss tensor and each slot's term as a float."""
+    gold = prep.gold
+    n_cols = prep.col_matrix.shape[0]
+    terms = {slot: [] for slot in ("select", "count", "cond_cols", "agg", "op", "pointer")}
+
+    [(_, _, H_col, H_qt_col)] = model.read(("col",), prep.q_parts, prep.col_matrix)
+    terms["select"].append(K.cross_entropy(S.select_scores(H_qt_col, H_col, model.select_head),
+                                           gold.sel))
+    terms["count"].append(K.cross_entropy(S.cond_number_scores(H_qt_col, model.cond_num_head),
+                                          len(gold.conds)))
+    H_qt_scol = K.gather_rows(H_qt_col, [gold.sel] * n_cols)
+    targets = np.zeros(n_cols)
+    for col, _, _ in gold.conds:
+        targets[col] = 1.0
+    terms["cond_cols"].append(K.binary_cross_entropy(
+        S.cond_col_scores(H_qt_col, H_col, H_qt_scol, model.cond_col_head),
+        targets, pos_weight=COND_COL_POS_WEIGHT))
+
+    [(_, _, _, H_qt_col_a)] = model.read(("agg",), prep.q_parts, prep.col_matrix)
+    terms["agg"].append(K.cross_entropy(
+        S.agg_scores(K.gather_rows(H_qt_col_a, [gold.sel]), model.agg_head), gold.agg))
+
+    [(q_in, H_qt, H_col, H_qt_col)] = model.read(("opval",), prep.q_parts, prep.col_matrix)
+    t_len = len(prep.tq.tokens)
+    vp = model.val_pointer
+    for (col, op, _), span in zip(gold.conds, prep.gold_spans):
+        h_col = K.gather_rows(H_col, [col])
+        terms["op"].append(K.cross_entropy(
+            S.op_scores(K.gather_rows(H_qt_col, [col]), h_col, model.op_head), op))
+        if span is None:
+            continue
+        context = S.pointer_context(vp, H_qt, h_col)
+        H_dec = K.lstm_sequence(K.concat_rows([vp.start] + [K.gather_rows(q_in, [t])
+                                                            for t in span]), vp.dec)
+        for step, target in enumerate(list(span) + [t_len]):
+            terms["pointer"].append(K.cross_entropy(
+                S.pointer_step(vp, context, K.gather_rows(H_dec, [step])), target))
+    flat = [t for slot in terms.values() for t in slot]
+    return (K.sum_all(K.concat_rows(flat)),
+            {slot: sum(t.item() for t in parts) for slot, parts in terms.items()})

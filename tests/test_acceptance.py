@@ -14,7 +14,7 @@ import numpy as np
 
 import reference_impls as ref
 from helpers import (MAGAZINE_CONTENT_TAGS, MAGAZINE_QUESTION, demo_gazetteer,
-                     magazine_table)
+                     finite_diff_grad, magazine_table)
 from test_executor import random_query, random_table, to_comparable
 from sketchsql import harness as H
 from sketchsql import kernel as K
@@ -50,12 +50,12 @@ class TestCriterion1GradientCorrectness:
         assert prep.gold_spans == [[2, 3], [4]]
 
         store.zero_grad()
-        loss = H.total_loss(model, prep, training=False)
+        loss, _ = H.total_loss(model, [prep], training=False)
         K.backward(loss, store)
         reverse_mode = store.gradients()
 
-        fd = K.finite_diff_grad(lambda s: H.total_loss(model, prep, training=False).item(),
-                                store, eps=1e-5)
+        fd = finite_diff_grad(lambda s: H.total_loss(model, [prep], training=False)[0].item(),
+                              store, eps=1e-5)
 
         worst = 0.0
         for name in store.names():

@@ -11,6 +11,7 @@ from sketchsql import executor as X
 from sketchsql import harness as H
 from sketchsql import kernel as K
 from sketchsql import slots as S
+from sketchsql.sketch import SqlQuery
 
 
 def load_tracer_class():
@@ -25,32 +26,40 @@ def test_tracer_counts_the_read_path_in_training_and_inference():
     model = S.SketchModel(K.ParamStore(seed=3), tiny_embeddings(), width=12, mode="content",
                           dropout=0.0)
     table, gazetteer = magazine_table(), demo_gazetteer()
+    unlocated = H.Example(question="how many issue?", table_id="mag",
+                          gold=SqlQuery(agg=3, sel=2, conds=[(1, 0, "al jaffee")]))
     tracer = load_tracer_class()()
     tracer.install()
     try:
         prep = H.prepare_example(model, magazine_example(), table, gazetteer)
-        loss = H.total_loss(model, prep, training=False)
+        other = H.prepare_example(model, unlocated, table, gazetteer)
+        loss, _ = H.total_loss(model, [prep, other], training=False)
         trained = tracer.per_layer()
         K.backward(loss)
+        H.total_loss(model, [other], training=False)
+        no_span = tracer.per_layer()
         H.predict(model, MAGAZINE_QUESTION, table, gazetteer)
         served = tracer.per_layer()
     finally:
         tracer.remove()
 
-    # the worked example has two conditions, so all three models read it, one at a time
-    located = sum(span is not None for span in prep.gold_spans)
-    assert located == 2
-    assert trained["slots.question_input.calls"] == 3
-    assert trained["slots.encode.calls"] == 3
-    # per model read, one scan over the question and one over the columns (two directions
-    # each), then one teacher-forced decoder sequence per located gold span
-    assert trained["kernel.lstm_sequence.calls"] == 2 * 3 + located
-    assert trained["slots.pointer.steps"] > 0
+    assert sum(span is not None for span in prep.gold_spans) == 2
+    assert other.gold_spans == [None]
+    # one batch: one question input and one read of all three models, whose six question
+    # bi-LSTM directions run as one ragged scan and six column directions as another; one
+    # decoder scan takes every located gold span, and one pointer step scores all of them
+    assert trained["slots.question_input.calls"] == 1
+    assert trained["slots.encode.calls"] == 1
+    assert trained["kernel.lstm_sequence.calls"] == 3
+    assert trained["slots.pointer.steps"] == 1
     assert trained["kernel.lstm_step.calls"] == 0  # the teacher-forced decoder is one sequence
-    # inference reads the three models at once: six bi-LSTMs in two grouped scans
-    assert served["slots.question_input.calls"] - trained["slots.question_input.calls"] == 1
-    assert served["slots.encode.calls"] - trained["slots.encode.calls"] == 1
-    assert served["kernel.lstm_sequence.calls"] - trained["kernel.lstm_sequence.calls"] == 2
+    # a batch without a located span runs no decoder
+    assert no_span["kernel.lstm_sequence.calls"] - trained["kernel.lstm_sequence.calls"] == 2
+    assert no_span["slots.pointer.steps"] == trained["slots.pointer.steps"]
+    # inference is the batch of one: six bi-LSTMs in two grouped scans
+    assert served["slots.question_input.calls"] - no_span["slots.question_input.calls"] == 1
+    assert served["slots.encode.calls"] - no_span["slots.encode.calls"] == 1
+    assert served["kernel.lstm_sequence.calls"] - no_span["kernel.lstm_sequence.calls"] == 2
     assert K.backward.__module__ == "sketchsql.kernel"  # the tracer put the original back
 
 

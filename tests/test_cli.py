@@ -92,14 +92,17 @@ class TestConfigErrors:
                                      {"stop_at_train_qm": "0.9"},
                                      {"embedding_paths": "emb.txt"},
                                      {"train_path": 5, "tables_path": "tables.jsonl"},
-                                     {"checkpoint_path": ["model.tsq"]}])
+                                     {"checkpoint_path": ["model.tsq"]},
+                                     5, None, [], [1]])
     def test_bad_field_is_one_line_error(self, bad, tmp_path, capsys):
+        # a config that is not a JSON object is reported by file, a bad field by name
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(dict({"hidden_width": 8}, **bad)), encoding="utf-8")
+        raw = dict({"hidden_width": 8}, **bad) if isinstance(bad, dict) else bad
+        path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert next(iter(bad)) in err
+        assert (next(iter(bad)) if isinstance(bad, dict) else str(path)) in err
 
 
 class TestTrainEvalPredictPipeline:

@@ -11,8 +11,11 @@ from sketchsql import harness as H
 from sketchsql import kernel as K
 from sketchsql import slots as S
 from sketchsql.encoder import EmbeddingStore
+from sketchsql.encoder import load_embeddings
 from sketchsql.sketch import SqlQuery
+from sketchsql.synth import generate_corpus
 from sketchsql.tables import Table
+from sketchsql.tagger import Gazetteer
 
 
 def tiny_embeddings(dim=6):
@@ -147,7 +150,7 @@ class TestTotalLoss:
         example = H.Example(question="what is a?", table_id="q",
                             gold=SqlQuery(agg=0, sel=0, conds=[]))
         prep = H.prepare_example(model, example, table)
-        loss = H.total_loss(model, prep, training=False)
+        loss, _ = H.total_loss(model, [prep], training=False)
         want = math.log(4) + math.log(5) + math.log(6) + 4 * math.log(2)
         assert loss.item() == pytest.approx(want, abs=1e-12)
 
@@ -157,7 +160,7 @@ class TestTotalLoss:
         model = S.SketchModel(store, emb, width=12, mode="content", dropout=0.0)
         prep = H.prepare_example(model, magazine_example(), magazine_table(),
                                  demo_gazetteer())
-        loss = H.total_loss(model, prep, training=False)
+        loss, _ = H.total_loss(model, [prep], training=False)
         assert np.isfinite(loss.item())
         assert loss.item() >= 0.0
 
@@ -171,7 +174,7 @@ class TestTotalLoss:
                             gold=SqlQuery(agg=0, sel=2, conds=[(1, 0, "unfindable name")]))
         prep = H.prepare_example(model, example, table)
         assert prep.gold_spans == [None]
-        assert np.isfinite(H.total_loss(model, prep, training=False).item())
+        assert np.isfinite(H.total_loss(model, [prep], training=False)[0].item())
 
     def test_pointer_terms_match_step_oracle(self):
         model = S.SketchModel(K.ParamStore(seed=7), tiny_embeddings(), width=12, mode="content",
@@ -180,9 +183,9 @@ class TestTotalLoss:
                                  demo_gazetteer())
         spans = prep.gold_spans
         assert spans and None not in spans
-        full = H.total_loss(model, prep, training=False).item()
+        full = H.total_loss(model, [prep], training=False)[0].item()
         prep.gold_spans = [None] * len(spans)
-        without = H.total_loss(model, prep, training=False).item()
+        without = H.total_loss(model, [prep], training=False)[0].item()
 
         # the teacher-forced decoder, one reference LSTM step at a time
         [(q_in, H_qt, H_col, _)] = model.read(("opval",), prep.q_parts, prep.col_matrix)
@@ -208,9 +211,9 @@ class TestTotalLoss:
         model = S.SketchModel(K.ParamStore(seed=6), emb, width=12, mode="content", dropout=0.5)
         prep = H.prepare_example(model, magazine_example(), magazine_table(),
                                  demo_gazetteer())
-        held_out = H.total_loss(model, prep, training=False).item()
-        assert H.total_loss(model, prep, training=False).item() == held_out
-        trained = H.total_loss(model, prep, training=True, rng=np.random.default_rng(0))
+        held_out = H.total_loss(model, [prep], training=False)[0].item()
+        assert H.total_loss(model, [prep], training=False)[0].item() == held_out
+        trained, _ = H.total_loss(model, [prep], training=True, rng=np.random.default_rng(0))
         assert trained.item() != held_out
 
     def test_overfitting_one_example_drives_loss_to_zero(self):
@@ -223,12 +226,65 @@ class TestTotalLoss:
         first = None
         for _ in range(250):
             store.zero_grad()
-            loss = H.total_loss(model, prep, training=False)
+            loss, _ = H.total_loss(model, [prep], training=False)
             K.backward(loss)
             K.adam_step(store, adam)
             if first is None:
                 first = loss.item()
         assert loss.item() < 0.05 < first
+
+
+def synth_batch(tmp_path, size, seed=4):
+    """A model and `size` prepared synth examples of unequal question and table sizes (the
+    i-th table repeats its first i % 3 columns at the end); one condition value is made
+    unlocatable, so only some conditions carry pointer terms."""
+    paths = generate_corpus(tmp_path / "corpus", seed=2, n_train=size, n_dev=0)
+    examples, tables = H.load_dataset(paths.train, paths.tables)
+    store = K.ParamStore(seed=seed)
+    model = S.SketchModel(store, load_embeddings([paths.embeddings]), width=8, mode="content",
+                          dropout=0.0)
+    gazetteer = Gazetteer.from_tsv(paths.gazetteer)
+    preps = []
+    for i, ex in enumerate(examples):
+        table, extra = tables[ex.table_id], i % 3
+        wider = Table(id=table.id, header=table.header + table.header[:extra],
+                      types=table.types + table.types[:extra],
+                      rows=[row + row[:extra] for row in table.rows])
+        preps.append(H.prepare_example(model, ex, wider, gazetteer))
+    with_conds = [p for p in preps if p.gold_spans]
+    if len(with_conds) > 1:
+        with_conds[1].gold_spans[0] = None
+    return model, store, preps
+
+
+class TestBatchedLoss:
+    @pytest.mark.parametrize("size", [1, 3, 16])
+    def test_matches_per_example_oracle(self, size, tmp_path):
+        model, store, preps = synth_batch(tmp_path, size)
+        if size > 1:  # ragged questions and tables
+            assert len({len(p.tq.tokens) for p in preps}) > 1
+            assert len({p.col_matrix.shape[0] for p in preps}) > 1
+        loss, slots = H.total_loss(model, preps, training=False)
+        grads = K.backward(loss, store)
+
+        store.zero_grad()
+        oracle = [ref.reference_total_loss(model, p) for p in preps]
+        want = K.sum_all(K.concat_rows([one for one, _ in oracle]))
+        want_grads = K.backward(want, store)
+        assert loss.item() == pytest.approx(want.item() / size, rel=1e-12, abs=0)
+        for slot in H.SLOTS:
+            assert slots[slot] == pytest.approx(sum(terms[slot] for _, terms in oracle),
+                                                rel=1e-12, abs=1e-300)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, want_grads[name] / size, rtol=0, atol=1e-10,
+                                       err_msg=name)
+
+    def test_loss_is_the_sum_of_the_slot_terms(self, tmp_path):
+        model, _, preps = synth_batch(tmp_path, 5)
+        loss, slots = H.total_loss(model, preps, training=False)
+        assert set(slots) == set(H.SLOTS)
+        assert all(slots[slot] > 0 for slot in H.SLOTS)
+        assert loss.item() == pytest.approx(sum(slots.values()) / len(preps), rel=1e-12)
 
 
 class TestParameterSharing:
@@ -313,6 +369,17 @@ class TestTrainLoop:
         res = H.train(cfg, examples, tables, emb=tiny_embeddings())
         assert len(res.epoch_losses) == 2
         assert all(np.isfinite(x) for x in res.epoch_losses)
+
+    def test_log_carries_slot_losses_summing_to_loss(self, tmp_path):
+        examples, tables = quick_corpus(tmp_path)
+        cfg = H.TrainConfig(hidden_width=8, type_dim=4, dropout=0.3, batch_size=3,
+                            epochs=2, seed=0, mode="insensitive")
+        entries = []
+        res = H.train(cfg, examples, tables, emb=tiny_embeddings(), log=entries.append)
+        assert [e["loss"] for e in entries] == res.epoch_losses
+        for entry in entries:
+            assert set(entry["slot_losses"]) == set(H.SLOTS)
+            assert sum(entry["slot_losses"].values()) == pytest.approx(entry["loss"], rel=1e-12)
 
     def test_identical_seeds_identical_loss_sequences(self, tmp_path):
         examples, tables = quick_corpus(tmp_path)

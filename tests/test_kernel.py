@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import finite_diff_grad
 from sketchsql import kernel as K
 
 
@@ -226,7 +227,7 @@ class TestLstmGroup:
             return K.sum_all(K.matmul(K.matmul(a, K.tanh(both)), m))
 
         grads = K.backward(loss(store), store)
-        fd = K.finite_diff_grad(lambda s: loss(s).item(), store, eps=1e-6)
+        fd = finite_diff_grad(lambda s: loss(s).item(), store, eps=1e-6)
         for name, g in grads.items():
             np.testing.assert_allclose(g, fd[name], atol=1e-6, err_msg=name)
 
@@ -243,6 +244,115 @@ class TestLstmGroup:
                 K.lstm_sequence(x, [w, w], reverse)
         with pytest.raises(K.KernelError, match="shape mismatch"):
             K.lstm_sequence(x, [w, make_lstm_weights(rng, 5, 4)], [False, True])
+
+
+class TestRaggedLstm:
+    LENGTHS = [3, 1, 5, 2]
+
+    @pytest.mark.parametrize("reverse", [[False], [True], [False, True, True, False]])
+    def test_matches_one_call_per_sequence(self, reverse):
+        # stacked sequences of unequal length against one single-sequence call each:
+        # outputs and every gradient, including the input's
+        k, d_in, hid = len(reverse), 3, 4
+        rng = np.random.default_rng(30 + k)
+        xs = rng.normal(size=(sum(self.LENGTHS), d_in))
+        weights = [make_lstm_weights(rng, d_in, hid) for _ in range(k)]
+        probe = rng.normal(size=(sum(self.LENGTHS), k * hid))
+
+        x_all = K.Tensor(xs.copy(), requires_grad=True)
+        out = K.lstm_sequence(x_all, weights, reverse, self.LENGTHS)
+        K.backward(K.sum_all(K.tanh(K.add(out, K.constant(probe)))))
+        ragged = [(w.Wx.grad.copy(), w.Wh.grad.copy(), w.b.grad.copy()) for w in weights]
+
+        for w in weights:
+            for t in (w.Wx, w.Wh, w.b):
+                t.zero_grad()
+        outs, dxs, at = [], [], 0
+        for n in self.LENGTHS:
+            x_one = K.Tensor(xs[at : at + n].copy(), requires_grad=True)
+            one = K.lstm_sequence(x_one, weights, reverse)
+            K.backward(K.sum_all(K.tanh(K.add(one, K.constant(probe[at : at + n])))))
+            outs.append(one.data)
+            dxs.append(x_one.grad)
+            at += n
+        np.testing.assert_allclose(out.data, np.vstack(outs), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(x_all.grad, np.vstack(dxs), rtol=0, atol=1e-12)
+        for w, grads in zip(weights, ragged):
+            for got, want in zip(grads, (w.Wx.grad, w.Wh.grad, w.b.grad)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(31)
+        d_in, hid = 2, 2
+        store = K.ParamStore(seed=31)
+        xs = store.add("xs", sum(self.LENGTHS), d_in)
+        weights = [K.LstmWeights(Wx=store.add(f"{j}.Wx", 4 * hid, d_in),
+                                 Wh=store.add(f"{j}.Wh", 4 * hid, hid),
+                                 b=store.add(f"{j}.b", 1, 4 * hid))
+                   for j in range(2)]
+        m = K.constant(rng.normal(size=(2 * hid, 1)))
+
+        def loss(s):
+            out = K.lstm_sequence(xs, weights, [False, True], self.LENGTHS)
+            per_sequence = K.segment_sum(K.tanh(out), self.LENGTHS)
+            return K.cross_entropy(K.transpose(K.matmul(per_sequence, m)), 1)
+
+        grads = K.backward(loss(store), store)
+        fd = finite_diff_grad(lambda s: loss(s).item(), store, eps=1e-6)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, fd[name], atol=1e-6, err_msg=name)
+
+    def test_bad_lengths_error(self):
+        rng = np.random.default_rng(32)
+        x = K.constant(rng.normal(size=(4, 3)))
+        w = make_lstm_weights(rng, 3, 2)
+        for lengths in ([3], [2, 3], [4, 0], [], [[2, 2]]):
+            with pytest.raises(K.KernelError, match="do not split 4 rows"):
+                K.lstm_sequence(x, w, False, lengths)
+
+
+class TestSegments:
+    def test_cross_entropy_sums_one_softmax_per_segment(self):
+        rng = np.random.default_rng(33)
+        z = rng.normal(size=(1, 9)) * 5
+        lengths, targets = [4, 1, 3, 1], [2, 0, 0, 0]
+        got = K.cross_entropy(K.constant(z), targets, lengths).item()
+        want, at = 0.0, 0
+        for n, target in zip(lengths, targets):
+            want += K.cross_entropy(K.constant(z[:, at : at + n]), target).item()
+            at += n
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_cross_entropy_defaults_to_one_segment_per_row(self):
+        z = np.random.default_rng(34).normal(size=(3, 4))
+        got = K.cross_entropy(K.constant(z), [0, 3, 1]).item()
+        assert got == pytest.approx(K.cross_entropy(K.constant(z.reshape(1, -1)), [0, 3, 1],
+                                                    [4, 4, 4]).item(), rel=1e-15)
+
+    def test_cross_entropy_gradient_matches_finite_differences(self):
+        store = K.ParamStore(seed=35)
+        z = store.add("z", 2, 5)
+
+        def loss(s):
+            return K.cross_entropy(z, [1, 0, 2], [3, 4, 3])
+
+        grads = K.backward(loss(store), store)
+        fd = finite_diff_grad(lambda s: loss(s).item(), store, eps=1e-6)
+        np.testing.assert_allclose(grads["z"], fd["z"], atol=1e-8)
+
+    def test_cross_entropy_bad_targets_error(self):
+        z = K.constant(np.zeros((1, 5)))
+        with pytest.raises(K.KernelError, match="2 cross-entropy targets for 1 segments"):
+            K.cross_entropy(z, [0, 1])
+        with pytest.raises(K.KernelError, match="out of range"):
+            K.cross_entropy(z, [0, 2], [3, 2])
+
+    def test_segment_sum_matches_row_sums(self):
+        a = np.random.default_rng(36).normal(size=(6, 3))
+        got = K.segment_sum(K.constant(a), [2, 1, 3]).data
+        np.testing.assert_array_equal(got, [a[:2].sum(axis=0), a[2], a[3:].sum(axis=0)])
+        np.testing.assert_array_equal(K.segment_sum(K.constant(a)).data,
+                                      a.sum(axis=0, keepdims=True))
 
 
 class TestBackward:
@@ -288,7 +398,7 @@ class TestBackward:
 
         loss = K.cross_entropy(K.softmax_rows(K.transpose(K.linear(K.tanh(K.linear(x, w)), v))), 2)
         K.backward(loss, store)
-        fd = K.finite_diff_grad(f, store, eps=1e-6)
+        fd = finite_diff_grad(f, store, eps=1e-6)
         for name, t in store.items():
             np.testing.assert_allclose(t.grad, fd[name], atol=1e-7)
 
@@ -298,13 +408,13 @@ class TestFiniteDiff:
         store = K.ParamStore(seed=0)
         p = store.add("p", 1, 1)
         p.data[0, 0] = 3.0
-        fd = K.finite_diff_grad(lambda s: float(s["p"].data[0, 0] ** 2), store, eps=1e-5)
+        fd = finite_diff_grad(lambda s: float(s["p"].data[0, 0] ** 2), store, eps=1e-5)
         assert fd["p"][0, 0] == pytest.approx(6.0, abs=1e-8)
 
     def test_constant_function_all_zero(self):
         store = K.ParamStore(seed=0)
         store.add("p", 2, 3)
-        fd = K.finite_diff_grad(lambda s: 1.25, store)
+        fd = finite_diff_grad(lambda s: 1.25, store)
         np.testing.assert_array_equal(fd["p"], 0.0)
 
     def test_quadratic_form_matches_closed_form(self):
@@ -317,7 +427,7 @@ class TestFiniteDiff:
             vec = s["x"].data[0]
             return float(vec @ a @ vec)
 
-        fd = K.finite_diff_grad(f, store, eps=1e-5)
+        fd = finite_diff_grad(f, store, eps=1e-5)
         expected = ((a + a.T) @ x.data[0]).reshape(1, -1)
         np.testing.assert_allclose(fd["x"], expected, atol=1e-8)
 
@@ -362,7 +472,7 @@ class TestBinaryCrossEntropy:
         y = np.array([1, 0, 1, 0, 0], dtype=float)
         loss = K.binary_cross_entropy(z, y, pos_weight=3.0)
         K.backward(loss, store)
-        fd = K.finite_diff_grad(
+        fd = finite_diff_grad(
             lambda s: K.binary_cross_entropy(s["z"], y, pos_weight=3.0).item(), store)
         np.testing.assert_allclose(z.grad, fd["z"], atol=1e-8)
 
