@@ -492,10 +492,10 @@ def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None) -> Tensor:
             raise KernelError(f"lstm_sequence shape mismatch: {xs.shape} with weight {w.Wx.shape}")
     if n_rows < 1:
         raise KernelError("empty sequence")
-    # rows[s, j, b]: the row direction j reads in sequence b at scan step s; step and seq:
-    # the scan step and the sequence that write each output row, per direction
     lengths = _segments(lengths, n_rows)
     n_seq, t_max = lengths.size, int(lengths.max())
+    # rows[s, j, b]: the row direction j reads in sequence b at scan step s; step and seq:
+    # the scan step and the sequence that write each output row, per direction
     if n_seq == 1:  # a reversal is its own inverse, so rows == step
         step = np.array([np.arange(n_rows)[::-1] if r else np.arange(n_rows)
                          for r in reverse]).T
