@@ -165,7 +165,7 @@ def ref_lstm_step(x, h, c, Wx, Wh, b):
 # ---------------------------------------------------------------------------
 
 def reference_total_loss(model, prep):
-    """One example's summed slot losses (untrained path, no dropout), read model by model,
+    """One example's summed slot losses without dropout, read model by model,
     with one teacher-forced decoder sequence per located span and one pointer step per
     token. Returns the loss tensor and each slot's term as a float."""
     gold = prep.gold
@@ -177,7 +177,7 @@ def reference_total_loss(model, prep):
                                            gold.sel))
     terms["count"].append(K.cross_entropy(S.cond_number_scores(H_qt_col, model.cond_num_head),
                                           len(gold.conds)))
-    H_qt_scol = K.gather_rows(H_qt_col, [gold.sel] * n_cols)
+    H_qt_scol = K.tile_rows(K.row(H_qt_col, gold.sel), n_cols)
     targets = np.zeros(n_cols)
     for col, _, _ in gold.conds:
         targets[col] = 1.0
@@ -187,23 +187,23 @@ def reference_total_loss(model, prep):
 
     [(_, _, _, H_qt_col_a)] = model.read(("agg",), prep.q_parts, prep.col_matrix)
     terms["agg"].append(K.cross_entropy(
-        S.agg_scores(K.gather_rows(H_qt_col_a, [gold.sel]), model.agg_head), gold.agg))
+        S.agg_scores(K.row(H_qt_col_a, gold.sel), model.agg_head), gold.agg))
 
     [(q_in, H_qt, H_col, H_qt_col)] = model.read(("opval",), prep.q_parts, prep.col_matrix)
     t_len = len(prep.tq.tokens)
     vp = model.val_pointer
     for (col, op, _), span in zip(gold.conds, prep.gold_spans):
-        h_col = K.gather_rows(H_col, [col])
+        h_col = K.row(H_col, col)
         terms["op"].append(K.cross_entropy(
-            S.op_scores(K.gather_rows(H_qt_col, [col]), h_col, model.op_head), op))
+            S.op_scores(K.row(H_qt_col, col), h_col, model.op_head), op))
         if span is None:
             continue
         context = S.pointer_context(vp, H_qt, h_col)
-        H_dec = K.lstm_sequence(K.concat_rows([vp.start] + [K.gather_rows(q_in, [t])
-                                                            for t in span]), vp.dec)
+        H_dec = K.lstm_sequence(K.concat_rows([vp.start] + [K.row(q_in, t) for t in span]),
+                                vp.dec)
         for step, target in enumerate(list(span) + [t_len]):
             terms["pointer"].append(K.cross_entropy(
-                S.pointer_step(vp, context, K.gather_rows(H_dec, [step])), target))
+                S.pointer_step(vp, context, K.row(H_dec, step)), target))
     flat = [t for slot in terms.values() for t in slot]
     return (K.sum_all(K.concat_rows(flat)),
             {slot: sum(t.item() for t in parts) for slot, parts in terms.items()})

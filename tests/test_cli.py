@@ -102,7 +102,10 @@ class TestConfigErrors:
         assert main(["train", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert (next(iter(bad)) if isinstance(bad, dict) else str(path)) in err
+        if isinstance(bad, dict):
+            assert next(iter(bad)) in err
+        else:
+            assert f"{path}: config must be a JSON object" in err
 
 
 class TestTrainEvalPredictPipeline:
