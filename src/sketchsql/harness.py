@@ -284,15 +284,15 @@ def _pointer_loss(vp: S.ValPointer, q_in: K.Tensor, H_qt: K.Tensor, H_col: K.Ten
     dec_rows, positions, conds, steps, targets, widths = [], [], [], [], [], []
     end_row = sum(q_lens)  # the end state's row in pointer_context's [H_qt; end]
     for j, (i, _, span) in enumerate(located):
+        # row 0 of [start; q_in] is the start input, row 1 + r is stacked question row r
+        dec_rows += [0] + [1 + q_at[i] + t for t in span]
         scored = list(range(q_at[i], q_at[i] + q_lens[i])) + [end_row]
-        for target in span + [q_lens[i]]:
+        for target in span + [q_lens[i]]:  # the gold tokens, then the end
+            positions += scored
+            conds += [j] * len(scored)
             steps += [len(widths)] * len(scored)
             widths.append(len(scored))
             targets.append(target)
-        positions += scored * (len(span) + 1)
-        conds += [j] * (len(scored) * (len(span) + 1))
-        # row 0 of [start; q_in] is the start input, row 1 + r is stacked question row r
-        dec_rows += [0] + [1 + q_at[i] + t for t in span]
     dec_in = K.gather_rows(K.concat_rows([vp.start, q_in]), dec_rows)
     H_dec = K.lstm_sequence(dec_in, vp.dec, lengths=[len(span) + 1 for _, _, span in located])
     h_cols = K.gather_rows(H_col, [row for _, row, _ in located])
