@@ -7,9 +7,10 @@ copies the condition value out of the question). Each model owns its own
 question and column bi-LSTMs (six in total) and its own attention matrix;
 all predictors inside one model share that model's encoders.
 
-Every function here works on a minibatch: its questions' rows stacked
-(sum of T, .), its tables' column rows stacked (sum of C, .), plus the
-segment lengths. Inference is the batch of one.
+The read path and the score heads work on a minibatch: its questions'
+rows stacked (sum of T, .), its tables' column rows stacked (sum of C, .),
+plus the segment lengths. Inference is the batch of one; greedy decoding
+runs one condition at a time.
 """
 
 from __future__ import annotations
