@@ -2,8 +2,8 @@
 
 Everything the slot-filling models need and nothing more: matrices on a
 gradient tape, one LSTM cell (a fused sequence node that runs a group of
-directions over one input in a single loop, and an untaped step for
-greedy decoding), stable softmax / cross-entropy / weighted BCE,
+directions over row-stacked sequences in a single loop, and an untaped step
+for greedy decoding), stable softmax / cross-entropy / weighted BCE,
 inverted dropout, Adam, and a binary checkpoint format. Arrays are numpy;
 every tensor is 2-D (row vectors are 1xN, scalars 1x1). A minibatch is its
 examples' rows stacked, with segment lengths saying which rows belong to
@@ -119,9 +119,10 @@ def _node(data: np.ndarray, parents: tuple, bwd) -> Tensor:
 def backward(loss: Tensor, store: "ParamStore | None" = None):
     """Reverse-mode pass from a scalar loss; returns the store's gradient map.
 
-    Gradients accumulate into .grad of every requires_grad tensor reachable
-    from the loss. A second call on the same loss without zero_grad is an
-    error (the tape is single-shot).
+    Gradients accumulate into .grad of every requires_grad leaf (a tensor no op
+    produced) reachable from the loss. An op's output drops its gradient once it
+    has passed it back, so the pass holds only those still to propagate. A second
+    call on the same loss without zero_grad is an error (the tape is single-shot).
     """
     if loss.data.shape != (1, 1):
         raise KernelError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -146,6 +147,7 @@ def backward(loss: Tensor, store: "ParamStore | None" = None):
         for node in reversed(order):
             if node._bwd is not None and node.grad is not None:
                 node._bwd(node.grad)
+                node.grad = None  # passed back: only leaves keep a gradient
     if store is not None:
         return store.gradients()
     return None
@@ -218,12 +220,10 @@ def softmax_rows(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
             raise KernelError(f"softmax mask shape {mask.shape} != {z.shape}")
         if not mask.any(axis=1).all():
             raise KernelError("empty softmax row")
-        z = np.where(mask, z, -np.inf)
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
-    out = e / e.sum(axis=1, keepdims=True)
+        z = np.where(mask, z, -np.inf)  # exp gives masked entries exactly 0
+    out = z - z.max(axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)
 
     def bwd(g, a=a, out=out):
         _accum(a, out * (g - (g * out).sum(axis=1, keepdims=True)))
@@ -496,18 +496,13 @@ def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None) -> Tensor:
     n_seq, t_max = lengths.size, int(lengths.max())
     # rows[s, j, b]: the row direction j reads in sequence b at scan step s; step and seq:
     # the scan step and the sequence that write each output row, per direction
-    if n_seq == 1:  # a reversal is its own inverse, so rows == step
-        step = np.array([np.arange(n_rows)[::-1] if r else np.arange(n_rows)
-                         for r in reverse]).T
-        rows, seq = step[:, :, None], 0
-    else:
-        starts = np.cumsum(lengths) - lengths
-        rev = np.array(reverse)[:, None]  # (k, 1)
-        t = np.minimum(np.arange(t_max)[:, None, None], lengths - 1)  # idle: re-read the last
-        rows = starts + np.where(rev, lengths - 1 - t, t)  # (t_max, k, B)
-        seq = np.repeat(np.arange(n_seq), lengths)[:, None]  # (rows, 1)
-        pos = np.arange(n_rows)[:, None] - starts[seq]
-        step = np.where(rev.T, lengths[seq] - 1 - pos, pos)  # (rows, k)
+    starts = np.cumsum(lengths) - lengths
+    rev = np.array(reverse)[:, None]  # (k, 1)
+    t = np.minimum(np.arange(t_max)[:, None, None], lengths - 1)  # idle: re-read the last
+    rows = starts + np.where(rev, lengths - 1 - t, t)  # (t_max, k, B)
+    seq = np.repeat(np.arange(n_seq), lengths)[:, None]  # (rows, 1)
+    pos = np.arange(n_rows)[:, None] - starts[seq]
+    step = np.where(rev.T, lengths[seq] - 1 - pos, pos)  # (rows, k)
     dirs = np.arange(k)
     Wh = np.stack([w.Wh.data for w in ws])  # (k, 4H, H)
     Wh_T = Wh.transpose(0, 2, 1)  # per direction the same strided view as Wh.T

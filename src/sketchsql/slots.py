@@ -177,11 +177,10 @@ def pointer_context(vp: ValPointer, H_qt: K.Tensor, h_col: K.Tensor,
     logit index T means 'stop'. Row m scores position rows[m] for condition column
     cols[m] of h_col; by default all T+1 positions for the first, (T+1, d).
     """
+    if rows is None:
+        rows, cols = np.arange(H_qt.shape[0] + 1), np.zeros(H_qt.shape[0] + 1, dtype=np.int64)
     positions = K.linear(K.concat_rows([H_qt, vp.end]), vp.Wqt)
-    columns = K.linear(h_col, vp.Wc)
-    if rows is None:  # one condition: its column term broadcasts over every position
-        return K.add(positions, columns)
-    return K.add(K.gather_rows(positions, rows), K.gather_rows(columns, cols))
+    return K.add(K.gather_rows(positions, rows), K.gather_rows(K.linear(h_col, vp.Wc), cols))
 
 
 def pointer_step(vp: ValPointer, context: K.Tensor, h_dec: K.Tensor) -> K.Tensor:

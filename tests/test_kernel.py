@@ -379,6 +379,22 @@ class TestBackward:
         with pytest.raises(K.KernelError, match="already ran"):
             K.backward(loss)
 
+    def test_op_outputs_drop_their_gradient(self):
+        x = K.Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        h = K.tanh(x)
+        K.backward(K.sum_all(h))
+        assert h.grad is None
+        np.testing.assert_allclose(x.grad, 1.0 - np.tanh([[1.0, 2.0]]) ** 2, atol=1e-15)
+
+    def test_second_loss_over_a_shared_subgraph(self):
+        x = K.Tensor(np.array([[0.5, -1.0]]), requires_grad=True)
+        h = K.tanh(x)
+        K.backward(K.sum_all(h))
+        first = x.grad.copy()
+        x.zero_grad()
+        K.backward(K.sum_all(h))  # a new loss over the same h: no stale gradient left in h
+        np.testing.assert_array_equal(x.grad, first)
+
     def test_non_scalar_loss_errors(self):
         x = K.Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(K.KernelError, match="scalar"):
