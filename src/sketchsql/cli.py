@@ -35,11 +35,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score predictions or a checkpoint on a dataset")
     ev.add_argument("--examples", required=True)
     ev.add_argument("--tables", required=True)
-    ev.add_argument("--preds", help="JSONL of predicted queries, parallel to examples")
-    ev.add_argument("--checkpoint", help="model checkpoint to run instead of --preds")
+    source = ev.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preds", help="JSONL of predicted queries, parallel to examples")
+    source.add_argument("--checkpoint", help="model checkpoint to run instead of --preds")
     ev.add_argument("--config", help="config file (needed with --checkpoint)")
     ev.add_argument("--mode", choices=("insensitive", "content"))
-    ev.add_argument("--seed", type=int)
 
     pred = sub.add_parser("predict", help="turn one question into SQL")
     pred.add_argument("--question", required=True)
@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--checkpoint", required=True)
     pred.add_argument("--config", required=True)
     pred.add_argument("--mode", choices=("insensitive", "content"))
-    pred.add_argument("--seed", type=int)
     return parser
 
 
@@ -124,22 +123,17 @@ def _load_pred_file(path) -> list[SqlQuery]:
 
 def _cmd_eval(args) -> int:
     examples, tables = harness.load_dataset(args.examples, args.tables)
-    golds = [ex.gold for ex in examples]
-    ids = [ex.table_id for ex in examples]
     if args.preds:
         preds = _load_pred_file(args.preds)
-        if len(preds) != len(golds):
-            raise ValueError(f"{len(preds)} predictions for {len(golds)} examples")
-    elif args.checkpoint:
+        if len(preds) != len(examples):
+            raise ValueError(f"{len(preds)} predictions for {len(examples)} examples")
+        metrics = evaluate_dataset(preds, [ex.gold for ex in examples],
+                                   [ex.table_id for ex in examples], tables)
+    else:
         if not args.config:
             raise ValueError("--checkpoint needs --config for the model shape")
-        config = _config_with_overrides(args)
-        model, gaz = _restore_model(config, args.checkpoint)
-        preds = [harness.predict(model, ex.question, tables[ex.table_id], gaz)
-                 for ex in examples]
-    else:
-        raise ValueError("eval needs --preds or --checkpoint")
-    metrics = evaluate_dataset(preds, golds, ids, tables)
+        model, gaz = _restore_model(_config_with_overrides(args), args.checkpoint)
+        metrics = harness.evaluate_model(model, examples, tables, gaz)
     print(json.dumps(metrics.to_dict()))
     return 0
 

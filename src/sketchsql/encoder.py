@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .tables import not_utf8
 from .tagger import BASE_TAGS, tokenize
 
 TYPE_INDEX = {kind: i for i, kind in enumerate(BASE_TAGS)}
@@ -45,28 +46,31 @@ def load_embedding_file(path) -> tuple[dict[str, np.ndarray], int]:
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split(" ")
-            if len(parts) < 2:
-                raise EmbeddingError(f"{path}:{lineno}: expected 'token v1 .. vd'")
-            token = parts[0]
-            try:
-                values = [float(x) for x in parts[1:]]
-            except ValueError:
-                raise EmbeddingError(f"{path}:{lineno}: non-numeric vector component") from None
-            # a finite sum proves every component finite; only a failing line is checked fully
-            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
-                raise EmbeddingError(f"{path}:{lineno}: non-finite vector component")
-            vec = np.array(values, dtype=np.float64)
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise EmbeddingError(
-                    f"{path}:{lineno}: dimension {vec.size} != {dim} from earlier lines")
-            vectors[token] = vec
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                parts = line.split(" ")
+                if len(parts) < 2:
+                    raise EmbeddingError(f"{path}:{lineno}: expected 'token v1 .. vd'")
+                token = parts[0]
+                try:
+                    values = [float(x) for x in parts[1:]]
+                except ValueError:
+                    raise EmbeddingError(f"{path}:{lineno}: non-numeric vector component") from None
+                # a finite sum proves every component finite; only a failing line is checked fully
+                if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+                    raise EmbeddingError(f"{path}:{lineno}: non-finite vector component")
+                vec = np.array(values, dtype=np.float64)
+                if dim is None:
+                    dim = vec.size
+                elif vec.size != dim:
+                    raise EmbeddingError(
+                        f"{path}:{lineno}: dimension {vec.size} != {dim} from earlier lines")
+                vectors[token] = vec
+        except UnicodeDecodeError as exc:
+            raise EmbeddingError(not_utf8(path, exc)) from None
     if dim is None:
         raise EmbeddingError(f"{path}: no embedding entries")
     return vectors, dim

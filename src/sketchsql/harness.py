@@ -19,7 +19,7 @@ from . import slots as S
 from .encoder import EmbeddingStore, load_embeddings
 from .executor import Metrics, evaluate_dataset
 from .sketch import SqlQuery, assemble
-from .tables import Table
+from .tables import Table, not_utf8
 from .tagger import Gazetteer, TaggedQuestion, recognize, tokenize
 
 COND_COL_POS_WEIGHT = 3.0  # positive-class weight for the condition-column BCE
@@ -42,21 +42,37 @@ class DatasetError(ValueError):
 
 def _read_jsonl(path):
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: bad JSON ({exc.msg})") from None
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    yield lineno, json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"{path}:{lineno}: bad JSON ({exc.msg})") from None
+        except UnicodeDecodeError as exc:
+            raise DatasetError(not_utf8(path, exc)) from None
+
+
+def _strings(rec: dict, name: str) -> list[str]:
+    value = rec[name]
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{name} must be a list of strings, got {value!r}")
+    return value
 
 
 def load_tables(path) -> dict[str, Table]:
     tables: dict[str, Table] = {}
     for lineno, rec in _read_jsonl(path):
         try:
-            table = Table(id=str(rec["id"]), header=[str(h) for h in rec["header"]],
-                          types=[str(t) for t in rec["types"]], rows=rec.get("rows", []))
+            rows = rec.get("rows", [])
+            if not isinstance(rows, list):
+                raise ValueError(f"rows must be a list of rows, got {rows!r}")
+            for i, row in enumerate(rows):
+                if not isinstance(row, list):
+                    raise ValueError(f"row {i} must be a list of cells, got {row!r}")
+            table = Table(id=str(rec["id"]), header=_strings(rec, "header"),
+                          types=_strings(rec, "types"), rows=rows)
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}") from None
         if table.id in tables:
@@ -164,7 +180,12 @@ class TrainConfig:
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except UnicodeDecodeError as exc:
+                raise ValueError(not_utf8(path, exc)) from None
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{exc.lineno}: bad JSON ({exc.msg})") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
@@ -208,9 +229,10 @@ def prepare_example(model: S.SketchModel, example: Example, table: Table,
                    table=table if model.mode == "content" else None,
                    mode=model.mode, gazetteer=gazetteer)
     spans = [find_token_span(tq.tokens, val) for _, _, val in example.gold.conds]
+    col_matrix = model.column_matrix(table.header)
     return PreparedExample(tq=tq, gold=example.gold,
-                           q_parts=model.question_parts(tq, table.header),
-                           col_matrix=model.column_matrix(table.header), gold_spans=spans)
+                           q_parts=model.question_parts(tq, col_matrix),
+                           col_matrix=col_matrix, gold_spans=spans)
 
 
 SLOTS = ("select", "count", "cond_cols", "agg", "op", "pointer")
@@ -347,6 +369,9 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
           dev_examples: list[Example] | None = None, emb: EmbeddingStore | None = None,
           gazetteer: Gazetteer | None = None, log=None) -> TrainResult:
     """Seeded mini-batch Adam training with best-dev checkpoints; a non-finite loss raises."""
+    if not train_examples:
+        where = f"{config.train_path}: " if config.train_path else ""
+        raise ValueError(f"{where}no training examples")
     if emb is None:
         if not config.embedding_paths:
             raise ValueError("no embeddings: set embedding_paths or pass emb")

@@ -1,13 +1,16 @@
 """Dense 2-D tensor kernel with reverse-mode autodiff.
 
-Everything the slot-filling models need and nothing more: matrices on a
-gradient tape, one LSTM cell (a fused sequence node that runs a group of
+Everything the slot-filling models call and nothing more: matrices on a
+gradient tape (`linear` is both a layer and the scores of rows against rows,
+so there is no transpose op; `gather_rows` is the one row selection beside
+`row`), one LSTM cell (a fused sequence node that runs a group of
 directions over row-stacked sequences in a single loop, and an untaped step
 for greedy decoding), stable softmax / cross-entropy / weighted BCE,
-inverted dropout, Adam, and a binary checkpoint format. Arrays are numpy;
-every tensor is 2-D (row vectors are 1xN, scalars 1x1). A minibatch is its
-examples' rows stacked, with segment lengths saying which rows belong to
-which example; the tape is rebuilt per minibatch, never cached.
+inverted dropout, Adam with fixed decay rates, and a binary checkpoint
+format. Arrays are numpy; every tensor is 2-D (row vectors are 1xN, scalars
+1x1). A minibatch is its examples' rows stacked, with segment lengths saying
+which rows belong to which example; the tape is rebuilt per minibatch, never
+cached.
 """
 
 from __future__ import annotations
@@ -184,7 +187,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(a: Tensor, w: Tensor) -> Tensor:
-    """a @ w.T for weights stored as (out, in); saves a transpose node."""
+    """a @ w.T: a layer with weights stored as (out, in), or each row of a scored against
+    each row of w."""
     if a.shape[1] != w.shape[1]:
         raise KernelError(f"linear shape mismatch: {a.shape} with weight {w.shape}")
 
@@ -193,13 +197,6 @@ def linear(a: Tensor, w: Tensor) -> Tensor:
         _accum(w, g.T @ ad)
 
     return _node(a.data @ w.data.T, (a, w), bwd)
-
-
-def transpose(a: Tensor) -> Tensor:
-    def bwd(g, a=a):
-        _accum(a, g.T)
-
-    return _node(a.data.T.copy(), (a,), bwd)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -317,16 +314,6 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return _node(np.hstack([a.data, b.data]), (a, b), bwd)
 
 
-def tile_rows(a: Tensor, n: int) -> Tensor:
-    if a.shape[0] != 1:
-        raise KernelError(f"tile_rows needs a 1xC row, got {a.shape}")
-
-    def bwd(g, a=a):
-        _accum(a, g.sum(axis=0, keepdims=True))
-
-    return _node(np.repeat(a.data, n, axis=0), (a,), bwd)
-
-
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Rows of `table` by index, repeats allowed; index -1 yields a zero row."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -334,9 +321,10 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         raise KernelError("gather_rows takes a flat index list")
     if (idx >= table.shape[0]).any() or (idx < -1).any():
         raise KernelError(f"gather_rows index out of range for shape {table.shape}")
-    out = np.zeros((len(idx), table.shape[1]), dtype=table.data.dtype)
+    out = table.data[idx]
     valid = idx >= 0
-    out[valid] = table.data[idx[valid]]
+    if not valid.all():
+        out[~valid] = 0.0
 
     def bwd(g, table=table, idx=idx, valid=valid):
         if table.grad is None:
@@ -561,10 +549,8 @@ def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None) -> Tensor:
 class ParamStore:
     """Named trainable tensors with deterministic (sorted-name) iteration."""
 
-    def __init__(self, seed: int = 0, dtype=DTYPE):
-        self.rng_seed = int(seed)
-        self.dtype = dtype
-        self._rng = np.random.default_rng(self.rng_seed)
+    def __init__(self, seed: int = 0):
+        self._rng = np.random.default_rng(int(seed))
         self._entries: dict[str, Tensor] = {}
 
     def add(self, name: str, rows: int, cols: int, init: str = "fanin") -> Tensor:
@@ -572,10 +558,10 @@ class ParamStore:
         if name in self._entries:
             raise KernelError(f"duplicate parameter name {name!r}")
         if init == "zeros":
-            data = np.zeros((rows, cols), dtype=self.dtype)
+            data = np.zeros((rows, cols), dtype=DTYPE)
         elif init == "fanin":
             a = 1.0 / np.sqrt(cols)
-            data = self._rng.uniform(-a, a, size=(rows, cols)).astype(self.dtype)
+            data = self._rng.uniform(-a, a, size=(rows, cols)).astype(DTYPE)
         else:
             raise KernelError(f"unknown init {init!r}")
         t = Tensor(data, requires_grad=True)
@@ -617,7 +603,7 @@ class ParamStore:
             raise KernelError(f"checkpoint name set mismatch: missing={missing}, unexpected={extra}")
         for name, arr in state.items():
             t = self._entries[name]
-            arr = np.asarray(arr, dtype=self.dtype)
+            arr = np.asarray(arr, dtype=DTYPE)
             if arr.shape != t.data.shape:
                 raise KernelError(f"shape mismatch for {name!r}: {arr.shape} vs {t.data.shape}")
             t.data = arr.copy()
@@ -628,12 +614,14 @@ class ParamStore:
 # Adam
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -643,8 +631,8 @@ def adam_step(store: ParamStore, state: AdamState):
     """One Adam update with bias correction over every parameter in the store."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in store.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if name not in state.m:
@@ -653,11 +641,11 @@ def adam_step(store: ParamStore, state: AdamState):
         m, v = state.m[name], state.v[name]
         if m.shape != p.data.shape:
             raise KernelError(f"parameter {name!r} changed shape between Adam steps")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 # ---------------------------------------------------------------------------

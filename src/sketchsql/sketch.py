@@ -61,8 +61,27 @@ class SqlQuery:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SqlQuery":
-        return cls(agg=int(d["agg"]), sel=int(d["sel"]),
-                   conds=[(int(c), int(o), str(v)) for c, o, v in d.get("conds", [])])
+        """Read a query from its JSON form; a field of the wrong JSON type is an error."""
+        if not isinstance(d, dict):
+            raise ValueError(f"query must be a JSON object, got {d!r}")
+        conds = d.get("conds", [])
+        if not isinstance(conds, list):
+            raise ValueError(f"conds must be a list, got {conds!r}")
+        for cond in conds:
+            if not isinstance(cond, list) or len(cond) != 3:
+                raise ValueError(f"condition must be [column, operator, value], got {cond!r}")
+            _integer("condition column", cond[0])
+            _integer("condition operator", cond[1])
+            if isinstance(cond[2], bool) or not isinstance(cond[2], (str, int, float)):
+                raise ValueError(f"condition value must be a string or a number, got {cond[2]!r}")
+        return cls(agg=_integer("agg", d["agg"]), sel=_integer("sel", d["sel"]),
+                   conds=[(c, o, str(v)) for c, o, v in conds])
+
+
+def _integer(name: str, value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def detokenize(tokens: list[str]) -> str:

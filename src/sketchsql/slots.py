@@ -65,7 +65,7 @@ def column_attention(H_qt: K.Tensor, H_col: K.Tensor, W_ct: K.Tensor,
                      mask: np.ndarray | None = None) -> AttentionResult:
     """Per-column softmax over question positions (those the mask allows) and the
     weighted summary."""
-    scores = K.matmul(K.matmul(H_col, W_ct), K.transpose(H_qt))
+    scores = K.linear(K.matmul(H_col, W_ct), H_qt)
     alpha = K.softmax_rows(scores, mask)
     return AttentionResult(alpha=alpha, H_qt_col=K.matmul(alpha, H_qt))
 
@@ -122,7 +122,7 @@ class ValPointer:
 def select_scores(H_qt_col: K.Tensor, H_col: K.Tensor, head: SelectHead) -> K.Tensor:
     """(1, C) logits for the select column, one per stacked column row."""
     hidden = K.tanh(K.add(K.linear(H_col, head.Wc), K.linear(H_qt_col, head.Wqt)))
-    return K.transpose(K.linear(hidden, head.V))
+    return K.linear(head.V, hidden)
 
 
 def cond_number_scores(H_qt_col: K.Tensor, head: CondNumHead, c_lens=None) -> K.Tensor:
@@ -138,7 +138,7 @@ def cond_col_scores(H_qt_col: K.Tensor, H_col: K.Tensor, H_qt_scol: K.Tensor,
     (H_qt_scol: its summary repeated on each of its example's column rows)."""
     hidden = K.tanh(K.add(K.add(K.linear(H_col, head.Wc), K.linear(H_qt_col, head.Wqt)),
                           K.linear(H_qt_scol, head.Wscol)))
-    return K.transpose(K.linear(hidden, head.V))
+    return K.linear(head.V, hidden)
 
 
 def predict_cond_cols(H_qt_col: K.Tensor, H_col: K.Tensor, H_qt_scol: K.Tensor,
@@ -187,7 +187,7 @@ def pointer_step(vp: ValPointer, context: K.Tensor, h_dec: K.Tensor) -> K.Tensor
     """(1, T+1) logits for the next token, given the decoder state after reading its input
     (one row for every context row, or one row for all)."""
     hidden = K.tanh(K.add(context, K.linear(h_dec, vp.Wh)))
-    return K.transpose(K.linear(hidden, vp.V))
+    return K.linear(vp.V, hidden)
 
 
 def decode_cond_val(H_qt: K.Tensor, q_input: K.Tensor, h_col: K.Tensor,
@@ -281,27 +281,24 @@ class SketchModel:
             Wc=store.add("opval.val.Wc", d, width),
             Wh=store.add("opval.val.Wh", d, width),
             V=store.add("opval.val.V", 1, d),
-            dec=K.LstmWeights(
-                Wx=store.add("opval.val.dec.Wx", 4 * width, self.d_in),
-                Wh=store.add("opval.val.dec.Wh", 4 * width, width),
-                b=store.add("opval.val.dec.b", 1, 4 * width, init="zeros")),
+            dec=_lstm_weights(store, "opval.val.dec", self.d_in, width),
             start=store.add("opval.val.start", 1, self.d_in),
             end=store.add("opval.val.end", 1, width))
 
     # -- input construction ------------------------------------------------
 
-    def question_parts(self, tq: TaggedQuestion, header: list[str]):
-        """Numpy pieces of the question input, cacheable per example."""
+    def question_parts(self, tq: TaggedQuestion, col_matrix: np.ndarray):
+        """Numpy pieces of the question input, cacheable per example; a cell-value
+        token's type vector is its column's row of col_matrix (see column_matrix)."""
         word = np.stack([self.emb.word_vec(tok) for tok in tq.tokens])
         indices = []
         const = np.zeros((len(tq.tokens), self.type_dim))
         for t, tag in enumerate(tq.tags):
             if tag.kind == COLUMN_VALUE:
-                vec = column_name_vector(header[tag.column], self.emb)
-                if vec.size != self.type_dim:
+                if col_matrix.shape[1] != self.type_dim:
                     raise ValueError("content mode needs type width == word width")
                 indices.append(-1)
-                const[t] = vec
+                const[t] = col_matrix[tag.column]
             else:
                 indices.append(TYPE_INDEX[tag.kind])
         return word, indices, const
@@ -364,8 +361,8 @@ class SketchModel:
     def predict_slots(self, tq: TaggedQuestion, header: list[str]) -> SlotPrediction:
         """Greedy slot filling; conditioned slots consume predicted antecedents."""
         with K.no_grad():
-            q_parts = self.question_parts(tq, header)
             col_matrix = self.column_matrix(header)
+            q_parts = self.question_parts(tq, col_matrix)
 
             col_read, agg_read, opval_read = self.read(MODEL_NAMES, q_parts, col_matrix)
             _, _, H_col, H_qt_col = col_read
@@ -373,7 +370,7 @@ class SketchModel:
             sel = int(np.argmax(select_scores(H_qt_col, H_col, self.select_head).data[0]))
             count = int(np.argmax(cond_number_scores(H_qt_col, self.cond_num_head).data[0]))
             count = min(count, len(header))
-            H_qt_scol = K.tile_rows(K.row(H_qt_col, sel), len(header))
+            H_qt_scol = K.gather_rows(H_qt_col, [sel] * len(header))
             cond_cols = predict_cond_cols(H_qt_col, H_col, H_qt_scol, self.cond_col_head, count)
 
             _, _, _, H_qt_col_a = agg_read

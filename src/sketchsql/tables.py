@@ -1,4 +1,7 @@
-"""In-memory tables: the unit both the tagger and the executor work over."""
+"""In-memory tables: the unit both the tagger and the executor work over.
+
+Also the one message every text-file reader gives for bytes that are not UTF-8.
+"""
 
 from __future__ import annotations
 
@@ -35,6 +38,18 @@ class Table:
     @property
     def n_columns(self) -> int:
         return len(self.header)
+
+
+def not_utf8(path, exc: UnicodeDecodeError) -> str:
+    """`<path>:<line>: ...` for a text file that failed to decode, naming its first line
+    that is not UTF-8 (text readers decode in blocks, so exc alone has no line)."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as bad:
+                return f"{path}:{lineno}: not UTF-8 text ({bad.reason})"
+    return f"{path}: not UTF-8 text ({exc.reason})"
 
 
 def normalize_text(s: str) -> str:

@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .tables import Table, cell_text, normalize_text
+from .tables import Table, cell_text, normalize_text, not_utf8
 
 NONE = "none"
 COLUMN = "column"
@@ -125,18 +125,21 @@ class Gazetteer:
         """Load `key<TAB>category` lines; unknown categories fail with the line number."""
         gaz = cls()
         with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise GazetteerError(f"{path}:{lineno}: expected 'key<TAB>category'")
-                key, category = parts
-                try:
-                    gaz.add(key, category.strip().lower())
-                except GazetteerError as exc:
-                    raise GazetteerError(f"{path}:{lineno}: {exc}") from None
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.rstrip("\n")
+                    if not line.strip():
+                        continue
+                    parts = line.split("\t")
+                    if len(parts) != 2:
+                        raise GazetteerError(f"{path}:{lineno}: expected 'key<TAB>category'")
+                    key, category = parts
+                    try:
+                        gaz.add(key, category.strip().lower())
+                    except GazetteerError as exc:
+                        raise GazetteerError(f"{path}:{lineno}: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise GazetteerError(not_utf8(path, exc)) from None
         return gaz
 
 

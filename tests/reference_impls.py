@@ -177,7 +177,7 @@ def reference_total_loss(model, prep):
                                            gold.sel))
     terms["count"].append(K.cross_entropy(S.cond_number_scores(H_qt_col, model.cond_num_head),
                                           len(gold.conds)))
-    H_qt_scol = K.tile_rows(K.row(H_qt_col, gold.sel), n_cols)
+    H_qt_scol = K.gather_rows(H_qt_col, [gold.sel] * n_cols)
     targets = np.zeros(n_cols)
     for col, _, _ in gold.conds:
         targets[col] = 1.0

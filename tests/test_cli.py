@@ -1,11 +1,14 @@
 import json
+import re
 
 import pytest
 
 from helpers import (MAGAZINE_CONTENT_TAGS, MAGAZINE_GOLD_SQL,
                      MAGAZINE_INSENSITIVE_TAGS, MAGAZINE_QUESTION, magazine_table)
 from sketchsql import harness as H
+from sketchsql import kernel as K
 from sketchsql.cli import main
+from sketchsql.encoder import load_embeddings
 from sketchsql.sketch import SqlQuery
 from sketchsql.synth import generate_corpus
 
@@ -67,6 +70,119 @@ class TestEvalCommand:
                      "--tables", magazine_files["tables"], "--preds", "x"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture
+def untrained_checkpoint(tmp_path):
+    """A small synth corpus, a config for it and the checkpoint of an untrained model."""
+    paths = generate_corpus(tmp_path / "corpus", seed=0, n_train=4, n_dev=3)
+    config = {"hidden_width": 8, "dropout": 0.0, "mode": "content",
+              "embedding_paths": [str(paths.embeddings)], "gazetteer_path": str(paths.gazetteer)}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    _, store = H.build_model(H.TrainConfig(**config), load_embeddings([paths.embeddings]))
+    K.save_checkpoint(store, tmp_path / "model.tsq")
+    return paths, str(config_path), str(tmp_path / "model.tsq")
+
+
+class TestEvalAndPredictOptions:
+    def test_checkpoint_is_scored_by_evaluate_model(self, untrained_checkpoint, monkeypatch,
+                                                    capsys):
+        paths, config, checkpoint = untrained_checkpoint
+        calls = []
+        original = H.evaluate_model
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(H, "evaluate_model", spy)
+        code = main(["eval", "--examples", str(paths.dev), "--tables", str(paths.tables),
+                     "--checkpoint", checkpoint, "--config", config])
+        assert code == 0
+        [(model, examples, tables, gazetteer)] = calls
+        assert len(examples) == 3 and gazetteer is not None
+        assert json.loads(capsys.readouterr().out) == original(model, examples, tables,
+                                                               gazetteer).to_dict()
+
+    def test_preds_and_checkpoint_are_mutually_exclusive(self, untrained_checkpoint, capsys):
+        paths, config, checkpoint = untrained_checkpoint
+        code = main(["eval", "--examples", str(paths.dev), "--tables", str(paths.tables),
+                     "--preds", str(paths.dev), "--checkpoint", checkpoint, "--config", config])
+        assert code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_eval_needs_preds_or_checkpoint(self, magazine_files, capsys):
+        code = main(["eval", "--examples", magazine_files["examples"],
+                     "--tables", magazine_files["tables"]])
+        assert code == 2
+        assert "--preds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_seed_option_is_gone(self, untrained_checkpoint, command, capsys):
+        paths, config, checkpoint = untrained_checkpoint
+        args = {"eval": ["--examples", str(paths.dev)],
+                "predict": ["--question", "x?", "--table-id", "t"]}[command]
+        code = main([command, *args, "--tables", str(paths.tables), "--checkpoint", checkpoint,
+                     "--config", config, "--seed", "3"])
+        assert code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestReadersNameTheirFile:
+    NOT_UTF8 = b"\xff\xfe"
+
+    @pytest.mark.parametrize("kind", ["config", "examples", "tables", "embeddings",
+                                      "gazetteer"])
+    def test_non_utf8_bytes_name_file_and_line(self, kind, magazine_files, tmp_path, capsys):
+        bad = tmp_path / f"bad-{kind}"
+        config = tmp_path / "config.json"
+        base = {"hidden_width": 8, "train_path": magazine_files["examples"],
+                "tables_path": magazine_files["tables"]}
+        if kind == "config":
+            bad.write_bytes(b'{"hidden_width": 8,\n"mode": "' + self.NOT_UTF8 + b'"}\n')
+            argv = ["train", "--config", str(bad)]
+        elif kind in ("examples", "tables"):
+            with open(magazine_files[kind], "rb") as fh:
+                bad.write_bytes(fh.read() + b'{"question": "' + self.NOT_UTF8 + b'"}\n')
+            files = dict(magazine_files, **{kind: str(bad)})
+            argv = ["eval", "--examples", files["examples"], "--tables", files["tables"],
+                    "--preds", files["examples"]]
+        elif kind == "embeddings":
+            bad.write_bytes(b"cat 1.0 2.0\nd" + self.NOT_UTF8 + b"g 1.0 2.0\n")
+            config.write_text(json.dumps(dict(base, embedding_paths=[str(bad)])),
+                              encoding="utf-8")
+            argv = ["train", "--config", str(config)]
+        else:
+            bad.write_bytes(b"al jaffee\tperson\nmort " + self.NOT_UTF8 + b"\tperson\n")
+            argv = ["tag", "--question", "x?", "--tables", magazine_files["tables"],
+                    "--table-id", "mag", "--gazetteer", str(bad)]
+        assert main(argv) == 1
+        assert re.match(f"error: {re.escape(str(bad))}:2: not UTF-8 text",
+                        one_line_error(capsys))
+
+    def test_config_json_syntax_error_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"hidden_width": 8,\n "epochs": 2,}\n', encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 1
+        assert one_line_error(capsys).startswith(
+            f"error: {path}:2: bad JSON (Expecting property name")
+
+    def test_empty_training_set_names_the_file(self, magazine_files, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"hidden_width": 8, "train_path": str(empty),
+                                      "tables_path": magazine_files["tables"]}),
+                          encoding="utf-8")
+        assert main(["train", "--config", str(config)]) == 1
+        assert one_line_error(capsys) == f"error: {empty}: no training examples\n"
 
 
 class TestArgumentErrors:

@@ -21,7 +21,7 @@ def tiny_model(seed=0, width=8, mode="insensitive", type_dim=3):
 
 
 def embed(model, tq, header):
-    return model.question_input(*model.question_parts(tq, header))
+    return model.question_input(*model.question_parts(tq, model.column_matrix(header)))
 
 
 def encode(model, q_input, header):
@@ -117,7 +117,7 @@ class TestEmbedQuestion:
         tq = TaggedQuestion(tokens=["mort"], tags=[TypeTag("column_value", column=0)],
                             char_spans=[(0, 4)])
         with pytest.raises(ValueError, match="type width"):
-            model.question_parts(tq, ["artist"])
+            model.question_parts(tq, model.column_matrix(["artist"]))
 
     def test_gradient_reaches_type_table(self):
         model = tiny_model()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,44 @@ class TestDatasetIO:
             H.load_dataset(bad, tables_path)
 
 
+    @pytest.mark.parametrize("field,table_rec,sql", [
+        ("header", {"header": "ab", "types": ["text", "text"]}, None),
+        ("types", {"types": "text"}, None),
+        ("row 1", {"rows": [["a", "b", 1], "xyz"]}, None),
+        ("rows", {"rows": "xy"}, None),
+        ("sel", None, {"sel": True, "agg": 0, "conds": []}),
+        ("agg", None, {"sel": 0, "agg": 0.9, "conds": []}),
+        ("condition column", None, {"sel": 0, "agg": 0, "conds": [[0.7, 0, "x"]]}),
+        ("condition operator", None, {"sel": 0, "agg": 0, "conds": [[1, "0", "x"]]}),
+        ("condition value", None, {"sel": 0, "agg": 0, "conds": [[1, 0, {"v": 1}]]}),
+        ("condition value", None, {"sel": 0, "agg": 0, "conds": [[1, 0, True]]}),
+        ("condition must be", None, {"sel": 0, "agg": 0, "conds": ["1 0 x"]}),
+        ("conds", None, {"sel": 0, "agg": 0, "conds": {"0": [1, 0, "x"]}}),
+        ("query must be a JSON object", None, [0, 0, []]),
+    ])
+    def test_wrong_json_type_names_file_line_and_field(self, tmp_path, field, table_rec, sql):
+        examples_path, tables_path = write_magazine_files(tmp_path)
+        if table_rec is not None:
+            rec = json.loads(tables_path.read_text(encoding="utf-8"))
+            tables_path.write_text(json.dumps(dict(rec, **table_rec)) + "\n", encoding="utf-8")
+            where = tables_path
+        else:
+            rec = {"question": "x?", "table_id": "mag", "sql": sql}
+            examples_path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+            where = examples_path
+        with pytest.raises(H.DatasetError, match=f"^{re.escape(str(where))}:1: .*{field}"):
+            H.load_dataset(examples_path, tables_path)
+
+    def test_numbers_stay_valid_condition_values(self, tmp_path):
+        _, tables_path = write_magazine_files(tmp_path)
+        path = tmp_path / "numbers.jsonl"
+        rec = {"question": "x?", "table_id": "mag",
+               "sql": {"sel": 0, "agg": 0, "conds": [[2, 0, 88.5], [2, 1, 7]]}}
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        [example], _ = H.load_dataset(path, tables_path)
+        assert example.gold.conds == [(2, 0, "88.5"), (2, 1, "7")]
+
+
 class TestFindTokenSpan:
     def test_multitoken_value(self):
         tokens = "the spoofed title with mort drucker".split()
@@ -125,6 +164,12 @@ class TestTrainConfig:
     def test_validation(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             H.TrainConfig(**kw)
+
+    def test_from_file_reports_json_syntax_error_with_file_and_line(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"hidden_width": 16,\n}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad JSON"):
+            H.TrainConfig.from_file(path)
 
     def test_from_file_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -380,6 +425,15 @@ class TestTrainLoop:
         for entry in entries:
             assert set(entry["slot_losses"]) == set(H.SLOTS)
             assert sum(entry["slot_losses"].values()) == pytest.approx(entry["loss"], rel=1e-12)
+
+    @pytest.mark.parametrize("train_path", [None, "train.jsonl"])
+    def test_empty_training_set_raises(self, tmp_path, train_path):
+        _, tables = quick_corpus(tmp_path)
+        cfg = H.TrainConfig(hidden_width=8, type_dim=4, epochs=1, mode="insensitive",
+                            train_path=train_path)
+        where = "train.jsonl: " if train_path else ""
+        with pytest.raises(ValueError, match=f"^{where}no training examples$"):
+            H.train(cfg, [], tables, emb=tiny_embeddings())
 
     def test_identical_seeds_identical_loss_sequences(self, tmp_path):
         examples, tables = quick_corpus(tmp_path)

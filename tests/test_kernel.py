@@ -290,12 +290,12 @@ class TestRaggedLstm:
                                  Wh=store.add(f"{j}.Wh", 4 * hid, hid),
                                  b=store.add(f"{j}.b", 1, 4 * hid))
                    for j in range(2)]
-        m = K.constant(rng.normal(size=(2 * hid, 1)))
+        m = K.constant(rng.normal(size=(1, 2 * hid)))
 
         def loss(s):
             out = K.lstm_sequence(xs, weights, [False, True], self.LENGTHS)
             per_sequence = K.segment_sum(K.tanh(out), self.LENGTHS)
-            return K.cross_entropy(K.transpose(K.matmul(per_sequence, m)), 1)
+            return K.cross_entropy(K.linear(m, per_sequence), 1)
 
         grads = K.backward(loss(store), store)
         fd = finite_diff_grad(lambda s: loss(s).item(), store, eps=1e-6)
@@ -355,6 +355,42 @@ class TestSegments:
                                       a.sum(axis=0, keepdims=True))
 
 
+class TestGatherRows:
+    def test_repeated_indices_copy_their_rows(self):
+        table = np.arange(12.0).reshape(4, 3)
+        out = K.gather_rows(K.constant(table), [2, 0, 2, 2])
+        np.testing.assert_array_equal(out.data, table[[2, 0, 2, 2]])
+
+    def test_minus_one_reads_zero_and_gets_no_gradient(self):
+        store = K.ParamStore(seed=37)
+        table = store.add("table", 3, 2)
+        out = K.gather_rows(table, [1, -1, 1])
+        np.testing.assert_array_equal(out.data, [table.data[1], [0.0, 0.0], table.data[1]])
+        w = np.array([[0.5, -2.0]])
+        grads = K.backward(K.sum_all(K.linear(out, K.constant(w))), store)
+        # row 1 is read twice; the -1 row must not reach the last row
+        np.testing.assert_array_equal(grads["table"], [[0.0, 0.0], 2 * w[0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("indices", [[0, 3], [7], [-2], [[0, 1]]])
+    def test_bad_indices_rejected(self, indices):
+        with pytest.raises(K.KernelError, match="out of range|flat index list"):
+            K.gather_rows(K.constant(np.zeros((3, 2))), indices)
+
+    def test_gradient_with_repeats_matches_finite_differences(self):
+        store = K.ParamStore(seed=38)
+        store.add("table", 4, 3)
+        shift = K.constant(np.random.default_rng(38).normal(size=(6, 3)))
+        idx = [3, 1, 3, -1, 0, 3]
+
+        def loss(s):
+            return K.sum_all(K.tanh(K.add(K.gather_rows(s["table"], idx), shift)))
+
+        grads = K.backward(loss(store), store)
+        fd = finite_diff_grad(lambda s: loss(s).item(), store, eps=1e-6)
+        np.testing.assert_allclose(grads["table"], fd["table"], atol=1e-9)
+        np.testing.assert_array_equal(grads["table"][2], 0.0)
+
+
 class TestBackward:
     def test_square_sum_gradient(self):
         x = K.Tensor(np.array([[3.0]]), requires_grad=True)
@@ -408,11 +444,10 @@ class TestBackward:
 
         def f(s):
             h = K.tanh(K.linear(x, s["w"]))
-            sc = K.linear(h, s["v"])
-            p = K.softmax_rows(K.transpose(sc))
+            p = K.softmax_rows(K.linear(s["v"], h))
             return K.cross_entropy(p, 2).item()
 
-        loss = K.cross_entropy(K.softmax_rows(K.transpose(K.linear(K.tanh(K.linear(x, w)), v))), 2)
+        loss = K.cross_entropy(K.softmax_rows(K.linear(v, K.tanh(K.linear(x, w)))), 2)
         K.backward(loss, store)
         fd = finite_diff_grad(f, store, eps=1e-6)
         for name, t in store.items():
@@ -523,11 +558,11 @@ class TestAdam:
         for t, g in enumerate(grads, start=1):
             p.grad = np.array([[g]])
             K.adam_step(store, state)
-            m = state.beta1 * m + (1 - state.beta1) * g
-            v = state.beta2 * v + (1 - state.beta2) * g * g
-            mh = m / (1 - state.beta1 ** t)
-            vh = v / (1 - state.beta2 ** t)
-            theta -= state.lr * mh / (np.sqrt(vh) + state.epsilon)
+            m = K.ADAM_BETA1 * m + (1 - K.ADAM_BETA1) * g
+            v = K.ADAM_BETA2 * v + (1 - K.ADAM_BETA2) * g * g
+            mh = m / (1 - K.ADAM_BETA1 ** t)
+            vh = v / (1 - K.ADAM_BETA2 ** t)
+            theta -= state.lr * mh / (np.sqrt(vh) + K.ADAM_EPSILON)
             assert p.data[0, 0] == pytest.approx(theta, abs=1e-12)
         assert state.step_count == 10
 
