@@ -1,14 +1,16 @@
 """Restricted SQL execution over in-memory tables, plus the metric stack.
 
-Row filtering follows the dataset's observable comparison rules: '='
-compares trimmed strings case-insensitively and switches to numeric
-equality when both sides parse as numbers; '>' and '<' require both sides
-numeric, otherwise the condition is simply false.
+Row filtering follows the dataset's observable comparison rules, and
+`tables.parse_number` is what decides whether a cell or value is a number:
+'=' compares numbers when the value is one and trimmed, case-insensitive
+text otherwise; '>' and '<' need a number on both sides, otherwise the
+condition is simply false.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .sketch import (AGG_AVG, AGG_COUNT, AGG_MIN, AGG_NULL, AGG_SUM, OP_EQ, OP_GT,
                      SqlQuery, canonical_conds, canonical_equal, render)
@@ -40,15 +42,22 @@ class ResultSet:
         return cls(kind="scalar", scalar=float(value) if isinstance(value, (int, float)) else value)
 
 
-def _condition_holds(cell, op: int, val_num, val_text: str) -> bool:
-    cell_num = parse_number(cell)
+def _holds(cells: list, op: int, val: str) -> list[bool]:
+    """Whether each cell satisfies `cell <op> val`, with the operator and the kind of
+    value decided once. A number value never equals a cell that is not a number, nor
+    a text value one that is, since the text of a str, int or float number parses."""
+    num = parse_number(val)
+    if num is None:
+        if op != OP_EQ:
+            return [False] * len(cells)
+        text = normalize_text(val)
+        return [normalize_text(str(cell)) == text for cell in cells]
+    nums = map(parse_number, cells)
     if op == OP_EQ:
-        if cell_num is not None and val_num is not None:
-            return cell_num == val_num
-        return normalize_text(str(cell)) == val_text
-    if cell_num is None or val_num is None:
-        return False
-    return cell_num > val_num if op == OP_GT else cell_num < val_num
+        return [n == num for n in nums]
+    if op == OP_GT:
+        return [n is not None and n > num for n in nums]
+    return [n is not None and n < num for n in nums]
 
 
 def execute(query: SqlQuery, table: Table) -> ResultSet:
@@ -56,8 +65,7 @@ def execute(query: SqlQuery, table: Table) -> ResultSet:
     query.validate_against(table.n_columns)
     kept = table.rows
     for col, op, val in query.conds:  # AND: each condition filters the survivors of the last
-        val_num, val_text = parse_number(val), normalize_text(val)
-        kept = [row for row in kept if _condition_holds(row[col], op, val_num, val_text)]
+        kept = list(compress(kept, _holds([row[col] for row in kept], op, val)))
     if query.agg == AGG_COUNT:
         return ResultSet.of_scalar(len(kept))
     cells = [row[query.sel] for row in kept]
@@ -65,22 +73,18 @@ def execute(query: SqlQuery, table: Table) -> ResultSet:
         return ResultSet.of_rows(cells)
     if not cells:
         return ResultSet.empty()
+    if table.types[query.sel] != KIND_REAL:  # MIN / MAX compare text; SUM / AVG fail
+        if query.agg in (AGG_SUM, AGG_AVG):
+            raise ExecutionError("non-numeric aggregate")
+        texts = [normalize_text(str(c)) for c in cells]
+        return ResultSet.of_scalar(min(texts) if query.agg == AGG_MIN else max(texts))
+    nums = [parse_number(c) for c in cells]
+    if None in nums:
+        raise ExecutionError("non-numeric aggregate")
     if query.agg in (AGG_SUM, AGG_AVG):
-        if table.types[query.sel] != KIND_REAL:
-            raise ExecutionError("non-numeric aggregate")
-        nums = [parse_number(c) for c in cells]
-        if any(n is None for n in nums):
-            raise ExecutionError("non-numeric aggregate")
         total = sum(nums)
         return ResultSet.of_scalar(total if query.agg == AGG_SUM else total / len(nums))
-    # MIN / MAX: numeric on real columns, lexicographic on text
-    if table.types[query.sel] == KIND_REAL:
-        nums = [parse_number(c) for c in cells]
-        if any(n is None for n in nums):
-            raise ExecutionError("non-numeric cell in real column")
-        return ResultSet.of_scalar(min(nums) if query.agg == AGG_MIN else max(nums))
-    texts = [normalize_text(str(c)) for c in cells]
-    return ResultSet.of_scalar(min(texts) if query.agg == AGG_MIN else max(texts))
+    return ResultSet.of_scalar(min(nums) if query.agg == AGG_MIN else max(nums))
 
 
 def _numbers_close(x: float, y: float) -> bool:
@@ -89,9 +93,12 @@ def _numbers_close(x: float, y: float) -> bool:
 
 def _sort_key(value):
     num = parse_number(value)
-    if num is not None:
-        return (0, num, "")
-    return (1, 0.0, str(value))
+    return (0, num, "") if num is not None else (1, 0.0, str(value))
+
+
+def _same(x, y) -> bool:
+    """Whether two sort keys hold the same value: close numbers or equal text."""
+    return x[0] == y[0] and (_numbers_close(x[1], y[1]) if x[0] == 0 else x[2] == y[2])
 
 
 def exec_equal(a: ResultSet, b: ResultSet) -> bool:
@@ -101,20 +108,9 @@ def exec_equal(a: ResultSet, b: ResultSet) -> bool:
     if a.kind == "empty":
         return True
     if a.kind == "scalar":
-        na, nb = parse_number(a.scalar), parse_number(b.scalar)
-        if na is not None and nb is not None:
-            return _numbers_close(na, nb)
-        return (na is None) == (nb is None) and str(a.scalar) == str(b.scalar)
-    if len(a.values) != len(b.values):
-        return False
-    for va, vb in zip(sorted(a.values, key=_sort_key), sorted(b.values, key=_sort_key)):
-        na, nb = parse_number(va), parse_number(vb)
-        if na is not None and nb is not None:
-            if not _numbers_close(na, nb):
-                return False
-        elif (na is None) != (nb is None) or str(va) != str(vb):
-            return False
-    return True
+        return _same(_sort_key(a.scalar), _sort_key(b.scalar))
+    return len(a.values) == len(b.values) and all(
+        map(_same, sorted(map(_sort_key, a.values)), sorted(map(_sort_key, b.values))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -54,11 +55,21 @@ def _read_jsonl(path):
             raise DatasetError(not_utf8(path, exc)) from None
 
 
+def _string(rec: dict, name: str) -> str:
+    value = rec[name]
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _strings(rec: dict, name: str) -> list[str]:
     value = rec[name]
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ValueError(f"{name} must be a list of strings, got {value!r}")
     return value
+
+
+_JSON_CONTAINERS = {dict, list}  # the JSON values a cell may not be
 
 
 def load_tables(path) -> dict[str, Table]:
@@ -71,7 +82,12 @@ def load_tables(path) -> dict[str, Table]:
             for i, row in enumerate(rows):
                 if not isinstance(row, list):
                     raise ValueError(f"row {i} must be a list of cells, got {row!r}")
-            table = Table(id=str(rec["id"]), header=_strings(rec, "header"),
+            if not _JSON_CONTAINERS.isdisjoint(map(type, chain.from_iterable(rows))):
+                i, bad = next((i, cell) for i, row in enumerate(rows) for cell in row
+                              if type(cell) in _JSON_CONTAINERS)
+                raise ValueError(f"row {i}: a cell must be a string, number, bool or null, "
+                                 f"got {bad!r}")
+            table = Table(id=_string(rec, "id"), header=_strings(rec, "header"),
                           types=_strings(rec, "types"), rows=rows)
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}") from None
@@ -88,8 +104,8 @@ def load_dataset(examples_path, tables_path) -> tuple[list[Example], dict[str, T
     for lineno, rec in _read_jsonl(examples_path):
         try:
             gold = SqlQuery.from_dict(rec["sql"])
-            example = Example(question=str(rec["question"]), table_id=str(rec["table_id"]),
-                              gold=gold)
+            example = Example(question=_string(rec, "question"),
+                              table_id=_string(rec, "table_id"), gold=gold)
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"{examples_path}:{lineno}: {exc}") from None
         table = tables.get(example.table_id)

@@ -7,6 +7,7 @@ four AND-joined conditions and no other connectives.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -74,6 +75,8 @@ class SqlQuery:
             _integer("condition operator", cond[1])
             if isinstance(cond[2], bool) or not isinstance(cond[2], (str, int, float)):
                 raise ValueError(f"condition value must be a string or a number, got {cond[2]!r}")
+            if isinstance(cond[2], float) and not math.isfinite(cond[2]):
+                raise ValueError(f"condition value must be a finite number, got {cond[2]!r}")
         return cls(agg=_integer("agg", d["agg"]), sel=_integer("sel", d["sel"]),
                    conds=[(c, o, str(v)) for c, o, v in conds])
 

@@ -1,10 +1,11 @@
-"""In-memory tables: the unit both the tagger and the executor work over.
+"""In-memory tables, and the one number grammar the tagger and the executor share.
 
 Also the one message every text-file reader gives for bytes that are not UTF-8.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -12,6 +13,7 @@ KIND_TEXT = "text"
 KIND_REAL = "real"
 
 _WS = re.compile(r"\s+")
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 @dataclass
@@ -57,25 +59,35 @@ def normalize_text(s: str) -> str:
     return _WS.sub(" ", s.strip()).lower()
 
 
-def parse_number(value):
-    """Return the float value of a cell or string, or None if non-numeric."""
-    if isinstance(value, bool):
+def parse_number(value) -> float | None:
+    """The one definition of a number: the float a cell or text stands for, or None.
+
+    A number is trimmed text of an optional sign, ASCII digits with at most one '.'
+    and an optional exponent, or a cell of type int or float (so not a bool), and
+    its value is finite in float64. 'nan', 'inf', '1_000', '1,000', non-ASCII
+    digits, '0x10' and 1e400 are text."""
+    kind = type(value)
+    if kind is float:
+        num = value
+    elif kind is int:
+        try:
+            num = float(value)
+        except OverflowError:  # beyond float64
+            return None
+    elif isinstance(value, str):
+        text = value.strip()  # float() alone would keep '\x1c'-'\x1f', which strip() drops
+        if not _NUMBER.fullmatch(text):
+            return None
+        num = float(text)
+    else:
         return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    try:
-        return float(str(value).strip())
-    except ValueError:
-        return None
+    return num if math.isfinite(num) else None
 
 
 def cell_text(value) -> str:
-    """Canonical comparison text for a cell: integral reals print without '.0'."""
-    if isinstance(value, bool):
+    """Canonical comparison text for a cell: a number cell prints its float, integral
+    ones without '.0'; any other cell is its normalized text."""
+    num = None if isinstance(value, str) else parse_number(value)
+    if num is None:
         return normalize_text(str(value))
-    if isinstance(value, (int, float)):
-        f = float(value)
-        if f.is_integer():
-            return str(int(f))
-        return repr(f)
-    return normalize_text(str(value))
+    return str(int(num)) if num.is_integer() else repr(num)

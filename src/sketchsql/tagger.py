@@ -8,11 +8,10 @@ always win over shorter ones, and a token is never retagged.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
-from .tables import Table, cell_text, normalize_text, not_utf8
+from .tables import Table, cell_text, normalize_text, not_utf8, parse_number
 
 NONE = "none"
 COLUMN = "column"
@@ -200,23 +199,15 @@ def tag_schema_columns(tq: TaggedQuestion, header: list[str]) -> TaggedQuestion:
     return tq
 
 
-# The cell text of a number starts with a digit, after an optional sign, or
-# is inf or nan; other tokens skip the float() attempt.
-_NUMBER_START = re.compile(r"-?(?:\d|inf$)|nan$")
-
-
 def _question_numbers(tokens: list[str]) -> dict[float, str]:
-    """Single tokens that are the cell text of their own float, keyed by that float.
+    """Single tokens that are the cell text of their own number, keyed by that number.
 
     A number's cell text never holds a space, so no longer span can equal one.
     """
     numbers = {}
-    for token in filter(_NUMBER_START.match, set(tokens)):
-        try:
-            value = float(token)
-        except ValueError:
-            continue
-        if cell_text(value) == token:
+    for token in set(tokens):
+        value = parse_number(token)
+        if value is not None and cell_text(value) == token:
             numbers[value] = token
     return numbers
 
@@ -226,10 +217,10 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
 
     The index maps each cell text to the lowest column holding it. It is
     built column by column: a plain-str column normalises only its distinct
-    values, and a plain int/float column is matched by float value against
-    the question's number tokens. Any other column (bools, None, mixed
-    types, NaN) goes through `cell_text` cell by cell, since a set would
-    merge True with 1 and lose NaN, which never equals itself.
+    values, and an int/float column of numbers (`parse_number`) is matched by
+    value against the question's number tokens. Any other column (bools,
+    None, mixed types, NaN, ints beyond float64) goes through `cell_text`
+    cell by cell, since a set would merge True with 1.
     """
     values: dict[str, int] = {}
     numbers = _question_numbers(tq.tokens)
@@ -241,8 +232,8 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
                     values.setdefault(text, col)
             continue
         if kinds <= {int, float}:
-            floats = set(map(float, column))
-            if not any(map(math.isnan, floats)):
+            floats = set(map(parse_number, set(column)))
+            if None not in floats:
                 for value in floats.intersection(numbers):
                     values.setdefault(numbers[value], col)
                 continue

@@ -24,6 +24,12 @@ MAGAZINE_INSENSITIVE_TAGS = [
 MAGAZINE_GOLD_SQL = {"sel": 0, "agg": 0, "conds": [[1, 0, "mort drucker"], [2, 0, "88.5"]]}
 
 
+def short_id(value) -> str:
+    """A readable test id, also for numbers hundreds of digits long."""
+    text = repr(value)
+    return text if len(text) <= 24 else f"{text[:8]}...{len(text)}chars"
+
+
 def magazine_table() -> Table:
     return Table(
         id="mag",

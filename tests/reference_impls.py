@@ -2,11 +2,12 @@
 
 Deliberately naive and written without reference to the package's
 executor or slot code: per-row loops, literal formula transcriptions.
-The content-tagging oracle shares the package's span matcher and
-`cell_text` and differs only in how it builds the cell index. The
-per-example loss oracle shares the slot formulas and kernel ops and
-differs in how it batches: one example, one model read, one decoder
-sequence and one pointer step at a time.
+The number oracle scans characters itself and uses `float()` only to
+convert text the scan has accepted. The content-tagging oracle shares
+the package's span matcher and `cell_text` and differs only in how it
+builds the cell index. The per-example loss oracle shares the slot
+formulas and kernel ops and differs in how it batches: one example, one
+model read, one decoder sequence and one pointer step at a time.
 """
 
 import numpy as np
@@ -17,16 +18,52 @@ from sketchsql.harness import COND_COL_POS_WEIGHT
 from sketchsql.tables import cell_text
 from sketchsql.tagger import COLUMN_VALUE, TypeTag, _apply_span_matches
 
+DIGITS = "0123456789"
+
+
+def _digits_from(text, i):
+    """Index of the first non-ASCII-digit character at or after i."""
+    while i < len(text) and text[i] in DIGITS:
+        i += 1
+    return i
+
+
+def naive_is_number_text(text):
+    """Character scan: sign? digits ('.' digits?)? exponent?, at least one mantissa digit."""
+    i = 1 if text[:1] in ("+", "-") else 0
+    whole = _digits_from(text, i)
+    frac = whole
+    if whole < len(text) and text[whole] == ".":
+        frac = _digits_from(text, whole + 1)
+    mantissa_digits = (whole - i) + max(frac - whole - 1, 0)
+    if mantissa_digits == 0:
+        return False
+    if frac < len(text) and text[frac] in "eE":
+        start = frac + 1
+        if start < len(text) and text[start] in "+-":
+            start += 1
+        end = _digits_from(text, start)
+        if end == start:
+            return False
+        frac = end
+    return frac == len(text)
+
 
 def naive_number(value):
-    if isinstance(value, bool):
+    """The number grammar written out by hand: exact int or float cells, and text that
+    the character scan accepts after trimming; finite values only."""
+    if type(value) not in (int, float, str):
         return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    try:
-        return float(str(value).strip())
-    except ValueError:
-        return None
+    if isinstance(value, str):
+        text = value.strip()
+        if not naive_is_number_text(text):
+            return None
+        num = float(text)  # only converts; the scan has already decided
+    elif isinstance(value, int) and abs(value) >= 2 ** 1024 - 2 ** 970:
+        return None  # rounds past the largest float64, (2 - 2**-52) * 2**1023
+    else:
+        num = float(value)
+    return num if num - num == 0.0 else None  # inf - inf and nan - nan are nan
 
 
 def naive_norm(s):

@@ -11,6 +11,7 @@ from sketchsql.cli import main
 from sketchsql.encoder import load_embeddings
 from sketchsql.sketch import SqlQuery
 from sketchsql.synth import generate_corpus
+from sketchsql.tables import Table
 
 
 @pytest.fixture
@@ -183,6 +184,88 @@ class TestReadersNameTheirFile:
                           encoding="utf-8")
         assert main(["train", "--config", str(config)]) == 1
         assert one_line_error(capsys) == f"error: {empty}: no training examples\n"
+
+
+class TestLoadersKeepJsonTypes:
+    """A field of the wrong JSON type is a one-line error naming file, line and field;
+    it is never turned into a string first."""
+
+    TABLE = '{"id": "one", "header": ["n"], "types": ["real"], "rows": [[1], [2]]}'
+    EXAMPLE = ('{"question": "how many n?", "table_id": "one", '
+               '"sql": {"sel": 0, "agg": 3, "conds": [[0, 0, "1"]]}}')
+    PRED = '{"sel": 0, "agg": 3, "conds": [[0, 0, "1"]]}'
+
+    @pytest.mark.parametrize("bad,old,new,message", [
+        ("tables", '"id": "one"', '"id": 7', "id must be a string, got 7"),
+        ("examples", '"table_id": "one"', '"table_id": 7', "table_id must be a string, got 7"),
+        ("examples", '"question": "how many n?"', '"question": 5',
+         "question must be a string, got 5"),
+        ("tables", "[[1], [2]]", '[[1], [{"v": 1}]]',
+         "row 1: a cell must be a string, number, bool or null, got {'v': 1}"),
+        ("tables", "[[1], [2]]", "[[1], [[3]]]",
+         "row 1: a cell must be a string, number, bool or null, got [3]"),
+        ("examples", '[[0, 0, "1"]]', "[[0, 0, 1e400]]",
+         "condition value must be a finite number, got inf"),
+        ("preds", '[[0, 0, "1"]]', "[[0, 0, -1e400]]",
+         "condition value must be a finite number, got -inf"),
+    ], ids=["id", "table_id", "question", "object-cell", "array-cell", "gold-value",
+            "pred-value"])
+    def test_wrong_json_type_is_one_line_error(self, bad, old, new, message, magazine_files,
+                                               tmp_path, capsys):
+        with open(magazine_files["tables"], encoding="utf-8") as fh:
+            tables = [fh.read().strip(), self.TABLE]
+        with open(magazine_files["examples"], encoding="utf-8") as fh:
+            examples = [fh.read().strip(), self.EXAMPLE]
+        lines = {"tables": tables, "examples": examples,
+                 "preds": [json.dumps(MAGAZINE_GOLD_SQL), self.PRED]}
+        assert old in lines[bad][1]
+        lines[bad][1] = lines[bad][1].replace(old, new)
+        paths = {}
+        for kind, text in lines.items():
+            paths[kind] = tmp_path / f"{kind}.jsonl"
+            paths[kind].write_text("\n".join(text) + "\n", encoding="utf-8")
+        assert main(["eval", "--examples", str(paths["examples"]),
+                     "--tables", str(paths["tables"]), "--preds", str(paths["preds"])]) == 1
+        assert one_line_error(capsys) == f"error: {paths[bad]}:2: {message}\n"
+
+
+class TestOutOfRangeNumbers:
+    """A cell beyond float64 is text: it matches its own digits and fails SUM, never raises."""
+
+    HUGE = str(10**400)
+
+    @pytest.fixture
+    def huge_files(self, tmp_path):
+        table = Table(id="big", header=["n", "name"], types=["real", "text"],
+                      rows=[[10**400, "a"], [5, "b"]])
+        examples = [H.Example(question=f"how many name when n is {self.HUGE}?", table_id="big",
+                              gold=SqlQuery(agg=3, sel=1, conds=[(0, 0, self.HUGE)])),
+                    H.Example(question="what is the total n?", table_id="big",
+                              gold=SqlQuery(agg=4, sel=0))]
+        H.write_tables({"big": table}, tmp_path / "tables.jsonl")
+        H.write_examples(examples, tmp_path / "examples.jsonl")
+        with open(tmp_path / "preds.jsonl", "w", encoding="utf-8") as fh:
+            for ex in examples:
+                fh.write(json.dumps(ex.gold.to_dict()) + "\n")
+        return tmp_path
+
+    def test_tag_content(self, huge_files, capsys):
+        code = main(["tag", "--question", f"is n 5 or {self.HUGE}?",
+                     "--tables", str(huge_files / "tables.jsonl"), "--table-id", "big",
+                     "--mode", "content"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert json.loads(out) == ["none", "column", "n", "none", "n", "none"]
+
+    def test_eval_preds(self, huge_files, capsys):
+        code = main(["eval", "--examples", str(huge_files / "examples.jsonl"),
+                     "--tables", str(huge_files / "tables.jsonl"),
+                     "--preds", str(huge_files / "preds.jsonl")])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        # the SUM fails on both sides, which scores as an execution mismatch
+        assert json.loads(out) == {"n": 2, "acc_lf": 1.0, "acc_qm": 1.0, "acc_ex": 0.5,
+                                   "acc_agg": 1.0, "acc_sel": 1.0, "acc_where": 1.0}
 
 
 class TestArgumentErrors:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import magazine_table
+from helpers import magazine_table, short_id
 from reference_impls import reference_execute
 from sketchsql.executor import (ExecutionError, ResultSet, evaluate_dataset,
                                 exec_equal, execute)
@@ -63,6 +63,20 @@ class TestExecute:
     def test_avg(self):
         table = rows_table([[2.0], [4.0]], types=["real"])
         assert execute(SqlQuery(agg=5, sel=0), table).scalar == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("cell,op,val,count", [
+        ("nan", 0, "nan", 1), (float("nan"), 0, "NaN", 1), ("1_000", 0, "1000", 0),
+        ("1,000", 0, "1000", 0), ("inf", 1, "5", 0), ("١٢", 1, "5", 0), ("0x10", 1, "5", 0),
+        (10**400, 1, "5", 0), (10**400, 0, str(10**400), 1), (" +5 ", 0, "5.0", 1),
+    ], ids=short_id)
+    def test_number_grammar_decides_comparisons(self, cell, op, val, count):
+        table = rows_table([[cell]], types=["real"])
+        assert execute(SqlQuery(agg=3, sel=0, conds=[(0, op, val)]), table).scalar == count
+
+    def test_aggregate_over_out_of_range_cell_errors(self):
+        table = rows_table([[5], [10**400]], types=["real"])
+        with pytest.raises(ExecutionError, match="non-numeric aggregate"):
+            execute(SqlQuery(agg=1, sel=0), table)
 
     def test_adding_condition_never_increases_count(self):
         table = magazine_table()
@@ -158,10 +172,14 @@ class TestAgainstReferenceInterpreter:
                 assert got.kind == "empty"
 
     def test_fuzzed_messy_cells_match(self):
-        # bools, None, padded text and numeric strings, in columns of either kind
+        # bools, None, padded text and numeric strings, in columns of either kind, and text
+        # that only other number grammars read as numbers
         cells = [True, False, None, "", "  ", " 42 ", "42", "42.0", "  Alpha  ", "alpha",
-                 "beta\tgamma", "beta  gamma", "7.0", "-3.5", "1e3", 7, 7.0, -3.5, 0, 1000.0]
-        vals = [" 42 ", "ALPHA", "beta gamma", "none", "true", "7", "1000", "x"]
+                 "beta\tgamma", "beta  gamma", "7.0", "-3.5", "1e3", 7, 7.0, -3.5, 0, 1000.0,
+                 "+5", ".5", "5.", "1e-05", "nan", "inf", "-Infinity", "1_000", "1,000", "١٢",
+                 "0x10", "1e400", 10**400, float("nan"), float("inf")]
+        vals = [" 42 ", "ALPHA", "beta gamma", "none", "true", "7", "1000", "x", "nan", "inf",
+                "5", "+5", "0.5", "1_000", "١٢", "16", "1e400", str(10**400)]
         rnd = random.Random(20261018)
         for _ in range(1000):
             n_cols = rnd.randint(1, 4)

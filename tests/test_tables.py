@@ -1,0 +1,42 @@
+import pytest
+
+from helpers import short_id
+from reference_impls import naive_number
+from sketchsql.tables import cell_text, parse_number
+
+NUMBERS = [("+5", 5.0), (".5", 0.5), ("5.", 5.0), ("1e-05", 1e-05), (" 42 ", 42.0),
+           ("-7.25E+2", -725.0), ("\x1c-0\u2003", 0.0), (7, 7.0), (88.5, 88.5),
+           (2**53 + 1, 2.0**53), (10**308, 1e308)]
+
+TEXT = ["nan", "NaN", "inf", "-Infinity", "1_000", "1,000", "١٢", "0x10", "1e400", "-1e400",
+        10**400, -(10**400), float("nan"), float("inf"), float("-inf"), True, False, None,
+        "", " ", ".", "+", "e5", "1e", "1e+", "--1", "1.2.3", "5 5", "½", {"v": 1}, [3]]
+
+
+class TestParseNumber:
+    @pytest.mark.parametrize("value,number", NUMBERS, ids=short_id)
+    def test_number(self, value, number):
+        assert parse_number(value) == number
+        assert naive_number(value) == number
+
+    @pytest.mark.parametrize("value", TEXT, ids=short_id)
+    def test_text(self, value):
+        assert parse_number(value) is None
+        assert naive_number(value) is None
+
+
+class TestCellText:
+    @pytest.mark.parametrize("cell,text", [
+        (7, "7"), (7.0, "7"), (-0.0, "0"), (88.5, "88.5"), (1e-05, "1e-05"),
+        (1e16, "10000000000000000"), (2**53 + 1, "9007199254740992"),
+        (10**400, "1" + "0" * 400), (float("nan"), "nan"), (float("inf"), "inf"),
+        (float("-inf"), "-inf"), (True, "true"), (None, "none"), (" 42 ", "42"), ("+5", "+5"),
+        ("1_000", "1_000"), ("١٢", "١٢"), ("  Mort  Drucker ", "mort drucker"),
+    ], ids=short_id)
+    def test_cell_text(self, cell, text):
+        assert cell_text(cell) == text
+
+    @pytest.mark.parametrize("cell", [value for value, _ in NUMBERS if not isinstance(value, str)],
+                             ids=short_id)
+    def test_number_cell_text_reads_back_as_its_number(self, cell):
+        assert parse_number(cell_text(cell)) == parse_number(cell)

@@ -188,11 +188,12 @@ class TestGazetteerFile:
 
 
 # Cells that a per-column index could get wrong: True == 1, 1 == 1.0 == -0.0,
-# NaN != NaN, ints above 2**53 that round as floats, and text that only
-# normalises to a number or to nothing.
+# NaN != NaN, ints above 2**53 that round as floats, an int beyond float64,
+# and text that only normalises to a number, that only float() reads as one,
+# or that normalises to nothing.
 STR_CELLS = ["", "  ", "Mort  Drucker", "mort drucker", "\tal\tjaffee ", " STAR ", "star",
-             "1", "1.0", "-0.0", "1e-05", "true", "nan", "inf", "none", "2004"]
-INT_CELLS = [0, 1, -1, 7, 2004, 2**53, 2**53 + 1, -(2**53 + 1), 2**64]
+             "1", "1.0", "-0.0", "1e-05", "true", "nan", "inf", "none", "2004", "1_000"]
+INT_CELLS = [0, 1, -1, 7, 2004, 2**53, 2**53 + 1, -(2**53 + 1), 2**64, 10**400]
 FLOAT_CELLS = [0.0, -0.0, 1.0, 7.5, 1e-05, 88.5, 2004.0, 2.0**53, 1e16, 0.1,
                float("nan"), float("inf"), float("-inf")]
 BOOL_CELLS = [True, False, 0, 1, 1.0]
@@ -200,7 +201,8 @@ CELL_POOLS = [STR_CELLS, INT_CELLS, FLOAT_CELLS, INT_CELLS + FLOAT_CELLS, BOOL_C
               STR_CELLS + INT_CELLS + FLOAT_CELLS + BOOL_CELLS + [None]]
 QUESTION_WORDS = ["1", "1.0", "0", "-1", "true", "false", "none", "nan", "inf", "1e-05",
                   "2004", "7", "9007199254740992", "9007199254740993",
-                  "18446744073709551616", "88.5", "star", "mort drucker", "al jaffee", "x"]
+                  "18446744073709551616", "88.5", "star", "mort drucker", "al jaffee", "x",
+                  "1_000", "1000"]
 
 
 @st.composite
