@@ -49,8 +49,9 @@ def _read_jsonl(path):
                     continue
                 try:
                     yield lineno, json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DatasetError(f"{path}:{lineno}: bad JSON ({exc.msg})") from None
+                except ValueError as exc:  # also an integer past Python's digit limit
+                    msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+                    raise DatasetError(f"{path}:{lineno}: bad JSON ({msg})") from None
         except UnicodeDecodeError as exc:
             raise DatasetError(not_utf8(path, exc)) from None
 
@@ -202,6 +203,8 @@ class TrainConfig:
                 raise ValueError(not_utf8(path, exc)) from None
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{exc.lineno}: bad JSON ({exc.msg})") from None
+            except ValueError as exc:  # an integer past Python's digit limit has no line
+                raise ValueError(f"{path}: bad JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in fields(cls)}

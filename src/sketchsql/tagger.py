@@ -1,15 +1,16 @@
 """Type recognition: give every question token exactly one type tag.
 
-Tags come from four sources applied in a fixed priority order: schema
-column names, database cell values (content mode only), number/date
-classification, and a gazetteer of named entities. Longer n-gram matches
-always win over shorter ones, and a token is never retagged.
+One greedy walk over n-grams, longest first then leftmost and never retagging a
+token, runs four matchers in priority order: schema column names, cell values
+(content mode only), dates and the numbers `tables.parse_number` reads, and a
+gazetteer of named entities.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .tables import Table, cell_text, normalize_text, not_utf8, parse_number
 
@@ -38,14 +39,10 @@ MAX_NGRAM = 6
 YEAR_RANGE = (1300, 2100)
 
 _TOKEN_RE = re.compile(r"\d+(?:\.\d+)+|\w+(?:-\w+)*|\S")
-_INT_RE = re.compile(r"^\d+$")
-_FLOAT_RE = re.compile(r"^\d+\.\d+$")
-_ISO_DATE_RE = re.compile(r"^(?:\d{4}-\d{1,2}-\d{1,2}|\d{1,2}-\d{1,2}-\d{4})$")
-
-_MONTHS = {
-    "january", "february", "march", "april", "may", "june", "july",
-    "august", "september", "october", "november", "december",
-}
+_ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{1,2}-[0-9]{1,2}|[0-9]{1,2}-[0-9]{1,2}-[0-9]{4}")
+_MONTH_DATE_RE = re.compile(r"(?:january|february|march|april|may|june|july|august|september"
+                            r"|october|november|december) ([0-9]+) (?:, )?[0-9]{4}")
+_DIGITS_RE = re.compile(r"[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -164,12 +161,15 @@ def extract_ngrams(tokens: list[str]) -> list[tuple[int, int]]:
     """All (start, end) spans of length min(6, T) down to 1, longest first then leftmost."""
     if not tokens:
         raise ValueError("no tokens")
-    t = len(tokens)
-    spans = []
-    for length in range(min(MAX_NGRAM, t), 0, -1):
-        for start in range(0, t - length + 1):
-            spans.append((start, start + length))
-    return spans
+    return list(_ngram_spans(len(tokens)))
+
+
+@lru_cache(maxsize=64)
+def _ngram_spans(t: int) -> tuple[tuple[int, int], ...]:
+    """The spans of `extract_ngrams`, built once per question length."""
+    return tuple((start, start + length)
+                 for length in range(min(MAX_NGRAM, t), 0, -1)
+                 for start in range(0, t - length + 1))
 
 
 def _apply_span_matches(tq: TaggedQuestion, match_fn):
@@ -177,13 +177,15 @@ def _apply_span_matches(tq: TaggedQuestion, match_fn):
 
     match_fn maps the span's space-joined text to a TypeTag or None.
     """
-    for start, end in extract_ngrams(tq.tokens):
-        if any(tq.tags[i].kind != NONE for i in range(start, end)):
+    tokens, tags = tq.tokens, tq.tags
+    claimed = [tag.kind != NONE for tag in tags]
+    for start, end in extract_ngrams(tokens):
+        if True in claimed[start:end]:
             continue
-        tag = match_fn(" ".join(tq.tokens[start:end]))
+        tag = match_fn(" ".join(tokens[start:end]))
         if tag is not None:
-            for i in range(start, end):
-                tq.tags[i] = tag
+            tags[start:end] = [tag] * (end - start)
+            claimed[start:end] = [True] * (end - start)
 
 
 # ---------------------------------------------------------------------------
@@ -250,44 +252,25 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
     return tq
 
 
-def _date_span_length(tokens: list[str], start: int) -> int:
-    """Length of a month-name date span beginning at `start`, or 0."""
-    if tokens[start] not in _MONTHS:
-        return 0
-    rest = tokens[start + 1 :]
-    if len(rest) >= 2 and _INT_RE.match(rest[0]) and 1 <= int(rest[0]) <= 31:
-        if re.match(r"^\d{4}$", rest[1]):
-            return 3
-        if len(rest) >= 3 and rest[1] == "," and re.match(r"^\d{4}$", rest[2]):
-            return 4
-    return 0
+def _number_tag(text: str) -> TypeTag | None:
+    """A date ('july 4 1999', 'july 4 , 1999', '1999-07-04'), or a token `parse_number`
+    reads: a year (four digits in YEAR_RANGE), an integer (digits only) or a float."""
+    month_date = _MONTH_DATE_RE.fullmatch(text)
+    # float() reads any run of ASCII digits, however long, without raising
+    if month_date and 1 <= float(month_date[1]) <= 31 or _ISO_DATE_RE.fullmatch(text):
+        return TypeTag(DATE)
+    value = parse_number(text)
+    if value is None:
+        return None
+    if not _DIGITS_RE.fullmatch(text):
+        return TypeTag(FLOAT)
+    return TypeTag(YEAR if len(text) == 4 and YEAR_RANGE[0] <= value <= YEAR_RANGE[1]
+                   else INTEGER)
 
 
 def tag_numbers(tq: TaggedQuestion) -> TaggedQuestion:
-    """Classify untagged number and date tokens."""
-    i = 0
-    t = len(tq.tokens)
-    while i < t:
-        if tq.tags[i].kind != NONE:
-            i += 1
-            continue
-        span = _date_span_length(tq.tokens, i)
-        if span and all(tq.tags[j].kind == NONE for j in range(i, i + span)):
-            for j in range(i, i + span):
-                tq.tags[j] = TypeTag(DATE)
-            i += span
-            continue
-        token = tq.tokens[i]
-        if _ISO_DATE_RE.match(token):
-            tq.tags[i] = TypeTag(DATE)
-        elif _INT_RE.match(token):
-            if len(token) == 4 and YEAR_RANGE[0] <= int(token) <= YEAR_RANGE[1]:
-                tq.tags[i] = TypeTag(YEAR)
-            else:
-                tq.tags[i] = TypeTag(INTEGER)
-        elif _FLOAT_RE.match(token):
-            tq.tags[i] = TypeTag(FLOAT)
-        i += 1
+    """Classify untagged number and date spans."""
+    _apply_span_matches(tq, _number_tag)
     return tq
 
 

@@ -1,13 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately naive and written without reference to the package's
-executor or slot code: per-row loops, literal formula transcriptions.
+executor, tagger or slot code: per-row loops, literal formula transcriptions.
 The number oracle scans characters itself and uses `float()` only to
-convert text the scan has accepted. The content-tagging oracle shares
-the package's span matcher and `cell_text` and differs only in how it
-builds the cell index. The per-example loss oracle shares the slot
-formulas and kernel ops and differs in how it batches: one example, one
-model read, one decoder sequence and one pointer step at a time.
+convert text the scan has accepted. The tagging oracle has its own span
+walk, re-enumerating and re-checking every span on each pass, and tags
+numbers token by token from left to right; it shares the package's
+`tokenize`, `cell_text` and gazetteer lookup, and its content pass indexes
+the whole table at once rather than column by column. The per-example
+loss oracle shares the slot formulas and kernel ops and differs in how it
+batches: one example, one model read, one decoder sequence and one
+pointer step at a time.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ from sketchsql import kernel as K
 from sketchsql import slots as S
 from sketchsql.harness import COND_COL_POS_WEIGHT
 from sketchsql.tables import cell_text
-from sketchsql.tagger import COLUMN_VALUE, TypeTag, _apply_span_matches
+from sketchsql.tagger import TAG_NONE, TaggedQuestion, TypeTag, tokenize
 
 DIGITS = "0123456789"
 
@@ -119,6 +122,20 @@ def reference_execute(query, table):
     return ("scalar", min(texts) if query.agg == 2 else max(texts))
 
 
+def reference_span_matches(tq, match_fn):
+    """Every span longest first then leftmost, each re-checked token by token."""
+    t = len(tq.tokens)
+    for length in range(min(6, t), 0, -1):
+        for start in range(0, t - length + 1):
+            end = start + length
+            if any(tq.tags[i].kind != "none" for i in range(start, end)):
+                continue
+            tag = match_fn(" ".join(tq.tokens[start:end]))
+            if tag is not None:
+                for i in range(start, end):
+                    tq.tags[i] = tag
+
+
 def reference_tag_content(tq, table):
     """Whole-table content tagging: index every cell's `cell_text`, lowest column wins."""
     values = {}
@@ -132,9 +149,80 @@ def reference_tag_content(tq, table):
 
     def match(text):
         col = values.get(text)
-        return TypeTag(COLUMN_VALUE, column=col) if col is not None else None
+        return TypeTag("column_value", column=col) if col is not None else None
 
-    _apply_span_matches(tq, match)
+    reference_span_matches(tq, match)
+    return tq
+
+
+MONTHS = ("january", "february", "march", "april", "may", "june", "july", "august",
+          "september", "october", "november", "december")
+
+
+def _all_digits(text, lengths=None):
+    return (text != "" and all(ch in DIGITS for ch in text)
+            and (lengths is None or len(text) in lengths))
+
+
+def _naive_iso_date(token):
+    parts = token.split("-")
+    return len(parts) == 3 and (
+        _all_digits(parts[0], (4,)) and _all_digits(parts[1], (1, 2))
+        and _all_digits(parts[2], (1, 2))
+        or _all_digits(parts[0], (1, 2)) and _all_digits(parts[1], (1, 2))
+        and _all_digits(parts[2], (4,)))
+
+
+def reference_tag_numbers(tq):
+    """Left to right: a month-name date span if one starts here and is free, else the
+    token alone as an ISO-like date, a year, an integer or a float."""
+    tokens, tags = tq.tokens, tq.tags
+    i = 0
+    while i < len(tokens):
+        if tags[i].kind != "none":
+            i += 1
+            continue
+        span = 0
+        rest = tokens[i + 1:]
+        if tokens[i] in MONTHS and len(rest) >= 2 and _all_digits(rest[0]) \
+                and 1 <= int(rest[0]) <= 31:
+            if _all_digits(rest[1], (4,)):
+                span = 3
+            elif len(rest) >= 3 and rest[1] == "," and _all_digits(rest[2], (4,)):
+                span = 4
+        if span and all(tags[j].kind == "none" for j in range(i, i + span)):
+            for j in range(i, i + span):
+                tags[j] = TypeTag("date")
+            i += span
+            continue
+        token = tokens[i]
+        if _naive_iso_date(token):
+            tags[i] = TypeTag("date")
+        elif naive_number(token) is not None:
+            if not _all_digits(token):
+                tags[i] = TypeTag("float")
+            elif len(token) == 4 and 1300 <= int(token) <= 2100:
+                tags[i] = TypeTag("year")
+            else:
+                tags[i] = TypeTag("integer")
+        i += 1
+    return tq
+
+
+def reference_recognize(question, header, table=None, mode="insensitive", gazetteer=None):
+    """The four passes in order: columns, cell values (content mode), numbers, entities."""
+    tokens, spans = tokenize(question)
+    tq = TaggedQuestion(tokens=tokens, tags=[TAG_NONE] * len(tokens), char_spans=spans)
+    names = {naive_norm(name) for name in header}
+    reference_span_matches(tq, lambda text: TypeTag("column") if text in names else None)
+    if mode == "content":
+        reference_tag_content(tq, table)
+    reference_tag_numbers(tq)
+    if gazetteer is not None:
+        def entity(text):
+            category = gazetteer.lookup(text)
+            return TypeTag(category) if category is not None else None
+        reference_span_matches(tq, entity)
     return tq
 
 

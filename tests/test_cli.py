@@ -47,6 +47,12 @@ class TestTagCommand:
         assert code == 1
         assert "ghost" in capsys.readouterr().err
 
+    def test_non_ascii_digits_are_not_numbers(self, magazine_files, capsys):
+        code = main(["tag", "--question", "is it ١٩٩٩ or ١٢",
+                     "--tables", magazine_files["tables"], "--table-id", "mag"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == ["none"] * 5
+
 
 class TestEvalCommand:
     def test_perfect_predictions_all_ones(self, magazine_files, tmp_path, capsys):
@@ -174,6 +180,26 @@ class TestReadersNameTheirFile:
         assert main(["train", "--config", str(path)]) == 1
         assert one_line_error(capsys).startswith(
             f"error: {path}:2: bad JSON (Expecting property name")
+
+    @pytest.mark.parametrize("kind", ["config", "examples", "tables", "preds"])
+    def test_integer_past_digit_limit_names_the_file(self, kind, magazine_files, tmp_path,
+                                                     capsys):
+        bad = tmp_path / f"bad-{kind}"
+        huge = "9" * 5000
+        if kind == "config":
+            bad.write_text('{"hidden_width": 8,\n"epochs": ' + huge + '}\n', encoding="utf-8")
+            argv, where = ["train", "--config", str(bad)], ""
+        else:
+            source = magazine_files.get(kind, magazine_files["examples"])
+            with open(source, encoding="utf-8") as fh:
+                bad.write_text(fh.read() + '{"n": ' + huge + '}\n', encoding="utf-8")
+            files = dict(magazine_files, preds=magazine_files["examples"])
+            files[kind] = str(bad)
+            argv, where = ["eval", "--examples", files["examples"], "--tables", files["tables"],
+                           "--preds", files["preds"]], ":2"
+        assert main(argv) == 1
+        assert one_line_error(capsys).startswith(
+            f"error: {bad}{where}: bad JSON (Exceeds the limit (4300 digits)")
 
     def test_empty_training_set_names_the_file(self, magazine_files, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

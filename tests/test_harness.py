@@ -165,10 +165,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=next(iter(kw))):
             H.TrainConfig(**kw)
 
-    def test_from_file_reports_json_syntax_error_with_file_and_line(self, tmp_path):
+    @pytest.mark.parametrize("text,where", [
+        ('{"hidden_width": 16,\n}\n', ":2: bad JSON"),
+        ('{"hidden_width": ' + "9" * 5000 + "}\n", ": bad JSON \\(Exceeds the limit"),
+    ], ids=["syntax", "digits"])
+    def test_from_file_reports_json_syntax_error_with_file_and_line(self, text, where, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text('{"hidden_width": 16,\n}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: bad JSON"):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{where}"):
             H.TrainConfig.from_file(path)
 
     def test_from_file_rejects_unknown_keys(self, tmp_path):

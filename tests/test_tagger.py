@@ -9,7 +9,7 @@ from helpers import (
     demo_gazetteer,
     magazine_table,
 )
-from reference_impls import reference_tag_content
+from reference_impls import reference_recognize, reference_tag_content
 from sketchsql import tagger as T
 from sketchsql.tables import Table, cell_text
 from sketchsql.tagger import Gazetteer, GazetteerError, TaggedQuestion, TypeTag
@@ -111,6 +111,12 @@ class TestNumbers:
         ("2100", "year"),
         ("1999-07-01", "date"),
         ("12-31-1999", "date"),
+        ("١٢", "none"),
+        ("١٩٩٩", "none"),
+        ("1e5", "float"),
+        ("007", "integer"),
+        ("1e400", "none"),
+        ("١٩٩٩-٠٧-٠١", "none"),
     ])
     def test_single_token_classes(self, token, kind):
         tq = fresh([token])
@@ -131,6 +137,11 @@ class TestNumbers:
         tq = fresh(["in", "may", "perhaps"])
         T.tag_numbers(tq)
         assert all(t.kind == "none" for t in tq.tags)
+
+    def test_date_span_with_a_day_past_float64_is_not_a_date(self):
+        tq = fresh(["july", "9" * 5000, "1999"])
+        T.tag_numbers(tq)
+        assert [t.kind for t in tq.tags] == ["none", "none", "year"]
 
     def test_already_tagged_tokens_kept(self):
         tq = fresh(["1998"])
@@ -256,6 +267,33 @@ class TestContent:
         assert got.tags == want.tags
 
 
+# Header words, cell texts, month names, ',' and number tokens, so that column, value,
+# date, number and entity spans overlap and compete; whole date phrases make month-name
+# dates frequent, also ones whose inner tokens an earlier pass has claimed.
+RECOGNIZE_TABLE = Table(
+    id="rec", header=["spoofed title", "artist", "issue", "year", "may"],
+    types=["text", "text", "real", "real", "text"],
+    rows=[["star blecch", "mort drucker", 88.5, 1999, "july 4 1999"],
+          ["the empire", "al jaffee", 203, 2100, "may"],
+          ["1e5", "new york", 7, 12, "july"]],
+)
+RECOGNIZE_WORDS = (
+    RECOGNIZE_TABLE.header
+    + sorted({cell_text(cell) for row in RECOGNIZE_TABLE.rows for cell in row})
+    + ["spoofed", "title", "star", "mort", "drucker", "new", "france", "of", "the"]
+    + ["january", "may", "july", "december", ","]
+    + ["december 12 1999", "may 31 , 2101", "january 32 1999", "june 0 2000",
+       "july 1 ١٩٩٩", "july 007 1299", "july 4 , 19999"]
+    + ["١٢", "١٩٩٩", "1e5", "007", "1e400", "2100", "2101", "1299", "1999", "1998",
+       "88.5", "203", "7", "1", "4", "12", "31", "32", "0", "01999", "1e-5", "1_000",
+       "1999-07-01", "12-31-1999", "١٩٩٩-٠٧-٠١", "9" * 400]
+)
+RECOGNIZE_GAZETTEER = Gazetteer([
+    ("mort drucker", "person"), ("al jaffee", "person"), ("new york", "place"),
+    ("france", "country"), ("may", "person"), ("july 4", "sport"), ("star", "organization"),
+])
+
+
 class TestRecognize:
     def test_insensitive_mode_tags(self):
         table = magazine_table()
@@ -303,3 +341,17 @@ class TestRecognize:
                             mode="content", gazetteer=gaz)
         assert again.tokens == tq.tokens
         assert again.tags == tq.tags
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pass_by_pass_reference(self, data):
+        table = RECOGNIZE_TABLE
+        words = data.draw(st.lists(st.sampled_from(RECOGNIZE_WORDS), min_size=1, max_size=12))
+        question = " ".join(words)
+        gaz = RECOGNIZE_GAZETTEER
+        for mode in T.MODES:
+            got = T.recognize(question, table.header, table=table, mode=mode, gazetteer=gaz)
+            want = reference_recognize(question, table.header, table=table, mode=mode,
+                                       gazetteer=gaz)
+            assert got.tags == want.tags, (mode, question)
+
