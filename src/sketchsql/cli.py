@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import harness
 from .encoder import load_embeddings
 from .executor import evaluate_dataset
 from .kernel import load_checkpoint
-from .sketch import SqlQuery, render
+from .sketch import render
 from .tagger import Gazetteer, recognize
 
 
@@ -60,14 +61,11 @@ def _load_table(path, table_id):
 
 
 def _config_with_overrides(args) -> harness.TrainConfig:
-    config = harness.TrainConfig.from_file(args.config)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "mode", None) is not None:
-        config.mode = args.mode
-    if getattr(args, "checkpoint", None) is not None:
-        config.checkpoint_path = args.checkpoint
-    return config
+    overrides = {"seed": getattr(args, "seed", None), "mode": getattr(args, "mode", None),
+                 "checkpoint_path": getattr(args, "checkpoint", None)}
+    # replace() builds a new config, so the overrides pass TrainConfig's checks too
+    return replace(harness.TrainConfig.from_file(args.config),
+                   **{name: value for name, value in overrides.items() if value is not None})
 
 
 def _restore_model(config: harness.TrainConfig, checkpoint_path):
@@ -81,9 +79,7 @@ def _restore_model(config: harness.TrainConfig, checkpoint_path):
 def _cmd_tag(args) -> int:
     table = _load_table(args.tables, args.table_id)
     gaz = Gazetteer.from_tsv(args.gazetteer) if args.gazetteer else None
-    tq = recognize(args.question, table.header,
-                   table=table if args.mode == "content" else None,
-                   mode=args.mode, gazetteer=gaz)
+    tq = recognize(args.question, table.header, table=table, mode=args.mode, gazetteer=gaz)
     print(json.dumps(tq.display_tags(table.header)))
     return 0
 
@@ -110,23 +106,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_pred_file(path) -> list[SqlQuery]:
-    preds = []
-    for lineno, rec in harness._read_jsonl(path):
-        body = rec.get("sql", rec) if isinstance(rec, dict) else rec
-        try:
-            preds.append(SqlQuery.from_dict(body))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise harness.DatasetError(f"{path}:{lineno}: {exc}") from None
-    return preds
-
-
 def _cmd_eval(args) -> int:
     examples, tables = harness.load_dataset(args.examples, args.tables)
     if args.preds:
-        preds = _load_pred_file(args.preds)
-        if len(preds) != len(examples):
-            raise ValueError(f"{len(preds)} predictions for {len(examples)} examples")
+        preds = harness.load_predictions(args.preds, examples, tables)
         metrics = evaluate_dataset(preds, [ex.gold for ex in examples],
                                    [ex.table_id for ex in examples], tables)
     else:

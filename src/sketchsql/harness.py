@@ -20,7 +20,7 @@ from . import slots as S
 from .encoder import EmbeddingStore, load_embeddings
 from .executor import Metrics, evaluate_dataset
 from .sketch import SqlQuery, assemble
-from .tables import Table, not_utf8
+from .tables import Table, not_utf8, text_lines
 from .tagger import Gazetteer, TaggedQuestion, recognize, tokenize
 
 COND_COL_POS_WEIGHT = 3.0  # positive-class weight for the condition-column BCE
@@ -42,18 +42,12 @@ class DatasetError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _read_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
+    for lineno, line in text_lines(path, DatasetError):
         try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    yield lineno, json.loads(line)
-                except ValueError as exc:  # also an integer past Python's digit limit
-                    msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
-                    raise DatasetError(f"{path}:{lineno}: bad JSON ({msg})") from None
-        except UnicodeDecodeError as exc:
-            raise DatasetError(not_utf8(path, exc)) from None
+            yield lineno, json.loads(line)
+        except ValueError as exc:  # also an integer past Python's digit limit
+            msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise DatasetError(f"{path}:{lineno}: bad JSON ({msg})") from None
 
 
 def _string(rec: dict, name: str) -> str:
@@ -120,6 +114,25 @@ def load_dataset(examples_path, tables_path) -> tuple[list[Example], dict[str, T
     return examples, tables
 
 
+def load_predictions(path, examples: list[Example],
+                     tables: dict[str, Table]) -> list[SqlQuery]:
+    """Predicted queries, one JSON line each (bare or under "sql"), parallel to examples;
+    each must lie within its example's table."""
+    preds: list[SqlQuery] = []
+    for lineno, rec in _read_jsonl(path):
+        body = rec.get("sql", rec) if isinstance(rec, dict) else rec
+        try:
+            pred = SqlQuery.from_dict(body)
+            if len(preds) < len(examples):  # a surplus line fails the count check below
+                pred.validate_against(tables[examples[len(preds)].table_id].n_columns)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+        preds.append(pred)
+    if len(preds) != len(examples):
+        raise DatasetError(f"{path}: {len(preds)} predictions for {len(examples)} examples")
+    return preds
+
+
 def write_examples(examples: list[Example], path):
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
@@ -157,11 +170,9 @@ class TrainConfig:
     checkpoint_path: str | None = None
     eval_every: int = 1
     stop_at_train_qm: float | None = None
-    decoder_max_len: int = 20
 
     def __post_init__(self):
-        least = dict.fromkeys(("hidden_width", "batch_size", "epochs", "eval_every",
-                               "decoder_max_len"), 1)
+        least = dict.fromkeys(("hidden_width", "batch_size", "epochs", "eval_every"), 1)
         least["seed"] = 0
         if self.type_dim is not None:  # None picks the mode's default width
             least["type_dim"] = 1
@@ -244,9 +255,8 @@ def find_token_span(tokens: list[str], value: str) -> list[int] | None:
 
 def prepare_example(model: S.SketchModel, example: Example, table: Table,
                     gazetteer: Gazetteer | None = None) -> PreparedExample:
-    tq = recognize(example.question, table.header,
-                   table=table if model.mode == "content" else None,
-                   mode=model.mode, gazetteer=gazetteer)
+    tq = recognize(example.question, table.header, table=table, mode=model.mode,
+                   gazetteer=gazetteer)
     spans = [find_token_span(tq.tokens, val) for _, _, val in example.gold.conds]
     col_matrix = model.column_matrix(table.header)
     return PreparedExample(tq=tq, gold=example.gold,
@@ -345,9 +355,7 @@ def _pointer_loss(vp: S.ValPointer, q_in: K.Tensor, H_qt: K.Tensor, H_col: K.Ten
 def predict(model: S.SketchModel, question: str, table: Table,
             gazetteer: Gazetteer | None = None) -> SqlQuery:
     """End-to-end inference: tag, encode, fill slots, assemble the query."""
-    tq = recognize(question, table.header,
-                   table=table if model.mode == "content" else None,
-                   mode=model.mode, gazetteer=gazetteer)
+    tq = recognize(question, table.header, table=table, mode=model.mode, gazetteer=gazetteer)
     pred = model.predict_slots(tq, table.header)
     query = assemble(pred, tq.tokens)
     query.validate_against(table.n_columns)
@@ -368,8 +376,6 @@ def evaluate_model(model: S.SketchModel, examples: list[Example], tables: dict[s
 @dataclass
 class TrainResult:
     epoch_losses: list[float]
-    train_qm: list[tuple[int, float]]
-    dev_qm: list[tuple[int, float]]
     best_dev_qm: float | None
     model: S.SketchModel
     store: K.ParamStore
@@ -379,8 +385,7 @@ class TrainResult:
 def build_model(config: TrainConfig, emb: EmbeddingStore) -> tuple[S.SketchModel, K.ParamStore]:
     store = K.ParamStore(seed=config.seed)
     model = S.SketchModel(store, emb, width=config.hidden_width, mode=config.mode,
-                          type_dim=config.type_dim, dropout=config.dropout,
-                          decoder_max_len=config.decoder_max_len)
+                          type_dim=config.type_dim, dropout=config.dropout)
     return model, store
 
 
@@ -405,8 +410,6 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
     rng = np.random.default_rng(config.seed)
 
     epoch_losses: list[float] = []
-    train_qm: list[tuple[int, float]] = []
-    dev_qm: list[tuple[int, float]] = []
     best_dev = None
     started = time.monotonic()
 
@@ -438,13 +441,11 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
         if epoch % config.eval_every == 0 or epoch == config.epochs:
             if config.stop_at_train_qm is not None:
                 qm = evaluate_model(model, train_examples, tables, gazetteer).acc_qm
-                train_qm.append((epoch, qm))
                 entry["train_qm"] = qm
                 if qm >= config.stop_at_train_qm:
                     stop = True
             if dev_examples:
                 qm = evaluate_model(model, dev_examples, tables, gazetteer).acc_qm
-                dev_qm.append((epoch, qm))
                 entry["dev_qm"] = qm
                 if config.checkpoint_path and (best_dev is None or qm > best_dev):
                     best_dev = qm
@@ -456,6 +457,5 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
 
     if config.checkpoint_path and best_dev is None:
         K.save_checkpoint(store, config.checkpoint_path)
-    return TrainResult(epoch_losses=epoch_losses, train_qm=train_qm, dev_qm=dev_qm,
-                       best_dev_qm=best_dev, model=model, store=store,
-                       checkpoint_path=config.checkpoint_path)
+    return TrainResult(epoch_losses=epoch_losses, best_dev_qm=best_dev, model=model,
+                       store=store, checkpoint_path=config.checkpoint_path)

@@ -571,9 +571,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -233,15 +233,16 @@ class SketchModel:
     because cell-value tags substitute averaged column-name word vectors.
     """
 
+    decoder_max_len = 20  # value tokens greedy decoding emits at most per condition
+
     def __init__(self, store: K.ParamStore, emb: EmbeddingStore, width: int = 120,
                  mode: str = "insensitive", type_dim: int | None = None,
-                 dropout: float = 0.3, decoder_max_len: int = 20):
+                 dropout: float = 0.3):
         if width % 2 != 0:
             raise ValueError("bidirectional width must be even")
         self.emb = emb
         self.mode = mode
         self.dropout = dropout
-        self.decoder_max_len = decoder_max_len
         self.type_dim = emb.dim if mode == "content" else (30 if type_dim is None else type_dim)
         self.d_in = emb.dim + self.type_dim
         h = width // 2

@@ -1,6 +1,7 @@
 """In-memory tables, and the one number grammar the tagger and the executor share.
 
-Also the one message every text-file reader gives for bytes that are not UTF-8.
+Also the one line reader of every line-oriented input file, and the one message
+every text-file reader gives for bytes that are not UTF-8.
 """
 
 from __future__ import annotations
@@ -52,6 +53,18 @@ def not_utf8(path, exc: UnicodeDecodeError) -> str:
             except UnicodeDecodeError as bad:
                 return f"{path}:{lineno}: not UTF-8 text ({bad.reason})"
     return f"{path}: not UTF-8 text ({exc.reason})"
+
+
+def text_lines(path, error):
+    """Yield (line number, line without its newline) for each non-blank line of a UTF-8
+    text file; bytes that are not UTF-8 raise error(not_utf8(...))."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise error(not_utf8(path, exc)) from None
 
 
 def normalize_text(s: str) -> str:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .tables import Table, cell_text, normalize_text, not_utf8, parse_number
+from .tables import Table, cell_text, normalize_text, parse_number, text_lines
 
 NONE = "none"
 COLUMN = "column"
@@ -61,10 +61,8 @@ class TypeTag:
         elif self.column is not None:
             raise ValueError(f"tag {self.kind!r} does not carry a column index")
 
-    def display(self, header: list[str] | None = None) -> str:
+    def display(self, header: list[str]) -> str:
         if self.kind == COLUMN_VALUE:
-            if header is None:
-                return f"value:{self.column}"
             return normalize_text(header[self.column])
         return self.kind
 
@@ -84,7 +82,7 @@ class TaggedQuestion:
         if not (len(self.tokens) == len(self.tags) == len(self.char_spans) >= 1):
             raise ValueError("tokens, tags and char_spans must be parallel and non-empty")
 
-    def display_tags(self, header: list[str] | None = None) -> list[str]:
+    def display_tags(self, header: list[str]) -> list[str]:
         return [t.display(header) for t in self.tags]
 
 
@@ -113,29 +111,19 @@ class Gazetteer:
     def lookup(self, key: str) -> str | None:
         return self._entries.get(normalize_text(key))
 
-    def __len__(self):
-        return len(self._entries)
-
     @classmethod
     def from_tsv(cls, path) -> "Gazetteer":
         """Load `key<TAB>category` lines; unknown categories fail with the line number."""
         gaz = cls()
-        with open(path, encoding="utf-8") as fh:
+        for lineno, line in text_lines(path, GazetteerError):
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise GazetteerError(f"{path}:{lineno}: expected 'key<TAB>category'")
+            key, category = parts
             try:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.rstrip("\n")
-                    if not line.strip():
-                        continue
-                    parts = line.split("\t")
-                    if len(parts) != 2:
-                        raise GazetteerError(f"{path}:{lineno}: expected 'key<TAB>category'")
-                    key, category = parts
-                    try:
-                        gaz.add(key, category.strip().lower())
-                    except GazetteerError as exc:
-                        raise GazetteerError(f"{path}:{lineno}: {exc}") from None
-            except UnicodeDecodeError as exc:
-                raise GazetteerError(not_utf8(path, exc)) from None
+                gaz.add(key, category.strip().lower())
+            except GazetteerError as exc:
+                raise GazetteerError(f"{path}:{lineno}: {exc}") from None
         return gaz
 
 
@@ -157,16 +145,10 @@ def tokenize(question: str) -> tuple[list[str], list[tuple[int, int]]]:
     return tokens, spans
 
 
-def extract_ngrams(tokens: list[str]) -> list[tuple[int, int]]:
-    """All (start, end) spans of length min(6, T) down to 1, longest first then leftmost."""
-    if not tokens:
-        raise ValueError("no tokens")
-    return list(_ngram_spans(len(tokens)))
-
-
 @lru_cache(maxsize=64)
-def _ngram_spans(t: int) -> tuple[tuple[int, int], ...]:
-    """The spans of `extract_ngrams`, built once per question length."""
+def ngram_spans(t: int) -> tuple[tuple[int, int], ...]:
+    """All (start, end) spans of length min(6, t) down to 1 over t tokens, longest first
+    then leftmost; built once per question length."""
     return tuple((start, start + length)
                  for length in range(min(MAX_NGRAM, t), 0, -1)
                  for start in range(0, t - length + 1))
@@ -179,7 +161,7 @@ def _apply_span_matches(tq: TaggedQuestion, match_fn):
     """
     tokens, tags = tq.tokens, tq.tags
     claimed = [tag.kind != NONE for tag in tags]
-    for start, end in extract_ngrams(tokens):
+    for start, end in ngram_spans(len(tokens)):
         if True in claimed[start:end]:
             continue
         tag = match_fn(" ".join(tokens[start:end]))

@@ -1,6 +1,7 @@
 """The benchmark's tracer (bench/tracing.py) wraps program functions by the
-names their callers look them up by. These tests keep those seams in use
-on both the training and the inference path."""
+names their callers look them up by, and its input builder (bench/inputs.py)
+reads program names to build the serving model. These tests keep those seams
+in use on both the training and the inference path."""
 
 import importlib.util
 from pathlib import Path
@@ -14,12 +15,16 @@ from sketchsql import slots as S
 from sketchsql.sketch import SqlQuery
 
 
-def load_tracer_class():
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+def load_bench_module(name):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Tracer
+    return module
+
+
+def load_tracer_class():
+    return load_bench_module("tracing").Tracer
 
 
 def test_tracer_counts_the_read_path_in_training_and_inference():
@@ -81,3 +86,18 @@ def test_tracer_sees_content_tagging_and_scoring_executions():
 
     assert tagged["tagger.cells_indexed"] == len(table.rows) * table.n_columns
     assert scored["executor.execute.calls"] == 2 * 2  # prediction and gold, per example
+
+
+def test_serving_model_build_reads_its_program_names():
+    inputs = load_bench_module("inputs")
+    config = inputs.model_config(Path("embeddings.txt"), epochs=1)
+    assert config.mode == "content"
+    model, _ = H.build_model(config, tiny_embeddings())
+    # decode_work reads cond_count, decoder_max_len and tokenize(...)[0]
+    work = inputs.decode_work(model, [magazine_example()], {"mag": magazine_table()},
+                              demo_gazetteer())
+    assert work["gold_conds"] == 2
+    assert work["gold_steps"] == 5  # "mort drucker" and "88.5", each plus its end step
+    assert work["pred_conds"] <= 3
+    assert work["pred_conds"] <= work["pred_steps"] <= work["pred_conds"] * (
+        model.decoder_max_len + 1)

@@ -71,6 +71,20 @@ class TestEvalCommand:
         code = main(["eval", "--examples", magazine_files["examples"],
                      "--tables", magazine_files["tables"], "--preds", str(preds)])
         assert code == 1
+        assert one_line_error(capsys) == f"error: {preds}: 0 predictions for 1 examples\n"
+
+    @pytest.mark.parametrize("query,message", [
+        ({"sel": 5, "agg": 0, "conds": []}, "select column 5 outside schema of 3"),
+        ({"sel": 0, "agg": 0, "conds": [[7, 0, "x"]]}, "condition column 7 outside schema of 3"),
+    ], ids=["select", "condition"])
+    def test_prediction_outside_its_table_names_file_and_line(self, query, message,
+                                                              magazine_files, tmp_path, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps(query) + "\n", encoding="utf-8")
+        code = main(["eval", "--examples", magazine_files["examples"],
+                     "--tables", magazine_files["tables"], "--preds", str(preds)])
+        assert code == 1
+        assert one_line_error(capsys) == f"error: {preds}:1: {message}\n"
 
     def test_missing_dataset_path_fails_with_message(self, magazine_files, capsys):
         code = main(["eval", "--examples", "/nonexistent/examples.jsonl",
@@ -331,6 +345,13 @@ class TestConfigErrors:
             assert next(iter(bad)) in err
         else:
             assert f"{path}: config must be a JSON object" in err
+
+
+    def test_flag_override_is_checked_like_a_config_field(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"hidden_width": 8}), encoding="utf-8")
+        assert main(["train", "--config", str(path), "--seed", "-1"]) == 1
+        assert one_line_error(capsys) == "error: seed must be an integer >= 0, got -1\n"
 
 
 class TestTrainEvalPredictPipeline:

@@ -151,7 +151,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kw", [{"batch_size": 0}, {"dropout": 1.0},
                                     {"hidden_width": 15}, {"mode": "telepathy"},
                                     {"eval_every": 0}, {"epochs": "2"}, {"epochs": True},
-                                    {"batch_size": 2.0}, {"decoder_max_len": 0},
+                                    {"batch_size": 2.0},
                                     {"learning_rate": 0.0}, {"learning_rate": "0.1"},
                                     {"hidden_width": "32"}, {"stop_at_train_qm": "0.9"},
                                     {"stop_at_train_qm": True}, {"stop_at_train_qm": 1.5},
@@ -175,10 +175,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}{where}"):
             H.TrainConfig.from_file(path)
 
-    def test_from_file_rejects_unknown_keys(self, tmp_path):
+    @pytest.mark.parametrize("key", ["warp_factor", "decoder_max_len"])
+    def test_from_file_rejects_unknown_keys(self, key, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"hidden_width": 16, "warp_factor": 9}), encoding="utf-8")
-        with pytest.raises(ValueError, match="warp_factor"):
+        path.write_text(json.dumps({"hidden_width": 16, key: 9}), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"unknown config keys ['{key}']")):
             H.TrainConfig.from_file(path)
 
 

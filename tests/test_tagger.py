@@ -54,18 +54,18 @@ class TestTokenize:
 
 class TestExtractNgrams:
     def test_five_tokens_count_for_paper_lengths(self):
-        spans = T.extract_ngrams(list("abcde"))
+        spans = T.ngram_spans(5)
         long_spans = [s for s in spans if s[1] - s[0] >= 2]
         assert len(long_spans) == 10  # lengths 2..6 over 5 tokens: 4+3+2+1
 
     def test_single_token(self):
-        assert T.extract_ngrams(["only"]) == [(0, 1)]
+        assert T.ngram_spans(1) == ((0, 1),)
 
     def test_two_tokens(self):
-        assert T.extract_ngrams(["a", "b"]) == [(0, 2), (0, 1), (1, 2)]
+        assert T.ngram_spans(2) == ((0, 2), (0, 1), (1, 2))
 
     def test_ordering_longest_then_leftmost(self):
-        spans = T.extract_ngrams(list("abcdefg"))
+        spans = T.ngram_spans(7)
         lengths = [e - s for s, e in spans]
         assert lengths == sorted(lengths, reverse=True)
         for length in set(lengths):
@@ -73,7 +73,7 @@ class TestExtractNgrams:
             assert starts == sorted(starts)
 
     def test_caps_at_six(self):
-        spans = T.extract_ngrams(list("abcdefgh"))
+        spans = T.ngram_spans(8)
         assert max(e - s for s, e in spans) == 6
 
 
