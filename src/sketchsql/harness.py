@@ -71,6 +71,8 @@ def load_tables(path) -> dict[str, Table]:
     tables: dict[str, Table] = {}
     for lineno, rec in _read_jsonl(path):
         try:
+            if not isinstance(rec, dict):
+                raise ValueError(f"a table must be a JSON object, got {rec!r}")
             rows = rec.get("rows", [])
             if not isinstance(rows, list):
                 raise ValueError(f"rows must be a list of rows, got {rows!r}")
@@ -98,6 +100,8 @@ def load_dataset(examples_path, tables_path) -> tuple[list[Example], dict[str, T
     examples: list[Example] = []
     for lineno, rec in _read_jsonl(examples_path):
         try:
+            if not isinstance(rec, dict):
+                raise ValueError(f"an example must be a JSON object, got {rec!r}")
             gold = SqlQuery.from_dict(rec["sql"])
             example = Example(question=_string(rec, "question"),
                               table_id=_string(rec, "table_id"), gold=gold)
@@ -267,9 +271,9 @@ def prepare_example(model: S.SketchModel, example: Example, table: Table,
 SLOTS = ("select", "count", "cond_cols", "agg", "op", "pointer")
 
 
-def total_loss(model: S.SketchModel, preps: list[PreparedExample], training: bool = True,
+def total_loss(model: S.SketchModel, preps: list[PreparedExample],
                rng: np.random.Generator | None = None) -> tuple[K.Tensor, dict[str, float]]:
-    """Teacher-forced loss of a minibatch, built as one taped forward.
+    """Teacher-forced loss of a minibatch as one taped forward; an rng turns dropout on.
 
     Returns the batch mean of each example's summed slot losses, and per slot
     (SLOTS) its term summed over the batch. The terms: cross-entropy for the
@@ -285,8 +289,7 @@ def total_loss(model: S.SketchModel, preps: list[PreparedExample], training: boo
     words, indices, consts = zip(*(p.q_parts for p in preps))
     q_parts = (np.vstack(words), [i for idx in indices for i in idx], np.vstack(consts))
     col_read, agg_read, opval_read = model.read(
-        S.MODEL_NAMES, q_parts, np.vstack([p.col_matrix for p in preps]), q_lens, c_lens,
-        training, rng)
+        S.MODEL_NAMES, q_parts, np.vstack([p.col_matrix for p in preps]), q_lens, c_lens, rng)
     golds = [p.gold for p in preps]
     sel_rows = c_at + [gold.sel for gold in golds]
     conds = [(i, c_at[i] + col, op, span) for i, p in enumerate(preps)
@@ -406,7 +409,7 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
     model, store = build_model(config, emb)
     prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer)
                 for ex in train_examples]
-    adam = K.AdamState(lr=config.learning_rate)
+    adam = K.AdamState(store, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
     epoch_losses: list[float] = []
@@ -420,8 +423,7 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
         for at in range(0, len(order), config.batch_size):
             batch = order[at : at + config.batch_size]
             store.zero_grad()
-            batch_loss, slot_sums = total_loss(model, [prepared[i] for i in batch],
-                                               training=True, rng=rng)
+            batch_loss, slot_sums = total_loss(model, [prepared[i] for i in batch], rng)
             value = batch_loss.item()
             if not np.isfinite(value):  # stop before the update, so weights stay finite
                 raise ValueError(f"non-finite loss at epoch {epoch}, "

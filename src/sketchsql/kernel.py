@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 import struct
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,8 +119,8 @@ def _node(data: np.ndarray, parents: tuple, bwd) -> Tensor:
     return out
 
 
-def backward(loss: Tensor, store: "ParamStore | None" = None):
-    """Reverse-mode pass from a scalar loss; returns the store's gradient map.
+def backward(loss: Tensor):
+    """Reverse-mode pass from a scalar loss.
 
     Gradients accumulate into .grad of every requires_grad leaf (a tensor no op
     produced) reachable from the loss. An op's output drops its gradient once it
@@ -151,9 +151,6 @@ def backward(loss: Tensor, store: "ParamStore | None" = None):
             if node._bwd is not None and node.grad is not None:
                 node._bwd(node.grad)
                 node.grad = None  # passed back: only leaves keep a gradient
-    if store is not None:
-        return store.gradients()
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +582,6 @@ class ParamStore:
         for t in self._entries.values():
             t.zero_grad()
 
-    def gradients(self) -> dict[str, np.ndarray]:
-        """Gradient per parameter; parameters untouched by backward map to zeros."""
-        out = {}
-        for name, t in self.items():
-            out[name] = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
-        return out
-
     def load_state(self, state: dict[str, np.ndarray]):
         """Replace all parameter values; name sets and shapes must match exactly."""
         if set(state) != set(self._entries):
@@ -616,12 +606,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-@dataclass
 class AdamState:
-    lr: float = 1e-3
-    step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """Step count and first/second moments, zero at build for every parameter of a store."""
+
+    def __init__(self, store: ParamStore, lr: float = 1e-3):
+        self.lr = lr
+        self.step_count = 0
+        self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
+        self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
 
 
 def adam_step(store: ParamStore, state: AdamState):
@@ -632,12 +624,7 @@ def adam_step(store: ParamStore, state: AdamState):
     bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in store.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
         m, v = state.m[name], state.v[name]
-        if m.shape != p.data.shape:
-            raise KernelError(f"parameter {name!r} changed shape between Adam steps")
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2

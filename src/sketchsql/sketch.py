@@ -92,18 +92,15 @@ def detokenize(tokens: list[str]) -> str:
     return _PUNCT_SPACE.sub("", " ".join(tokens))
 
 
-def assemble(pred, tokens: list[str], stats: dict | None = None) -> SqlQuery:
+def assemble(pred, tokens: list[str]) -> SqlQuery:
     """Build a SqlQuery from slot predictions over the question tokens.
 
-    Duplicate condition columns keep their first occurrence; drops are
-    counted into `stats["duplicate_cond_cols"]` when a dict is passed.
+    Duplicate condition columns keep their first occurrence.
     """
     conds = []
     seen = set()
     for col, op, span in zip(pred.cond_cols, pred.cond_ops, pred.cond_val_spans):
         if col in seen:
-            if stats is not None:
-                stats["duplicate_cond_cols"] = stats.get("duplicate_cond_cols", 0) + 1
             continue
         seen.add(col)
         conds.append((col, op, detokenize([tokens[i] for i in span])))

@@ -317,11 +317,10 @@ class SketchModel:
     # -- encoding ----------------------------------------------------------
 
     def encode(self, which: tuple[str, ...], q_input: K.Tensor, col_input: K.Tensor,
-               q_lens=None, c_lens=None, training: bool = False,
-               rng: np.random.Generator | None = None):
-        """[(H_qt, H_col)] per named model, with output dropout. The named models'
-        question bi-LSTMs run as one grouped scan over every question of the batch
-        (lengths q_lens), their column bi-LSTMs as another (lengths c_lens)."""
+               q_lens=None, c_lens=None, rng: np.random.Generator | None = None):
+        """[(H_qt, H_col)] per named model, with output dropout when an rng is passed. The
+        named models' question bi-LSTMs run as one grouped scan over every question of the
+        batch (lengths q_lens), their column bi-LSTMs as another (lengths c_lens)."""
         flags = [False, True] * len(which)
         H_q = K.lstm_sequence(q_input, [d for m in which for d in self.encoders[m][0]], flags,
                               q_lens)
@@ -331,30 +330,29 @@ class SketchModel:
         out = []
         for i in range(len(which)):
             H_qt, H_col = (K.cols(H, i * width, (i + 1) * width) for H in (H_q, H_c))
-            if training and self.dropout > 0:
+            if rng is not None:
                 H_qt = K.dropout(H_qt, self.dropout, rng)
                 H_col = K.dropout(H_col, self.dropout, rng)
             out.append((H_qt, H_col))
         return out
 
     def attend(self, which: str, H_qt: K.Tensor, H_col: K.Tensor, mask=None,
-               training: bool = False, rng: np.random.Generator | None = None) -> K.Tensor:
-        """Attention-weighted question summary per column, with dropout."""
+               rng: np.random.Generator | None = None) -> K.Tensor:
+        """Attention-weighted question summary per column; an rng turns dropout on."""
         att = column_attention(H_qt, H_col, self.attention[which], mask)
         H_qt_col = att.H_qt_col
-        if training and self.dropout > 0:
+        if rng is not None:
             H_qt_col = K.dropout(H_qt_col, self.dropout, rng)
         return H_qt_col
 
     def read(self, which: tuple[str, ...], q_parts, col_matrix: np.ndarray,
-             q_lens=None, c_lens=None, training: bool = False,
-             rng: np.random.Generator | None = None):
+             q_lens=None, c_lens=None, rng: np.random.Generator | None = None):
         """[(q_in, H_qt, H_col, H_qt_col)] per named model, from one q_in, for a batch of
         stacked questions and columns with lengths q_lens and c_lens (default: one)."""
         q_in = self.question_input(*q_parts)
-        encoded = self.encode(which, q_in, K.constant(col_matrix), q_lens, c_lens, training, rng)
+        encoded = self.encode(which, q_in, K.constant(col_matrix), q_lens, c_lens, rng)
         mask = None if q_lens is None else block_mask(c_lens, q_lens)
-        return [(q_in, H_qt, H_col, self.attend(name, H_qt, H_col, mask, training, rng))
+        return [(q_in, H_qt, H_col, self.attend(name, H_qt, H_col, mask, rng))
                 for name, (H_qt, H_col) in zip(which, encoded)]
 
     # -- inference ---------------------------------------------------------

@@ -54,6 +54,12 @@ def demo_gazetteer() -> Gazetteer:
     ])
 
 
+def gradients(store: K.ParamStore) -> dict[str, np.ndarray]:
+    """Gradient per parameter after K.backward; parameters it did not reach map to zeros."""
+    return {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+            for name, t in store.items()}
+
+
 def finite_diff_grad(f, store: K.ParamStore, eps: float = 1e-5) -> dict[str, np.ndarray]:
     """Central-difference gradient of f(store) per scalar parameter entry.
 

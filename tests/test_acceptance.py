@@ -14,7 +14,7 @@ import numpy as np
 
 import reference_impls as ref
 from helpers import (MAGAZINE_CONTENT_TAGS, MAGAZINE_QUESTION, demo_gazetteer,
-                     finite_diff_grad, magazine_table)
+                     finite_diff_grad, gradients, magazine_table)
 from test_executor import random_query, random_table, to_comparable
 from sketchsql import harness as H
 from sketchsql import kernel as K
@@ -50,11 +50,11 @@ class TestCriterion1GradientCorrectness:
         assert prep.gold_spans == [[2, 3], [4]]
 
         store.zero_grad()
-        loss, _ = H.total_loss(model, [prep], training=False)
-        K.backward(loss, store)
-        reverse_mode = store.gradients()
+        loss, _ = H.total_loss(model, [prep])
+        K.backward(loss)
+        reverse_mode = gradients(store)
 
-        fd = finite_diff_grad(lambda s: H.total_loss(model, [prep], training=False)[0].item(),
+        fd = finite_diff_grad(lambda s: H.total_loss(model, [prep])[0].item(),
                               store, eps=1e-5)
 
         worst = 0.0

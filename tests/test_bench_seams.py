@@ -38,10 +38,10 @@ def test_tracer_counts_the_read_path_in_training_and_inference():
     try:
         prep = H.prepare_example(model, magazine_example(), table, gazetteer)
         other = H.prepare_example(model, unlocated, table, gazetteer)
-        loss, _ = H.total_loss(model, [prep, other], training=False)
+        loss, _ = H.total_loss(model, [prep, other])
         trained = tracer.per_layer()
         K.backward(loss)
-        H.total_loss(model, [other], training=False)
+        H.total_loss(model, [other])
         no_span = tracer.per_layer()
         H.predict(model, MAGAZINE_QUESTION, table, gazetteer)
         served = tracer.per_layer()

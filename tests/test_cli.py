@@ -248,8 +248,11 @@ class TestLoadersKeepJsonTypes:
          "condition value must be a finite number, got inf"),
         ("preds", '[[0, 0, "1"]]', "[[0, 0, -1e400]]",
          "condition value must be a finite number, got -inf"),
+        ("tables", TABLE, "[1]", "a table must be a JSON object, got [1]"),
+        ("examples", EXAMPLE, "[1]", "an example must be a JSON object, got [1]"),
+        ("examples", EXAMPLE, '"x"', "an example must be a JSON object, got 'x'"),
     ], ids=["id", "table_id", "question", "object-cell", "array-cell", "gold-value",
-            "pred-value"])
+            "pred-value", "table-array", "example-array", "example-string"])
     def test_wrong_json_type_is_one_line_error(self, bad, old, new, message, magazine_files,
                                                tmp_path, capsys):
         with open(magazine_files["tables"], encoding="utf-8") as fh:

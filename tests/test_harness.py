@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference_impls as ref
-from helpers import (MAGAZINE_GOLD_SQL, MAGAZINE_QUESTION, demo_gazetteer,
+from helpers import (MAGAZINE_GOLD_SQL, MAGAZINE_QUESTION, demo_gazetteer, gradients,
                      magazine_table)
 from sketchsql import harness as H
 from sketchsql import kernel as K
@@ -200,7 +200,7 @@ class TestTotalLoss:
         example = H.Example(question="what is a?", table_id="q",
                             gold=SqlQuery(agg=0, sel=0, conds=[]))
         prep = H.prepare_example(model, example, table)
-        loss, _ = H.total_loss(model, [prep], training=False)
+        loss, _ = H.total_loss(model, [prep])
         want = math.log(4) + math.log(5) + math.log(6) + 4 * math.log(2)
         assert loss.item() == pytest.approx(want, abs=1e-12)
 
@@ -210,7 +210,7 @@ class TestTotalLoss:
         model = S.SketchModel(store, emb, width=12, mode="content", dropout=0.0)
         prep = H.prepare_example(model, magazine_example(), magazine_table(),
                                  demo_gazetteer())
-        loss, _ = H.total_loss(model, [prep], training=False)
+        loss, _ = H.total_loss(model, [prep])
         assert np.isfinite(loss.item())
         assert loss.item() >= 0.0
 
@@ -224,7 +224,7 @@ class TestTotalLoss:
                             gold=SqlQuery(agg=0, sel=2, conds=[(1, 0, "unfindable name")]))
         prep = H.prepare_example(model, example, table)
         assert prep.gold_spans == [None]
-        assert np.isfinite(H.total_loss(model, [prep], training=False)[0].item())
+        assert np.isfinite(H.total_loss(model, [prep])[0].item())
 
     def test_pointer_terms_match_step_oracle(self):
         model = S.SketchModel(K.ParamStore(seed=7), tiny_embeddings(), width=12, mode="content",
@@ -233,9 +233,9 @@ class TestTotalLoss:
                                  demo_gazetteer())
         spans = prep.gold_spans
         assert spans and None not in spans
-        full = H.total_loss(model, [prep], training=False)[0].item()
+        full = H.total_loss(model, [prep])[0].item()
         prep.gold_spans = [None] * len(spans)
-        without = H.total_loss(model, [prep], training=False)[0].item()
+        without = H.total_loss(model, [prep])[0].item()
 
         # the teacher-forced decoder, one reference LSTM step at a time
         [(q_in, H_qt, H_col, _)] = model.read(("opval",), prep.q_parts, prep.col_matrix)
@@ -257,14 +257,22 @@ class TestTotalLoss:
         assert full - without == pytest.approx(want, abs=1e-12)
 
     def test_dropout_applies_only_in_training(self):
+        # dropout runs exactly when an rng is passed; at rate 0 it draws nothing
         emb = tiny_embeddings()
-        model = S.SketchModel(K.ParamStore(seed=6), emb, width=12, mode="content", dropout=0.5)
-        prep = H.prepare_example(model, magazine_example(), magazine_table(),
-                                 demo_gazetteer())
-        held_out = H.total_loss(model, [prep], training=False)[0].item()
-        assert H.total_loss(model, [prep], training=False)[0].item() == held_out
-        trained, _ = H.total_loss(model, [prep], training=True, rng=np.random.default_rng(0))
-        assert trained.item() != held_out
+        held_out = {}
+        for rate in (0.0, 0.5):
+            model = S.SketchModel(K.ParamStore(seed=6), emb, width=12, mode="content",
+                                  dropout=rate)
+            prep = H.prepare_example(model, magazine_example(), magazine_table(),
+                                     demo_gazetteer())
+            held_out[rate] = H.total_loss(model, [prep])[0].item()
+        assert H.total_loss(model, [prep])[0].item() == held_out[0.5] == held_out[0.0]
+        trained, _ = H.total_loss(model, [prep], rng=np.random.default_rng(0))
+        assert trained.item() != held_out[0.5]
+        model.dropout = 0.0
+        rng = np.random.default_rng(0)
+        assert H.total_loss(model, [prep], rng=rng)[0].item() == held_out[0.0]
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_overfitting_one_example_drives_loss_to_zero(self):
         emb = tiny_embeddings()
@@ -272,11 +280,11 @@ class TestTotalLoss:
         model = S.SketchModel(store, emb, width=16, mode="content", dropout=0.0)
         prep = H.prepare_example(model, magazine_example(), magazine_table(),
                                  demo_gazetteer())
-        adam = K.AdamState(lr=5e-3)
+        adam = K.AdamState(store, lr=5e-3)
         first = None
         for _ in range(250):
             store.zero_grad()
-            loss, _ = H.total_loss(model, [prep], training=False)
+            loss, _ = H.total_loss(model, [prep])
             K.backward(loss)
             K.adam_step(store, adam)
             if first is None:
@@ -314,13 +322,15 @@ class TestBatchedLoss:
         if size > 1:  # ragged questions and tables
             assert len({len(p.tq.tokens) for p in preps}) > 1
             assert len({p.col_matrix.shape[0] for p in preps}) > 1
-        loss, slots = H.total_loss(model, preps, training=False)
-        grads = K.backward(loss, store)
+        loss, slots = H.total_loss(model, preps)
+        K.backward(loss)
+        grads = gradients(store)
 
         store.zero_grad()
         oracle = [ref.reference_total_loss(model, p) for p in preps]
         want = K.sum_all(K.concat_rows([one for one, _ in oracle]))
-        want_grads = K.backward(want, store)
+        K.backward(want)
+        want_grads = gradients(store)
         assert loss.item() == pytest.approx(want.item() / size, rel=1e-12, abs=0)
         for slot in H.SLOTS:
             assert slots[slot] == pytest.approx(sum(terms[slot] for _, terms in oracle),
@@ -331,7 +341,7 @@ class TestBatchedLoss:
 
     def test_loss_is_the_sum_of_the_slot_terms(self, tmp_path):
         model, _, preps = synth_batch(tmp_path, 5)
-        loss, slots = H.total_loss(model, preps, training=False)
+        loss, slots = H.total_loss(model, preps)
         assert set(slots) == set(H.SLOTS)
         assert all(slots[slot] > 0 for slot in H.SLOTS)
         assert loss.item() == pytest.approx(sum(slots.values()) / len(preps), rel=1e-12)
@@ -356,8 +366,8 @@ class TestParameterSharing:
         prep = H.prepare_example(model, magazine_example(), table)
         [(_, _, H_col, H_qt_col)] = model.read(("col",), prep.q_parts, prep.col_matrix)
         loss = K.cross_entropy(S.select_scores(H_qt_col, H_col, model.select_head), 0)
-        grads = K.backward(loss, store)
-        touched = {n for n, g in grads.items() if np.abs(g).sum() > 0}
+        K.backward(loss)
+        touched = {n for n, g in gradients(store).items() if np.abs(g).sum() > 0}
         assert any(n.startswith("col.qt.") for n in touched)
         assert any(n.startswith("col.col.") for n in touched)
         assert not any(n.startswith(("agg.", "opval.")) for n in touched)
