@@ -257,15 +257,20 @@ def find_token_span(tokens: list[str], value: str) -> list[int] | None:
     return None
 
 
+def question_inputs(model: S.SketchModel, question: str, table: Table,
+                    gazetteer: Gazetteer | None = None) -> tuple:
+    """(tagged question, question parts, column matrix): what the model reads of a question."""
+    tq = recognize(question, table.header, table=table, mode=model.mode, gazetteer=gazetteer)
+    col_matrix = model.column_matrix(table.header)
+    return tq, model.question_parts(tq, col_matrix), col_matrix
+
+
 def prepare_example(model: S.SketchModel, example: Example, table: Table,
                     gazetteer: Gazetteer | None = None) -> PreparedExample:
-    tq = recognize(example.question, table.header, table=table, mode=model.mode,
-                   gazetteer=gazetteer)
+    tq, q_parts, col_matrix = question_inputs(model, example.question, table, gazetteer)
     spans = [find_token_span(tq.tokens, val) for _, _, val in example.gold.conds]
-    col_matrix = model.column_matrix(table.header)
-    return PreparedExample(tq=tq, gold=example.gold,
-                           q_parts=model.question_parts(tq, col_matrix),
-                           col_matrix=col_matrix, gold_spans=spans)
+    return PreparedExample(tq=tq, gold=example.gold, q_parts=q_parts, col_matrix=col_matrix,
+                           gold_spans=spans)
 
 
 SLOTS = ("select", "count", "cond_cols", "agg", "op", "pointer")
@@ -282,14 +287,12 @@ def total_loss(model: S.SketchModel, preps: list[PreparedExample],
     cross-entropy (gold span then the end token) for each condition value that
     occurs in the question.
     """
-    q_lens = [len(p.tq.tokens) for p in preps]
-    c_lens = [p.col_matrix.shape[0] for p in preps]
+    q_parts, col_matrix, q_lens, c_lens = S.stack_inputs([(p.q_parts, p.col_matrix)
+                                                          for p in preps])
     q_at = np.cumsum(q_lens) - q_lens  # each example's first stacked question row
     c_at = np.cumsum(c_lens) - c_lens  # and first stacked column row
-    words, indices, consts = zip(*(p.q_parts for p in preps))
-    q_parts = (np.vstack(words), [i for idx in indices for i in idx], np.vstack(consts))
-    col_read, agg_read, opval_read = model.read(
-        S.MODEL_NAMES, q_parts, np.vstack([p.col_matrix for p in preps]), q_lens, c_lens, rng)
+    col_read, agg_read, opval_read = model.read(S.MODEL_NAMES, q_parts, col_matrix, q_lens,
+                                                c_lens, rng)
     golds = [p.gold for p in preps]
     sel_rows = c_at + [gold.sel for gold in golds]
     conds = [(i, c_at[i] + col, op, span) for i, p in enumerate(preps)
@@ -355,19 +358,38 @@ def _pointer_loss(vp: S.ValPointer, q_in: K.Tensor, H_qt: K.Tensor, H_col: K.Ten
                            targets, widths)
 
 
-def predict(model: S.SketchModel, question: str, table: Table,
-            gazetteer: Gazetteer | None = None) -> SqlQuery:
-    """End-to-end inference: tag, encode, fill slots, assemble the query."""
-    tq = recognize(question, table.header, table=table, mode=model.mode, gazetteer=gazetteer)
-    pred = model.predict_slots(tq, table.header)
-    query = assemble(pred, tq.tokens)
+EVAL_CHUNK = 16  # questions evaluate_model predicts per batch
+
+
+def _checked_query(pred: S.SlotPrediction, tokens: list[str], table: Table) -> SqlQuery:
+    query = assemble(pred, tokens)
     query.validate_against(table.n_columns)
     return query
 
 
+def predict(model: S.SketchModel, question: str, table: Table,
+            gazetteer: Gazetteer | None = None) -> SqlQuery:
+    """End-to-end inference: tag, encode, fill slots, assemble the query."""
+    tq = recognize(question, table.header, table=table, mode=model.mode, gazetteer=gazetteer)
+    return _checked_query(model.predict_slots(tq, table.header), tq.tokens, table)
+
+
 def evaluate_model(model: S.SketchModel, examples: list[Example], tables: dict[str, Table],
-                   gazetteer: Gazetteer | None = None) -> Metrics:
-    preds = [predict(model, ex.question, tables[ex.table_id], gazetteer) for ex in examples]
+                   gazetteer: Gazetteer | None = None, inputs: list[tuple] | None = None
+                   ) -> Metrics:
+    """Predict every example, EVAL_CHUNK questions per batch, and score the predictions.
+
+    `inputs` holds each example's question_inputs when the caller has built them already.
+    """
+    if inputs is None:
+        inputs = [question_inputs(model, ex.question, tables[ex.table_id], gazetteer)
+                  for ex in examples]
+    preds = []
+    for at in range(0, len(examples), EVAL_CHUNK):
+        chunk = inputs[at : at + EVAL_CHUNK]
+        slots = model.predict_batch([(q_parts, col_matrix) for _, q_parts, col_matrix in chunk])
+        for pred, (tq, _, _), ex in zip(slots, chunk, examples[at : at + EVAL_CHUNK]):
+            preds.append(_checked_query(pred, tq.tokens, tables[ex.table_id]))
     golds = [ex.gold for ex in examples]
     return evaluate_dataset(preds, golds, [ex.table_id for ex in examples], tables)
 
@@ -409,6 +431,9 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
     model, store = build_model(config, emb)
     prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer)
                 for ex in train_examples]
+    train_inputs = [(p.tq, p.q_parts, p.col_matrix) for p in prepared]
+    dev_inputs = [question_inputs(model, ex.question, tables[ex.table_id], gazetteer)
+                  for ex in dev_examples or []]
     adam = K.AdamState(store, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
@@ -442,12 +467,12 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
         stop = False
         if epoch % config.eval_every == 0 or epoch == config.epochs:
             if config.stop_at_train_qm is not None:
-                qm = evaluate_model(model, train_examples, tables, gazetteer).acc_qm
+                qm = evaluate_model(model, train_examples, tables, inputs=train_inputs).acc_qm
                 entry["train_qm"] = qm
                 if qm >= config.stop_at_train_qm:
                     stop = True
             if dev_examples:
-                qm = evaluate_model(model, dev_examples, tables, gazetteer).acc_qm
+                qm = evaluate_model(model, dev_examples, tables, inputs=dev_inputs).acc_qm
                 entry["dev_qm"] = qm
                 if config.checkpoint_path and (best_dev is None or qm > best_dev):
                     best_dev = qm

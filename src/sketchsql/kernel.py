@@ -2,10 +2,10 @@
 
 Everything the slot-filling models call and nothing more: matrices on a
 gradient tape (`linear` is both a layer and the scores of rows against rows,
-so there is no transpose op; `gather_rows` is the one row selection beside
-`row`), one LSTM cell (a fused sequence node that runs a group of
-directions over row-stacked sequences in a single loop, and an untaped step
-for greedy decoding), stable softmax / cross-entropy / weighted BCE,
+so there is no transpose op; `gather_rows` is the one row selection), one
+LSTM cell (a fused sequence node that runs a group of directions over
+row-stacked sequences in a single loop, and an untaped step for greedy
+decoding), stable softmax / cross-entropy / weighted BCE,
 inverted dropout, Adam with fixed decay rates, and a binary checkpoint
 format. Arrays are numpy; every tensor is 2-D (row vectors are 1xN, scalars
 1x1). A minibatch is its examples' rows stacked, with segment lengths saying
@@ -19,6 +19,7 @@ import os
 import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -259,18 +260,6 @@ def segment_sum(a: Tensor, lengths=None) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    if not (0 <= i < a.shape[0]):
-        raise KernelError(f"row index {i} out of range for shape {a.shape}")
-
-    def bwd(g, a=a, i=i):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[i, :] += g[0]
-
-    return _node(a.data[i : i + 1].copy(), (a,), bwd)
-
-
 def cols(a: Tensor, j0: int, j1: int) -> Tensor:
     """Columns j0:j1 of a, as a contiguous copy."""
     if not (0 <= j0 < j1 <= a.shape[1]):
@@ -316,17 +305,29 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise KernelError("gather_rows takes a flat index list")
-    if (idx >= table.shape[0]).any() or (idx < -1).any():
-        raise KernelError(f"gather_rows index out of range for shape {table.shape}")
+    zero_rows = False
+    if idx.size:
+        low = idx.min()
+        if low < -1 or idx.max() >= table.shape[0]:
+            raise KernelError(f"gather_rows index out of range for shape {table.shape}")
+        zero_rows = low == -1
     out = table.data[idx]
-    valid = idx >= 0
-    if not valid.all():
-        out[~valid] = 0.0
+    if zero_rows:
+        out[idx == -1] = 0.0
 
-    def bwd(g, table=table, idx=idx, valid=valid):
+    def bwd(g, table=table, idx=idx):
+        if zero_rows:
+            valid = idx >= 0
+            idx, g = idx[valid], g[valid]
+        # one 1-D add.at over flat element indices: each element sums in the same order as
+        # a 2-D add.at over rows, much faster; the flat view needs a C-ordered gradient
+        n_cols = table.shape[1]
         if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        np.add.at(table.grad, idx[valid], g[valid])
+            table.grad = np.zeros(table.shape, dtype=table.data.dtype)
+        elif not table.grad.flags.c_contiguous:
+            table.grad = np.ascontiguousarray(table.grad)
+        flat = idx[:, None] * n_cols + np.arange(n_cols)
+        np.add.at(table.grad.reshape(-1), flat.reshape(-1), g.reshape(-1))
 
     return _node(out, (table,), bwd)
 
@@ -450,6 +451,29 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights):
     return Tensor._wrap(h), Tensor._wrap(c)
 
 
+@lru_cache(maxsize=32)
+def _scan_indices(n_rows: int, lengths: tuple | None, reverse: tuple):
+    """Index arrays of a grouped ragged scan (see lstm_sequence), built once per shape.
+
+    rows[s, j, b] is the row direction j reads in sequence b at scan step s; step and seq
+    are the scan step and the sequence that write each output row, per direction. The
+    arrays are shared between calls, so they are read-only.
+    """
+    lengths = _segments(lengths, n_rows)
+    n_seq, t_max = lengths.size, int(lengths.max())
+    starts = np.cumsum(lengths) - lengths
+    rev = np.array(reverse)[:, None]  # (k, 1)
+    t = np.minimum(np.arange(t_max)[:, None, None], lengths - 1)  # idle: re-read the last
+    rows = starts + np.where(rev, lengths - 1 - t, t)  # (t_max, k, B)
+    seq = np.repeat(np.arange(n_seq), lengths)[:, None]  # (rows, 1)
+    pos = np.arange(n_rows)[:, None] - starts[seq]
+    step = np.where(rev.T, lengths[seq] - 1 - pos, pos)  # (rows, k)
+    dirs = np.arange(len(reverse))
+    for arr in (rows, seq, step, dirs):
+        arr.flags.writeable = False
+    return n_seq, t_max, rows, seq, step, dirs
+
+
 def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None) -> Tensor:
     """Run a group of LSTM directions over row-stacked sequences as a single fused node.
 
@@ -477,18 +501,11 @@ def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None) -> Tensor:
             raise KernelError(f"lstm_sequence shape mismatch: {xs.shape} with weight {w.Wx.shape}")
     if n_rows < 1:
         raise KernelError("empty sequence")
-    lengths = _segments(lengths, n_rows)
-    n_seq, t_max = lengths.size, int(lengths.max())
-    # rows[s, j, b]: the row direction j reads in sequence b at scan step s; step and seq:
-    # the scan step and the sequence that write each output row, per direction
-    starts = np.cumsum(lengths) - lengths
-    rev = np.array(reverse)[:, None]  # (k, 1)
-    t = np.minimum(np.arange(t_max)[:, None, None], lengths - 1)  # idle: re-read the last
-    rows = starts + np.where(rev, lengths - 1 - t, t)  # (t_max, k, B)
-    seq = np.repeat(np.arange(n_seq), lengths)[:, None]  # (rows, 1)
-    pos = np.arange(n_rows)[:, None] - starts[seq]
-    step = np.where(rev.T, lengths[seq] - 1 - pos, pos)  # (rows, k)
-    dirs = np.arange(k)
+    try:
+        n_seq, t_max, rows, seq, step, dirs = _scan_indices(
+            n_rows, None if lengths is None else tuple(lengths), tuple(reverse))
+    except TypeError:  # an unhashable entry, so no segment length
+        raise KernelError(f"segment lengths {lengths!r} do not split {n_rows} rows") from None
     Wh = np.stack([w.Wh.data for w in ws])  # (k, 4H, H)
     Wh_T = Wh.transpose(0, 2, 1)  # per direction the same strided view as Wh.T
 

@@ -9,8 +9,9 @@ all predictors inside one model share that model's encoders.
 
 The read path and the score heads work on a minibatch: its questions'
 rows stacked (sum of T, .), its tables' column rows stacked (sum of C, .),
-plus the segment lengths. Inference is the batch of one; greedy decoding
-runs one condition at a time.
+plus the segment lengths. Inference reads a batch the same way
+(`SketchModel.predict_batch`; `predict_slots` is its batch of one) and
+decodes every predicted condition's value greedily in one loop.
 """
 
 from __future__ import annotations
@@ -142,17 +143,29 @@ def cond_col_scores(H_qt_col: K.Tensor, H_col: K.Tensor, H_qt_scol: K.Tensor,
 
 
 def predict_cond_cols(H_qt_col: K.Tensor, H_col: K.Tensor, H_qt_scol: K.Tensor,
-                      head: CondColHead, k: int) -> list[int]:
-    """Top-k condition columns by probability; ties break toward lower index."""
-    n_cols = H_col.shape[0]
-    if not 0 <= k <= MAX_CONDITIONS:
-        raise ValueError(f"k={k} outside 0..{MAX_CONDITIONS}")
-    if k > n_cols:
-        raise ValueError(f"k={k} exceeds {n_cols} columns")
-    if k == 0:
-        return []
-    probs = K.softmax_rows(cond_col_scores(H_qt_col, H_col, H_qt_scol, head)).data[0]
-    return sorted(range(n_cols), key=lambda i: (-probs[i], i))[:k]
+                      head: CondColHead, counts, c_lens=None) -> list[list[int]]:
+    """Each example's top counts[i] condition columns by probability, ties toward the
+    lower index; c_lens splits the stacked columns into examples (default: one)."""
+    c_lens = [H_col.shape[0]] if c_lens is None else c_lens
+    if len(counts) != len(c_lens):
+        raise ValueError(f"{len(counts)} condition counts for {len(c_lens)} examples")
+    for k, n_cols in zip(counts, c_lens):
+        if not 0 <= k <= MAX_CONDITIONS:
+            raise ValueError(f"k={k} outside 0..{MAX_CONDITIONS}")
+        if k > n_cols:
+            raise ValueError(f"k={k} exceeds {n_cols} columns")
+    if not any(counts):
+        return [[] for _ in counts]
+    logits = cond_col_scores(H_qt_col, H_col, H_qt_scol, head).data[0]
+    out, at = [], 0
+    for k, n_cols in zip(counts, c_lens):
+        picked = []
+        if k:
+            probs = K.softmax_rows(K.constant(logits[at : at + n_cols])).data[0]
+            picked = sorted(range(n_cols), key=lambda i: (-probs[i], i))[:k]
+        out.append(picked)
+        at += n_cols
+    return out
 
 
 def agg_scores(h_qt_scol: K.Tensor, head: AggHead) -> K.Tensor:
@@ -183,31 +196,82 @@ def pointer_context(vp: ValPointer, H_qt: K.Tensor, h_col: K.Tensor,
     return K.add(K.gather_rows(positions, rows), K.gather_rows(K.linear(h_col, vp.Wc), cols))
 
 
-def pointer_step(vp: ValPointer, context: K.Tensor, h_dec: K.Tensor) -> K.Tensor:
-    """(1, T+1) logits for the next token, given the decoder state after reading its input
-    (one row for every context row, or one row for all)."""
-    hidden = K.tanh(K.add(context, K.linear(h_dec, vp.Wh)))
-    return K.linear(vp.V, hidden)
+def pointer_step(vp: ValPointer, context: K.Tensor, h_dec: K.Tensor, rows=None) -> K.Tensor:
+    """(1, n) logits for the next token, one per context row, given the decoder states after
+    reading their inputs: one row for every context row, or one row for all, or with `rows`
+    one row per condition, rows[m] naming the state of context row m."""
+    state = K.linear(h_dec, vp.Wh)
+    if rows is not None:
+        state = K.gather_rows(state, rows)
+    return K.linear(vp.V, K.tanh(K.add(context, state)))
+
+
+def _segment_argmax(z: np.ndarray, lengths: list[int]) -> list[int]:
+    """First index of the maximum within each consecutive segment of the flat z."""
+    if len(lengths) == 1:
+        return [int(z.argmax())]
+    starts = np.cumsum(lengths) - lengths
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    padded = np.full((len(lengths), max(lengths)), -np.inf)  # padding never wins
+    padded[seg, np.arange(z.size) - starts[seg]] = z
+    return padded.argmax(axis=1).tolist()
+
+
+def decode_cond_vals(H_qt: K.Tensor, q_input: K.Tensor, h_cols: K.Tensor, vp: ValPointer,
+                     max_len: int = 20, q_lens=None, owners=None) -> list[list[int]]:
+    """Greedy span extraction for a batch of conditions in one loop.
+
+    Condition j (row j of h_cols) points into question owners[j] of the questions stacked
+    in H_qt and q_input with lengths q_lens (default: one question owning them all). Each
+    step runs one lstm_step over the conditions still decoding and one pointer_step over
+    their questions' positions and end states; a condition leaves the loop when its end
+    wins or after max_len tokens. Returns each condition's question-token indices.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    n = h_cols.shape[0]
+    q_lens = [H_qt.shape[0]] if q_lens is None else list(q_lens)
+    owners = [0] * n if owners is None else list(owners)
+    q_at = np.cumsum(q_lens) - q_lens
+    firsts = [int(q_at[i]) for i in owners]  # each condition's first question row
+    ends = [q_lens[i] for i in owners]  # and the logit index of its end state
+    # context rows per condition: its question's positions, then the end state
+    end_row = sum(q_lens)
+    positions = [r for j in range(n) for r in (*range(firsts[j], firsts[j] + ends[j]), end_row)]
+    context = pointer_context(vp, H_qt, h_cols, positions,
+                              np.repeat(np.arange(n), [t + 1 for t in ends]))
+
+    spans: list[list[int]] = [[] for _ in range(n)]
+    live = list(range(n))
+    h = c = K.constant(np.zeros((n, vp.dec.hidden)))
+    x = K.gather_rows(vp.start, [0] * n)
+    while True:
+        h, c = K.lstm_step(x, h, c, vp.dec)
+        widths = [ends[j] + 1 for j in live]
+        # one live condition's state broadcasts over its rows; several are gathered
+        state_rows = None if len(live) == 1 else np.repeat(np.arange(len(live)), widths)
+        choices = _segment_argmax(pointer_step(vp, context, h, state_rows).data[0], widths)
+        kept = []
+        for m, (j, choice) in enumerate(zip(live, choices)):
+            if choice != ends[j]:
+                spans[j].append(choice)
+                if len(spans[j]) < max_len:
+                    kept.append(m)
+        if not kept:
+            return spans
+        if len(kept) < len(live):
+            stays = np.zeros(len(live), dtype=bool)
+            stays[kept] = True
+            context = K.gather_rows(context, np.flatnonzero(np.repeat(stays, widths)))
+            h, c = K.gather_rows(h, kept), K.gather_rows(c, kept)
+            live = [live[m] for m in kept]
+        x = K.gather_rows(q_input, [firsts[j] + spans[j][-1] for j in live])
 
 
 def decode_cond_val(H_qt: K.Tensor, q_input: K.Tensor, h_col: K.Tensor,
                     vp: ValPointer, max_len: int = 20) -> list[int]:
-    """Greedy span extraction: emit question-token indices until end wins."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    t_len = H_qt.shape[0]
-    context = pointer_context(vp, H_qt, h_col)
-    zeros = K.constant(np.zeros((1, vp.dec.hidden)))
-    h, c, x = zeros, zeros, vp.start
-    emitted: list[int] = []
-    while len(emitted) < max_len:
-        h, c = K.lstm_step(x, h, c, vp.dec)
-        choice = int(np.argmax(pointer_step(vp, context, h).data[0]))
-        if choice == t_len:
-            break
-        emitted.append(choice)
-        x = K.row(q_input, choice)
-    return emitted
+    """Greedy span extraction for one condition: question-token indices until end wins."""
+    return decode_cond_vals(H_qt, q_input, h_col, vp, max_len)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +287,18 @@ def _lstm_weights(store: K.ParamStore, prefix: str, d_in: int, hidden: int) -> K
 
 
 MODEL_NAMES = ("col", "agg", "opval")
+
+
+def stack_inputs(inputs):
+    """One batch from (question_parts, column_matrix) pairs: the stacked question parts,
+    the stacked column rows, and each question's and table's row count."""
+    q_lens = [len(parts[1]) for parts, _ in inputs]
+    c_lens = [cols.shape[0] for _, cols in inputs]
+    if len(inputs) == 1:
+        return (*inputs[0], q_lens, c_lens)
+    words, indices, consts = zip(*(parts for parts, _ in inputs))
+    q_parts = (np.vstack(words), [i for idx in indices for i in idx], np.vstack(consts))
+    return q_parts, np.vstack([cols for _, cols in inputs]), q_lens, c_lens
 
 
 class SketchModel:
@@ -351,38 +427,59 @@ class SketchModel:
         stacked questions and columns with lengths q_lens and c_lens (default: one)."""
         q_in = self.question_input(*q_parts)
         encoded = self.encode(which, q_in, K.constant(col_matrix), q_lens, c_lens, rng)
-        mask = None if q_lens is None else block_mask(c_lens, q_lens)
+        mask = None if q_lens is None or len(q_lens) == 1 else block_mask(c_lens, q_lens)
         return [(q_in, H_qt, H_col, self.attend(name, H_qt, H_col, mask, rng))
                 for name, (H_qt, H_col) in zip(which, encoded)]
 
     # -- inference ---------------------------------------------------------
 
     def predict_slots(self, tq: TaggedQuestion, header: list[str]) -> SlotPrediction:
-        """Greedy slot filling; conditioned slots consume predicted antecedents."""
-        with K.no_grad():
-            col_matrix = self.column_matrix(header)
-            q_parts = self.question_parts(tq, col_matrix)
+        """Greedy slot filling for one question: the batch of one of predict_batch."""
+        col_matrix = self.column_matrix(header)
+        return self.predict_batch([(self.question_parts(tq, col_matrix), col_matrix)])[0]
 
-            col_read, agg_read, opval_read = self.read(MODEL_NAMES, q_parts, col_matrix)
+    def predict_batch(self, inputs) -> list[SlotPrediction]:
+        """Greedy slot filling for a batch of (question_parts, column_matrix) pairs.
+
+        One read covers the batch. Each head runs once over its stacked rows, with one
+        argmax per example; conditioned slots consume predicted antecedents. The op head
+        runs once over every chosen condition, and one loop decodes all their values.
+        """
+        with K.no_grad():
+            q_parts, col_matrix, q_lens, c_lens = stack_inputs(inputs)
+            c_at = np.cumsum(c_lens) - c_lens
+            col_read, agg_read, opval_read = self.read(MODEL_NAMES, q_parts, col_matrix,
+                                                       q_lens, c_lens)
             _, _, H_col, H_qt_col = col_read
             # argmax over logits: softmax is monotonic, so it would pick the same index
-            sel = int(np.argmax(select_scores(H_qt_col, H_col, self.select_head).data[0]))
-            count = int(np.argmax(cond_number_scores(H_qt_col, self.cond_num_head).data[0]))
-            count = min(count, len(header))
-            H_qt_scol = K.gather_rows(H_qt_col, [sel] * len(header))
-            cond_cols = predict_cond_cols(H_qt_col, H_col, H_qt_scol, self.cond_col_head, count)
+            sels = _segment_argmax(select_scores(H_qt_col, H_col, self.select_head).data[0],
+                                  c_lens)
+            counts = cond_number_scores(H_qt_col, self.cond_num_head, c_lens).data.argmax(axis=1)
+            counts = np.minimum(counts, c_lens).tolist()
+            sel_rows = c_at + sels
+            H_qt_scol = K.gather_rows(H_qt_col, np.repeat(sel_rows, c_lens))
+            cond_cols = predict_cond_cols(H_qt_col, H_col, H_qt_scol, self.cond_col_head, counts,
+                                          c_lens)
 
-            _, _, _, H_qt_col_a = agg_read
-            agg = int(np.argmax(agg_scores(K.row(H_qt_col_a, sel), self.agg_head).data[0]))
+            aggs = agg_scores(K.gather_rows(agg_read[3], sel_rows), self.agg_head)
+            aggs = aggs.data.argmax(axis=1)
 
+            owners = [i for i, cols in enumerate(cond_cols) for _ in cols]
+            rows = [c_at[i] + col for i, cols in enumerate(cond_cols) for col in cols]
             ops: list[int] = []
             spans: list[list[int]] = []
-            q_in, H_qt, H_col, H_qt_col = opval_read
-            for col in cond_cols:
-                h_col = K.row(H_col, col)
-                op = op_scores(K.row(H_qt_col, col), h_col, self.op_head)
-                ops.append(int(np.argmax(op.data[0])))
-                spans.append(decode_cond_val(H_qt, q_in, h_col, self.val_pointer,
-                                             self.decoder_max_len))
-            return SlotPrediction(select_col=sel, agg=agg, cond_count=len(cond_cols),
-                                  cond_cols=cond_cols, cond_ops=ops, cond_val_spans=spans)
+            if rows:
+                q_in, H_qt, H_col, H_qt_col = opval_read
+                h_cols = K.gather_rows(H_col, rows)
+                op = op_scores(K.gather_rows(H_qt_col, rows), h_cols, self.op_head)
+                ops = op.data.argmax(axis=1).tolist()
+                spans = decode_cond_vals(H_qt, q_in, h_cols, self.val_pointer,
+                                         self.decoder_max_len, q_lens, owners)
+            preds, at = [], 0
+            for sel, agg, cols in zip(sels, aggs.tolist(), cond_cols):
+                end = at + len(cols)
+                preds.append(SlotPrediction(select_col=sel, agg=agg, cond_count=len(cols),
+                                            cond_cols=cols, cond_ops=ops[at:end],
+                                            cond_val_spans=spans[at:end]))
+                at = end
+            return preds

@@ -404,6 +404,26 @@ class TestPredict:
         query = H.predict(model, "what is the c7 when c2 is 2?", wide)
         query.validate_against(9)
 
+    def test_evaluating_no_examples_scores_none(self):
+        model = S.SketchModel(K.ParamStore(seed=6), tiny_embeddings(), width=12,
+                              mode="insensitive", type_dim=4)
+        assert H.evaluate_model(model, [], {"mag": magazine_table()}).n == 0
+
+    def test_training_evaluates_from_the_inputs_it_built(self, tmp_path):
+        examples, tables = quick_corpus(tmp_path)
+        cfg = H.TrainConfig(hidden_width=8, type_dim=4, dropout=0.0, batch_size=4, epochs=1,
+                            seed=0, mode="insensitive", stop_at_train_qm=1.0)
+        entries = []
+        res = H.train(cfg, examples, tables, examples[:3], emb=tiny_embeddings(),
+                      log=entries.append)
+        [entry] = entries
+        assert entry["train_qm"] == H.evaluate_model(res.model, examples, tables).acc_qm
+        assert entry["dev_qm"] == H.evaluate_model(res.model, examples[:3], tables).acc_qm
+        inputs = [H.question_inputs(res.model, ex.question, tables[ex.table_id])
+                  for ex in examples]
+        assert (H.evaluate_model(res.model, examples, tables, inputs=inputs)
+                == H.evaluate_model(res.model, examples, tables))
+
 
 def quick_corpus(tmp_path, n=8):
     """A few templated examples over the magazine table for fast train tests."""

@@ -395,6 +395,25 @@ class TestGatherRows:
         np.testing.assert_allclose(grads["table"], fd["table"], atol=1e-9)
         np.testing.assert_array_equal(grads["table"][2], 0.0)
 
+    def test_backward_equals_row_wise_add_at_bitwise(self):
+        rng = np.random.default_rng(39)
+        idx = np.array([4, 1, 4, -1, 0, 4, 1, -1, 4])
+        g = rng.normal(size=(idx.size, 5)) * 10.0 ** rng.integers(-8, 8, size=(idx.size, 1))
+        table = K.Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+        start = rng.normal(size=(6, 5))
+        table.grad = np.asfortranarray(start)  # an earlier gradient, not C-ordered
+        out = K.gather_rows(table, idx)
+        out._bwd(g)
+        want = start.copy()
+        keep = idx >= 0
+        np.add.at(want, idx[keep], g[keep])
+        np.testing.assert_array_equal(table.grad, want)
+        fresh = K.Tensor(np.asfortranarray(rng.normal(size=(6, 5))), requires_grad=True)
+        K.gather_rows(fresh, idx)._bwd(g)
+        want = np.zeros((6, 5))
+        np.add.at(want, idx[keep], g[keep])
+        np.testing.assert_array_equal(fresh.grad, want)
+
 
 class TestBackward:
     def test_square_sum_gradient(self):

@@ -136,7 +136,7 @@ class TestCondCols:
         H_qt_col = const(rng.normal(size=(3, 8)))
         H_col = const(rng.normal(size=(3, 8)))
         scol = const(rng.normal(size=(3, 8)))
-        assert S.predict_cond_cols(H_qt_col, H_col, scol, cond_col_head(rng), 0) == []
+        assert S.predict_cond_cols(H_qt_col, H_col, scol, cond_col_head(rng), [0]) == [[]]
 
     def test_k_equals_c_returns_all_sorted(self):
         rng = np.random.default_rng(10)
@@ -144,7 +144,7 @@ class TestCondCols:
         H_col = rng.normal(size=(4, 8))
         scol = rng.normal(size=(4, 8))
         head = cond_col_head(rng)
-        got = S.predict_cond_cols(const(H_qt_col), const(H_col), const(scol), head, 4)
+        [got] = S.predict_cond_cols(const(H_qt_col), const(H_col), const(scol), head, [4])
         probs = ref.ref_cond_cols(H_qt_col, H_col, scol, head.Wc.data, head.Wqt.data,
                                   head.Wscol.data, head.V.data)
         assert got == sorted(range(4), key=lambda i: (-probs[i], i))
@@ -159,7 +159,7 @@ class TestCondCols:
             head = cond_col_head(rng)
             k = int(rng.integers(0, 5)) if 4 >= 4 else 0
             k = min(k, 4)
-            got = S.predict_cond_cols(const(H_qt_col), const(H_col), const(scol), head, k)
+            [got] = S.predict_cond_cols(const(H_qt_col), const(H_col), const(scol), head, [k])
             probs = ref.ref_cond_cols(H_qt_col, H_col, scol, head.Wc.data, head.Wqt.data,
                                       head.Wscol.data, head.V.data)
             want = sorted(range(4), key=lambda i: (-probs[i], i))[:k]
@@ -170,7 +170,7 @@ class TestCondCols:
         rng = np.random.default_rng(12)
         with pytest.raises(ValueError, match="exceeds"):
             S.predict_cond_cols(const(rng.normal(size=(2, 8))), const(rng.normal(size=(2, 8))),
-                                const(rng.normal(size=(2, 8))), cond_col_head(rng), 3)
+                                const(rng.normal(size=(2, 8))), cond_col_head(rng), [3])
 
 
 class TestAgg:
@@ -294,6 +294,26 @@ class TestPointerDecoder:
             assert len(out) <= 5
             assert all(0 <= i < t_len for i in out)
 
+    def test_one_loop_over_ragged_questions_matches_each_condition_alone(self):
+        rng = np.random.default_rng(21)
+        q_lens = [3, 1, 5, 2]
+        owners = [2, 0, 2, 3, 1, 2]
+        H_qt = rng.normal(size=(sum(q_lens), 8))
+        q_input = rng.normal(size=(sum(q_lens), 6))
+        h_cols = rng.normal(size=(len(owners), 8))
+        q_at = np.cumsum(q_lens) - q_lens
+        lengths = set()
+        for _ in range(5):
+            vp = pointer(rng)
+            got = S.decode_cond_vals(const(H_qt), const(q_input), const(h_cols), vp, 4, q_lens,
+                                     owners)
+            for j, i in enumerate(owners):
+                rows = slice(q_at[i], q_at[i] + q_lens[i])
+                assert got[j] == S.decode_cond_val(const(H_qt[rows]), const(q_input[rows]),
+                                                   const(h_cols[j : j + 1]), vp, 4)
+            lengths.update(map(len, got))
+        assert {0, 4} < lengths  # conditions leave the loop at different steps, some at the cap
+
 
 class TestSlotPredictionInvariants:
     def test_parallel_lists_enforced(self):
@@ -316,8 +336,8 @@ LOGITS = ("select_scores", "cond_number_scores", "cond_col_scores", "agg_scores"
           "pointer_step")
 
 
-def logged_predictions(model, questions, monkeypatch):
-    """predict_slots on each (tagged question, header), with every slot logit recorded."""
+def record_logits(monkeypatch):
+    """Make every slot-logit function of S append (name, logits) to the returned list."""
     log = []
     for name in LOGITS:
         def logged(*args, fn=getattr(S, name), name=name):
@@ -326,6 +346,12 @@ def logged_predictions(model, questions, monkeypatch):
             return out
 
         monkeypatch.setattr(S, name, logged)
+    return log
+
+
+def logged_predictions(model, questions, monkeypatch):
+    """predict_slots on each (tagged question, header), with every slot logit recorded."""
+    log = record_logits(monkeypatch)
     preds = [model.predict_slots(tq, header) for tq, header in questions]
     monkeypatch.undo()
     return preds, log
@@ -376,3 +402,90 @@ class TestGroupedRead:
         assert {name for name, _ in grouped_log} == set(LOGITS)
         for (name, got), (_, want) in zip(grouped_log, alone_log):
             np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+def split_logits(log, preds, q_lens, c_lens, cap):
+    """Each question's logits per head, cut out of the rows one predict_batch call logged:
+    select scores by its columns, condition counts and aggregators by its row, condition-
+    column scores by its columns where it has conditions, operators by its conditions' rows,
+    and pointer scores per condition and step (a condition stays in the decoding loop for
+    its tokens plus the end step, or up to the cap)."""
+    c_at = np.cumsum(c_lens) - c_lens
+    out = {name: [[] for _ in preds] for name in LOGITS}
+    conds = [(i, q_lens[i] + 1, min(len(span) + 1, cap)) for i, p in enumerate(preds)
+             for span in p.cond_val_spans]
+    n_steps = 0
+    for name, z in log:
+        if name in ("select_scores", "cond_col_scores"):
+            for i, p in enumerate(preds):
+                if name == "select_scores" or p.cond_count:
+                    out[name][i].append(z[0, c_at[i] : c_at[i] + c_lens[i]])
+        elif name in ("cond_number_scores", "agg_scores"):
+            for i in range(len(preds)):
+                out[name][i].append(z[i])
+        elif name == "op_scores":
+            for (i, _, _), row in zip(conds, z):
+                out[name][i].append(row)
+        else:
+            at = 0
+            for i, width, steps in conds:
+                if steps > n_steps:
+                    out[name][i].append(z[0, at : at + width])
+                    at += width
+            assert at == z.shape[1]
+            n_steps += 1
+    return out
+
+
+def logged_batches(model, inputs, size, monkeypatch):
+    """predict_batch over consecutive batches of `size` inputs, with each question's
+    logits per head."""
+    preds, logits = [], {name: [] for name in LOGITS}
+    for at in range(0, len(inputs), size):
+        batch = inputs[at : at + size]
+        log = record_logits(monkeypatch)
+        got = model.predict_batch(batch)
+        monkeypatch.undo()
+        per_question = split_logits(log, got, [len(p[1]) for p, _ in batch],
+                                    [cols.shape[0] for _, cols in batch], model.decoder_max_len)
+        for name in LOGITS:
+            logits[name] += per_question[name]
+        preds += got
+    return preds, logits
+
+
+class TestBatchedPrediction:
+    @pytest.mark.parametrize("mode", ["content", "insensitive"])
+    def test_batches_match_one_question_at_a_time(self, mode, tmp_path, monkeypatch):
+        paths = generate_corpus(tmp_path / "corpus", seed=6, n_train=48, n_dev=0)
+        examples, tables = H.load_dataset(paths.train, paths.tables)
+        gazetteer = Gazetteer.from_tsv(paths.gazetteer)
+        config = H.TrainConfig(hidden_width=16, type_dim=8, dropout=0.0, batch_size=16,
+                               learning_rate=0.01, epochs=16, seed=2, mode=mode)
+        model = H.train(config, examples, tables, emb=load_embeddings([paths.embeddings]),
+                        gazetteer=gazetteer).model
+        # a low cap, and a lower end-state score, so that some values run to the cap
+        model.decoder_max_len = 3
+        vp = model.val_pointer
+        vp.end.data = vp.end.data - 0.3 * np.sign(vp.V.data @ vp.Wqt.data)
+        examples = examples[:16]
+        inputs = [H.question_inputs(model, ex.question, tables[ex.table_id], gazetteer)[1:]
+                  for ex in examples]
+        alone, alone_logits = logged_batches(model, inputs, 1, monkeypatch)
+        assert alone == [model.predict_slots(
+            recognize(ex.question, tables[ex.table_id].header, table=tables[ex.table_id],
+                      mode=mode, gazetteer=gazetteer), tables[ex.table_id].header)
+            for ex in examples]
+        counts = [p.cond_count for p in alone]
+        assert 0 in counts and max(counts) > 1
+        lengths = {len(span) for p in alone for span in p.cond_val_spans}
+        assert model.decoder_max_len in lengths and min(lengths) < model.decoder_max_len
+        for size in (3, 16):
+            batched, batched_logits = logged_batches(model, inputs, size, monkeypatch)
+            assert batched == alone
+            for name in LOGITS:
+                got, want = batched_logits[name], alone_logits[name]
+                assert [len(rows) for rows in got] == [len(rows) for rows in want]
+                for rows_got, rows_want in zip(got, want):
+                    for g, w in zip(rows_got, rows_want):
+                        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=name)
