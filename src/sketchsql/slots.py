@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel as K
-from .encoder import TYPE_INDEX, EmbeddingStore, column_name_vector
+from .encoder import TYPE_INDEX, EmbeddingStore, column_name_matrix
 from .sketch import MAX_CONDITIONS
 from .tagger import BASE_TAGS, COLUMN_VALUE, TaggedQuestion
 
@@ -384,7 +384,7 @@ class SketchModel:
         """(C, d_w) averaged column-name vectors, one row per column in schema order."""
         if not header:
             raise ValueError("empty schema")
-        return np.stack([column_name_vector(name, self.emb) for name in header])
+        return column_name_matrix(header, self.emb)
 
     def question_input(self, word: np.ndarray, indices, const: np.ndarray) -> K.Tensor:
         type_part = K.add(K.gather_rows(self.type_table, indices), K.constant(const))

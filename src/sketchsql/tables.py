@@ -97,6 +97,17 @@ def parse_number(value) -> float | None:
     return num if math.isfinite(num) else None
 
 
+def number_values(cells) -> set[float] | None:
+    """{parse_number(c) for c in cells} for cells of type int or float, or None when
+    some cell is not a number; one C-level pass each for set, float() and isfinite.
+    A set merges 1 with True, so the caller checks the cell types first."""
+    try:
+        values = set(map(float, cells))
+    except OverflowError:  # an int beyond float64
+        return None
+    return values if all(map(math.isfinite, values)) else None
+
+
 def cell_text(value) -> str:
     """Canonical comparison text for a cell: a number cell prints its float, integral
     ones without '.0'; any other cell is its normalized text."""

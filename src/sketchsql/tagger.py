@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .tables import Table, cell_text, normalize_text, parse_number, text_lines
+from .tables import Table, cell_text, normalize_text, number_values, parse_number, text_lines
 
 NONE = "none"
 COLUMN = "column"
@@ -201,10 +201,10 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
 
     The index maps each cell text to the lowest column holding it. It is
     built column by column: a plain-str column normalises only its distinct
-    values, and an int/float column of numbers (`parse_number`) is matched by
-    value against the question's number tokens. Any other column (bools,
-    None, mixed types, NaN, ints beyond float64) goes through `cell_text`
-    cell by cell, since a set would merge True with 1.
+    values, and an int/float column of numbers (`tables.number_values`) is
+    matched by value against the question's number tokens. Any other column
+    (bools, None, mixed types, NaN, ints beyond float64) goes through
+    `cell_text` cell by cell, since a set would merge True with 1.
     """
     values: dict[str, int] = {}
     numbers = _question_numbers(tq.tokens)
@@ -216,8 +216,8 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
                     values.setdefault(text, col)
             continue
         if kinds <= {int, float}:
-            floats = set(map(parse_number, set(column)))
-            if None not in floats:
+            floats = number_values(column)
+            if floats is not None:
                 for value in floats.intersection(numbers):
                     values.setdefault(numbers[value], col)
                 continue

@@ -10,15 +10,19 @@ numbers token by token from left to right; it shares the package's
 the whole table at once rather than column by column. The per-example
 loss oracle shares the slot formulas and kernel ops and differs in how it
 batches: one example, one model read, one decoder sequence and one
-pointer step at a time.
+pointer step at a time. The embedding-file oracle parses every line with
+`float()`, one line at a time.
 """
+
+import math
 
 import numpy as np
 
 from sketchsql import kernel as K
 from sketchsql import slots as S
+from sketchsql.encoder import EmbeddingError
 from sketchsql.harness import COND_COL_POS_WEIGHT
-from sketchsql.tables import cell_text
+from sketchsql.tables import cell_text, text_lines
 from sketchsql.tagger import TAG_NONE, TaggedQuestion, TypeTag, tokenize
 
 DIGITS = "0123456789"
@@ -332,3 +336,35 @@ def reference_total_loss(model, prep):
     flat = [t for slot in terms.values() for t in slot]
     return (K.sum_all(K.concat_rows(flat)),
             {slot: sum(t.item() for t in parts) for slot, parts in terms.items()})
+
+
+# ---------------------------------------------------------------------------
+# Embedding files
+# ---------------------------------------------------------------------------
+
+def reference_load_embedding_file(path):
+    """Parse one embedding text file line by line with float(); all lines must share a
+    dimension."""
+    vectors = {}
+    dim = None
+    for lineno, line in text_lines(path, EmbeddingError):
+        parts = line.split(" ")
+        if len(parts) < 2:
+            raise EmbeddingError(f"{path}:{lineno}: expected 'token v1 .. vd'")
+        token = parts[0]
+        try:
+            values = [float(x) for x in parts[1:]]
+        except ValueError:
+            raise EmbeddingError(f"{path}:{lineno}: non-numeric vector component") from None
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+            raise EmbeddingError(f"{path}:{lineno}: non-finite vector component")
+        vec = np.array(values, dtype=np.float64)
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise EmbeddingError(
+                f"{path}:{lineno}: dimension {vec.size} != {dim} from earlier lines")
+        vectors[token] = vec
+    if dim is None:
+        raise EmbeddingError(f"{path}: no embedding entries")
+    return vectors, dim

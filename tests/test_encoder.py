@@ -1,9 +1,14 @@
+import random
+import warnings
+
 import numpy as np
 import pytest
 
 from helpers import demo_gazetteer, magazine_table
+from reference_impls import reference_load_embedding_file
+from sketchsql import encoder
 from sketchsql import kernel as K
-from sketchsql.encoder import (EmbeddingError, EmbeddingStore, column_name_vector,
+from sketchsql.encoder import (EmbeddingError, EmbeddingStore, column_name_matrix,
                                load_embedding_file, load_embeddings)
 from sketchsql.slots import SketchModel
 from sketchsql.tagger import TAG_NONE, TaggedQuestion, TypeTag, recognize
@@ -89,6 +94,96 @@ class TestEmbeddingFiles:
         assert emb.word_vec("zzz").shape == (4,)
 
 
+def load_outcome(load, path):
+    """What a loader makes of a file: its entries in order with their vector bytes, or
+    its error."""
+    try:
+        vectors, dim = load(path)
+    except EmbeddingError as exc:
+        return "error", str(exc)
+    return dim, [(token, vec.shape, vec.tobytes()) for token, vec in vectors.items()]
+
+
+PLAIN = ["0", "-0", "+2", ".5", "5.", "-1.25", "1e-3", "1E5", "-7.5e+2", "1e308", "0.30000"]
+ODD = ["nan", "inf", "-Infinity", "1e400", "1_000", "\u0661", "1\x1c", "1\t", "", "1-2",
+       "0x10", "1e", "-", "."]
+TOKENS = ["cat", "dog", "cat", "caf\u00e9", "\u732b", "x-y", "1", ""]
+
+
+def random_embedding_text(rng: random.Random) -> str:
+    """A small embedding file: mostly plain decimals, and sometimes what float() reads
+    differently, what it rejects, bad spacing, a line with no vector, blank lines and a
+    dimension change."""
+    dim = rng.randint(1, 3)
+    lines = []
+    for _ in range(rng.randint(0, 10)):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(rng.choice(["", "   "]))
+            continue
+        token = rng.choice(TOKENS)
+        if roll < 0.08:
+            lines.append(token)
+            continue
+        if roll < 0.12:
+            dim = rng.randint(1, 3)
+        fields = [rng.choice(ODD) if rng.random() < 0.03
+                  else rng.choice(PLAIN + [f"{rng.uniform(-3, 3):.5f}"]) for _ in range(dim)]
+        sep = "  " if rng.random() < 0.03 else " "
+        tail = " " if rng.random() < 0.03 else ""
+        lines.append(token + " " + sep.join(fields) + tail)
+    return "\n".join(lines) + "\n"
+
+
+class TestEmbeddingFileLoaders:
+    def test_random_files_load_as_the_line_by_line_reference(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(encoder, "CHUNK_LINES", 3)
+        rng = random.Random(1313)
+        path = tmp_path / "e.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(1500):
+                text = random_embedding_text(rng)
+                path.write_text(text, encoding="utf-8")
+                assert (load_outcome(load_embedding_file, path)
+                        == load_outcome(reference_load_embedding_file, path)), text
+
+    def test_large_plain_file_bitwise(self, tmp_path):
+        rng = np.random.default_rng(5)
+        rows = rng.normal(size=(1300, 7))
+        path = tmp_path / "e.txt"
+        path.write_text("".join(f"w{i} " + " ".join(f"{v:.5f}" for v in row) + "\n"
+                                for i, row in enumerate(rows)), encoding="utf-8")
+        outcome = load_outcome(load_embedding_file, path)
+        assert outcome[0] == 7 and len(outcome[1]) == 1300
+        assert outcome == load_outcome(reference_load_embedding_file, path)
+
+    def test_numpy_merging_spaces_cannot_change_the_outcome(self, tmp_path, monkeypatch):
+        """Should numpy read a run of spaces as one delimiter, the field count still
+        sends the chunk through float()."""
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(encoder.np, "loadtxt",
+                            lambda rows, **kw: loadtxt(rows, **{**kw, "delimiter": None}))
+        path = tmp_path / "e.txt"
+        path.write_text("cat 1 2\ndog 1  2\n", encoding="utf-8")
+        with pytest.raises(EmbeddingError, match="e.txt:2: non-numeric"):
+            load_embedding_file(path)
+
+    @pytest.mark.parametrize("bad_line", [3, 400])
+    def test_first_error_before_or_after_bytes_not_utf8(self, tmp_path, bad_line):
+        """The reader decodes in blocks: a bad line in a block decoded before the one
+        holding the stray byte is reported first, one in the same block is not."""
+        lines = [b"w%d 0.1000000000 0.2000000000" % i for i in range(600)]
+        lines[1] = b"dog 1.0"
+        lines[bad_line] = b"bad \xff 1.0"
+        path = tmp_path / "e.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        want = load_outcome(reference_load_embedding_file, path)
+        assert load_outcome(load_embedding_file, path) == want
+        assert want[1].endswith(":2: dimension 1 != 2 from earlier lines" if bad_line == 400
+                                else ":4: not UTF-8 text (invalid start byte)")
+
+
 class TestEmbedQuestion:
     def test_known_word_none_tag(self):
         model = tiny_model()
@@ -135,11 +230,21 @@ class TestColumnEncoding:
     def test_column_vector_is_mean_of_words(self):
         emb = tiny_store()
         want = (emb.word_vec("spoofed") + emb.word_vec("title")) / 2
-        np.testing.assert_allclose(column_name_vector("spoofed title", emb), want, atol=1e-12)
+        np.testing.assert_allclose(column_name_matrix(["spoofed title"], emb)[0], want,
+                                   atol=1e-12)
 
     def test_all_oov_name_gives_zero(self):
         emb = tiny_store()
-        np.testing.assert_array_equal(column_name_vector("quux corge", emb), 0.0)
+        np.testing.assert_array_equal(column_name_matrix(["quux corge"], emb)[0], 0.0)
+
+    def test_matrix_rows_are_per_name_means(self):
+        emb = tiny_store()
+        emb.word_vectors["minus"] = np.full(emb.dim, -0.0)
+        header = ["spoofed title", "", "artist", "  ", "quux", "issue mort drucker", "minus"]
+        got = column_name_matrix(header, emb)
+        want = [np.mean([emb.word_vec(w) for w in name.split()], axis=0) if name.strip()
+                else np.zeros(emb.dim) for name in header]
+        assert got.tobytes() == np.stack(want).tobytes()
 
     def test_single_column_shape(self):
         model = tiny_model(seed=1, width=10)

@@ -404,6 +404,16 @@ class TestPredict:
         query = H.predict(model, "what is the c7 when c2 is 2?", wide)
         query.validate_against(9)
 
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_column_name_without_tokens(self, blank):
+        model = S.SketchModel(K.ParamStore(seed=8), tiny_embeddings(), width=12,
+                              mode="content", dropout=0.0)
+        table = Table(id="blank", header=[blank, "b"], types=["text", "text"],
+                      rows=[["x", "y"]])
+        query = H.predict(model, "what is the b when the value is x?", table)
+        query.validate_against(2)
+        np.testing.assert_array_equal(model.column_matrix(table.header)[0], 0.0)
+
     def test_evaluating_no_examples_scores_none(self):
         model = S.SketchModel(K.ParamStore(seed=6), tiny_embeddings(), width=12,
                               mode="insensitive", type_dim=4)

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import short_id
 from reference_impls import naive_number
-from sketchsql.tables import cell_text, parse_number
+from sketchsql.tables import cell_text, number_values, parse_number
 
 NUMBERS = [("+5", 5.0), (".5", 0.5), ("5.", 5.0), ("1e-05", 1e-05), (" 42 ", 42.0),
            ("-7.25E+2", -725.0), ("\x1c-0\u2003", 0.0), (7, 7.0), (88.5, 88.5),
@@ -40,3 +42,28 @@ class TestCellText:
                              ids=short_id)
     def test_number_cell_text_reads_back_as_its_number(self, cell):
         assert parse_number(cell_text(cell)) == parse_number(cell)
+
+
+def floats_hex(values):
+    """A set of floats as sorted exact texts, so -0.0 and 0.0 differ."""
+    return None if values is None else sorted(map(float.hex, values))
+
+
+class TestNumberValues:
+    @given(st.lists(st.one_of(st.integers(min_value=-(2**1100), max_value=2**1100),
+                              st.floats(allow_nan=True, allow_infinity=True))))
+    @example([2**1024])
+    @example([1, 2**1024 + 1])
+    @example([1.5, float("nan")])
+    @example([float("inf")])
+    @example([3, float("-inf")])
+    @example([-0.0, 0])
+    @example([0, -0.0])
+    @example([1, 1.0])
+    @example([1.0, 1])
+    @example([2**53 + 1, 2.0**53])
+    @example([])
+    def test_matches_parse_number(self, cells):
+        parsed = {parse_number(c) for c in cells}
+        want = None if None in parsed else parsed
+        assert floats_hex(number_values(cells)) == floats_hex(want)
