@@ -12,7 +12,7 @@ from .encoder import load_embeddings
 from .executor import evaluate_dataset
 from .kernel import load_checkpoint
 from .sketch import render
-from .tagger import Gazetteer, recognize
+from .tagger import MODES, Gazetteer, recognize
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -24,13 +24,13 @@ def _build_parser() -> argparse.ArgumentParser:
     tag.add_argument("--question", required=True)
     tag.add_argument("--tables", required=True, help="tables JSONL file")
     tag.add_argument("--table-id", required=True)
-    tag.add_argument("--mode", choices=("insensitive", "content"), default="insensitive")
+    tag.add_argument("--mode", choices=MODES, default="insensitive")
     tag.add_argument("--gazetteer", help="gazetteer TSV file")
 
     train = sub.add_parser("train", help="train from a config file")
     train.add_argument("--config", required=True)
     train.add_argument("--seed", type=int)
-    train.add_argument("--mode", choices=("insensitive", "content"))
+    train.add_argument("--mode", choices=MODES)
     train.add_argument("--checkpoint", help="checkpoint output path override")
 
     ev = sub.add_parser("eval", help="score predictions or a checkpoint on a dataset")
@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--preds", help="JSONL of predicted queries, parallel to examples")
     source.add_argument("--checkpoint", help="model checkpoint to run instead of --preds")
     ev.add_argument("--config", help="config file (needed with --checkpoint)")
-    ev.add_argument("--mode", choices=("insensitive", "content"))
 
     pred = sub.add_parser("predict", help="turn one question into SQL")
     pred.add_argument("--question", required=True)
@@ -48,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pred.add_argument("--table-id", required=True)
     pred.add_argument("--checkpoint", required=True)
     pred.add_argument("--config", required=True)
-    pred.add_argument("--mode", choices=("insensitive", "content"))
     return parser
 
 
@@ -61,14 +59,14 @@ def _load_table(path, table_id):
 
 
 def _config_with_overrides(args) -> harness.TrainConfig:
-    overrides = {"seed": getattr(args, "seed", None), "mode": getattr(args, "mode", None),
-                 "checkpoint_path": getattr(args, "checkpoint", None)}
+    overrides = {"seed": args.seed, "mode": args.mode, "checkpoint_path": args.checkpoint}
     # replace() builds a new config, so the overrides pass TrainConfig's checks too
     return replace(harness.TrainConfig.from_file(args.config),
                    **{name: value for name, value in overrides.items() if value is not None})
 
 
-def _restore_model(config: harness.TrainConfig, checkpoint_path):
+def _restore_model(config_path, checkpoint_path):
+    config = harness.TrainConfig.from_file(config_path)
     emb = load_embeddings(config.embedding_paths)
     model, store = harness.build_model(config, emb)
     store.load_state(load_checkpoint(checkpoint_path))
@@ -115,15 +113,14 @@ def _cmd_eval(args) -> int:
     else:
         if not args.config:
             raise ValueError("--checkpoint needs --config for the model shape")
-        model, gaz = _restore_model(_config_with_overrides(args), args.checkpoint)
+        model, gaz = _restore_model(args.config, args.checkpoint)
         metrics = harness.evaluate_model(model, examples, tables, gaz)
     print(json.dumps(metrics.to_dict()))
     return 0
 
 
 def _cmd_predict(args) -> int:
-    config = _config_with_overrides(args)
-    model, gaz = _restore_model(config, args.checkpoint)
+    model, gaz = _restore_model(args.config, args.checkpoint)
     table = _load_table(args.tables, args.table_id)
     query = harness.predict(model, args.question, table, gaz)
     print(render(query, table.header, table.id))

@@ -21,7 +21,7 @@ from .encoder import EmbeddingStore, load_embeddings
 from .executor import Metrics, evaluate_dataset
 from .sketch import SqlQuery, assemble
 from .tables import Table, not_utf8, text_lines
-from .tagger import Gazetteer, TaggedQuestion, recognize, tokenize
+from .tagger import MODES, Gazetteer, TaggedQuestion, recognize, tokenize
 
 COND_COL_POS_WEIGHT = 3.0  # positive-class weight for the condition-column BCE
 
@@ -206,7 +206,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be null or a string, got {value!r}")
         if self.hidden_width % 2 != 0:
             raise ValueError("hidden_width must be even")
-        if self.mode not in ("insensitive", "content"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @classmethod
@@ -289,8 +289,7 @@ def total_loss(model: S.SketchModel, preps: list[PreparedExample],
     """
     q_parts, col_matrix, q_lens, c_lens = S.stack_inputs([(p.q_parts, p.col_matrix)
                                                           for p in preps])
-    q_at = np.cumsum(q_lens) - q_lens  # each example's first stacked question row
-    c_at = np.cumsum(c_lens) - c_lens  # and first stacked column row
+    c_at = np.cumsum(c_lens) - c_lens  # each example's first stacked column row
     col_read, agg_read, opval_read = model.read(S.MODEL_NAMES, q_parts, col_matrix, q_lens,
                                                 c_lens, rng)
     golds = [p.gold for p in preps]
@@ -327,35 +326,11 @@ def total_loss(model: S.SketchModel, preps: list[PreparedExample],
                         model.op_head), [op for _, _, op, _ in conds])
     located = [(i, row, span) for i, row, _, span in conds if span is not None]
     if located:  # a value absent from the question gives no pointer signal
-        terms["pointer"] = _pointer_loss(model.val_pointer, q_in, H_qt, H_col, located,
-                                         q_lens, q_at)
+        owners, rows, spans = zip(*located)
+        terms["pointer"] = S.pointer_loss(H_qt, q_in, K.gather_rows(H_col, rows),
+                                          model.val_pointer, spans, q_lens, owners)
     loss = K.sum_all(K.concat_rows([terms[slot] for slot in SLOTS]), scale=1.0 / len(preps))
     return loss, {slot: terms[slot].item() for slot in SLOTS}
-
-
-def _pointer_loss(vp: S.ValPointer, q_in: K.Tensor, H_qt: K.Tensor, H_col: K.Tensor,
-                  located, q_lens, q_at) -> K.Tensor:
-    """Pointer cross-entropy of every located gold span, teacher-forced as one ragged
-    decoder scan over [start, gold tokens...] per span; each decoder step scores its
-    own question's T positions and the end state."""
-    dec_rows, positions, conds, steps, targets, widths = [], [], [], [], [], []
-    end_row = sum(q_lens)  # the end state's row in pointer_context's [H_qt; end]
-    for j, (i, _, span) in enumerate(located):
-        # row 0 of [start; q_in] is the start input, row 1 + r is stacked question row r
-        dec_rows += [0] + [1 + q_at[i] + t for t in span]
-        scored = list(range(q_at[i], q_at[i] + q_lens[i])) + [end_row]
-        for target in span + [q_lens[i]]:  # the gold tokens, then the end
-            positions += scored
-            conds += [j] * len(scored)
-            steps += [len(widths)] * len(scored)
-            widths.append(len(scored))
-            targets.append(target)
-    dec_in = K.gather_rows(K.concat_rows([vp.start, q_in]), dec_rows)
-    H_dec = K.lstm_sequence(dec_in, vp.dec, lengths=[len(span) + 1 for _, _, span in located])
-    h_cols = K.gather_rows(H_col, [row for _, row, _ in located])
-    context = S.pointer_context(vp, H_qt, h_cols, positions, conds)
-    return K.cross_entropy(S.pointer_step(vp, context, K.gather_rows(H_dec, steps)),
-                           targets, widths)
 
 
 EVAL_CHUNK = 16  # questions evaluate_model predicts per batch

@@ -93,17 +93,9 @@ def detokenize(tokens: list[str]) -> str:
 
 
 def assemble(pred, tokens: list[str]) -> SqlQuery:
-    """Build a SqlQuery from slot predictions over the question tokens.
-
-    Duplicate condition columns keep their first occurrence.
-    """
-    conds = []
-    seen = set()
-    for col, op, span in zip(pred.cond_cols, pred.cond_ops, pred.cond_val_spans):
-        if col in seen:
-            continue
-        seen.add(col)
-        conds.append((col, op, detokenize([tokens[i] for i in span])))
+    """Build a SqlQuery from slot predictions over the question tokens."""
+    conds = [(col, op, detokenize([tokens[i] for i in span]))
+             for col, op, span in zip(pred.cond_cols, pred.cond_ops, pred.cond_val_spans)]
     return SqlQuery(agg=pred.agg, sel=pred.select_col, conds=conds[:MAX_CONDITIONS])
 
 

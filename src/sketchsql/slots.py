@@ -17,6 +17,7 @@ decodes every predicted condition's value greedily in one loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -143,17 +144,9 @@ def cond_col_scores(H_qt_col: K.Tensor, H_col: K.Tensor, H_qt_scol: K.Tensor,
 
 
 def predict_cond_cols(H_qt_col: K.Tensor, H_col: K.Tensor, H_qt_scol: K.Tensor,
-                      head: CondColHead, counts, c_lens=None) -> list[list[int]]:
+                      head: CondColHead, counts, c_lens) -> list[list[int]]:
     """Each example's top counts[i] condition columns by probability, ties toward the
-    lower index; c_lens splits the stacked columns into examples (default: one)."""
-    c_lens = [H_col.shape[0]] if c_lens is None else c_lens
-    if len(counts) != len(c_lens):
-        raise ValueError(f"{len(counts)} condition counts for {len(c_lens)} examples")
-    for k, n_cols in zip(counts, c_lens):
-        if not 0 <= k <= MAX_CONDITIONS:
-            raise ValueError(f"k={k} outside 0..{MAX_CONDITIONS}")
-        if k > n_cols:
-            raise ValueError(f"k={k} exceeds {n_cols} columns")
+    lower index; c_lens splits the stacked columns into examples."""
     if not any(counts):
         return [[] for _ in counts]
     logits = cond_col_scores(H_qt_col, H_col, H_qt_scol, head).data[0]
@@ -208,38 +201,55 @@ def pointer_step(vp: ValPointer, context: K.Tensor, h_dec: K.Tensor, rows=None) 
 
 def _segment_argmax(z: np.ndarray, lengths: list[int]) -> list[int]:
     """First index of the maximum within each consecutive segment of the flat z."""
-    if len(lengths) == 1:
-        return [int(z.argmax())]
-    starts = np.cumsum(lengths) - lengths
-    seg = np.repeat(np.arange(len(lengths)), lengths)
-    padded = np.full((len(lengths), max(lengths)), -np.inf)  # padding never wins
-    padded[seg, np.arange(z.size) - starts[seg]] = z
-    return padded.argmax(axis=1).tolist()
+    return [int(z[end - n : end].argmax()) for n, end in zip(lengths, accumulate(lengths))]
+
+
+def scored_rows(q_lens, owners) -> list[list[int]]:
+    """Each condition's context rows in pointer_context's stacked [H_qt; end]: the rows of
+    question owners[j] (of questions stacked with lengths q_lens), then the end state's
+    row. Logit index t scores the condition's row t, so its last index means 'stop'."""
+    bounds = [0, *accumulate(q_lens)]
+    return [[*range(bounds[i], bounds[i + 1]), bounds[-1]] for i in owners]
+
+
+def pointer_loss(H_qt: K.Tensor, q_in: K.Tensor, h_cols: K.Tensor, vp: ValPointer,
+                 spans: list[list[int]], q_lens, owners) -> K.Tensor:
+    """Pointer cross-entropy of every gold span (row j of h_cols, in question owners[j]),
+    teacher-forced as one ragged decoder scan over [start, gold tokens...] per span; each
+    decoder step scores its condition's scored_rows."""
+    dec_rows, positions, conds, steps, targets, widths = [], [], [], [], [], []
+    for j, (span, scored) in enumerate(zip(spans, scored_rows(q_lens, owners))):
+        # row 0 of [start; q_in] is the start input, row 1 + r is stacked question row r
+        dec_rows += [0] + [1 + scored[t] for t in span]
+        for target in span + [len(scored) - 1]:  # the gold tokens, then the end
+            positions += scored
+            conds += [j] * len(scored)
+            steps += [len(widths)] * len(scored)
+            widths.append(len(scored))
+            targets.append(target)
+    dec_in = K.gather_rows(K.concat_rows([vp.start, q_in]), dec_rows)
+    H_dec = K.lstm_sequence(dec_in, vp.dec, lengths=[len(span) + 1 for span in spans])
+    context = pointer_context(vp, H_qt, h_cols, positions, conds)
+    return K.cross_entropy(pointer_step(vp, context, K.gather_rows(H_dec, steps)),
+                           targets, widths)
 
 
 def decode_cond_vals(H_qt: K.Tensor, q_input: K.Tensor, h_cols: K.Tensor, vp: ValPointer,
-                     max_len: int = 20, q_lens=None, owners=None) -> list[list[int]]:
+                     max_len: int, q_lens, owners) -> list[list[int]]:
     """Greedy span extraction for a batch of conditions in one loop.
 
     Condition j (row j of h_cols) points into question owners[j] of the questions stacked
-    in H_qt and q_input with lengths q_lens (default: one question owning them all). Each
-    step runs one lstm_step over the conditions still decoding and one pointer_step over
-    their questions' positions and end states; a condition leaves the loop when its end
-    wins or after max_len tokens. Returns each condition's question-token indices.
+    in H_qt and q_input with lengths q_lens. Each step runs one lstm_step over the
+    conditions still decoding and one pointer_step over their scored_rows; a condition
+    leaves the loop when its end wins or after max_len tokens. Returns each condition's
+    question-token indices.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     n = h_cols.shape[0]
-    q_lens = [H_qt.shape[0]] if q_lens is None else list(q_lens)
-    owners = [0] * n if owners is None else list(owners)
-    q_at = np.cumsum(q_lens) - q_lens
-    firsts = [int(q_at[i]) for i in owners]  # each condition's first question row
-    ends = [q_lens[i] for i in owners]  # and the logit index of its end state
-    # context rows per condition: its question's positions, then the end state
-    end_row = sum(q_lens)
-    positions = [r for j in range(n) for r in (*range(firsts[j], firsts[j] + ends[j]), end_row)]
-    context = pointer_context(vp, H_qt, h_cols, positions,
-                              np.repeat(np.arange(n), [t + 1 for t in ends]))
+    scored = scored_rows(q_lens, owners)
+    context = pointer_context(vp, H_qt, h_cols, [r for rows in scored for r in rows],
+                              np.repeat(np.arange(n), [len(rows) for rows in scored]))
 
     spans: list[list[int]] = [[] for _ in range(n)]
     live = list(range(n))
@@ -247,13 +257,13 @@ def decode_cond_vals(H_qt: K.Tensor, q_input: K.Tensor, h_cols: K.Tensor, vp: Va
     x = K.gather_rows(vp.start, [0] * n)
     while True:
         h, c = K.lstm_step(x, h, c, vp.dec)
-        widths = [ends[j] + 1 for j in live]
+        widths = [len(scored[j]) for j in live]
         # one live condition's state broadcasts over its rows; several are gathered
         state_rows = None if len(live) == 1 else np.repeat(np.arange(len(live)), widths)
         choices = _segment_argmax(pointer_step(vp, context, h, state_rows).data[0], widths)
         kept = []
         for m, (j, choice) in enumerate(zip(live, choices)):
-            if choice != ends[j]:
+            if choice < len(scored[j]) - 1:  # a question token, not the end state
                 spans[j].append(choice)
                 if len(spans[j]) < max_len:
                     kept.append(m)
@@ -265,13 +275,13 @@ def decode_cond_vals(H_qt: K.Tensor, q_input: K.Tensor, h_cols: K.Tensor, vp: Va
             context = K.gather_rows(context, np.flatnonzero(np.repeat(stays, widths)))
             h, c = K.gather_rows(h, kept), K.gather_rows(c, kept)
             live = [live[m] for m in kept]
-        x = K.gather_rows(q_input, [firsts[j] + spans[j][-1] for j in live])
+        x = K.gather_rows(q_input, [scored[j][spans[j][-1]] for j in live])
 
 
 def decode_cond_val(H_qt: K.Tensor, q_input: K.Tensor, h_col: K.Tensor,
                     vp: ValPointer, max_len: int = 20) -> list[int]:
     """Greedy span extraction for one condition: question-token indices until end wins."""
-    return decode_cond_vals(H_qt, q_input, h_col, vp, max_len)[0]
+    return decode_cond_vals(H_qt, q_input, h_col, vp, max_len, [H_qt.shape[0]], [0])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -141,13 +141,15 @@ class TestEvalAndPredictOptions:
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_seed_option_is_gone(self, untrained_checkpoint, command, capsys):
+        # a model's seed and mode are fixed by the config it was trained with
         paths, config, checkpoint = untrained_checkpoint
         args = {"eval": ["--examples", str(paths.dev)],
                 "predict": ["--question", "x?", "--table-id", "t"]}[command]
-        code = main([command, *args, "--tables", str(paths.tables), "--checkpoint", checkpoint,
-                     "--config", config, "--seed", "3"])
-        assert code == 2
-        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        for option in (["--seed", "3"], ["--mode", "content"]):
+            code = main([command, *args, "--tables", str(paths.tables), "--checkpoint",
+                         checkpoint, "--config", config, *option])
+            assert code == 2
+            assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
 def one_line_error(capsys) -> str:

@@ -31,14 +31,6 @@ class TestAssemble:
         q = assemble(pred, ["over", "88.5", "points"])
         assert q.conds == [(2, 1, "88.5")]
 
-    def test_duplicate_condition_columns_keep_first(self):
-        # SlotPrediction rejects duplicates at construction, so drive assemble
-        # with a raw stand-in the way a buggy caller might.
-        pred = SimpleNamespace(select_col=0, agg=0, cond_cols=[1, 1, 2],
-                               cond_ops=[0, 1, 0], cond_val_spans=[[0], [1], [1]])
-        q = assemble(pred, ["alpha", "beta"])
-        assert q.conds == [(1, 0, "alpha"), (2, 0, "beta")]
-
     def test_never_exceeds_sketch_maximum(self):
         pred = SimpleNamespace(select_col=0, agg=0,
                                cond_cols=[0, 1, 2, 3, 4, 5],

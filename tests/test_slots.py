@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import reference_impls as ref
 from helpers import MAGAZINE_QUESTION, demo_gazetteer, magazine_table
@@ -136,7 +138,8 @@ class TestCondCols:
         H_qt_col = const(rng.normal(size=(3, 8)))
         H_col = const(rng.normal(size=(3, 8)))
         scol = const(rng.normal(size=(3, 8)))
-        assert S.predict_cond_cols(H_qt_col, H_col, scol, cond_col_head(rng), [0]) == [[]]
+        assert S.predict_cond_cols(H_qt_col, H_col, scol, cond_col_head(rng), [0],
+                                   [3]) == [[]]
 
     def test_k_equals_c_returns_all_sorted(self):
         rng = np.random.default_rng(10)
@@ -144,7 +147,7 @@ class TestCondCols:
         H_col = rng.normal(size=(4, 8))
         scol = rng.normal(size=(4, 8))
         head = cond_col_head(rng)
-        [got] = S.predict_cond_cols(const(H_qt_col), const(H_col), const(scol), head, [4])
+        [got] = S.predict_cond_cols(const(H_qt_col), const(H_col), const(scol), head, [4], [4])
         probs = ref.ref_cond_cols(H_qt_col, H_col, scol, head.Wc.data, head.Wqt.data,
                                   head.Wscol.data, head.V.data)
         assert got == sorted(range(4), key=lambda i: (-probs[i], i))
@@ -159,18 +162,31 @@ class TestCondCols:
             head = cond_col_head(rng)
             k = int(rng.integers(0, 5)) if 4 >= 4 else 0
             k = min(k, 4)
-            [got] = S.predict_cond_cols(const(H_qt_col), const(H_col), const(scol), head, [k])
+            [got] = S.predict_cond_cols(const(H_qt_col), const(H_col), const(scol), head, [k],
+                                        [4])
             probs = ref.ref_cond_cols(H_qt_col, H_col, scol, head.Wc.data, head.Wqt.data,
                                       head.Wscol.data, head.V.data)
             want = sorted(range(4), key=lambda i: (-probs[i], i))[:k]
             assert got == want
             assert len(got) == k and len(set(got)) == k
 
-    def test_k_above_c_errors(self):
-        rng = np.random.default_rng(12)
-        with pytest.raises(ValueError, match="exceeds"):
-            S.predict_cond_cols(const(rng.normal(size=(2, 8))), const(rng.normal(size=(2, 8))),
-                                const(rng.normal(size=(2, 8))), cond_col_head(rng), [3])
+    def test_predicted_count_never_exceeds_columns(self, monkeypatch):
+        # a count head that always says four conditions, over tables of one and two columns
+        scores = S.cond_number_scores
+        monkeypatch.setattr(S, "cond_number_scores", lambda *args: K.add(
+            scores(*args), const(np.array([[0.0, 0.0, 0.0, 0.0, 100.0]]))))
+        model = S.SketchModel(K.ParamStore(seed=1), tiny_embeddings(), width=12)
+        question = "what is the title with mort drucker as artist ?"
+        headers = (["title"], ["title", "artist"])
+        preds = [model.predict_slots(recognize(question, header), header) for header in headers]
+        inputs = []
+        for header in headers:
+            col_matrix = model.column_matrix(header)
+            inputs.append((model.question_parts(recognize(question, header), col_matrix),
+                           col_matrix))
+        preds += model.predict_batch(inputs)
+        assert [p.cond_count for p in preds] == [1, 2, 1, 2]
+        assert [sorted(p.cond_cols) for p in preds] == [[0], [0, 1], [0], [0, 1]]
 
 
 class TestAgg:
@@ -313,6 +329,16 @@ class TestPointerDecoder:
                                                    const(h_cols[j : j + 1]), vp, 4)
             lengths.update(map(len, got))
         assert {0, 4} < lengths  # conditions leave the loop at different steps, some at the cap
+
+
+class TestSegmentArgmax:
+    # small integers, so that ties within a segment are common
+    @given(st.lists(st.lists(st.integers(-2, 2), min_size=1, max_size=6), min_size=1,
+                    max_size=8))
+    def test_first_maximum_of_each_segment(self, segments):
+        z = np.array([v for seg in segments for v in seg], dtype=float)
+        got = S._segment_argmax(z, [len(seg) for seg in segments])
+        assert got == [int(np.argmax(seg)) for seg in segments]
 
 
 class TestSlotPredictionInvariants:
