@@ -9,12 +9,14 @@ condition is simply false.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import compress
+from operator import itemgetter
 
 from .sketch import (AGG_AVG, AGG_COUNT, AGG_MIN, AGG_NULL, AGG_SUM, OP_EQ, OP_GT,
                      SqlQuery, canonical_conds, canonical_equal, render)
-from .tables import KIND_REAL, Table, normalize_text, parse_number
+from .tables import KIND_REAL, Table, column_numbers, normalize_text, parse_number
 
 
 class ExecutionError(ValueError):
@@ -42,22 +44,38 @@ class ResultSet:
         return cls(kind="scalar", scalar=float(value) if isinstance(value, (int, float)) else value)
 
 
-def _holds(cells: list, op: int, val: str) -> list[bool]:
+def _holds(cells: list, op: int, val: str) -> Iterable[bool]:
     """Whether each cell satisfies `cell <op> val`, with the operator and the kind of
     value decided once. A number value never equals a cell that is not a number, nor
-    a text value one that is, since the text of a str, int or float number parses."""
+    a text value one that is, since the text of a str, int or float number parses.
+
+    A column of int/float numbers is compared in one C-level pass over its floats;
+    an all-str column tests each distinct cell once. Any other column goes cell by
+    cell, since a set of its cells would merge True with 1 and -0.0 with 0.0.
+    """
     num = parse_number(val)
+    if num is None and op != OP_EQ:
+        return [False] * len(cells)
+    nums = column_numbers(cells)
     if num is None:
-        if op != OP_EQ:
+        if nums is not None:
             return [False] * len(cells)
         text = normalize_text(val)
-        return [normalize_text(str(cell)) == text for cell in cells]
-    nums = map(parse_number, cells)
-    if op == OP_EQ:
-        return [n == num for n in nums]
-    if op == OP_GT:
-        return [n is not None and n > num for n in nums]
-    return [n is not None and n < num for n in nums]
+
+        def test(cell):
+            return normalize_text(str(cell)) == text
+    else:  # num < n is n > num
+        holds = num.__eq__ if op == OP_EQ else num.__lt__ if op == OP_GT else num.__gt__
+        if nums is not None:
+            return map(holds, nums)
+
+        def test(cell):
+            n = parse_number(cell)
+            return n is not None and holds(n)
+    if {str}.issuperset(map(type, cells)):
+        hits = set(filter(test, set(cells)))
+        return map(hits.__contains__, cells)
+    return map(test, cells)
 
 
 def execute(query: SqlQuery, table: Table) -> ResultSet:
@@ -65,10 +83,10 @@ def execute(query: SqlQuery, table: Table) -> ResultSet:
     query.validate_against(table.n_columns)
     kept = table.rows
     for col, op, val in query.conds:  # AND: each condition filters the survivors of the last
-        kept = list(compress(kept, _holds([row[col] for row in kept], op, val)))
+        kept = list(compress(kept, _holds(list(map(itemgetter(col), kept)), op, val)))
     if query.agg == AGG_COUNT:
         return ResultSet.of_scalar(len(kept))
-    cells = [row[query.sel] for row in kept]
+    cells = list(map(itemgetter(query.sel), kept))
     if query.agg == AGG_NULL:
         return ResultSet.of_rows(cells)
     if not cells:
@@ -76,11 +94,15 @@ def execute(query: SqlQuery, table: Table) -> ResultSet:
     if table.types[query.sel] != KIND_REAL:  # MIN / MAX compare text; SUM / AVG fail
         if query.agg in (AGG_SUM, AGG_AVG):
             raise ExecutionError("non-numeric aggregate")
+        if {str}.issuperset(map(type, cells)):  # MIN and MAX need each text once
+            cells = set(cells)
         texts = [normalize_text(str(c)) for c in cells]
         return ResultSet.of_scalar(min(texts) if query.agg == AGG_MIN else max(texts))
-    nums = [parse_number(c) for c in cells]
-    if None in nums:
-        raise ExecutionError("non-numeric aggregate")
+    nums = column_numbers(cells)
+    if nums is None:
+        nums = list(map(parse_number, cells))
+        if None in nums:
+            raise ExecutionError("non-numeric aggregate")
     if query.agg in (AGG_SUM, AGG_AVG):
         total = sum(nums)
         return ResultSet.of_scalar(total if query.agg == AGG_SUM else total / len(nums))

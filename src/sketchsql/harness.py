@@ -9,6 +9,7 @@ and sums the per-slot losses; inference feeds predicted antecedents.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -396,6 +397,13 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
     if not train_examples:
         where = f"{config.train_path}: " if config.train_path else ""
         raise ValueError(f"{where}no training examples")
+    if config.checkpoint_path:  # checked now: it is first written after an epoch
+        folder = os.path.dirname(config.checkpoint_path) or "."
+        if not os.path.isdir(folder):
+            raise ValueError(f"checkpoint_path {config.checkpoint_path!r}: "
+                             f"no directory {folder!r}")
+        if os.path.isdir(config.checkpoint_path):
+            raise ValueError(f"checkpoint_path {config.checkpoint_path!r} is a directory")
     if emb is None:
         if not config.embedding_paths:
             raise ValueError("no embeddings: set embedding_paths or pass emb")

@@ -436,7 +436,8 @@ def _cell(pre: np.ndarray, c: np.ndarray):
 
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights):
-    """One untaped LSTM cell update on 1-row inputs, for greedy decoding; returns (h, c).
+    """One untaped LSTM cell update for greedy decoding, on one row per sequence (the
+    pointer decoder steps every live condition at once); returns (h, c).
 
     Training runs every recurrence through lstm_sequence: a gradient request is an error.
     """

@@ -465,7 +465,7 @@ class SketchModel:
             sels = _segment_argmax(select_scores(H_qt_col, H_col, self.select_head).data[0],
                                   c_lens)
             counts = cond_number_scores(H_qt_col, self.cond_num_head, c_lens).data.argmax(axis=1)
-            counts = np.minimum(counts, c_lens).tolist()
+            counts = counts.tolist()  # predict_cond_cols keeps at most n_cols of each
             sel_rows = c_at + sels
             H_qt_scol = K.gather_rows(H_qt_col, np.repeat(sel_rows, c_lens))
             cond_cols = predict_cond_cols(H_qt_col, H_col, H_qt_scol, self.cond_col_head, counts,

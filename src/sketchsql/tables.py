@@ -97,12 +97,15 @@ def parse_number(value) -> float | None:
     return num if math.isfinite(num) else None
 
 
-def number_values(cells) -> set[float] | None:
-    """{parse_number(c) for c in cells} for cells of type int or float, or None when
-    some cell is not a number; one C-level pass each for set, float() and isfinite.
-    A set merges 1 with True, so the caller checks the cell types first."""
+def column_numbers(cells) -> list[float] | None:
+    """[parse_number(c) for c in cells] when every cell is an int or float (so not a
+    bool) with a finite value, or None; one C-level pass each for the cell types,
+    float() and isfinite. The types are checked first: float() also reads bools and
+    number text."""
+    if not {int, float}.issuperset(map(type, cells)):  # stops at the first other type
+        return None
     try:
-        values = set(map(float, cells))
+        values = list(map(float, cells))
     except OverflowError:  # an int beyond float64
         return None
     return values if all(map(math.isfinite, values)) else None

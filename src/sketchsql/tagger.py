@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .tables import Table, cell_text, normalize_text, number_values, parse_number, text_lines
+from .tables import Table, cell_text, column_numbers, normalize_text, parse_number, text_lines
 
 NONE = "none"
 COLUMN = "column"
@@ -200,27 +200,27 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
     """Content mode: tag spans equal to a cell value with that cell's column.
 
     The index maps each cell text to the lowest column holding it. It is
-    built column by column: a plain-str column normalises only its distinct
-    values, and an int/float column of numbers (`tables.number_values`) is
-    matched by value against the question's number tokens. Any other column
-    (bools, None, mixed types, NaN, ints beyond float64) goes through
-    `cell_text` cell by cell, since a set would merge True with 1.
+    built column by column: an int/float column of numbers
+    (`tables.column_numbers`) is matched by value against the question's
+    number tokens, and a plain-str column normalises only its distinct
+    values. Any other column (bools, None, mixed types, NaN, ints beyond
+    float64) goes through `cell_text` cell by cell, since a set would merge
+    True with 1.
     """
     values: dict[str, int] = {}
     numbers = _question_numbers(tq.tokens)
     for col, column in enumerate(zip(*table.rows)):
-        kinds = set(map(type, column))
-        if kinds == {str}:
+        floats = column_numbers(column)
+        if floats is not None:
+            for value, token in numbers.items():
+                if value in floats:
+                    values.setdefault(token, col)
+            continue
+        if {str}.issuperset(map(type, column)):
             for text in map(normalize_text, set(column)):
                 if text:
                     values.setdefault(text, col)
             continue
-        if kinds <= {int, float}:
-            floats = number_values(column)
-            if floats is not None:
-                for value in floats.intersection(numbers):
-                    values.setdefault(numbers[value], col)
-                continue
         for cell in column:
             text = cell_text(cell)
             if text:

@@ -352,6 +352,28 @@ class TestConfigErrors:
             assert f"{path}: config must be a JSON object" in err
 
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_checkpoint_path_fails_before_training(self, where, tmp_path, capsys):
+        paths = generate_corpus(tmp_path / "corpus", seed=0, n_train=24, n_dev=4)
+        if where == "directory":
+            checkpoint = tmp_path / "out"
+            checkpoint.mkdir()
+            message = f"checkpoint_path {str(checkpoint)!r} is a directory"
+        else:
+            checkpoint = tmp_path / "nodir" / "model.tsq"
+            message = (f"checkpoint_path {str(checkpoint)!r}: "
+                       f"no directory {str(checkpoint.parent)!r}")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "hidden_width": 8, "epochs": 1, "batch_size": 8, "mode": "content",
+            "embedding_paths": [str(paths.embeddings)], "gazetteer_path": str(paths.gazetteer),
+            "train_path": str(paths.train), "dev_path": str(paths.dev),
+            "tables_path": str(paths.tables), "checkpoint_path": str(checkpoint)}),
+            encoding="utf-8")
+        assert main(["train", "--config", str(config)]) == 1
+        # the only line on stderr: no epoch was logged
+        assert one_line_error(capsys) == f"error: {message}\n"
+
     def test_flag_override_is_checked_like_a_config_field(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"hidden_width": 8}), encoding="utf-8")

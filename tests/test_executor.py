@@ -217,6 +217,71 @@ class TestAgainstReferenceInterpreter:
             assert exec_equal(execute(query, table), execute(query, table))
 
 
+NUMBER_FILL = [-20, -3, 0, 2, 5, 7, 40, -7.25, 0.5, 2.5, 5.0, 88.5, 1e-05]
+
+# Columns of 300 rows: each starts with the cells a shortcut could confuse, in the order
+# where a set of them keeps the one that differs (0.0 before -0.0, 1 before True), then
+# fill. The numeric ones with one other cell must go cell by cell.
+WIDE_COLUMNS = {
+    "str": ["0.0", "-0.0", " Alpha ", "alpha", "beta  gamma", "1", "true", "nan", "", " 42 ",
+            "2.5"],
+    "int": [0, 1, 2**53 + 1, -3],
+    "float": [0.0, -0.0, 1.0, 2.0**53, 2.5],
+    "number": [0.0, -0.0, 1, 1.0, 2**53 + 1, 2.0**53],
+    "number+True": [0.0, -0.0, 1, 1.0, True, 2**53 + 1, 2.0**53],
+    "number+None": [0.0, -0.0, 1, 1.0, None, 2**53 + 1, 2.0**53],
+    "number+nan": [0.0, -0.0, 1, 1.0, float("nan"), 2**53 + 1, 2.0**53],
+    "number+inf": [0.0, -0.0, 1, 1.0, float("inf"), 2**53 + 1, 2.0**53],
+    "number+2**1024": [0.0, -0.0, 1, 1.0, 2**1024, 2**53 + 1, 2.0**53],
+}
+WIDE_VALUES = ["0", "-0.0", "1", "1.0", "true", "True", str(2**53 + 1), str(2**53), "nan",
+               "none", "alpha", "beta gamma", "42", "2.5", "5", str(2**1024)]
+
+
+def wide_table(name: str, kind: str) -> Table:
+    """The named column, filled to 300 rows, beside a column of small ints."""
+    rnd = random.Random(name)
+    head = WIDE_COLUMNS[name]
+    pool = (["Alpha", "gamma", "delta x", " 7 ", "zeta"] if name == "str" else
+            NUMBER_FILL[:7] if name == "int" else NUMBER_FILL[7:] if name == "float" else
+            NUMBER_FILL)
+    cells = head + [rnd.choice(pool) for _ in range(300 - len(head))]
+    return Table(id=name, header=["tested", "other"], types=[kind, "real"],
+                 rows=[[cell, i % 7] for i, cell in enumerate(cells)])
+
+
+def exact(kind, payload):
+    """A result as comparable exact text: rows keep their order and cell types, and
+    numbers compare by float.hex, so -0.0 and 0.0 differ."""
+    if kind == "rows":
+        return kind, list(map(repr, payload))
+    if kind == "scalar" and not isinstance(payload, str):
+        return kind, float(payload).hex()
+    return kind, payload
+
+
+class TestWideColumns:
+    @pytest.mark.parametrize("kind", ["text", "real"])
+    def test_every_operator_and_aggregate_matches_reference(self, kind):
+        # '=', '>' and '<' against every value, compared by the rows kept, in order; each
+        # aggregate over all rows and over two subsets
+        queries = [SqlQuery(agg=0, sel=0, conds=[(0, op, val)])
+                   for op in (0, 1, 2) for val in WIDE_VALUES]
+        queries += [SqlQuery(agg=agg, sel=0, conds=where) for agg in range(1, 6)
+                    for where in ([], [(1, 0, "3")], [(0, 1, "0"), (1, 2, "5")])]
+        for name in WIDE_COLUMNS:
+            table = wide_table(name, kind)
+            for query in queries:
+                want = reference_execute(query, table)
+                if want[0] == "error":
+                    with pytest.raises(ExecutionError):
+                        execute(query, table)
+                    continue
+                got = execute(query, table)
+                assert exact(got.kind, got.values if got.kind == "rows" else got.scalar) \
+                    == exact(*want), (name, query)
+
+
 class TestEvaluateDataset:
     def golds(self):
         table = magazine_table()

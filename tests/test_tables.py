@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import short_id
 from reference_impls import naive_number
-from sketchsql.tables import cell_text, number_values, parse_number
+from sketchsql.tables import cell_text, column_numbers, parse_number
 
 NUMBERS = [("+5", 5.0), (".5", 0.5), ("5.", 5.0), ("1e-05", 1e-05), (" 42 ", 42.0),
            ("-7.25E+2", -725.0), ("\x1c-0\u2003", 0.0), (7, 7.0), (88.5, 88.5),
@@ -45,13 +45,14 @@ class TestCellText:
 
 
 def floats_hex(values):
-    """A set of floats as sorted exact texts, so -0.0 and 0.0 differ."""
-    return None if values is None else sorted(map(float.hex, values))
+    """A list of floats as exact texts, so -0.0 and 0.0 differ."""
+    return None if values is None else list(map(float.hex, values))
 
 
 class TestNumberValues:
     @given(st.lists(st.one_of(st.integers(min_value=-(2**1100), max_value=2**1100),
-                              st.floats(allow_nan=True, allow_infinity=True))))
+                              st.floats(allow_nan=True, allow_infinity=True),
+                              st.booleans(), st.none(), st.sampled_from(["5", " 2.5 ", "x"]))))
     @example([2**1024])
     @example([1, 2**1024 + 1])
     @example([1.5, float("nan")])
@@ -63,7 +64,13 @@ class TestNumberValues:
     @example([1.0, 1])
     @example([2**53 + 1, 2.0**53])
     @example([])
+    @example([1, True])
+    @example([0.0, False])
+    @example([7, None])
+    @example([7, "7"])
     def test_matches_parse_number(self, cells):
-        parsed = {parse_number(c) for c in cells}
-        want = None if None in parsed else parsed
-        assert floats_hex(number_values(cells)) == floats_hex(want)
+        # element by element: a number cell's float in place, or None for the column when
+        # any cell is not an int or float number (number text, bools and None included)
+        parsed = [parse_number(c) for c in cells]
+        other = None in parsed or any(isinstance(c, str) for c in cells)
+        assert floats_hex(column_numbers(cells)) == (None if other else floats_hex(parsed))
