@@ -12,11 +12,11 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import itemgetter
 
 from .sketch import (AGG_AVG, AGG_COUNT, AGG_MIN, AGG_NULL, AGG_SUM, OP_EQ, OP_GT,
                      SqlQuery, canonical_conds, canonical_equal, render)
-from .tables import KIND_REAL, Table, column_numbers, normalize_text, parse_number
+from .tables import (KIND_REAL, Table, column_numbers, distinct_text, normalize_text,
+                     parse_number)
 
 
 class ExecutionError(ValueError):
@@ -49,16 +49,12 @@ def _holds(cells: list, op: int, val: str) -> Iterable[bool]:
     value decided once. A number value never equals a cell that is not a number, nor
     a text value one that is, since the text of a str, int or float number parses.
 
-    A column of int/float numbers is compared in one C-level pass over its floats;
-    an all-str column tests each distinct cell once. Any other column goes cell by
-    cell, since a set of its cells would merge True with 1 and -0.0 with 0.0.
+    An all-str column tests each distinct cell once, and a column of int/float numbers
+    is compared in one C-level pass over its floats. Any other column goes cell by cell.
     """
     num = parse_number(val)
-    if num is None and op != OP_EQ:
-        return [False] * len(cells)
-    nums = column_numbers(cells)
     if num is None:
-        if nums is not None:
+        if op != OP_EQ:
             return [False] * len(cells)
         text = normalize_text(val)
 
@@ -66,15 +62,17 @@ def _holds(cells: list, op: int, val: str) -> Iterable[bool]:
             return normalize_text(str(cell)) == text
     else:  # num < n is n > num
         holds = num.__eq__ if op == OP_EQ else num.__lt__ if op == OP_GT else num.__gt__
-        if nums is not None:
-            return map(holds, nums)
 
         def test(cell):
             n = parse_number(cell)
             return n is not None and holds(n)
-    if {str}.issuperset(map(type, cells)):
-        hits = set(filter(test, set(cells)))
+    texts = distinct_text(cells)
+    if texts is not None:
+        hits = set(filter(test, texts))
         return map(hits.__contains__, cells)
+    nums = column_numbers(cells)
+    if nums is not None:
+        return [False] * len(cells) if num is None else map(holds, nums)
     return map(test, cells)
 
 
@@ -83,10 +81,10 @@ def execute(query: SqlQuery, table: Table) -> ResultSet:
     query.validate_against(table.n_columns)
     kept = table.rows
     for col, op, val in query.conds:  # AND: each condition filters the survivors of the last
-        kept = list(compress(kept, _holds(list(map(itemgetter(col), kept)), op, val)))
+        kept = list(compress(kept, _holds([row[col] for row in kept], op, val)))
     if query.agg == AGG_COUNT:
         return ResultSet.of_scalar(len(kept))
-    cells = list(map(itemgetter(query.sel), kept))
+    cells = [row[query.sel] for row in kept]
     if query.agg == AGG_NULL:
         return ResultSet.of_rows(cells)
     if not cells:
@@ -94,15 +92,11 @@ def execute(query: SqlQuery, table: Table) -> ResultSet:
     if table.types[query.sel] != KIND_REAL:  # MIN / MAX compare text; SUM / AVG fail
         if query.agg in (AGG_SUM, AGG_AVG):
             raise ExecutionError("non-numeric aggregate")
-        if {str}.issuperset(map(type, cells)):  # MIN and MAX need each text once
-            cells = set(cells)
         texts = [normalize_text(str(c)) for c in cells]
         return ResultSet.of_scalar(min(texts) if query.agg == AGG_MIN else max(texts))
-    nums = column_numbers(cells)
-    if nums is None:
-        nums = list(map(parse_number, cells))
-        if None in nums:
-            raise ExecutionError("non-numeric aggregate")
+    nums = [parse_number(c) for c in cells]
+    if None in nums:
+        raise ExecutionError("non-numeric aggregate")
     if query.agg in (AGG_SUM, AGG_AVG):
         total = sum(nums)
         return ResultSet.of_scalar(total if query.agg == AGG_SUM else total / len(nums))

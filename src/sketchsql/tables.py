@@ -111,6 +111,13 @@ def column_numbers(cells) -> list[float] | None:
     return values if all(map(math.isfinite, values)) else None
 
 
+def distinct_text(cells) -> set[str] | None:
+    """The set of a column's cells when every cell is a str, else None. Only then may
+    the set stand in for the cells: a set of other cells merges True with 1 and -0.0
+    with 0.0, whose texts differ."""
+    return set(cells) if {str}.issuperset(map(type, cells)) else None
+
+
 def cell_text(value) -> str:
     """Canonical comparison text for a cell: a number cell prints its float, integral
     ones without '.0'; any other cell is its normalized text."""

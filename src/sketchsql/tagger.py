@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .tables import Table, cell_text, column_numbers, normalize_text, parse_number, text_lines
+from .tables import (Table, cell_text, column_numbers, distinct_text, normalize_text,
+                     parse_number, text_lines)
 
 NONE = "none"
 COLUMN = "column"
@@ -203,9 +204,8 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
     built column by column: an int/float column of numbers
     (`tables.column_numbers`) is matched by value against the question's
     number tokens, and a plain-str column normalises only its distinct
-    values. Any other column (bools, None, mixed types, NaN, ints beyond
-    float64) goes through `cell_text` cell by cell, since a set would merge
-    True with 1.
+    values (`tables.distinct_text`). Any other column (bools, None, mixed
+    types, NaN, ints beyond float64) goes through `cell_text` cell by cell.
     """
     values: dict[str, int] = {}
     numbers = _question_numbers(tq.tokens)
@@ -216,8 +216,9 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
                 if value in floats:
                     values.setdefault(token, col)
             continue
-        if {str}.issuperset(map(type, column)):
-            for text in map(normalize_text, set(column)):
+        texts = distinct_text(column)
+        if texts is not None:
+            for text in map(normalize_text, texts):
                 if text:
                     values.setdefault(text, col)
             continue

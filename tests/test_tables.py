@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from helpers import short_id
 from reference_impls import naive_number
-from sketchsql.tables import cell_text, column_numbers, parse_number
+from sketchsql.tables import cell_text, column_numbers, distinct_text, parse_number
 
 NUMBERS = [("+5", 5.0), (".5", 0.5), ("5.", 5.0), ("1e-05", 1e-05), (" 42 ", 42.0),
            ("-7.25E+2", -725.0), ("\x1c-0\u2003", 0.0), (7, 7.0), (88.5, 88.5),
@@ -74,3 +74,13 @@ class TestNumberValues:
         parsed = [parse_number(c) for c in cells]
         other = None in parsed or any(isinstance(c, str) for c in cells)
         assert floats_hex(column_numbers(cells)) == (None if other else floats_hex(parsed))
+
+
+class TestDistinctText:
+    @pytest.mark.parametrize("cells", [[], ["a", " a", "a"], ("x", "y")])
+    def test_all_str_columns_give_their_set(self, cells):
+        assert distinct_text(cells) == set(cells)
+
+    @pytest.mark.parametrize("cells", [[1], ["1", 1], ["a", True], ["a", None], [0.0, -0.0]])
+    def test_any_other_cell_gives_none(self, cells):
+        assert distinct_text(cells) is None
