@@ -49,10 +49,17 @@ def _holds(cells: list, op: int, val: str) -> Iterable[bool]:
     value decided once. A number value never equals a cell that is not a number, nor
     a text value one that is, since the text of a str, int or float number parses.
 
-    An all-str column tests each distinct cell once, and a column of int/float numbers
-    is compared in one C-level pass over its floats. Any other column goes cell by cell.
+    A column of int/float numbers is compared in one vectorised op over its float64
+    array, and an all-str column tests each distinct cell once. Any other column goes
+    cell by cell.
     """
     num = parse_number(val)
+    nums = column_numbers(cells)
+    if nums is not None:
+        if num is None:
+            return [False] * len(cells)
+        holds = nums == num if op == OP_EQ else nums > num if op == OP_GT else nums < num
+        return holds.tolist()
     if num is None:
         if op != OP_EQ:
             return [False] * len(cells)
@@ -70,9 +77,6 @@ def _holds(cells: list, op: int, val: str) -> Iterable[bool]:
     if texts is not None:
         hits = set(filter(test, texts))
         return map(hits.__contains__, cells)
-    nums = column_numbers(cells)
-    if nums is not None:
-        return [False] * len(cells) if num is None else map(holds, nums)
     return map(test, cells)
 
 

@@ -457,9 +457,10 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
             if dev_examples:
                 qm = evaluate_model(model, dev_examples, tables, inputs=dev_inputs).acc_qm
                 entry["dev_qm"] = qm
-                if config.checkpoint_path and (best_dev is None or qm > best_dev):
+                if best_dev is None or qm > best_dev:
                     best_dev = qm
-                    K.save_checkpoint(store, config.checkpoint_path)
+                    if config.checkpoint_path:
+                        K.save_checkpoint(store, config.checkpoint_path)
         if log is not None:
             log(entry)
         if stop:

@@ -3,7 +3,7 @@
 Everything the slot-filling models call and nothing more: matrices on a
 gradient tape (`linear` is both a layer and the scores of rows against rows,
 so there is no transpose op; `gather_rows` is the one row selection), one
-LSTM cell (a fused sequence node that runs a group of directions over
+LSTM cell (a fused sequence node that runs groups of directions over
 row-stacked sequences in a single loop, and an untaped step for greedy
 decoding), stable softmax / cross-entropy / weighted BCE,
 inverted dropout, Adam with fixed decay rates, and a binary checkpoint
@@ -20,6 +20,7 @@ import struct
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,17 +261,17 @@ def segment_sum(a: Tensor, lengths=None) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def cols(a: Tensor, j0: int, j1: int) -> Tensor:
-    """Columns j0:j1 of a, as a contiguous copy."""
-    if not (0 <= j0 < j1 <= a.shape[1]):
-        raise KernelError(f"column slice [{j0}:{j1}] out of range for shape {a.shape}")
+def block(a: Tensor, r0: int, r1: int, j0: int, j1: int) -> Tensor:
+    """Rows r0:r1 and columns j0:j1 of a, as a contiguous copy."""
+    if not (0 <= r0 < r1 <= a.shape[0] and 0 <= j0 < j1 <= a.shape[1]):
+        raise KernelError(f"block [{r0}:{r1}, {j0}:{j1}] out of range for shape {a.shape}")
 
-    def bwd(g, a=a, j0=j0, j1=j1):
+    def bwd(g, a=a):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        a.grad[:, j0:j1] += g
+        a.grad[r0:r1, j0:j1] += g
 
-    return _node(a.data[:, j0:j1].copy(), (a,), bwd)
+    return _node(a.data[r0:r1, j0:j1].copy(), (a,), bwd)
 
 
 def concat_rows(parts) -> Tensor:
@@ -475,18 +476,21 @@ def _scan_indices(n_rows: int, lengths: tuple | None, reverse: tuple):
     return n_seq, t_max, rows, seq, step, dirs
 
 
-def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None) -> Tensor:
-    """Run a group of LSTM directions over row-stacked sequences as a single fused node.
+class _ScanGroup(NamedTuple):
+    """One direction group of a fused scan: its input, weights and scan indices."""
 
-    `ws` is one LstmWeights and `reverse` a bool, or both are parallel lists. `xs` stacks
-    B sequences of the given `lengths` row-wise, (sum of lengths, d_in); by default it
-    is one sequence. The output has the same rows, (., k*H), direction blocks in group
-    order. One loop runs all k*B recurrences from a zero state against the stacked Wh:
-    every sequence starts at scan step 0 in both directions, so a shorter one idles only
-    at the end of the scan, where no output reads it and no gradient reaches it. A single
-    sequence's output is bitwise as if each direction ran alone. The backward is one
-    hand-written BPTT loop.
-    """
+    xs: Tensor
+    ws: list
+    n_seq: int
+    t_max: int
+    rows: np.ndarray
+    seq: np.ndarray
+    step: np.ndarray
+    dirs: np.ndarray
+
+
+def _scan_group(xs: Tensor, ws, reverse, lengths) -> _ScanGroup:
+    """A checked direction group; see lstm_sequence."""
     if isinstance(ws, LstmWeights):
         ws, reverse = [ws], [reverse]
     k, n_rows = len(ws), xs.shape[0]
@@ -503,58 +507,116 @@ def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None) -> Tensor:
     if n_rows < 1:
         raise KernelError("empty sequence")
     try:
-        n_seq, t_max, rows, seq, step, dirs = _scan_indices(
-            n_rows, None if lengths is None else tuple(lengths), tuple(reverse))
+        indices = _scan_indices(n_rows, None if lengths is None else tuple(lengths),
+                                tuple(reverse))
     except TypeError:  # an unhashable entry, so no segment length
         raise KernelError(f"segment lengths {lengths!r} do not split {n_rows} rows") from None
-    Wh = np.stack([w.Wh.data for w in ws])  # (k, 4H, H)
+    return _ScanGroup(xs, list(ws), *indices)
+
+
+def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None, more=()) -> Tensor:
+    """Run groups of LSTM directions over row-stacked sequences as a single fused node.
+
+    `ws` is one LstmWeights and `reverse` a bool, or both are parallel lists. `xs` stacks
+    B sequences of the given `lengths` row-wise, (sum of lengths, d_in); by default it
+    is one sequence. Its output has the same rows, (., k*H), direction blocks in group
+    order. `more` holds further groups as (xs, ws, reverse, lengths) tuples, each with its
+    own input width and lengths but the same hidden width, direction count and sequence
+    count; their output rows follow the first group's, in order.
+
+    One loop runs every recurrence from a zero state against the stacked Wh: every
+    sequence starts at scan step 0 in every direction, so a shorter one idles only at the
+    end of its group's scan, where no output reads it and no gradient reaches it, and a
+    group leaves the loop once its longest sequence ends. Each direction's output and
+    gradients are bitwise as if its group ran alone. The backward is one hand-written
+    BPTT loop.
+    """
+    groups = [_scan_group(xs, ws, reverse, lengths)] + [_scan_group(*g) for g in more]
+    k, n_seq, hid = len(groups[0].ws), groups[0].n_seq, groups[0].ws[0].hidden
+    for grp in groups[1:]:
+        if grp.ws[0].hidden != hid or len(grp.ws) != k or grp.n_seq != n_seq:
+            raise KernelError("lstm_sequence groups differ in hidden width, direction count "
+                              f"or sequence count: {grp.ws[0].hidden}, {len(grp.ws)}, "
+                              f"{grp.n_seq} vs {hid}, {k}, {n_seq}")
+    # the scan holds the groups longest first, so the directions running at any step are
+    # a prefix: scan[i] owns directions i*k:(i+1)*k. A phase (n, lo, hi) runs the first n
+    # directions over scan steps lo..hi-1
+    order = sorted(range(len(groups)), key=[-grp.t_max for grp in groups].__getitem__)
+    scan = [groups[i] for i in order]
+    ends = [grp.t_max for grp in scan] + [0]
+    phases = [(m * k, ends[m], ends[m - 1]) for m in range(len(scan), 0, -1)
+              if ends[m] < ends[m - 1]]
+    t_max, n_dirs = ends[0], k * len(scan)
+    Wh = np.stack([w.Wh.data for grp in scan for w in grp.ws])  # (n_dirs, 4H, H)
     Wh_T = Wh.transpose(0, 2, 1)  # per direction the same strided view as Wh.T
 
-    pre_x = np.stack([xs.data @ w.Wx.data.T + w.b.data[0] for w in ws], axis=1)
-    pre_x = pre_x[rows, dirs[:, None]]  # (t_max, k, B, 4H) in scan order
-    hs = np.empty((t_max, k, n_seq, hid))  # h per scan step
+    pre_x = [  # each group's input share of the gates, (t_max, k, B, 4H) in scan order
+        np.stack([grp.xs.data @ w.Wx.data.T + w.b.data[0] for w in grp.ws], axis=1)[
+            grp.rows, grp.dirs[:, None]] for grp in scan]
+    hs = np.empty((t_max, n_dirs, n_seq, hid))  # h per scan step
     steps = []  # (sig, g, c, tanh c) per scan step, kept for the backward
-    h = np.zeros((k, n_seq, hid))
-    c = np.zeros((k, n_seq, hid))
+    h = c = np.zeros((n_dirs, n_seq, hid))
     with np.errstate(over="ignore"):
-        for sp in range(t_max):
-            sig, gate_g, c, tanh_c, h = _cell(pre_x[sp] + np.matmul(h, Wh_T), c)
-            steps.append((sig, gate_g, c, tanh_c))
-            hs[sp] = h
-    out = hs[step, dirs, seq].reshape(n_rows, k * hid)
+        for n, lo, hi in phases:
+            pre = (pre_x[0][lo:hi] if n == k else
+                   np.concatenate([p[lo:hi] for p in pre_x[: n // k]], axis=1))
+            h, c, Wh_run = h[:n], c[:n], Wh_T[:n]
+            for pre_sp, hs_sp in zip(pre, hs[lo:hi, :n]):
+                sig, gate_g, c, tanh_c, h = _cell(pre_sp + np.matmul(h, Wh_run), c)
+                steps.append((sig, gate_g, c, tanh_c))
+                hs_sp[...] = h
+    dirs = [i * k + grp.dirs for i, grp in enumerate(scan)]  # each group's direction slots
+    place = sorted(range(len(order)), key=order.__getitem__)  # each group's index in scan
+    outs = [hs[scan[i].step, dirs[i], scan[i].seq].reshape(-1, k * hid) for i in place]
+    out = outs[0] if len(outs) == 1 else np.vstack(outs)
 
     def bwd(g):
-        g_scan = np.zeros((t_max, k, n_seq, hid))
-        g_scan[step, dirs, seq] = g.reshape(n_rows, k, hid)
-        dpre = np.empty((t_max, k, n_seq, 4 * hid))
-        dh_next = np.zeros((k, n_seq, hid))
-        dc_next = np.zeros((k, n_seq, hid))
-        for sp in range(t_max - 1, -1, -1):
-            sig, gate_g, _, tc = steps[sp]
-            i, f, o = sig[..., :hid], sig[..., hid : 2 * hid], sig[..., 3 * hid :]
-            dh = g_scan[sp] + dh_next
-            dc = dh * o * (1.0 - tc * tc) + dc_next
-            c_before = steps[sp - 1][2] if sp > 0 else 0.0
-            dpre[sp, ..., :hid] = dc * gate_g * i * (1.0 - i)
-            dpre[sp, ..., hid : 2 * hid] = dc * c_before * f * (1.0 - f)
-            dpre[sp, ..., 2 * hid : 3 * hid] = dc * i * (1.0 - gate_g * gate_g)
-            dpre[sp, ..., 3 * hid :] = dh * tc * o * (1.0 - o)
-            dc_next = dc * f
-            dh_next = np.matmul(dpre[sp], Wh)
-        h_prev = np.zeros_like(hs)
-        h_prev[1:] = hs[:-1]
-        dpre_rows = dpre[step, dirs, seq]  # (rows, k, 4H) back in row order
-        # per direction from contiguous copies: numpy leaves BLAS on strided operands
-        for j, w in enumerate(ws):
-            d_rows = np.ascontiguousarray(dpre_rows[:, j])
-            _accum(w.b, d_rows.sum(axis=0, keepdims=True))
-            _accum(w.Wh, dpre[:, j].reshape(-1, 4 * hid).T @ h_prev[:, j].reshape(-1, hid))
-            _accum(w.Wx, d_rows.T @ xs.data)
-            if xs.requires_grad:
-                _accum(xs, d_rows @ w.Wx.data)
+        g_scan = np.zeros_like(hs)
+        at = 0
+        for i in place:
+            grp, n_rows = scan[i], scan[i].xs.shape[0]
+            g_scan[grp.step, dirs[i], grp.seq] = g[at : at + n_rows].reshape(n_rows, k, hid)
+            at += n_rows
+        dpre = np.empty((t_max, n_dirs, n_seq, 4 * hid))
+        dh_next = dc_next = np.zeros((0, n_seq, hid))
+        for n, lo, hi in reversed(phases):
+            # the directions that join here start from a zero gradient at their last step
+            pad = np.zeros((n - len(dh_next), n_seq, hid))
+            dh_next, dc_next = np.concatenate([dh_next, pad]), np.concatenate([dc_next, pad])
+            Wh_run = Wh[:n]
+            for sp, g_sp, d in zip(range(hi - 1, lo - 1, -1), g_scan[lo:hi, :n][::-1],
+                                   dpre[lo:hi, :n][::-1]):
+                sig, gate_g, _, tc = steps[sp]
+                i, f, o = sig[..., :hid], sig[..., hid : 2 * hid], sig[..., 3 * hid :]
+                dh = g_sp + dh_next
+                dc = dh * o * (1.0 - tc * tc) + dc_next
+                c_before = steps[sp - 1][2][:n] if sp > 0 else 0.0
+                d[..., :hid] = dc * gate_g * i * (1.0 - i)
+                d[..., hid : 2 * hid] = dc * c_before * f * (1.0 - f)
+                d[..., 2 * hid : 3 * hid] = dc * i * (1.0 - gate_g * gate_g)
+                d[..., 3 * hid :] = dh * tc * o * (1.0 - o)
+                dc_next = dc * f
+                dh_next = np.matmul(d, Wh_run)
+        for grp, slots in zip(scan, dirs):
+            # a group's weight gradients sum over its own steps only
+            own = slice(slots[0], slots[-1] + 1)
+            d_grp = dpre[: grp.t_max, own]
+            h_prev = np.zeros((grp.t_max, k, n_seq, hid))
+            h_prev[1:] = hs[: grp.t_max - 1, own]
+            d_rows_all = d_grp[grp.step, grp.dirs, grp.seq]  # (rows, k, 4H) in row order
+            # per direction from contiguous copies: numpy leaves BLAS on strided operands
+            for j, w in enumerate(grp.ws):
+                d_rows = np.ascontiguousarray(d_rows_all[:, j])
+                _accum(w.b, d_rows.sum(axis=0, keepdims=True))
+                _accum(w.Wh,
+                       d_grp[:, j].reshape(-1, 4 * hid).T @ h_prev[:, j].reshape(-1, hid))
+                _accum(w.Wx, d_rows.T @ grp.xs.data)
+                if grp.xs.requires_grad:
+                    _accum(grp.xs, d_rows @ w.Wx.data)
 
-    params = tuple(p for w in ws for p in (w.Wx, w.Wh, w.b))
-    return _node(out, (xs,) + params, bwd)
+    inputs = tuple(grp.xs for grp in groups)
+    params = tuple(p for grp in groups for w in grp.ws for p in (w.Wx, w.Wh, w.b))
+    return _node(out, inputs + params, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -405,17 +405,18 @@ class SketchModel:
     def encode(self, which: tuple[str, ...], q_input: K.Tensor, col_input: K.Tensor,
                q_lens=None, c_lens=None, rng: np.random.Generator | None = None):
         """[(H_qt, H_col)] per named model, with output dropout when an rng is passed. The
-        named models' question bi-LSTMs run as one grouped scan over every question of the
-        batch (lengths q_lens), their column bi-LSTMs as another (lengths c_lens)."""
+        named models' question and column bi-LSTMs run as one fused scan over every
+        question (lengths q_lens) and every table (lengths c_lens) of the batch."""
         flags = [False, True] * len(which)
-        H_q = K.lstm_sequence(q_input, [d for m in which for d in self.encoders[m][0]], flags,
-                              q_lens)
-        H_c = K.lstm_sequence(col_input, [d for m in which for d in self.encoders[m][1]], flags,
-                              c_lens)
-        width = H_q.shape[1] // len(which)
+        q_dirs, c_dirs = ([d for m in which for d in self.encoders[m][part]] for part in (0, 1))
+        H = K.lstm_sequence(q_input, q_dirs, flags, q_lens,
+                            more=[(col_input, c_dirs, flags, c_lens)])
+        n_q, n_rows = q_input.shape[0], H.shape[0]
+        width = H.shape[1] // len(which)
         out = []
         for i in range(len(which)):
-            H_qt, H_col = (K.cols(H, i * width, (i + 1) * width) for H in (H_q, H_c))
+            j0, j1 = i * width, (i + 1) * width
+            H_qt, H_col = K.block(H, 0, n_q, j0, j1), K.block(H, n_q, n_rows, j0, j1)
             if rng is not None:
                 H_qt = K.dropout(H_qt, self.dropout, rng)
                 H_col = K.dropout(H_col, self.dropout, rng)

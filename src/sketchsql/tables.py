@@ -10,10 +10,11 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 KIND_TEXT = "text"
 KIND_REAL = "real"
 
-_WS = re.compile(r"\s+")
 _NUMBER = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
@@ -68,8 +69,9 @@ def text_lines(path, error):
 
 
 def normalize_text(s: str) -> str:
-    """Trim, collapse internal whitespace, lowercase."""
-    return _WS.sub(" ", s.strip()).lower()
+    """Trim, collapse internal whitespace, lowercase. Whitespace is what str.isspace()
+    accepts, the characters regex `\\s` matches."""
+    return " ".join(s.split()).lower()
 
 
 def parse_number(value) -> float | None:
@@ -97,25 +99,30 @@ def parse_number(value) -> float | None:
     return num if math.isfinite(num) else None
 
 
-def column_numbers(cells) -> list[float] | None:
-    """[parse_number(c) for c in cells] when every cell is an int or float (so not a
-    bool) with a finite value, or None; one C-level pass each for the cell types,
-    float() and isfinite. The types are checked first: float() also reads bools and
-    number text."""
+def column_numbers(cells) -> np.ndarray | None:
+    """The float64 array of parse_number(c) for c in cells when every cell is an int or
+    float (so not a bool) with a finite value, or None: a C-level pass for the cell types,
+    then one np.fromiter and one np.isfinite. The types are checked first: numpy also
+    reads bools and number text."""
     if not {int, float}.issuperset(map(type, cells)):  # stops at the first other type
         return None
     try:
-        values = list(map(float, cells))
+        values = np.fromiter(cells, dtype=np.float64, count=len(cells))
     except OverflowError:  # an int beyond float64
         return None
-    return values if all(map(math.isfinite, values)) else None
+    return values if np.isfinite(values).all() else None
 
 
 def distinct_text(cells) -> set[str] | None:
-    """The set of a column's cells when every cell is a str, else None. Only then may
-    the set stand in for the cells: a set of other cells merges True with 1 and -0.0
-    with 0.0, whose texts differ."""
-    return set(cells) if {str}.issuperset(map(type, cells)) else None
+    """The set of a column's cells when every cell is a str, else None; the set's members
+    are type-checked, not every cell. Only then may the set stand in for the cells: a set
+    of other cells merges True with 1 and -0.0 with 0.0, whose texts differ. A table built
+    in code may hold a cell that cannot be hashed, such as a list: not text either."""
+    try:
+        texts = set(cells)
+    except TypeError:
+        return None
+    return texts if {str}.issuperset(map(type, texts)) else None
 
 
 def cell_text(value) -> str:

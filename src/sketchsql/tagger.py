@@ -1,16 +1,18 @@
 """Type recognition: give every question token exactly one type tag.
 
-One greedy walk over n-grams, longest first then leftmost and never retagging a
-token, runs four matchers in priority order: schema column names, cell values
+Four passes in priority order tag n-gram spans: schema column names, cell values
 (content mode only), dates and the numbers `tables.parse_number` reads, and a
-gazetteer of named entities.
+gazetteer of named entities. Each pass picks its matching spans by looking their
+texts up, then claims them greedily, longest first then leftmost, never retagging a
+token.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import accumulate
 
 from .tables import (Table, cell_text, column_numbers, distinct_text, normalize_text,
                      parse_number, text_lines)
@@ -44,6 +46,7 @@ _ISO_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{1,2}-[0-9]{1,2}|[0-9]{1,2}-[0-9]{1,2}
 _MONTH_DATE_RE = re.compile(r"(?:january|february|march|april|may|june|july|august|september"
                             r"|october|november|december) ([0-9]+) (?:, )?[0-9]{4}")
 _DIGITS_RE = re.compile(r"[0-9]+")
+_DIGIT_RE = re.compile(r"[0-9]")
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,7 @@ class TypeTag:
 
 
 TAG_NONE = TypeTag(NONE)
+TAG_COLUMN = TypeTag(COLUMN)
 
 
 @dataclass
@@ -85,6 +89,16 @@ class TaggedQuestion:
 
     def display_tags(self, header: list[str]) -> list[str]:
         return [t.display(header) for t in self.tags]
+
+    @cached_property
+    def span_texts(self) -> list[tuple[int, int, str]]:
+        """(start, end, text) of every span of ngram_spans, in its walk order; a span's
+        text is its tokens joined by single spaces. Built once for all four passes."""
+        line = " ".join(self.tokens)
+        stops = list(accumulate(len(token) + 1 for token in self.tokens))  # past each space
+        starts = [0, *stops]
+        return [(start, end, line[starts[start] : stops[end - 1] - 1])
+                for start, end in ngram_spans(len(self.tokens))]
 
 
 class GazetteerError(ValueError):
@@ -110,7 +124,12 @@ class Gazetteer:
             self._entries[key] = category
 
     def lookup(self, key: str) -> str | None:
-        return self._entries.get(normalize_text(key))
+        return self.get(normalize_text(key))
+
+    def get(self, key: str) -> str | None:
+        """The category of a key already in normal form (see normalize_text), as span
+        texts are, or None."""
+        return self._entries.get(key)
 
     @classmethod
     def from_tsv(cls, path) -> "Gazetteer":
@@ -155,18 +174,13 @@ def ngram_spans(t: int) -> tuple[tuple[int, int], ...]:
                  for start in range(0, t - length + 1))
 
 
-def _apply_span_matches(tq: TaggedQuestion, match_fn):
-    """Greedy longest-first, leftmost tagging over fully-untagged spans.
-
-    match_fn maps the span's space-joined text to a TypeTag or None.
-    """
-    tokens, tags = tq.tokens, tq.tags
+def _claim(tq: TaggedQuestion, matches):
+    """Greedy longest-first, leftmost tagging: each (start, end, tag) of matches, given in
+    the walk order of span_texts, tags its span unless one of its tokens has a tag."""
+    tags = tq.tags
     claimed = [tag.kind != NONE for tag in tags]
-    for start, end in ngram_spans(len(tokens)):
-        if True in claimed[start:end]:
-            continue
-        tag = match_fn(" ".join(tokens[start:end]))
-        if tag is not None:
+    for start, end, tag in matches:
+        if True not in claimed[start:end]:
             tags[start:end] = [tag] * (end - start)
             claimed[start:end] = [True] * (end - start)
 
@@ -180,7 +194,8 @@ def tag_schema_columns(tq: TaggedQuestion, header: list[str]) -> TaggedQuestion:
     if not header:
         raise ValueError("schema has no columns")
     names = {normalize_text(name) for name in header}
-    _apply_span_matches(tq, lambda text: TypeTag(COLUMN) if text in names else None)
+    _claim(tq, [(start, end, TAG_COLUMN) for start, end, text in tq.span_texts
+                if text in names])
     return tq
 
 
@@ -213,7 +228,7 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
         floats = column_numbers(column)
         if floats is not None:
             for value, token in numbers.items():
-                if value in floats:
+                if (floats == value).any():
                     values.setdefault(token, col)
             continue
         texts = distinct_text(column)
@@ -227,11 +242,8 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
             if text:
                 values.setdefault(text, col)
 
-    def match(text: str):
-        col = values.get(text)
-        return TypeTag(COLUMN_VALUE, column=col) if col is not None else None
-
-    _apply_span_matches(tq, match)
+    _claim(tq, [(start, end, TypeTag(COLUMN_VALUE, column=values[text]))
+                for start, end, text in tq.span_texts if text in values])
     return tq
 
 
@@ -252,19 +264,21 @@ def _number_tag(text: str) -> TypeTag | None:
 
 
 def tag_numbers(tq: TaggedQuestion) -> TaggedQuestion:
-    """Classify untagged number and date spans."""
-    _apply_span_matches(tq, _number_tag)
+    """Classify untagged number and date spans. Every one holds an ASCII digit, so only
+    the spans over a token with a digit are read."""
+    digits = [_DIGIT_RE.search(token) is not None for token in tq.tokens]
+    if True in digits:
+        tagged = ((start, end, _number_tag(text)) for start, end, text in tq.span_texts
+                  if True in digits[start:end])
+        _claim(tq, [(start, end, tag) for start, end, tag in tagged if tag is not None])
     return tq
 
 
 def tag_entities(tq: TaggedQuestion, gazetteer: Gazetteer) -> TaggedQuestion:
     """Tag untagged spans found in the gazetteer with their entity category."""
-
-    def match(text: str):
-        category = gazetteer.lookup(text)
-        return TypeTag(category) if category is not None else None
-
-    _apply_span_matches(tq, match)
+    found = ((start, end, gazetteer.get(text)) for start, end, text in tq.span_texts)
+    _claim(tq, [(start, end, TypeTag(category)) for start, end, category in found
+                if category is not None])
     return tq
 
 

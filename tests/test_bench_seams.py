@@ -51,20 +51,20 @@ def test_tracer_counts_the_read_path_in_training_and_inference():
     assert sum(span is not None for span in prep.gold_spans) == 2
     assert other.gold_spans == [None]
     # one batch: one question input and one read of all three models, whose six question
-    # bi-LSTM directions run as one ragged scan and six column directions as another; one
-    # decoder scan takes every located gold span, and one pointer step scores all of them
+    # and six column bi-LSTM directions run as one fused ragged scan; one decoder scan
+    # takes every located gold span, and one pointer step scores all of them
     assert trained["slots.question_input.calls"] == 1
     assert trained["slots.encode.calls"] == 1
-    assert trained["kernel.lstm_sequence.calls"] == 3
+    assert trained["kernel.lstm_sequence.calls"] == 2
     assert trained["slots.pointer.steps"] == 1
     assert trained["kernel.lstm_step.calls"] == 0  # the teacher-forced decoder is one sequence
     # a batch without a located span runs no decoder
-    assert no_span["kernel.lstm_sequence.calls"] - trained["kernel.lstm_sequence.calls"] == 2
+    assert no_span["kernel.lstm_sequence.calls"] - trained["kernel.lstm_sequence.calls"] == 1
     assert no_span["slots.pointer.steps"] == trained["slots.pointer.steps"]
-    # inference is the batch of one: six bi-LSTMs in two grouped scans
+    # inference is the batch of one: six bi-LSTMs in one fused scan
     assert served["slots.question_input.calls"] - no_span["slots.question_input.calls"] == 1
     assert served["slots.encode.calls"] - no_span["slots.encode.calls"] == 1
-    assert served["kernel.lstm_sequence.calls"] - no_span["kernel.lstm_sequence.calls"] == 2
+    assert served["kernel.lstm_sequence.calls"] - no_span["kernel.lstm_sequence.calls"] == 1
     assert K.backward.__module__ == "sketchsql.kernel"  # the tracer put the original back
 
 

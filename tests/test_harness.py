@@ -498,6 +498,24 @@ class TestTrainLoop:
         two = H.train(other, examples, tables, emb=tiny_embeddings())
         assert one.epoch_losses != two.epoch_losses
 
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_best_dev_is_tracked_whenever_there_is_a_dev_set(self, tmp_path, checkpoint):
+        # the best dev score does not depend on a checkpoint; only the save does
+        examples, tables = quick_corpus(tmp_path)
+        ckpt = tmp_path / "model.tsq"
+        cfg = H.TrainConfig(hidden_width=8, type_dim=4, dropout=0.0, batch_size=4,
+                            epochs=3, seed=0, mode="insensitive",
+                            checkpoint_path=str(ckpt) if checkpoint else None)
+        entries = []
+        res = H.train(cfg, examples, tables, examples[:3], emb=tiny_embeddings(),
+                      log=entries.append)
+        assert len(entries) == 3
+        assert res.best_dev_qm == max(entry["dev_qm"] for entry in entries)
+        assert isinstance(res.best_dev_qm, float)
+        assert ckpt.exists() == checkpoint
+        no_dev = H.train(cfg, examples, tables, emb=tiny_embeddings())
+        assert no_dev.best_dev_qm is None
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_loss_stops_before_the_update(self, tmp_path, monkeypatch):
         examples, tables = quick_corpus(tmp_path)

@@ -223,7 +223,7 @@ class TestLstmGroup:
         def loss(s):
             out = K.lstm_sequence(xs, weights, [False, True, True])
             # overlapping column slices, so the slice backward accumulates
-            both = K.add(K.cols(out, 0, 2 * hid), K.cols(out, hid, 3 * hid))
+            both = K.add(K.block(out, 0, t_len, 0, 2 * hid), K.block(out, 0, t_len, hid, 3 * hid))
             return K.sum_all(K.matmul(K.matmul(a, K.tanh(both)), m))
 
         K.backward(loss(store))
@@ -311,6 +311,86 @@ class TestRaggedLstm:
         for lengths in ([3], [2, 3], [4, 0], [], [[2, 2]]):
             with pytest.raises(K.KernelError, match="do not split 4 rows"):
                 K.lstm_sequence(x, w, False, lengths)
+
+
+class TestFusedGroups:
+    """Direction groups fused into one scan against one call per group."""
+
+    REVERSE = ([False, True, True], [True, False, True])
+    WIDTHS = (5, 3)
+
+    @pytest.mark.parametrize("n_seq", [1, 16])
+    @pytest.mark.parametrize("first_ends_first", [False, True])
+    def test_matches_one_call_per_group_bitwise(self, n_seq, first_ends_first):
+        # outputs and every gradient, both inputs' included, with each group's own input
+        # width, ragged lengths and reverse flags; either group may leave the scan first
+        rng = np.random.default_rng(40 + n_seq + first_ends_first)
+        hid = 4
+        longer, shorter = rng.integers(5, 9, size=n_seq), rng.integers(1, 4, size=n_seq)
+        lengths = (shorter, longer) if first_ends_first else (longer, shorter)
+        xs = [rng.normal(size=(int(n.sum()), d)) for n, d in zip(lengths, self.WIDTHS)]
+        weights = [[make_lstm_weights(rng, d, hid) for _ in rev]
+                   for d, rev in zip(self.WIDTHS, self.REVERSE)]
+        probes = [rng.normal(size=(x.shape[0], 3 * hid)) for x in xs]
+        lens = [None if n_seq == 1 else n.tolist() for n in lengths]
+
+        fused_in = [K.Tensor(x.copy(), requires_grad=True) for x in xs]
+        out = K.lstm_sequence(fused_in[0], weights[0], self.REVERSE[0], lens[0],
+                              more=[(fused_in[1], weights[1], self.REVERSE[1], lens[1])])
+        K.backward(K.sum_all(K.tanh(K.add(out, K.constant(np.vstack(probes))))))
+        fused = [[(w.Wx.grad, w.Wh.grad, w.b.grad) for w in ws] for ws in weights]
+
+        outs = []
+        for g, (x, ws, rev, probe) in enumerate(zip(xs, weights, self.REVERSE, probes)):
+            for w in ws:
+                for t in (w.Wx, w.Wh, w.b):
+                    t.zero_grad()
+            x_one = K.Tensor(x.copy(), requires_grad=True)
+            one = K.lstm_sequence(x_one, ws, rev, lens[g])
+            K.backward(K.sum_all(K.tanh(K.add(one, K.constant(probe)))))
+            outs.append(one.data)
+            np.testing.assert_array_equal(fused_in[g].grad, x_one.grad)
+            for w, grads in zip(ws, fused[g]):
+                for got, want in zip(grads, (w.Wx.grad, w.Wh.grad, w.b.grad)):
+                    np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(out.data, np.vstack(outs))
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(41)
+        hid, lengths = 2, ([3, 1, 2], [1, 4, 1])
+        store = K.ParamStore(seed=41)
+        xs = [store.add(f"x{g}", sum(n), d) for g, (n, d) in enumerate(zip(lengths, (3, 2)))]
+        weights = [[K.LstmWeights(Wx=store.add(f"{g}.{j}.Wx", 4 * hid, x.shape[1]),
+                                  Wh=store.add(f"{g}.{j}.Wh", 4 * hid, hid),
+                                  b=store.add(f"{g}.{j}.b", 1, 4 * hid))
+                    for j in range(2)] for g, x in enumerate(xs)]
+        m = K.constant(rng.normal(size=(1, 2 * hid)))
+
+        def loss(s):
+            out = K.lstm_sequence(xs[0], weights[0], [False, True], lengths[0],
+                                  more=[(xs[1], weights[1], [True, False], lengths[1])])
+            per_sequence = K.segment_sum(K.tanh(out), lengths[0] + lengths[1])
+            return K.cross_entropy(K.linear(m, per_sequence), 4)
+
+        K.backward(loss(store))
+        grads = gradients(store)
+        fd = finite_diff_grad(lambda s: loss(s).item(), store, eps=1e-6)
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, fd[name], atol=1e-6, err_msg=name)
+
+    def test_groups_must_share_width_directions_and_sequences(self):
+        rng = np.random.default_rng(42)
+        x = K.constant(rng.normal(size=(4, 3)))
+        w = make_lstm_weights(rng, 3, 2)
+        x5 = K.constant(rng.normal(size=(2, 5)))
+        other = (x5, [make_lstm_weights(rng, 5, 2)], [False], [1, 1])
+        for bad in (other,
+                    (x5, [make_lstm_weights(rng, 5, 3)] * 2, [False, True], [1, 1]),
+                    (x5, [make_lstm_weights(rng, 5, 2)] * 2, [False, True], None)):
+            with pytest.raises(K.KernelError, match="groups differ"):
+                K.lstm_sequence(x, [w, w], [False, True], [2, 2], more=[bad])
+        with pytest.raises(K.KernelError, match="shape mismatch"):
+            K.lstm_sequence(x, w, False, more=[(x5, w, False, None)])
 
 
 class TestSegments:

@@ -1,10 +1,14 @@
+import re
+
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import short_id
 from reference_impls import naive_number
-from sketchsql.tables import cell_text, column_numbers, distinct_text, parse_number
+from sketchsql.tables import (cell_text, column_numbers, distinct_text, normalize_text,
+                              parse_number)
 
 NUMBERS = [("+5", 5.0), (".5", 0.5), ("5.", 5.0), ("1e-05", 1e-05), (" 42 ", 42.0),
            ("-7.25E+2", -725.0), ("\x1c-0\u2003", 0.0), (7, 7.0), (88.5, 88.5),
@@ -76,11 +80,31 @@ class TestNumberValues:
         assert floats_hex(column_numbers(cells)) == (None if other else floats_hex(parsed))
 
 
+    @pytest.mark.parametrize("cells", [[-0.0, 0], [2**53 + 1, 2.0**53], [10**308, 1.5]])
+    def test_a_float64_array_cell_by_cell(self, cells):
+        values = column_numbers(cells)
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+        assert floats_hex(values) == [float(c).hex() for c in cells]
+
+    @pytest.mark.parametrize("cells", [[2**1024], [1.0, -(2**1024)]])
+    def test_ints_beyond_float64_give_none(self, cells):
+        assert column_numbers(cells) is None
+
+
 class TestDistinctText:
     @pytest.mark.parametrize("cells", [[], ["a", " a", "a"], ("x", "y")])
     def test_all_str_columns_give_their_set(self, cells):
         assert distinct_text(cells) == set(cells)
 
-    @pytest.mark.parametrize("cells", [[1], ["1", 1], ["a", True], ["a", None], [0.0, -0.0]])
+    @pytest.mark.parametrize("cells", [[1], ["1", 1], ["a", True], ["a", None], [0.0, -0.0],
+                                       ["a", ["a"]], [{"v": 1}, "a"]])
     def test_any_other_cell_gives_none(self, cells):
+        # a Table built in code is not validated as load_tables input is, so a cell may be
+        # a list or a dict, which no set holds
         assert distinct_text(cells) is None
+
+
+class TestNormalizeText:
+    @given(st.text(max_size=30))
+    def test_matches_the_regex_definition(self, text):
+        assert normalize_text(text) == re.sub(r"\s+", " ", text.strip()).lower()

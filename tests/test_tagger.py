@@ -11,7 +11,7 @@ from helpers import (
 )
 from reference_impls import reference_recognize, reference_tag_content
 from sketchsql import tagger as T
-from sketchsql.tables import Table, cell_text
+from sketchsql.tables import Table, cell_text, normalize_text
 from sketchsql.tagger import Gazetteer, GazetteerError, TaggedQuestion, TypeTag
 
 
@@ -75,6 +75,25 @@ class TestExtractNgrams:
     def test_caps_at_six(self):
         spans = T.ngram_spans(8)
         assert max(e - s for s, e in spans) == 6
+
+
+class TestSpanTexts:
+    @given(st.text(min_size=1, max_size=40).filter(str.strip))
+    @settings(max_examples=300, deadline=None)
+    def test_span_texts_are_normal_and_follow_the_walk(self, question):
+        # every span text is already its own normalize_text, so the entity pass may look
+        # it up in the gazetteer as it stands
+        tokens = T.tokenize(question)[0]
+        texts = fresh(tokens).span_texts
+        assert [(start, end) for start, end, _ in texts] == list(T.ngram_spans(len(tokens)))
+        for start, end, text in texts:
+            assert text == " ".join(tokens[start:end])
+            assert normalize_text(text) == text
+
+    def test_gazetteer_get_reads_normal_keys_only(self):
+        gaz = Gazetteer([("Mort  Drucker", "person")])
+        assert gaz.get("mort drucker") == gaz.lookup(" MORT drucker ") == "person"
+        assert gaz.get(" MORT drucker ") is None
 
 
 class TestSchemaColumns:
