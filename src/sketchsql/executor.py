@@ -58,8 +58,8 @@ def _holds(cells: list, op: int, val: str) -> Iterable[bool]:
     if nums is not None:
         if num is None:
             return [False] * len(cells)
-        holds = nums == num if op == OP_EQ else nums > num if op == OP_GT else nums < num
-        return holds.tolist()
+        mask = nums == num if op == OP_EQ else nums > num if op == OP_GT else nums < num
+        return mask.tolist()
     if num is None:
         if op != OP_EQ:
             return [False] * len(cells)

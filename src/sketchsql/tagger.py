@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 
 from .tables import (Table, cell_text, column_numbers, distinct_text, normalize_text,
@@ -90,16 +90,6 @@ class TaggedQuestion:
     def display_tags(self, header: list[str]) -> list[str]:
         return [t.display(header) for t in self.tags]
 
-    @cached_property
-    def span_texts(self) -> list[tuple[int, int, str]]:
-        """(start, end, text) of every span of ngram_spans, in its walk order; a span's
-        text is its tokens joined by single spaces. Built once for all four passes."""
-        line = " ".join(self.tokens)
-        stops = list(accumulate(len(token) + 1 for token in self.tokens))  # past each space
-        starts = [0, *stops]
-        return [(start, end, line[starts[start] : stops[end - 1] - 1])
-                for start, end in ngram_spans(len(self.tokens))]
-
 
 class GazetteerError(ValueError):
     pass
@@ -174,6 +164,18 @@ def ngram_spans(t: int) -> tuple[tuple[int, int], ...]:
                  for start in range(0, t - length + 1))
 
 
+@lru_cache(maxsize=1)
+def span_texts(tokens: tuple[str, ...]) -> tuple[tuple[int, int, str], ...]:
+    """(start, end, text) of every span of ngram_spans(len(tokens)), in its walk order; a
+    span's text is its tokens joined by single spaces. The four passes over a question
+    share one build: the cache holds the last question's."""
+    line = " ".join(tokens)
+    stops = list(accumulate(len(token) + 1 for token in tokens))  # one past each space
+    starts = [0, *stops]
+    return tuple((start, end, line[starts[start] : stops[end - 1] - 1])
+                 for start, end in ngram_spans(len(tokens)))
+
+
 def _claim(tq: TaggedQuestion, matches):
     """Greedy longest-first, leftmost tagging: each (start, end, tag) of matches, given in
     the walk order of span_texts, tags its span unless one of its tokens has a tag."""
@@ -194,8 +196,8 @@ def tag_schema_columns(tq: TaggedQuestion, header: list[str]) -> TaggedQuestion:
     if not header:
         raise ValueError("schema has no columns")
     names = {normalize_text(name) for name in header}
-    _claim(tq, [(start, end, TAG_COLUMN) for start, end, text in tq.span_texts
-                if text in names])
+    spans = span_texts(tuple(tq.tokens))
+    _claim(tq, [(start, end, TAG_COLUMN) for start, end, text in spans if text in names])
     return tq
 
 
@@ -242,8 +244,9 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
             if text:
                 values.setdefault(text, col)
 
+    spans = span_texts(tuple(tq.tokens))
     _claim(tq, [(start, end, TypeTag(COLUMN_VALUE, column=values[text]))
-                for start, end, text in tq.span_texts if text in values])
+                for start, end, text in spans if text in values])
     return tq
 
 
@@ -268,15 +271,19 @@ def tag_numbers(tq: TaggedQuestion) -> TaggedQuestion:
     the spans over a token with a digit are read."""
     digits = [_DIGIT_RE.search(token) is not None for token in tq.tokens]
     if True in digits:
-        tagged = ((start, end, _number_tag(text)) for start, end, text in tq.span_texts
+        tagged = ((start, end, _number_tag(text))
+                  for start, end, text in span_texts(tuple(tq.tokens))
                   if True in digits[start:end])
         _claim(tq, [(start, end, tag) for start, end, tag in tagged if tag is not None])
     return tq
 
 
 def tag_entities(tq: TaggedQuestion, gazetteer: Gazetteer) -> TaggedQuestion:
-    """Tag untagged spans found in the gazetteer with their entity category."""
-    found = ((start, end, gazetteer.get(text)) for start, end, text in tq.span_texts)
+    """Tag untagged spans found in the gazetteer with their entity category. The span
+    texts of tokenize's tokens are already in normal form, so they are not normalised
+    again."""
+    spans = span_texts(tuple(tq.tokens))
+    found = ((start, end, gazetteer.get(text)) for start, end, text in spans)
     _claim(tq, [(start, end, TypeTag(category)) for start, end, category in found
                 if category is not None])
     return tq

@@ -84,7 +84,7 @@ class TestSpanTexts:
         # every span text is already its own normalize_text, so the entity pass may look
         # it up in the gazetteer as it stands
         tokens = T.tokenize(question)[0]
-        texts = fresh(tokens).span_texts
+        texts = T.span_texts(tuple(tokens))
         assert [(start, end) for start, end, _ in texts] == list(T.ngram_spans(len(tokens)))
         for start, end, text in texts:
             assert text == " ".join(tokens[start:end])
