@@ -597,9 +597,9 @@ def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None, more=()) -> Tenso
                 d[..., 3 * hid :] = dh * tc * o * (1.0 - o)
                 dc_next = dc * f
                 dh_next = np.matmul(d, Wh_run)
-        for grp, slots in zip(scan, dirs):
+        for pos, grp in enumerate(scan):
             # a group's weight gradients sum over its own steps only
-            own = slice(slots[0], slots[-1] + 1)
+            own = slice(pos * k, (pos + 1) * k)
             d_grp = dpre[: grp.t_max, own]
             h_prev = np.zeros((grp.t_max, k, n_seq, hid))
             h_prev[1:] = hs[: grp.t_max - 1, own]

@@ -79,7 +79,6 @@ class TestNumberValues:
         other = None in parsed or any(isinstance(c, str) for c in cells)
         assert floats_hex(column_numbers(cells)) == (None if other else floats_hex(parsed))
 
-
     @pytest.mark.parametrize("cells", [[-0.0, 0], [2**53 + 1, 2.0**53], [10**308, 1.5]])
     def test_a_float64_array_cell_by_cell(self, cells):
         values = column_numbers(cells)
