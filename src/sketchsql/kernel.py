@@ -6,17 +6,17 @@ so there is no transpose op; `gather_rows` is the one row selection), one
 LSTM cell (a fused sequence node that runs groups of directions over
 row-stacked sequences in a single loop, and an untaped step for greedy
 decoding), stable softmax / cross-entropy / weighted BCE,
-inverted dropout, Adam with fixed decay rates, and a binary checkpoint
-format. Arrays are numpy; every tensor is 2-D (row vectors are 1xN, scalars
-1x1). A minibatch is its examples' rows stacked, with segment lengths saying
-which rows belong to which example; the tape is rebuilt per minibatch, never
-cached.
+inverted dropout, Adam with fixed decay rates, and `.npz` checkpoints of
+float64 arrays. Arrays are numpy; every tensor is 2-D (row vectors are 1xN,
+scalars 1x1). A minibatch is its examples' rows stacked, with segment lengths
+saying which rows belong to which example; the tape is rebuilt per minibatch,
+never cached.
 """
 
 from __future__ import annotations
 
 import os
-import struct
+import zipfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
@@ -648,9 +648,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._entries[name]
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def names(self):
         return sorted(self._entries)
 
@@ -716,25 +713,14 @@ def adam_step(store: ParamStore, state: AdamState):
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"TSQ1"
-
-
 def save_checkpoint(store: ParamStore, path):
-    """Write all parameters as float32 little-endian records, via a temporary
-    file renamed over `path`, so a failed save leaves the old checkpoint intact."""
+    """Write every parameter as a float64 member of an uncompressed `.npz` archive,
+    via a temporary file renamed over `path`, so a failed save leaves the old
+    checkpoint intact."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", len(store)))
-            for name, t in store.items():
-                raw = name.encode("utf-8")
-                arr = np.ascontiguousarray(t.data, dtype="<f4")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
+        with open(tmp, "wb") as fh:  # a file object: given a path, np.savez appends ".npz"
+            np.savez(fh, **{name: t.data for name, t in store.items()})
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -745,29 +731,22 @@ def save_checkpoint(store: ParamStore, path):
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into a name -> float64 array map."""
-
-    def take(fh, n, what):
-        buf = fh.read(n)
-        if len(buf) != n:
-            raise KernelError(f"truncated checkpoint while reading {what}")
-        return buf
-
-    out = {}
-    with open(path, "rb") as fh:
-        if take(fh, 4, "magic") != CHECKPOINT_MAGIC:
-            raise KernelError("bad checkpoint magic")
-        (count,) = struct.unpack("<I", take(fh, 4, "count"))
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", take(fh, 4, "name length"))
-            name = take(fh, nlen, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", take(fh, 4, "rank"))
-            dims = struct.unpack(f"<{rank}I", take(fh, 4 * rank, "dims"))
-            n = int(np.prod(dims)) if dims else 1
-            arr = np.frombuffer(take(fh, 4 * n, f"data of {name}"), dtype="<f4")
-            out[name] = arr.reshape(dims).astype(DTYPE)
-        if fh.read(1):
-            raise KernelError("trailing bytes after checkpoint records")
-    if len(out) != count:
-        raise KernelError("duplicate parameter names in checkpoint")
-    return out
+    """Read a checkpoint back into a name -> float64 array map. A file that is not
+    such an archive raises a one-line KernelError that starts with the path."""
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a bare .npy file")
+        with archive:
+            state = {name: archive[name] for name in archive.files}
+    except zipfile.BadZipFile as exc:  # cut short, or a member fails its CRC
+        raise KernelError(f"{path}: damaged checkpoint archive: {exc}") from exc
+    except (ValueError, EOFError) as exc:
+        # numpy says "pickled data" of any file that is neither .npy nor .npz
+        raise KernelError(f"{path}: not an .npz checkpoint of float64 arrays") from exc
+    if len(state) != len(archive.files):  # "w" and "w.npy" both load as "w"
+        raise KernelError(f"{path}: duplicate member names in checkpoint")
+    for name, arr in state.items():
+        if getattr(arr, "dtype", None) != DTYPE:
+            raise KernelError(f"{path}: checkpoint member {name!r} is not a float64 array")
+    return state

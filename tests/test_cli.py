@@ -151,6 +151,20 @@ class TestEvalAndPredictOptions:
             assert code == 2
             assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_garbage_checkpoint_fails_with_one_line(self, untrained_checkpoint, tmp_path,
+                                                    command, capsys):
+        paths, config, _ = untrained_checkpoint
+        junk = tmp_path / "junk.tsq"
+        junk.write_bytes(b"garbage")
+        args = {"eval": ["--examples", str(paths.dev)],
+                "predict": ["--question", "x?", "--table-id", "t"]}[command]
+        code = main([command, *args, "--tables", str(paths.tables), "--checkpoint", str(junk),
+                     "--config", config])
+        assert code == 1
+        message = f"error: {junk}: not an .npz checkpoint of float64 arrays\n"
+        assert one_line_error(capsys) == message
+
 
 def one_line_error(capsys) -> str:
     err = capsys.readouterr().err

@@ -1,3 +1,7 @@
+import io
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -747,53 +751,128 @@ class TestParamStore:
             store.load_state({"w": np.zeros((2, 2))})
 
 
+def _archive(members) -> bytes:
+    """An uncompressed zip of .npy members, as np.savez writes one."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, arr in members:
+            npy = io.BytesIO()
+            np.save(npy, arr)
+            zf.writestr(name, npy.getvalue())
+    return buf.getvalue()
+
+
+def _bare_npy() -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, np.zeros((2, 2)))
+    return buf.getvalue()
+
+
+def _tsq1() -> bytes:
+    """A checkpoint in the retired hand-written format: one 1x2 float32 record."""
+    return (b"TSQ1" + struct.pack("<I", 1) + struct.pack("<I", 1) + b"w"
+            + struct.pack("<I", 2) + struct.pack("<2I", 1, 2)
+            + np.zeros(2, dtype="<f4").tobytes())
+
+
+def _flip_data_byte(raw: bytes, data: np.ndarray) -> bytes:
+    at = raw.index(data.tobytes())
+    return raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :]
+
+
+def _one_line_naming(path, excinfo, words):
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message
+    assert words in message
+
+
 class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        store = K.ParamStore(seed=5)
+    @staticmethod
+    def saved(tmp_path, seed=5):
+        store = K.ParamStore(seed=seed)
         store.add("a.weight", 3, 4)
         store.add("b.bias", 1, 4, init="zeros")
         path = tmp_path / "model.tsq"
         K.save_checkpoint(store, path)
+        return store, path
+
+    def test_round_trip(self, tmp_path):
+        store, path = self.saved(tmp_path)
         state = K.load_checkpoint(path)
         assert set(state) == {"a.weight", "b.bias"}
         for name, arr in state.items():
-            np.testing.assert_allclose(arr, store[name].data, atol=1e-6)
+            assert arr.dtype == np.float64
+            np.testing.assert_array_equal(arr, store[name].data, strict=True)
 
     def test_second_round_trip_is_exact(self, tmp_path):
-        store = K.ParamStore(seed=5)
-        store.add("w", 2, 2)
-        p1 = tmp_path / "one.tsq"
-        p2 = tmp_path / "two.tsq"
-        K.save_checkpoint(store, p1)
+        # two saves of the same weights may differ in bytes: each zip member
+        # records the time it was written
+        store, p1 = self.saved(tmp_path)
         store.load_state(K.load_checkpoint(p1))
+        p2 = tmp_path / "two.tsq"
         K.save_checkpoint(store, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        one, two = K.load_checkpoint(p1), K.load_checkpoint(p2)
+        assert list(one) == list(two)
+        for name in one:
+            np.testing.assert_array_equal(one[name], two[name], strict=True)
+
+    def test_path_is_written_as_given(self, tmp_path):
+        store = K.ParamStore(seed=0)
+        store.add("w", 2, 2)
+        K.save_checkpoint(store, tmp_path / "model")
+        assert [p.name for p in tmp_path.iterdir()] == ["model"]
+        np.testing.assert_array_equal(K.load_checkpoint(tmp_path / "model")["w"], store["w"].data)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.tsq"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(K.KernelError, match="magic"):
+        path.write_bytes(b"garbage")
+        with pytest.raises(K.KernelError) as excinfo:
             K.load_checkpoint(path)
+        _one_line_naming(path, excinfo, "not an .npz checkpoint of float64 arrays")
 
-    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
-        store = K.ParamStore(seed=2)
-        store.add("a", 2, 3)
-        store.add("b", 3, 3)
-        path = tmp_path / "model.tsq"
-        K.save_checkpoint(store, path)
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        store, path = self.saved(tmp_path, seed=2)
         before = path.read_bytes()
-        store["b"].data = np.array([["not a number"]])  # fails after "a" is written
-        with pytest.raises(ValueError):
+        store["b.bias"].data += 1.0
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(K.os, "fsync", fail)  # fails after the archive is written
+        with pytest.raises(OSError, match="disk full"):
             K.save_checkpoint(store, path)
         assert path.read_bytes() == before
-        assert set(K.load_checkpoint(path)) == {"a", "b"}
+        assert set(K.load_checkpoint(path)) == {"a.weight", "b.bias"}
         assert [p.name for p in tmp_path.iterdir()] == ["model.tsq"]
 
     def test_truncated_file_rejected(self, tmp_path):
-        store = K.ParamStore(seed=1)
-        store.add("w", 4, 4)
-        path = tmp_path / "model.tsq"
-        K.save_checkpoint(store, path)
+        _, path = self.saved(tmp_path)
         path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(K.KernelError, match="truncated"):
+        with pytest.raises(K.KernelError) as excinfo:
             K.load_checkpoint(path)
+        _one_line_naming(path, excinfo, "damaged checkpoint archive")
+
+    @pytest.mark.parametrize("make, words", [
+        (lambda raw, store: b"", "not an .npz checkpoint"),
+        (lambda raw, store: _flip_data_byte(raw, store["a.weight"].data),
+         "damaged checkpoint archive: Bad CRC-32"),
+        (lambda raw, store: _bare_npy(), "not an .npz checkpoint"),
+        (lambda raw, store: _tsq1(), "not an .npz checkpoint"),
+        (lambda raw, store: _archive([("w.npy", np.zeros((2, 2), dtype=np.int64))]),
+         "member 'w' is not a float64 array"),
+        (lambda raw, store: _archive([("w.npy", np.zeros((2, 2), dtype=np.float32))]),
+         "member 'w' is not a float64 array"),
+        (lambda raw, store: _archive([("w", np.zeros((2, 2))), ("w.npy", np.ones((2, 2)))]),
+         "duplicate member names"),
+    ], ids=["empty", "flipped byte", "bare npy", "TSQ1", "int64 member", "float32 member",
+            "duplicate members"])
+    def test_bad_file_fails_with_one_line_naming_it(self, tmp_path, make, words):
+        store, path = self.saved(tmp_path)
+        path.write_bytes(make(path.read_bytes(), store))
+        with pytest.raises(K.KernelError) as excinfo:
+            K.load_checkpoint(path)
+        _one_line_naming(path, excinfo, words)
+
+    def test_missing_file_raises_its_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="missing.tsq"):
+            K.load_checkpoint(tmp_path / "missing.tsq")
