@@ -9,6 +9,7 @@ and sums the per-slot losses; inference feeds predicted antecedents.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -21,7 +22,7 @@ from . import slots as S
 from .encoder import EmbeddingStore, load_embeddings
 from .executor import Metrics, evaluate_dataset
 from .sketch import SqlQuery, assemble
-from .tables import Table, not_utf8, text_lines
+from .tables import KIND_TEXT, Table, not_utf8, text_lines
 from .tagger import MODES, Gazetteer, TaggedQuestion, recognize, tokenize
 
 COND_COL_POS_WEIGHT = 3.0  # positive-class weight for the condition-column BCE
@@ -42,6 +43,9 @@ class DatasetError(ValueError):
 # Dataset files
 # ---------------------------------------------------------------------------
 
+NESTED_TOO_DEEPLY = "nested too deeply"  # json raises RecursionError past its depth limit
+
+
 def _read_jsonl(path):
     for lineno, line in text_lines(path, DatasetError):
         try:
@@ -49,6 +53,8 @@ def _read_jsonl(path):
         except ValueError as exc:  # also an integer past Python's digit limit
             msg = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
             raise DatasetError(f"{path}:{lineno}: bad JSON ({msg})") from None
+        except RecursionError:
+            raise DatasetError(f"{path}:{lineno}: bad JSON ({NESTED_TOO_DEEPLY})") from None
 
 
 def _string(rec: dict, name: str) -> str:
@@ -69,7 +75,11 @@ _JSON_CONTAINERS = {dict, list}  # the JSON values a cell may not be
 
 
 def load_tables(path) -> dict[str, Table]:
+    """The tables of a JSON-lines file by id. Equal str cells of text columns share one
+    object across the file: a wide file repeats a few values in many cells, so this
+    saves memory, and sets and dicts over a column hash and compare a few objects."""
     tables: dict[str, Table] = {}
+    shared: dict[str, str] = {}  # each distinct text cell of this file, by itself
     for lineno, rec in _read_jsonl(path):
         try:
             if not isinstance(rec, dict):
@@ -91,6 +101,12 @@ def load_tables(path) -> dict[str, Table]:
             raise DatasetError(f"{path}:{lineno}: {exc}") from None
         if table.id in tables:
             raise DatasetError(f"{path}:{lineno}: duplicate table id {table.id!r}")
+        text_cols = [j for j, kind in enumerate(table.types) if kind == KIND_TEXT]
+        for row in rows:  # numbers stay apart: 1 == 1.0 == True and 0.0 == -0.0 as keys
+            for j in text_cols:
+                cell = row[j]
+                if type(cell) is str:
+                    row[j] = shared.setdefault(cell, cell)
         tables[table.id] = table
     return tables
 
@@ -221,6 +237,8 @@ class TrainConfig:
                 raise ValueError(f"{path}:{exc.lineno}: bad JSON ({exc.msg})") from None
             except ValueError as exc:  # an integer past Python's digit limit has no line
                 raise ValueError(f"{path}: bad JSON ({exc})") from None
+            except RecursionError:  # nor has nesting past the decoder's depth limit
+                raise ValueError(f"{path}: bad JSON ({NESTED_TOO_DEEPLY})") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
@@ -390,10 +408,22 @@ def build_model(config: TrainConfig, emb: EmbeddingStore) -> tuple[S.SketchModel
     return model, store
 
 
+def _check_gradients(store: K.ParamStore, where: str):
+    """Raise before the update when a gradient is not finite, naming its parameter."""
+    grads = [(name, p.grad) for name, p in store.items() if p.grad is not None]
+    # a finite sum proves every gradient finite; only a failing sum is checked array by array
+    if math.isfinite(sum(float(g.sum()) for _, g in grads)):
+        return
+    for name, g in grads:
+        if not np.isfinite(g).all():
+            raise ValueError(f"non-finite gradient in {name} {where}")
+
+
 def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, Table],
           dev_examples: list[Example] | None = None, emb: EmbeddingStore | None = None,
           gazetteer: Gazetteer | None = None, log=None) -> TrainResult:
-    """Seeded mini-batch Adam training with best-dev checkpoints; a non-finite loss raises."""
+    """Seeded mini-batch Adam training with best-dev checkpoints; a non-finite loss or
+    gradient raises before the update."""
     if not train_examples:
         where = f"{config.train_path}: " if config.train_path else ""
         raise ValueError(f"{where}no training examples")
@@ -433,10 +463,11 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
             store.zero_grad()
             batch_loss, slot_sums = total_loss(model, [prepared[i] for i in batch], rng)
             value = batch_loss.item()
+            where = f"at epoch {epoch}, batch {at // config.batch_size + 1}"
             if not np.isfinite(value):  # stop before the update, so weights stay finite
-                raise ValueError(f"non-finite loss at epoch {epoch}, "
-                                 f"batch {at // config.batch_size + 1}")
+                raise ValueError(f"non-finite loss {where}")
             K.backward(batch_loss)
+            _check_gradients(store, where)
             K.adam_step(store, adam)
             total += value * len(batch)
             for slot, term in slot_sums.items():

@@ -54,6 +54,15 @@ def demo_gazetteer() -> Gazetteer:
     ])
 
 
+def with_inf_backward(op):
+    """op with the same forward, whose backward passes +inf to its first input."""
+    def patched(*args, **kwargs):
+        out = op(*args, **kwargs)
+        out._bwd = lambda g, a=args[0]: K._accum(a, np.full_like(a.data, np.inf))
+        return out
+    return patched
+
+
 def gradients(store: K.ParamStore) -> dict[str, np.ndarray]:
     """Gradient per parameter after K.backward; parameters it did not reach map to zeros."""
     return {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()

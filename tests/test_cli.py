@@ -4,7 +4,8 @@ import re
 import pytest
 
 from helpers import (MAGAZINE_CONTENT_TAGS, MAGAZINE_GOLD_SQL,
-                     MAGAZINE_INSENSITIVE_TAGS, MAGAZINE_QUESTION, magazine_table)
+                     MAGAZINE_INSENSITIVE_TAGS, MAGAZINE_QUESTION, magazine_table,
+                     with_inf_backward)
 from sketchsql import harness as H
 from sketchsql import kernel as K
 from sketchsql.cli import main
@@ -211,25 +212,39 @@ class TestReadersNameTheirFile:
         assert one_line_error(capsys).startswith(
             f"error: {path}:2: bad JSON (Expecting property name")
 
+    @staticmethod
+    def bad_json_run(kind, text, magazine_files, tmp_path):
+        """(file, argv, where): text as the config of `train`, or else appended as line 2
+        of the examples, tables or predictions file of `eval`."""
+        bad = tmp_path / f"bad-{kind}"
+        if kind == "config":
+            bad.write_text(text, encoding="utf-8")
+            return bad, ["train", "--config", str(bad)], ""
+        source = magazine_files.get(kind, magazine_files["examples"])
+        with open(source, encoding="utf-8") as fh:
+            bad.write_text(fh.read() + text, encoding="utf-8")
+        files = dict(magazine_files, preds=magazine_files["examples"])
+        files[kind] = str(bad)
+        return bad, ["eval", "--examples", files["examples"], "--tables", files["tables"],
+                     "--preds", files["preds"]], ":2"
+
     @pytest.mark.parametrize("kind", ["config", "examples", "tables", "preds"])
     def test_integer_past_digit_limit_names_the_file(self, kind, magazine_files, tmp_path,
                                                      capsys):
-        bad = tmp_path / f"bad-{kind}"
         huge = "9" * 5000
-        if kind == "config":
-            bad.write_text('{"hidden_width": 8,\n"epochs": ' + huge + '}\n', encoding="utf-8")
-            argv, where = ["train", "--config", str(bad)], ""
-        else:
-            source = magazine_files.get(kind, magazine_files["examples"])
-            with open(source, encoding="utf-8") as fh:
-                bad.write_text(fh.read() + '{"n": ' + huge + '}\n', encoding="utf-8")
-            files = dict(magazine_files, preds=magazine_files["examples"])
-            files[kind] = str(bad)
-            argv, where = ["eval", "--examples", files["examples"], "--tables", files["tables"],
-                           "--preds", files["preds"]], ":2"
+        text = ('{"hidden_width": 8,\n"epochs": ' + huge + '}\n' if kind == "config"
+                else '{"n": ' + huge + '}\n')
+        bad, argv, where = self.bad_json_run(kind, text, magazine_files, tmp_path)
         assert main(argv) == 1
         assert one_line_error(capsys).startswith(
             f"error: {bad}{where}: bad JSON (Exceeds the limit (4300 digits)")
+
+    @pytest.mark.parametrize("kind", ["config", "examples", "tables", "preds"])
+    def test_deep_nesting_names_the_file(self, kind, magazine_files, tmp_path, capsys):
+        deep = "[" * 5000 + "]" * 5000 + "\n"
+        bad, argv, where = self.bad_json_run(kind, deep, magazine_files, tmp_path)
+        assert main(argv) == 1
+        assert one_line_error(capsys) == f"error: {bad}{where}: bad JSON (nested too deeply)\n"
 
     def test_empty_training_set_names_the_file(self, magazine_files, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -387,6 +402,19 @@ class TestConfigErrors:
         assert main(["train", "--config", str(config)]) == 1
         # the only line on stderr: no epoch was logged
         assert one_line_error(capsys) == f"error: {message}\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_is_one_line_error(self, tmp_path, capsys, monkeypatch):
+        paths = generate_corpus(tmp_path / "corpus", seed=0, n_train=8, n_dev=4)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "hidden_width": 8, "epochs": 1, "batch_size": 8, "mode": "content",
+            "embedding_paths": [str(paths.embeddings)], "train_path": str(paths.train),
+            "tables_path": str(paths.tables)}), encoding="utf-8")
+        monkeypatch.setattr(K, "sum_all", with_inf_backward(K.sum_all))
+        assert main(["train", "--config", str(config)]) == 1
+        assert re.fullmatch(r"error: non-finite gradient in \S+ at epoch 1, batch 1\n",
+                            one_line_error(capsys))
 
     def test_flag_override_is_checked_like_a_config_field(self, tmp_path, capsys):
         path = tmp_path / "config.json"

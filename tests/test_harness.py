@@ -1,22 +1,27 @@
 import json
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_impls as ref
 from helpers import (MAGAZINE_GOLD_SQL, MAGAZINE_QUESTION, demo_gazetteer, gradients,
-                     magazine_table)
+                     magazine_table, with_inf_backward)
 from sketchsql import harness as H
 from sketchsql import kernel as K
 from sketchsql import slots as S
 from sketchsql.encoder import EmbeddingStore
 from sketchsql.encoder import load_embeddings
+from sketchsql.executor import ExecutionError, execute
 from sketchsql.sketch import SqlQuery
-from sketchsql.synth import generate_corpus
-from sketchsql.tables import Table
-from sketchsql.tagger import Gazetteer
+from sketchsql.synth import SCHEMAS, generate_corpus
+from sketchsql.tables import Table, cell_text
+from sketchsql.tagger import Gazetteer, recognize
 
 
 def tiny_embeddings(dim=6):
@@ -126,6 +131,109 @@ class TestDatasetIO:
         path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
         [example], _ = H.load_dataset(path, tables_path)
         assert example.gold.conds == [(2, 0, "88.5"), (2, 1, "7")]
+
+
+def fresh_text(cell):
+    """An equal cell; a str one is a new object (the empty and one-letter strings are
+    shared by Python itself)."""
+    return cell.encode().decode() if type(cell) is str else cell
+
+
+ODD_CELLS = [True, False, 1, 1.0, 0, -0.0, None, "", "1", "n/a", " Oslo "]
+
+
+def spec_cells(spec):
+    own = st.sampled_from(spec.pool) if spec.kind == "text" else st.integers(spec.low, spec.high)
+    return own | st.sampled_from(ODD_CELLS)
+
+
+@st.composite
+def synth_like_files(draw):
+    """Tables of one to three joined synth schemas whose text cells repeat, with odd
+    cells now and then, plus queries and questions whose values come from their cells."""
+    tables = []
+    for i in range(draw(st.integers(1, 3))):
+        joined = draw(st.lists(st.sampled_from(SCHEMAS), min_size=1, max_size=3,
+                               unique_by=lambda schema: schema[0]))
+        specs = [spec for _, cols in joined for spec in cols]
+        rows = draw(st.lists(st.tuples(*map(spec_cells, specs)).map(list),
+                             min_size=1, max_size=12))
+        tables.append(Table(id=f"t{i}", header=[spec.name for spec in specs],
+                            types=[spec.kind for spec in specs], rows=rows))
+    asks = []
+    for _ in range(draw(st.integers(1, 4))):
+        table = draw(st.sampled_from(tables))
+        row = draw(st.sampled_from(table.rows))
+        cols = draw(st.lists(st.integers(0, table.n_columns - 1), min_size=1, max_size=3,
+                             unique=True))
+        conds = [(col, draw(st.integers(0, 2)), cell_text(row[col])) for col in cols]
+        sel = draw(st.integers(0, table.n_columns - 1))
+        query = SqlQuery(agg=draw(st.integers(0, 5)), sel=sel, conds=conds)
+        question = f"what is the {table.header[sel]} when " + " and ".join(
+            f"the {table.header[col]} is {val}" for col, _, val in conds) + "?"
+        asks.append((table.id, query, question))
+    return tables, asks
+
+
+def outcome(query, table):
+    try:
+        return execute(query, table)
+    except ExecutionError as exc:
+        return str(exc)
+
+
+class TestSharedTextCells:
+    """load_tables keeps one object per distinct text cell of a file; nothing else changes."""
+
+    def test_equal_text_cells_are_one_object_per_file(self, tmp_path):
+        path = tmp_path / "tables.jsonl"
+        H.write_tables([
+            Table(id="a", header=["artist", "issue"], types=["text", "real"],
+                  rows=[["mort drucker", 1], ["al jaffee", 2], ["mort drucker", 3]]),
+            Table(id="b", header=["name", "artist"], types=["text", "text"],
+                  rows=[["al jaffee", "mort drucker"], ["sergio", "al jaffee"]]),
+        ], path)
+        first = H.load_tables(path)
+        cells = [(cell, id(cell)) for table in first.values() for row in table.rows
+                 for cell in row if isinstance(cell, str)]
+        assert len(set(cells)) == len({cell for cell, _ in cells}) == 3
+        again = H.load_tables(path)
+        assert again == first
+        assert first["a"].rows[0][0] is first["b"].rows[0][1]
+        assert again["a"].rows[0][0] is not first["a"].rows[0][0]
+
+    def test_cell_types_and_values_are_kept(self, tmp_path):
+        path = tmp_path / "tables.jsonl"
+        line = ('{"id": "odd", "header": ["name", "score"], "types": ["text", "real"], '
+                '"rows": [[true, "n/a"], [1, 1.0], [1.0, 1], [null, "n/a"], ["1", true], '
+                '["1", null], [-0.0, 0.0], [0.0, -0.0], ["n/a", 2], ["n/a", 3]]}')
+        path.write_text(line + "\n", encoding="utf-8")
+        rows = H.load_tables(path)["odd"].rows
+        want = json.loads(line)["rows"]
+        assert [[(type(c), c, repr(c)) for c in row] for row in rows] == \
+            [[(type(c), c, repr(c)) for c in row] for row in want]
+        assert rows[8][0] is rows[9][0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(synth_like_files())
+    def test_tags_and_results_match_fresh_text_cells(self, data):
+        tables, asks = data
+        with tempfile.TemporaryDirectory() as folder:
+            path = os.path.join(folder, "tables.jsonl")
+            H.write_tables(tables, path)
+            loaded = H.load_tables(path)
+        fresh = {tid: Table(id=t.id, header=t.header, types=t.types,
+                            rows=[[fresh_text(c) for c in row] for row in t.rows])
+                 for tid, t in loaded.items()}
+        for tid, table in loaded.items():
+            assert table.rows == fresh[tid].rows
+        for tid, query, question in asks:
+            shared, own = loaded[tid], fresh[tid]
+            assert outcome(query, shared) == outcome(query, own)
+            a = recognize(question, shared.header, table=shared, mode="content")
+            b = recognize(question, own.header, table=own, mode="content")
+            assert (a.tokens, a.display_tags(shared.header)) == \
+                (b.tokens, b.display_tags(own.header))
 
 
 class TestFindTokenSpan:
@@ -529,6 +637,31 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="non-finite loss at epoch 1, batch 1"):
             H.train(cfg, examples, tables, emb=emb)
         assert updates == []
+        assert not ckpt.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_gradient_stops_before_the_update(self, tmp_path, monkeypatch):
+        examples, tables = quick_corpus(tmp_path)
+        monkeypatch.setattr(K, "sum_all", with_inf_backward(K.sum_all))  # the batch loss
+        built, build_model = [], H.build_model
+
+        def spy(config, emb):
+            model, store = build_model(config, emb)
+            built.append((store, {name: t.data.copy() for name, t in store.items()}))
+            return model, store
+
+        monkeypatch.setattr(H, "build_model", spy)
+        ckpt = tmp_path / "model.tsq"
+        cfg = H.TrainConfig(hidden_width=8, type_dim=4, dropout=0.0, batch_size=4,
+                            epochs=1, seed=0, mode="insensitive", checkpoint_path=str(ckpt))
+        with pytest.raises(ValueError) as info:
+            H.train(cfg, examples, tables, emb=tiny_embeddings())
+        [(store, before)] = built
+        bad = re.fullmatch(r"non-finite gradient in (\S+) at epoch 1, batch 1",
+                           str(info.value))[1]
+        assert bad in store.names()
+        for name, t in store.items():
+            np.testing.assert_array_equal(t.data, before[name], strict=True)
         assert not ckpt.exists()
 
     def test_checkpoint_round_trip_reproduces_predictions(self, tmp_path):
