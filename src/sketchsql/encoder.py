@@ -24,24 +24,60 @@ class EmbeddingError(ValueError):
 
 
 class EmbeddingStore:
-    """Frozen word vectors; unknown tokens look up as the zero vector."""
+    """Frozen word vectors; unknown tokens look up as the zero vector.
+
+    The vectors stay in float64 blocks of up to CHUNK_LINES rows, and `rows` maps each
+    token to its row number: one array object a block, not a token, as an array object
+    costs about 100 bytes. Blocks, not one (V, d) matrix: a matrix is one large
+    allocation that cannot reuse the memory a trained model has freed. Every block but
+    the last holds the same number of rows, fixed when the store is built.
+    """
 
     def __init__(self, word_vectors: dict[str, np.ndarray], dim: int):
-        self.word_vectors = word_vectors
+        tokens = list(word_vectors)
+        self._keep(tokens, [np.array([word_vectors[t] for t in part], dtype=np.float64)
+                            for part in _parts(tokens)], dim)
+
+    @classmethod
+    def from_blocks(cls, tokens: list[str], blocks: list[np.ndarray], dim: int):
+        """Store over `blocks`, whose rows in order belong to `tokens`; a token listed
+        twice resolves to its later row."""
+        store = cls.__new__(cls)
+        store._keep(tokens, blocks, dim)
+        return store
+
+    def _keep(self, tokens, blocks, dim):
+        self.rows = dict(zip(tokens, range(len(tokens))))
+        self.blocks = blocks
         self.dim = int(dim)
+        self._block_rows = len(blocks[0]) if blocks else 1
         self._zero = np.zeros(self.dim)
 
     def word_vec(self, token: str) -> np.ndarray:
-        return self.word_vectors.get(token, self._zero)
+        row = self.rows.get(token)
+        if row is None:
+            return self._zero
+        block, i = divmod(row, self._block_rows)
+        return self.blocks[block][i]
+
+    def stack(self, tokens) -> np.ndarray:
+        """(len(tokens), dim) word vectors of `tokens`, one row each."""
+        return np.stack([self.word_vec(t) for t in tokens])
 
     def __contains__(self, token: str) -> bool:
-        return token in self.word_vectors
+        return token in self.rows
 
 
 # Lines handed to one np.loadtxt call: enough to spread the call's cost, few enough
 # that a chunk's transient copies (about 0.1 MB at 50 dimensions) leave little behind
 # in the resident memory of a load (512 lines left 1.2 MB more than line by line).
 CHUNK_LINES = 128
+
+
+def _parts(tokens: list[str]):
+    """`tokens` in runs of up to CHUNK_LINES, one a block."""
+    return (tokens[i:i + CHUNK_LINES] for i in range(0, len(tokens), CHUNK_LINES))
+
 
 # The vector text numpy reads exactly as float() does: both pass each field to
 # CPython's PyOS_string_to_double, so the values are bitwise the same.
@@ -110,29 +146,35 @@ def _chunks(numbered_lines):
         yield chunk
 
 
-def load_embedding_file(path) -> tuple[dict[str, np.ndarray], int]:
+def load_embedding_file(path) -> EmbeddingStore:
     """Parse one embedding text file; all lines must share a dimension.
 
     A chunk of plain-decimal lines goes through numpy's parser; any other chunk
     goes line by line through `_line_vector`, which accepts and rejects the same
-    input. Each token keeps a vector of its own (a later line wins).
+    input. Each chunk's (n, d) array becomes one block of the store, and a token
+    on two lines resolves to the later one.
     """
-    vectors: dict[str, np.ndarray] = {}
+    tokens: list[str] = []
+    blocks: list[np.ndarray] = []
     dim = None
     for chunk in _chunks(text_lines(path, EmbeddingError)):
         plain = _plain_block([line for _, line in chunk], dim)
         if plain is not None:
-            tokens, block = plain
-            dim = block.shape[1]
-            vectors.update(zip(tokens, map(np.ndarray.copy, block)))
-            continue
-        for lineno, line in chunk:
-            token, vec = _line_vector(path, lineno, line, dim)
-            dim = vec.size
-            vectors[token] = vec
+            chunk_tokens, block = plain
+            tokens += chunk_tokens
+        else:
+            vectors = []
+            for lineno, line in chunk:
+                token, vec = _line_vector(path, lineno, line, dim)
+                dim = vec.size
+                tokens.append(token)
+                vectors.append(vec)
+            block = np.array(vectors)
+        dim = block.shape[1]
+        blocks.append(block)
     if dim is None:
         raise EmbeddingError(f"{path}: no embedding entries")
-    return vectors, dim
+    return EmbeddingStore.from_blocks(tokens, blocks, dim)
 
 
 def load_embeddings(paths) -> EmbeddingStore:
@@ -143,16 +185,13 @@ def load_embeddings(paths) -> EmbeddingStore:
     paths = list(paths)
     if not 1 <= len(paths) <= 2:
         raise EmbeddingError(f"expected 1 or 2 embedding files, got {len(paths)}")
-    first, d1 = load_embedding_file(paths[0])
+    first = load_embedding_file(paths[0])
     if len(paths) == 1:
-        return EmbeddingStore(first, d1)
-    second, d2 = load_embedding_file(paths[1])
-    merged: dict[str, np.ndarray] = {}
-    for token in set(first) | set(second):
-        left = first.get(token, np.zeros(d1))
-        right = second.get(token, np.zeros(d2))
-        merged[token] = np.concatenate([left, right])
-    return EmbeddingStore(merged, d1 + d2)
+        return first
+    second = load_embedding_file(paths[1])
+    tokens = list(first.rows | second.rows)
+    blocks = [np.hstack([first.stack(part), second.stack(part)]) for part in _parts(tokens)]
+    return EmbeddingStore.from_blocks(tokens, blocks, first.dim + second.dim)
 
 
 # ---------------------------------------------------------------------------

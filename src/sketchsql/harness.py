@@ -176,7 +176,7 @@ def write_tables(tables, path):
 @dataclass
 class TrainConfig:
     hidden_width: int = 120          # bidirectional output width
-    type_dim: int | None = None      # defaults to 30, or the word width in content mode
+    type_dim: int | None = None      # defaults to 30; content mode needs null or the word width
     dropout: float = 0.3
     batch_size: int = 64
     learning_rate: float = 1e-3

@@ -315,8 +315,9 @@ class SketchModel:
     """Parameter registration and shared forward plumbing for all slots.
 
     `width` is the bidirectional output width 2h; each direction uses h.
-    In content mode the trainable type width must equal the word width
-    because cell-value tags substitute averaged column-name word vectors.
+    In content mode the trainable type width is the word width, and any other
+    `type_dim` is rejected, because cell-value tags substitute averaged
+    column-name word vectors.
     """
 
     decoder_max_len = 20  # value tokens greedy decoding emits at most per condition
@@ -329,6 +330,9 @@ class SketchModel:
         self.emb = emb
         self.mode = mode
         self.dropout = dropout
+        if mode == "content" and type_dim not in (None, emb.dim):
+            raise ValueError(f"type_dim {type_dim} must equal the word width {emb.dim} "
+                             "in content mode, or be null")
         self.type_dim = emb.dim if mode == "content" else (30 if type_dim is None else type_dim)
         self.d_in = emb.dim + self.type_dim
         h = width // 2
@@ -377,7 +381,7 @@ class SketchModel:
     def question_parts(self, tq: TaggedQuestion, col_matrix: np.ndarray):
         """Numpy pieces of the question input, cacheable per example; a cell-value
         token's type vector is its column's row of col_matrix (see column_matrix)."""
-        word = np.stack([self.emb.word_vec(tok) for tok in tq.tokens])
+        word = self.emb.stack(tq.tokens)
         indices = []
         const = np.zeros((len(tq.tokens), self.type_dim))
         for t, tag in enumerate(tq.tags):

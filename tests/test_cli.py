@@ -403,6 +403,18 @@ class TestConfigErrors:
         # the only line on stderr: no epoch was logged
         assert one_line_error(capsys) == f"error: {message}\n"
 
+    def test_content_mode_type_width_other_than_word_width_is_one_line_error(
+            self, tmp_path, capsys):
+        paths = generate_corpus(tmp_path / "corpus", seed=0, n_train=8, n_dev=0)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "hidden_width": 8, "epochs": 1, "mode": "content", "type_dim": 3,
+            "embedding_paths": [str(paths.embeddings)], "train_path": str(paths.train),
+            "tables_path": str(paths.tables)}), encoding="utf-8")
+        assert main(["train", "--config", str(config)]) == 1
+        assert one_line_error(capsys) == ("error: type_dim 3 must equal the word width 50 "
+                                          "in content mode, or be null\n")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_is_one_line_error(self, tmp_path, capsys, monkeypatch):
         paths = generate_corpus(tmp_path / "corpus", seed=0, n_train=8, n_dev=4)

@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 
@@ -14,15 +15,19 @@ from sketchsql.slots import SketchModel
 from sketchsql.tagger import TAG_NONE, TaggedQuestion, TypeTag, recognize
 
 
-def tiny_store(dim=4, tokens=("spoofed", "title", "artist", "issue", "mort", "drucker")):
+def tiny_vectors(dim=4, tokens=("spoofed", "title", "artist", "issue", "mort", "drucker")):
     rng = np.random.default_rng(99)
-    return EmbeddingStore({t: rng.normal(size=dim) for t in tokens}, dim)
+    return {t: rng.normal(size=dim) for t in tokens}
 
 
-def tiny_model(seed=0, width=8, mode="insensitive", type_dim=3):
-    """Slot model over `tiny_store`; content mode forces the type width to 4."""
+def tiny_store(dim=4):
+    return EmbeddingStore(tiny_vectors(dim), dim)
+
+
+def tiny_model(seed=0, width=8, mode="insensitive"):
+    """Slot model over `tiny_store`: type width 3, or 4 (the word width) in content mode."""
     return SketchModel(K.ParamStore(seed=seed), tiny_store(), width=width, mode=mode,
-                       type_dim=type_dim, dropout=0.0)
+                       type_dim=None if mode == "content" else 3, dropout=0.0)
 
 
 def embed(model, tq, header):
@@ -61,12 +66,27 @@ class TestEmbeddingFiles:
         np.testing.assert_array_equal(emb.word_vec("cat")[:50], 1.0)
         np.testing.assert_array_equal(emb.word_vec("cat")[50:], 2.0)
 
-    def test_token_in_one_file_zero_padded(self, tmp_path):
+    def test_token_in_one_file_zero_padded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(encoder, "CHUNK_LINES", 2)  # the merged rows span blocks
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_emb(a, [("cat", [1.0] * 50), ("dog", [3.0] * 50)])
-        write_emb(b, [("cat", [2.0] * 25)])
+        write_emb(a, [("cat", [1.0, 1.5]), ("dog", [2.0, 2.5]), ("emu", [3.0, 3.5])])
+        write_emb(b, [("emu", [7.0]), ("fox", [8.0]), ("cat", [9.0])])
         emb = load_embeddings([a, b])
-        np.testing.assert_array_equal(emb.word_vec("dog")[50:], 0.0)
+        want = {"cat": [1.0, 1.5, 9.0], "dog": [2.0, 2.5, 0.0], "emu": [3.0, 3.5, 7.0],
+                "fox": [0.0, 0.0, 8.0], "zzz": [0.0, 0.0, 0.0]}
+        assert emb.dim == 3
+        assert {t: emb.word_vec(t).tobytes() for t in want} == {
+            t: np.array(vec).tobytes() for t, vec in want.items()}
+
+    @pytest.mark.parametrize("later", ["9", "9_0"], ids=["numpy", "float"])
+    def test_token_on_two_lines_takes_the_later(self, tmp_path, monkeypatch, later):
+        monkeypatch.setattr(encoder, "CHUNK_LINES", 2)  # the lines fall in two blocks
+        p = tmp_path / "a.txt"
+        p.write_text(f"cat 1\ndog 2\nemu 3\ncat {later}\n", encoding="utf-8")
+        emb = load_embedding_file(p)
+        assert list(emb.rows) == ["cat", "dog", "emu"]
+        np.testing.assert_array_equal(emb.word_vec("cat"), [float(later)])
+        np.testing.assert_array_equal(emb.word_vec("dog"), [2.0])
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         p = tmp_path / "a.txt"
@@ -84,9 +104,9 @@ class TestEmbeddingFiles:
     def test_finite_components_with_overflowing_sum_accepted(self, tmp_path):
         p = tmp_path / "a.txt"
         p.write_text("cat 1e308 1e308\n", encoding="utf-8")
-        vectors, dim = load_embedding_file(p)
-        assert dim == 2
-        np.testing.assert_array_equal(vectors["cat"], 1e308)
+        emb = load_embedding_file(p)
+        assert emb.dim == 2
+        np.testing.assert_array_equal(emb.word_vec("cat"), 1e308)
 
     def test_unknown_word_is_zero_vector(self):
         emb = tiny_store()
@@ -95,12 +115,15 @@ class TestEmbeddingFiles:
 
 
 def load_outcome(load, path):
-    """What a loader makes of a file: its entries in order with their vector bytes, or
-    its error."""
+    """What a loader makes of a file: its entries in first-seen order with their vector
+    bytes, or its error. The loader gives a store, the reference a (dict, dim) pair."""
     try:
-        vectors, dim = load(path)
+        loaded = load(path)
     except EmbeddingError as exc:
         return "error", str(exc)
+    if isinstance(loaded, EmbeddingStore):
+        loaded = {token: loaded.word_vec(token) for token in loaded.rows}, loaded.dim
+    vectors, dim = loaded
     return dim, [(token, vec.shape, vec.tobytes()) for token, vec in vectors.items()]
 
 
@@ -157,6 +180,26 @@ class TestEmbeddingFileLoaders:
         outcome = load_outcome(load_embedding_file, path)
         assert outcome[0] == 7 and len(outcome[1]) == 1300
         assert outcome == load_outcome(reference_load_embedding_file, path)
+        # one array per block of lines, not one per token: every vector is a block's row
+        emb = load_embedding_file(path)
+        assert len(emb.blocks) == math.ceil(1300 / encoder.CHUNK_LINES)
+        assert ({id(emb.word_vec(token).base) for token in emb.rows}
+                == {id(block) for block in emb.blocks})
+
+    @pytest.mark.parametrize("chunk_lines", [4, 6, 128])
+    def test_dict_and_file_stores_look_up_the_same_bytes(self, tmp_path, monkeypatch,
+                                                         chunk_lines):
+        monkeypatch.setattr(encoder, "CHUNK_LINES", chunk_lines)
+        vectors = tiny_vectors(dim=5)
+        path = tmp_path / "e.txt"
+        write_emb(path, vectors.items())
+        from_file, from_dict = load_embedding_file(path), EmbeddingStore(vectors, 5)
+        assert len(from_dict.blocks) == len(from_file.blocks) == math.ceil(6 / chunk_lines)
+        monkeypatch.undo()  # a store keeps the block length it was built with
+        for token in [*vectors, "zzz"]:
+            want = vectors.get(token, np.zeros(5)).tobytes()
+            assert from_file.word_vec(token).tobytes() == want
+            assert from_dict.word_vec(token).tobytes() == want
 
     def test_numpy_merging_spaces_cannot_change_the_outcome(self, tmp_path, monkeypatch):
         """Should numpy read a run of spaces as one delimiter, the field count still
@@ -238,8 +281,7 @@ class TestColumnEncoding:
         np.testing.assert_array_equal(column_name_matrix(["quux corge"], emb)[0], 0.0)
 
     def test_matrix_rows_are_per_name_means(self):
-        emb = tiny_store()
-        emb.word_vectors["minus"] = np.full(emb.dim, -0.0)
+        emb = EmbeddingStore(dict(tiny_vectors(), minus=np.full(4, -0.0)), 4)
         header = ["spoofed title", "", "artist", "  ", "quux", "issue mort drucker", "minus"]
         got = column_name_matrix(header, emb)
         want = [np.mean([emb.word_vec(w) for w in name.split()], axis=0) if name.strip()

@@ -24,11 +24,15 @@ from sketchsql.tables import Table, cell_text
 from sketchsql.tagger import Gazetteer, recognize
 
 
-def tiny_embeddings(dim=6):
+def tiny_vectors(dim=6):
     rng = np.random.default_rng(123)
     vocab = ("the spoofed title with mort drucker as artist for issue 88.5 ? "
              "what is maximum how many when a b c d").split()
-    return EmbeddingStore({t: rng.normal(size=dim) for t in vocab}, dim)
+    return {t: rng.normal(size=dim) for t in vocab}
+
+
+def tiny_embeddings(dim=6):
+    return EmbeddingStore(tiny_vectors(dim), dim)
 
 
 def magazine_example():
@@ -272,6 +276,17 @@ class TestTrainConfig:
     def test_validation(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             H.TrainConfig(**kw)
+
+    @pytest.mark.parametrize("type_dim", [None, 6])
+    def test_content_mode_type_width_is_the_word_width(self, type_dim):
+        cfg = H.TrainConfig(hidden_width=8, mode="content", type_dim=type_dim)
+        model, _ = H.build_model(cfg, tiny_embeddings(dim=6))
+        assert model.type_dim == 6 and model.type_table.data.shape == (11, 6)
+
+    def test_content_mode_rejects_another_type_width(self):
+        cfg = H.TrainConfig(hidden_width=8, mode="content", type_dim=3)
+        with pytest.raises(ValueError, match="^type_dim 3 must equal the word width 6 "):
+            H.build_model(cfg, tiny_embeddings(dim=6))
 
     @pytest.mark.parametrize("text,where", [
         ('{"hidden_width": 16,\n}\n', ":2: bad JSON"),
@@ -627,8 +642,7 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_loss_stops_before_the_update(self, tmp_path, monkeypatch):
         examples, tables = quick_corpus(tmp_path)
-        emb = tiny_embeddings()
-        emb = EmbeddingStore(dict(emb.word_vectors, artist=np.full(emb.dim, np.nan)), emb.dim)
+        emb = EmbeddingStore(dict(tiny_vectors(), artist=np.full(6, np.nan)), 6)
         updates = []
         monkeypatch.setattr(K, "adam_step", lambda store, adam: updates.append(store))
         ckpt = tmp_path / "model.tsq"

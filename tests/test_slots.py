@@ -486,8 +486,9 @@ class TestBatchedPrediction:
         paths = generate_corpus(tmp_path / "corpus", seed=6, n_train=48, n_dev=0)
         examples, tables = H.load_dataset(paths.train, paths.tables)
         gazetteer = Gazetteer.from_tsv(paths.gazetteer)
-        config = H.TrainConfig(hidden_width=16, type_dim=8, dropout=0.0, batch_size=16,
-                               learning_rate=0.01, epochs=16, seed=2, mode=mode)
+        config = H.TrainConfig(hidden_width=16, type_dim=None if mode == "content" else 8,
+                               dropout=0.0, batch_size=16, learning_rate=0.01, epochs=16,
+                               seed=2, mode=mode)
         model = H.train(config, examples, tables, emb=load_embeddings([paths.embeddings]),
                         gazetteer=gazetteer).model
         # a low cap, and a lower end-state score, so that some values run to the cap
