@@ -12,6 +12,7 @@ from .encoder import load_embeddings
 from .executor import evaluate_dataset
 from .kernel import load_checkpoint
 from .sketch import render
+from .slots import check_type_dim
 from .tagger import MODES, Gazetteer, recognize
 
 
@@ -86,6 +87,11 @@ def _cmd_train(args) -> int:
     config = _config_with_overrides(args)
     if not config.train_path or not config.tables_path:
         raise ValueError("config needs train_path and tables_path")
+    emb = None
+    if config.embedding_paths:  # without any, harness.train names the missing field
+        emb = load_embeddings(config.embedding_paths)
+        # the word width is known now: a wrong type width fails before the datasets load
+        check_type_dim(config.mode, config.type_dim, emb.dim)
     examples, tables = harness.load_dataset(config.train_path, config.tables_path)
     dev = None
     if config.dev_path:
@@ -95,7 +101,7 @@ def _cmd_train(args) -> int:
     def log(entry):
         print(json.dumps(entry), file=sys.stderr)
 
-    result = harness.train(config, examples, tables, dev_examples=dev, log=log)
+    result = harness.train(config, examples, tables, dev_examples=dev, emb=emb, log=log)
     summary = {"epochs_run": len(result.epoch_losses),
                "final_loss": result.epoch_losses[-1] if result.epoch_losses else None,
                "best_dev_qm": result.best_dev_qm,

@@ -1,15 +1,23 @@
 """Input embeddings: frozen word vectors, type-tag rows and column-name vectors.
 
 Word vectors are frozen and loaded from text files (one `token v1 .. vd`
-line each). `TYPE_INDEX` gives each tag kind its row of the trainable
-type table, which `slots.SketchModel` registers. A column is represented
-by the mean of its name-word vectors (`column_name_matrix`); the bi-LSTMs
-that encode questions and columns belong to the slot models.
+line each); a binary sidecar next to each file, keyed by the sha256 of its
+bytes, spares parsing the same bytes twice. `TYPE_INDEX` gives each tag kind
+its row of the trainable type table, which `slots.SketchModel` registers. A
+column is represented by the mean of its name-word vectors
+(`column_name_matrix`); the bi-LSTMs that encode questions and columns belong
+to the slot models.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
+import os
+import struct
+import zlib
+from contextlib import suppress
 
 import numpy as np
 
@@ -146,18 +154,18 @@ def _chunks(numbered_lines):
         yield chunk
 
 
-def load_embedding_file(path) -> EmbeddingStore:
-    """Parse one embedding text file; all lines must share a dimension.
+def _parse(path, binary) -> tuple[list[str], list[np.ndarray], int]:
+    """(tokens, blocks, dim) of the embedding text read from `binary`, a buffered reader
+    of path's bytes; messages name path.
 
     A chunk of plain-decimal lines goes through numpy's parser; any other chunk
     goes line by line through `_line_vector`, which accepts and rejects the same
-    input. Each chunk's (n, d) array becomes one block of the store, and a token
-    on two lines resolves to the later one.
+    input. Each chunk's (n, d) array becomes one block.
     """
     tokens: list[str] = []
     blocks: list[np.ndarray] = []
     dim = None
-    for chunk in _chunks(text_lines(path, EmbeddingError)):
+    for chunk in _chunks(text_lines(path, EmbeddingError, binary)):
         plain = _plain_block([line for _, line in chunk], dim)
         if plain is not None:
             chunk_tokens, block = plain
@@ -174,7 +182,137 @@ def load_embedding_file(path) -> EmbeddingStore:
         blocks.append(block)
     if dim is None:
         raise EmbeddingError(f"{path}: no embedding entries")
+    return tokens, blocks, dim
+
+
+# The sidecar `<file>.sketchsql-cache` holds what `_parse` made of the file's bytes: a
+# header (magic, format, the text's sha256, CHUNK_LINES, d, rows), then per block its
+# tokens' UTF-8 byte count and a CRC32 of its tokens and rows, its tokens joined by "\n"
+# (no token holds a newline) and its rows as little-endian float64.
+CACHE_SUFFIX = ".sketchsql-cache"
+_MAGIC = b"SKSQLEMB"
+_FORMAT = 1
+_HEADER = struct.Struct("<8sI32sIIQ")
+_BLOCK = struct.Struct("<II")
+_HASH_BYTES = 1 << 16
+
+
+class _Hashed(io.RawIOBase):
+    """A file opened unbuffered for binary reading, hashing (sha256) each byte read."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.sha = hashlib.sha256()
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = self.raw.readinto(buffer)
+        self.sha.update(memoryview(buffer)[:n])
+        return n
+
+
+def _sha256(path) -> bytes:
+    with open(path, "rb", buffering=0) as raw:
+        hashed = _Hashed(raw)
+        while hashed.read(_HASH_BYTES):
+            pass
+    return hashed.sha.digest()
+
+
+def _read_cache(cache: str, path) -> EmbeddingStore | None:
+    """The store the sidecar `cache` holds for the bytes path holds now, or None when it
+    holds none: any sidecar that is absent, unreadable, of another format or block
+    length, made from other bytes, or fails a size or CRC check."""
+    try:
+        with open(cache, "rb") as fh:
+            header = fh.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                return None
+            magic, version, sha, chunk_lines, dim, rows = _HEADER.unpack(header)
+            if (magic, version, chunk_lines) != (_MAGIC, _FORMAT, CHUNK_LINES) or not rows:
+                return None
+            # every count is checked against the file's size before it sizes a buffer,
+            # so a damaged count allocates nothing
+            size = os.fstat(fh.fileno()).st_size
+            least = _HEADER.size + -(-rows // chunk_lines) * _BLOCK.size + 8 * rows * dim
+            if least > size or sha != _sha256(path):
+                return None
+            tokens, blocks = [], []
+            for start in range(0, rows, chunk_lines):
+                meta = fh.read(_BLOCK.size)
+                if len(meta) != _BLOCK.size:
+                    return None
+                text_bytes, crc = _BLOCK.unpack(meta)
+                if text_bytes > size - fh.tell():
+                    return None
+                text = fh.read(text_bytes)
+                block = np.empty((min(chunk_lines, rows - start), dim), dtype="<f8")
+                if (len(text) != text_bytes or fh.readinto(block) != block.nbytes
+                        or zlib.crc32(block, zlib.crc32(text)) != crc):
+                    return None
+                part = text.decode().split("\n")
+                if len(part) != len(block):
+                    return None
+                tokens += part
+                blocks.append(block.astype(np.float64, copy=False))
+            if fh.read(1):
+                return None
+    except (OSError, UnicodeDecodeError):
+        return None
     return EmbeddingStore.from_blocks(tokens, blocks, dim)
+
+
+def _write_cache(cache: str, sha: bytes, tokens: list[str], blocks: list[np.ndarray],
+                 dim: int):
+    """Write the sidecar `cache` for text of digest sha, via a temporary file renamed
+    into place. Best effort: a failed write is silent and removes its temporary file,
+    and a non-empty file there that does not start with the magic is left alone. The
+    file is not fsynced: a sidecar a crash cut short fails its checks and is rebuilt."""
+    try:
+        with open(cache, "rb") as fh:
+            if fh.read(len(_MAGIC)) not in (b"", _MAGIC):
+                return
+    except FileNotFoundError:
+        pass
+    except OSError:
+        return
+    tmp = f"{cache}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(_MAGIC, _FORMAT, sha, CHUNK_LINES, dim, len(tokens)))
+            for part, block in zip(_parts(tokens), blocks):
+                text = "\n".join(part).encode()
+                rows = block.astype("<f8", copy=False)
+                fh.write(_BLOCK.pack(len(text), zlib.crc32(rows, zlib.crc32(text))))
+                fh.write(text)
+                fh.write(rows)
+        os.replace(tmp, cache)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.remove(tmp)
+        if not isinstance(exc, OSError):
+            raise
+
+
+def load_embedding_file(path) -> EmbeddingStore:
+    """Load one embedding text file; all lines must share a dimension.
+
+    The vectors come from the sidecar `<path>.sketchsql-cache` when it was made from
+    the file's exact bytes; otherwise the text is parsed (see `_parse`) and the
+    sidecar written for the bytes the parse read. The store keeps the parse's
+    blocks, and a token on two lines resolves to the later one.
+    """
+    cache = os.fspath(path) + CACHE_SUFFIX
+    store = _read_cache(cache, path)
+    if store is None:
+        with open(path, "rb", buffering=0) as raw:
+            hashed = _Hashed(raw)
+            tokens, blocks, dim = _parse(path, io.BufferedReader(hashed, _HASH_BYTES))
+        _write_cache(cache, hashed.sha.digest(), tokens, blocks, dim)
+        store = EmbeddingStore.from_blocks(tokens, blocks, dim)
+    return store
 
 
 def load_embeddings(paths) -> EmbeddingStore:

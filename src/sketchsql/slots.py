@@ -311,6 +311,13 @@ def stack_inputs(inputs):
     return q_parts, np.vstack([cols for _, cols in inputs]), q_lens, c_lens
 
 
+def check_type_dim(mode: str, type_dim: int | None, word_dim: int):
+    """Reject a content-mode `type_dim` other than null or the word width `word_dim`."""
+    if mode == "content" and type_dim not in (None, word_dim):
+        raise ValueError(f"type_dim {type_dim} must equal the word width {word_dim} "
+                         "in content mode, or be null")
+
+
 class SketchModel:
     """Parameter registration and shared forward plumbing for all slots.
 
@@ -330,9 +337,7 @@ class SketchModel:
         self.emb = emb
         self.mode = mode
         self.dropout = dropout
-        if mode == "content" and type_dim not in (None, emb.dim):
-            raise ValueError(f"type_dim {type_dim} must equal the word width {emb.dim} "
-                             "in content mode, or be null")
+        check_type_dim(mode, type_dim, emb.dim)
         self.type_dim = emb.dim if mode == "content" else (30 if type_dim is None else type_dim)
         self.d_in = emb.dim + self.type_dim
         h = width // 2

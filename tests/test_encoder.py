@@ -1,6 +1,11 @@
+import errno
 import math
+import os
 import random
+import struct
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,8 +173,10 @@ class TestEmbeddingFileLoaders:
             for _ in range(1500):
                 text = random_embedding_text(rng)
                 path.write_text(text, encoding="utf-8")
-                assert (load_outcome(load_embedding_file, path)
-                        == load_outcome(reference_load_embedding_file, path)), text
+                want = load_outcome(reference_load_embedding_file, path)
+                # the second load reads the sidecar the first one wrote
+                assert load_outcome(load_embedding_file, path) == want, text
+                assert load_outcome(load_embedding_file, path) == want, text
 
     def test_large_plain_file_bitwise(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -225,6 +232,230 @@ class TestEmbeddingFileLoaders:
         assert load_outcome(load_embedding_file, path) == want
         assert want[1].endswith(":2: dimension 1 != 2 from earlier lines" if bad_line == 400
                                 else ":4: not UTF-8 text (invalid start byte)")
+
+
+def sidecar(path) -> Path:
+    return Path(str(path) + encoder.CACHE_SUFFIX)
+
+
+def snapshot(store):
+    """All a store holds: its index, width and block length, each block's shape, dtype,
+    ownership of its memory and bytes, and the vector bytes of every token and of an
+    unknown one."""
+    return (dict(store.rows), store.dim, store._block_rows,
+            [(b.shape, b.dtype.str, b.flags.owndata, b.tobytes()) for b in store.blocks],
+            {t: store.word_vec(t).tobytes() for t in [*store.rows, "not a token"]})
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths load_embedding_file parsed as text, one entry a parse."""
+    calls = []
+    parse = encoder._parse
+
+    def counted(path, binary):
+        calls.append(path)
+        return parse(path, binary)
+
+    monkeypatch.setattr(encoder, "_parse", counted)
+    return calls
+
+
+class FullDisk:
+    """A binary file whose writes after the first fail as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+# Read with blocks of 2 lines. "float" puts 9_0, which only float() reads, in the first
+# chunk; "odd tokens" holds non-ASCII, empty and control-character tokens.
+SIDECAR_TEXTS = {
+    "plain": "".join(f"w{i} {i / 7:.5f} {-i / 3:.5f}\n" for i in range(11)),
+    "duplicate": "cat 1 2\ndog 3 4\nemu 5 6\ncat 7 8\n",
+    "float": "cat 1 2\ndog 9_0 4\nemu 5 6\nfox 1e3 -0\n",
+    "odd tokens": "caf\u00e9 1 2\n\u732b 3 4\n 5 6\nx\x1cy\u2028z 7 8\n\n\nlast 9 9\n",
+}
+
+
+class TestSidecar:
+    """`<file>.sketchsql-cache` holds the parse of the file's exact bytes; a load that
+    cannot use it parses the text, and a load never differs from the parse."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_two(self, monkeypatch):
+        monkeypatch.setattr(encoder, "CHUNK_LINES", 2)
+
+    @pytest.mark.parametrize("kind", list(SIDECAR_TEXTS))
+    def test_second_load_reads_the_sidecar(self, tmp_path, parses, kind):
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS[kind], encoding="utf-8")
+        parsed = snapshot(load_embedding_file(path))
+        assert sidecar(path).is_file() and len(parses) == 1
+        assert snapshot(load_embedding_file(path)) == parsed
+        assert len(parses) == 1
+
+    def test_two_file_merge_from_sidecars(self, tmp_path, parses):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write_emb(a, [("cat", [1.0, 1.5]), ("dog", [2.0, 2.5]), ("emu", [3.0, 3.5])])
+        write_emb(b, [("emu", [7.0]), ("fox", [8.0]), ("cat", [9.0])])
+        merged = snapshot(load_embeddings([a, b]))
+        assert snapshot(load_embeddings([a, b])) == merged
+        assert parses == [a, b]
+
+    @staticmethod
+    def change_text(path, text, sidecar_path):
+        path.write_text(text.replace("7 8", "7 9"), encoding="utf-8")
+
+    @staticmethod
+    def change_text_keep_size_and_mtime(path, text, sidecar_path):
+        before = os.stat(path)
+        path.write_text(text.replace("7 8", "7 7"), encoding="utf-8")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert os.stat(path).st_size == before.st_size
+
+    @staticmethod
+    def cut_short(path, text, sidecar_path):
+        with open(sidecar_path, "r+b") as fh:
+            fh.truncate(os.path.getsize(sidecar_path) - 1)
+
+    @staticmethod
+    def one_byte_longer(path, text, sidecar_path):
+        with open(sidecar_path, "ab") as fh:
+            fh.write(b"\0")
+
+    @staticmethod
+    def other_format(path, text, sidecar_path):
+        data = bytearray(sidecar_path.read_bytes())
+        data[8:12] = struct.pack("<I", encoder._FORMAT + 1)
+        sidecar_path.write_bytes(bytes(data))
+
+    @staticmethod
+    def other_block_length(path, text, sidecar_path):
+        encoder.CHUNK_LINES = 3  # the autouse fixture's monkeypatch restores it
+
+    @staticmethod
+    def empty(path, text, sidecar_path):
+        sidecar_path.write_bytes(b"")
+
+    @pytest.mark.parametrize("damage", ["change_text", "change_text_keep_size_and_mtime",
+                                        "cut_short", "one_byte_longer", "other_format",
+                                        "other_block_length", "empty"])
+    def test_unusable_sidecar_is_rebuilt_from_the_text(self, tmp_path, parses, damage):
+        path = tmp_path / "e.txt"
+        text = SIDECAR_TEXTS["duplicate"]
+        path.write_text(text, encoding="utf-8")
+        load_embedding_file(path)
+        getattr(self, damage)(path, path.read_text(encoding="utf-8"), sidecar(path))
+        fresh = tmp_path / "fresh" / "e.txt"
+        fresh.parent.mkdir()
+        fresh.write_bytes(path.read_bytes())
+        want = snapshot(load_embedding_file(fresh))
+        assert snapshot(load_embedding_file(path)) == want
+        assert snapshot(load_embedding_file(path)) == want
+        assert parses == [path, fresh, path]  # the rebuilt sidecar serves the last load
+
+    def test_every_flipped_byte_after_the_magic_is_rebuilt(self, tmp_path, parses):
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["odd tokens"], encoding="utf-8")
+        want = snapshot(load_embedding_file(path))
+        good = sidecar(path).read_bytes()
+        for i in range(len(encoder._MAGIC), len(good)):
+            sidecar(path).write_bytes(good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1:])
+            assert snapshot(load_embedding_file(path)) == want, i
+            assert sidecar(path).read_bytes() == good, i
+        assert len(parses) == 1 + len(good) - len(encoder._MAGIC)
+
+    @pytest.mark.parametrize("field", ["rows", "dim", "token bytes"])
+    def test_damaged_count_allocates_nothing(self, tmp_path, field):
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        want = snapshot(load_embedding_file(path))
+        data = bytearray(sidecar(path).read_bytes())
+        at, width = {"rows": (encoder._HEADER.size - 8, 8), "dim": (encoder._HEADER.size - 12, 4),
+                     "token bytes": (encoder._HEADER.size, 4)}[field]
+        data[at:at + width] = b"\xff" * width
+        sidecar(path).write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            assert snapshot(load_embedding_file(path)) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("fail", ["unwritable directory", "disk full", "rename"])
+    def test_failed_write_is_silent_and_leaves_no_file(self, tmp_path, monkeypatch, fail):
+        real_open = open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if mode != "wb":
+                return real_open(file, mode, *args, **kwargs)
+            if fail == "unwritable directory":
+                raise PermissionError(errno.EACCES, "Permission denied", file)
+            return FullDisk(real_open(file, mode, *args, **kwargs))
+
+        def failing_replace(src, dst):
+            raise PermissionError(errno.EACCES, "Permission denied", dst)
+
+        if fail == "rename":
+            monkeypatch.setattr(encoder.os, "replace", failing_replace)
+        else:
+            monkeypatch.setattr(encoder, "open", failing_open, raising=False)
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        want = load_outcome(reference_load_embedding_file, path)
+        assert load_outcome(load_embedding_file, path) == want
+        assert [p.name for p in tmp_path.iterdir()] == ["e.txt"]
+
+    @pytest.mark.parametrize("existing", [b"not a sidecar", encoder._MAGIC[:-1], "directory"])
+    def test_foreign_file_at_the_sidecar_path_is_left_alone(self, tmp_path, parses, existing):
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        if existing == "directory":
+            sidecar(path).mkdir()
+        else:
+            sidecar(path).write_bytes(existing)
+        want = load_outcome(reference_load_embedding_file, path)
+        assert load_outcome(load_embedding_file, path) == want
+        assert load_outcome(load_embedding_file, path) == want
+        assert len(parses) == 2
+        if existing == "directory":
+            assert list(sidecar(path).iterdir()) == []
+        else:
+            assert sidecar(path).read_bytes() == existing
+
+    @pytest.mark.parametrize("after_good_load", [False, True], ids=["fresh", "stale"])
+    @pytest.mark.parametrize("data", [b"cat 1 2\ndog 1\n", b"cat 1 x\n", b"\n",
+                                      b"cat 1 2\nd\xffg 1 2\n"],
+                             ids=["dimension", "non-numeric", "empty", "not-utf8"])
+    def test_bad_text_reports_its_line_and_writes_no_sidecar(self, tmp_path, data,
+                                                             after_good_load):
+        path = tmp_path / "e.txt"
+        if after_good_load:  # a sidecar made from other bytes cannot hide the error
+            path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+            load_embedding_file(path)
+            before = sidecar(path).read_bytes()
+        path.write_bytes(data)
+        want = load_outcome(reference_load_embedding_file, path)
+        assert want[0] == "error"
+        assert load_outcome(load_embedding_file, path) == want
+        if after_good_load:
+            assert sidecar(path).read_bytes() == before
+        else:
+            assert not sidecar(path).exists()
 
 
 class TestEmbedQuestion:
