@@ -2,11 +2,11 @@
 
 Word vectors are frozen and loaded from text files (one `token v1 .. vd`
 line each); a binary sidecar next to each file, keyed by the sha256 of its
-bytes, spares parsing the same bytes twice. `TYPE_INDEX` gives each tag kind
-its row of the trainable type table, which `slots.SketchModel` registers. A
-column is represented by the mean of its name-word vectors
-(`column_name_matrix`); the bi-LSTMs that encode questions and columns belong
-to the slot models.
+bytes, spares parsing the same bytes twice; a store read from it maps its rows
+rather than copying them. `TYPE_INDEX` gives each tag kind its row of the trainable
+type table, which `slots.SketchModel` registers. A column is represented by the mean
+of its name-word vectors (`column_name_matrix`); the bi-LSTMs that encode questions
+and columns belong to the slot models.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import mmap
 import os
 import struct
 import zlib
@@ -36,9 +37,16 @@ class EmbeddingStore:
 
     The vectors stay in float64 blocks of up to CHUNK_LINES rows, and `rows` maps each
     token to its row number: one array object a block, not a token, as an array object
-    costs about 100 bytes. Blocks, not one (V, d) matrix: a matrix is one large
-    allocation that cannot reuse the memory a trained model has freed. Every block but
-    the last holds the same number of rows, fixed when the store is built.
+    costs about 100 bytes. Every block but the last holds the same number of rows, fixed
+    when the store is built.
+
+    A store parsed from text owns its blocks: blocks, not one (V, d) matrix, because a
+    matrix is one large allocation that cannot reuse the memory a trained model has
+    freed. A store read from a sidecar keeps the sidecar mapped read-only while it lives
+    and its blocks are views of the map, so it holds in memory only the pages its
+    lookups touch, not 8·V·d bytes. Deleting the sidecar or replacing it by rename is
+    safe; rewriting or truncating it in place kills the process with SIGBUS, and this
+    module never writes a sidecar in place.
     """
 
     def __init__(self, word_vectors: dict[str, np.ndarray], dim: int):
@@ -224,7 +232,10 @@ def _sha256(path) -> bytes:
 def _read_cache(cache: str, path) -> EmbeddingStore | None:
     """The store the sidecar `cache` holds for the bytes path holds now, or None when it
     holds none: any sidecar that is absent, unreadable, of another format or block
-    length, made from other bytes, or fails a size or CRC check."""
+    length, made from other bytes, or fails a size or CRC check.
+
+    The checks read the rows through one reusable buffer; only once the whole file has
+    passed them is the same open file mapped read-only, each block a view of its rows."""
     try:
         with open(cache, "rb") as fh:
             header = fh.read(_HEADER.size)
@@ -239,7 +250,8 @@ def _read_cache(cache: str, path) -> EmbeddingStore | None:
             least = _HEADER.size + -(-rows // chunk_lines) * _BLOCK.size + 8 * rows * dim
             if least > size or sha != _sha256(path):
                 return None
-            tokens, blocks = [], []
+            buffer = np.empty((min(chunk_lines, rows), dim), dtype="<f8")
+            tokens, spans = [], []
             for start in range(0, rows, chunk_lines):
                 meta = fh.read(_BLOCK.size)
                 if len(meta) != _BLOCK.size:
@@ -248,7 +260,8 @@ def _read_cache(cache: str, path) -> EmbeddingStore | None:
                 if text_bytes > size - fh.tell():
                     return None
                 text = fh.read(text_bytes)
-                block = np.empty((min(chunk_lines, rows - start), dim), dtype="<f8")
+                block = buffer[:rows - start]
+                spans.append((len(block), fh.tell()))
                 if (len(text) != text_bytes or fh.readinto(block) != block.nbytes
                         or zlib.crc32(block, zlib.crc32(text)) != crc):
                     return None
@@ -256,11 +269,14 @@ def _read_cache(cache: str, path) -> EmbeddingStore | None:
                 if len(part) != len(block):
                     return None
                 tokens += part
-                blocks.append(block.astype(np.float64, copy=False))
             if fh.read(1):
                 return None
-    except (OSError, UnicodeDecodeError):
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):  # ValueError: not UTF-8, or emptied before the map
         return None
+    if len(mapped) != size:  # cut short since its checks: a view would reach past its end
+        return None
+    blocks = [np.ndarray((n, dim), "<f8", buffer=mapped, offset=at) for n, at in spans]
     return EmbeddingStore.from_blocks(tokens, blocks, dim)
 
 
@@ -300,9 +316,9 @@ def load_embedding_file(path) -> EmbeddingStore:
     """Load one embedding text file; all lines must share a dimension.
 
     The vectors come from the sidecar `<path>.sketchsql-cache` when it was made from
-    the file's exact bytes; otherwise the text is parsed (see `_parse`) and the
-    sidecar written for the bytes the parse read. The store keeps the parse's
-    blocks, and a token on two lines resolves to the later one.
+    the file's exact bytes, as read-only views of its map; otherwise the text is
+    parsed (see `_parse`) and the sidecar written for the bytes the parse read, and
+    the store keeps the parse's blocks. A token on two lines resolves to the later one.
     """
     cache = os.fspath(path) + CACHE_SUFFIX
     store = _read_cache(cache, path)

@@ -122,6 +122,10 @@ def load_dataset(examples_path, tables_path) -> tuple[list[Example], dict[str, T
             gold = SqlQuery.from_dict(rec["sql"])
             example = Example(question=_string(rec, "question"),
                               table_id=_string(rec, "table_id"), gold=gold)
+            # tokenize keeps every run of non-space characters, so it finds no token in
+            # exactly the questions that are blank
+            if not example.question.strip():
+                raise ValueError(f"question has no tokens: {example.question!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"{examples_path}:{lineno}: {exc}") from None
         table = tables.get(example.table_id)

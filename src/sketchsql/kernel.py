@@ -738,7 +738,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if not isinstance(archive, np.lib.npyio.NpzFile):
             raise ValueError("a bare .npy file")
         with archive:
-            state = {name: archive[name] for name in archive.files}
+            try:
+                state = {name: archive[name] for name in archive.files}
+            except OSError as exc:  # a member's offset points outside the file
+                raise zipfile.BadZipFile(exc) from exc
     except zipfile.BadZipFile as exc:  # cut short, or a member fails its CRC
         raise KernelError(f"{path}: damaged checkpoint archive: {exc}") from exc
     except (ValueError, EOFError) as exc:

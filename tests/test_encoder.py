@@ -1,5 +1,6 @@
 import errno
 import math
+import mmap
 import os
 import random
 import struct
@@ -238,12 +239,23 @@ def sidecar(path) -> Path:
     return Path(str(path) + encoder.CACHE_SUFFIX)
 
 
+def mapped(store) -> bool:
+    """Whether the store's blocks are read-only views of one map of its sidecar (a
+    sidecar load) rather than arrays that own their writable memory (a parse)."""
+    if all(b.flags.owndata and b.flags.writeable for b in store.blocks):
+        return False
+    assert len({id(b.base) for b in store.blocks}) == 1
+    assert all(isinstance(b.base, mmap.mmap) and not b.flags.writeable for b in store.blocks)
+    return True
+
+
 def snapshot(store):
-    """All a store holds: its index, width and block length, each block's shape, dtype,
-    ownership of its memory and bytes, and the vector bytes of every token and of an
-    unknown one."""
+    """All a store holds: its index, width and block length, each block's shape, dtype
+    and bytes, and the vector bytes of every token and of an unknown one. Its blocks
+    must either all own their memory or all be read-only views of one map (`mapped`)."""
+    mapped(store)
     return (dict(store.rows), store.dim, store._block_rows,
-            [(b.shape, b.dtype.str, b.flags.owndata, b.tobytes()) for b in store.blocks],
+            [(b.shape, b.dtype.str, b.tobytes()) for b in store.blocks],
             {t: store.word_vec(t).tobytes() for t in [*store.rows, "not a token"]})
 
 
@@ -307,12 +319,70 @@ class TestSidecar:
         assert snapshot(load_embedding_file(path)) == parsed
         assert len(parses) == 1
 
+    def test_sidecar_load_maps_read_only_blocks(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        parsed = load_embedding_file(path)
+        assert not mapped(parsed)
+        parsed.blocks[0][0, 0] = 1.0  # a parse's blocks are its own, writable arrays
+        store = load_embedding_file(path)
+        assert mapped(store)
+        before = snapshot(store)
+        for write in (lambda: store.blocks[-1].__setitem__((0, 0), 1.0),
+                      lambda: store.word_vec("w0").__iadd__(1.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        assert snapshot(store) == before
+
+    @pytest.mark.parametrize("fail", ["map fails", "cut short before the map"])
+    def test_failed_map_parses_the_text(self, tmp_path, monkeypatch, parses, fail):
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        want = snapshot(load_embedding_file(path))
+        real_mmap = mmap.mmap
+
+        def failing_mmap(fileno, length, **kwargs):
+            if fail == "map fails":
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+            with open(sidecar(path), "r+b") as fh:  # after every check has passed
+                fh.truncate(os.path.getsize(sidecar(path)) - 8)
+            return real_mmap(fileno, length, **kwargs)
+
+        monkeypatch.setattr(encoder.mmap, "mmap", failing_mmap)
+        store = load_embedding_file(path)
+        assert not mapped(store) and snapshot(store) == want
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize("replace", ["rebuilt", "deleted"])
+    def test_mapped_store_outlives_its_sidecar(self, tmp_path, parses, replace):
+        """A sidecar is only ever replaced by rename or deleted, never rewritten in
+        place, so a store that maps the old one keeps its vectors bitwise."""
+        path = tmp_path / "e.txt"
+        text = SIDECAR_TEXTS["plain"]
+        path.write_text(text, encoding="utf-8")
+        load_embedding_file(path)
+        store = load_embedding_file(path)
+        before = snapshot(store)
+        old = os.stat(sidecar(path)).st_ino
+        if replace == "rebuilt":
+            path.write_text(text.replace("w10", "new"), encoding="utf-8")
+            load_embedding_file(path)  # parses and renames a new sidecar into place
+            assert os.stat(sidecar(path)).st_ino != old
+            fresh = load_embedding_file(path)
+            assert mapped(fresh) and "new" in fresh and "new" not in store
+        else:
+            sidecar(path).unlink()
+        assert snapshot(store) == before
+        assert len(parses) == 1 + (replace == "rebuilt")
+
     def test_two_file_merge_from_sidecars(self, tmp_path, parses):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         write_emb(a, [("cat", [1.0, 1.5]), ("dog", [2.0, 2.5]), ("emu", [3.0, 3.5])])
         write_emb(b, [("emu", [7.0]), ("fox", [8.0]), ("cat", [9.0])])
         merged = snapshot(load_embeddings([a, b]))
-        assert snapshot(load_embeddings([a, b])) == merged
+        store = load_embeddings([a, b])
+        assert snapshot(store) == merged
+        assert not mapped(store) and mapped(load_embedding_file(a))  # the merge copies
         assert parses == [a, b]
 
     @staticmethod

@@ -21,7 +21,7 @@ from sketchsql.executor import ExecutionError, execute
 from sketchsql.sketch import SqlQuery
 from sketchsql.synth import SCHEMAS, generate_corpus
 from sketchsql.tables import Table, cell_text
-from sketchsql.tagger import Gazetteer, recognize
+from sketchsql.tagger import Gazetteer, recognize, tokenize
 
 
 def tiny_vectors(dim=6):
@@ -126,6 +126,30 @@ class TestDatasetIO:
             where = examples_path
         with pytest.raises(H.DatasetError, match=f"^{re.escape(str(where))}:1: .*{field}"):
             H.load_dataset(examples_path, tables_path)
+
+    @pytest.mark.parametrize("question", ["", "   ", "\t\n\u3000"])
+    def test_blank_question_names_file_and_line(self, tmp_path, question):
+        examples_path, tables_path = write_magazine_files(tmp_path)
+        rec = {"question": question, "table_id": "mag",
+               "sql": {"sel": 0, "agg": 0, "conds": []}}
+        good = examples_path.read_text(encoding="utf-8")
+        examples_path.write_text(good + json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="empty question"):
+            tokenize(question)
+        with pytest.raises(H.DatasetError) as excinfo:
+            H.load_dataset(examples_path, tables_path)
+        assert str(excinfo.value) == f"{examples_path}:2: question has no tokens: {question!r}"
+
+    def test_blank_means_tokenize_finds_no_tokens(self):
+        """load_dataset's blank check agrees with tokenize on every character up to
+        U+3000, the last whitespace character."""
+        for char in map(chr, range(0x3001)):
+            try:
+                tokenize(f" {char}\t")
+            except ValueError:
+                assert not char.strip(), hex(ord(char))
+            else:
+                assert char.strip(), hex(ord(char))
 
     def test_numbers_stay_valid_condition_values(self, tmp_path):
         _, tables_path = write_magazine_files(tmp_path)

@@ -873,6 +873,17 @@ class TestCheckpoint:
             K.load_checkpoint(path)
         _one_line_naming(path, excinfo, words)
 
+    def test_bytes_deleted_anywhere_fail_with_one_line_naming_it(self, tmp_path):
+        """Cutting 19 bytes from the middle once made a member's offset point before the
+        file's start, and the seek raised a bare OSError."""
+        _, path = self.saved(tmp_path)
+        raw = path.read_bytes()
+        for at in [len(raw) // 2, *range(0, len(raw) - 19, 5)]:
+            path.write_bytes(raw[:at] + raw[at + 19:])
+            with pytest.raises(K.KernelError) as excinfo:
+                K.load_checkpoint(path)
+            _one_line_naming(path, excinfo, "checkpoint")
+
     def test_missing_file_raises_its_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing.tsq"):
             K.load_checkpoint(tmp_path / "missing.tsq")
