@@ -1,12 +1,12 @@
 """Input embeddings: frozen word vectors, type-tag rows and column-name vectors.
 
-Word vectors are frozen and loaded from text files (one `token v1 .. vd`
-line each); a binary sidecar next to each file, keyed by the sha256 of its
-bytes, spares parsing the same bytes twice; a store read from it maps its rows
-rather than copying them. `TYPE_INDEX` gives each tag kind its row of the trainable
-type table, which `slots.SketchModel` registers. A column is represented by the mean
-of its name-word vectors (`column_name_matrix`); the bi-LSTMs that encode questions
-and columns belong to the slot models.
+Word vectors are frozen and loaded from text files (one `token v1 .. vd` line each,
+every number read by float()); a binary sidecar next to each file, keyed by the
+sha256 of its bytes, spares parsing the same bytes twice; a store read from it maps
+its rows rather than copying them. `TYPE_INDEX` gives each tag kind its row of the
+trainable type table, which `slots.SketchModel` registers. A column is represented by
+the mean of its name-word vectors (`column_name_matrix`); the bi-LSTMs that encode
+questions and columns belong to the slot models.
 """
 
 from __future__ import annotations
@@ -84,20 +84,15 @@ class EmbeddingStore:
         return token in self.rows
 
 
-# Lines handed to one np.loadtxt call: enough to spread the call's cost, few enough
-# that a chunk's transient copies (about 0.1 MB at 50 dimensions) leave little behind
-# in the resident memory of a load (512 lines left 1.2 MB more than line by line).
+# Rows of every block but the last, for a parsed store and for one built from a dict.
+# The sidecar header records it and a sidecar of another block length is not read, so
+# changing it invalidates every existing sidecar.
 CHUNK_LINES = 128
 
 
 def _parts(tokens: list[str]):
     """`tokens` in runs of up to CHUNK_LINES, one a block."""
     return (tokens[i:i + CHUNK_LINES] for i in range(0, len(tokens), CHUNK_LINES))
-
-
-# The vector text numpy reads exactly as float() does: both pass each field to
-# CPython's PyOS_string_to_double, so the values are bitwise the same.
-_PLAIN_DECIMAL = b"0123456789.eE+- "
 
 
 def _line_vector(path, lineno: int, line: str, dim: int | None) -> tuple[str, np.ndarray]:
@@ -119,77 +114,30 @@ def _line_vector(path, lineno: int, line: str, dim: int | None) -> tuple[str, np
     return parts[0], np.array(values, dtype=np.float64)
 
 
-def _plain_block(lines: list[str], dim: int | None) -> tuple[tuple[str, ...], np.ndarray] | None:
-    """(tokens, (n, d) vectors) of lines whose vectors are all plain decimals of the
-    file's dimension with finite values, read by one np.loadtxt call; None otherwise."""
-    pairs = [line.split(" ", 1) for line in lines]
-    if min(map(len, pairs)) < 2:
-        return None
-    tokens, rests = zip(*pairs)
-    if "" in rests:
-        return None
-    text = " ".join(rests)
-    if not text.isascii() or text.encode().translate(None, _PLAIN_DECIMAL):
-        return None
-    try:
-        block = np.loadtxt(rests, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    n, d = block.shape
-    # numpy splits at spaces only, so rows of d columns each hold at least d fields of
-    # split(" "); n * d fields in all means every line holds exactly d
-    if n != len(lines) or dim not in (None, d) or text.count(" ") != n * d - 1:
-        return None
-    return (tokens, block) if np.isfinite(block).all() else None
-
-
-def _chunks(numbered_lines):
-    """Lists of up to CHUNK_LINES (line number, line) pairs. Bytes that are not UTF-8
-    fail only after the lines read before them are yielded, so a bad line among those
-    is reported first, as a line-by-line reader would."""
-    chunk = []
-    try:
-        for item in numbered_lines:
-            chunk.append(item)
-            if len(chunk) == CHUNK_LINES:
-                yield chunk
-                chunk = []
-    except EmbeddingError:
-        if chunk:
-            yield chunk
-        raise
-    if chunk:
-        yield chunk
-
-
 def _parse(path, binary) -> tuple[list[str], list[np.ndarray], int]:
     """(tokens, blocks, dim) of the embedding text read from `binary`, a buffered reader
     of path's bytes; messages name path.
 
-    A chunk of plain-decimal lines goes through numpy's parser; any other chunk
-    goes line by line through `_line_vector`, which accepts and rejects the same
-    input. Each chunk's (n, d) array becomes one block.
+    Each line goes through `_line_vector` in file order, so the first bad line, or
+    the first bytes that are not UTF-8, is the error; each run of CHUNK_LINES
+    vectors becomes one (n, d) block.
     """
     tokens: list[str] = []
     blocks: list[np.ndarray] = []
+    vectors: list[np.ndarray] = []
     dim = None
-    for chunk in _chunks(text_lines(path, EmbeddingError, binary)):
-        plain = _plain_block([line for _, line in chunk], dim)
-        if plain is not None:
-            chunk_tokens, block = plain
-            tokens += chunk_tokens
-        else:
+    for lineno, line in text_lines(path, EmbeddingError, binary):
+        token, vec = _line_vector(path, lineno, line, dim)
+        dim = vec.size
+        tokens.append(token)
+        vectors.append(vec)
+        if len(vectors) == CHUNK_LINES:
+            blocks.append(np.array(vectors))
             vectors = []
-            for lineno, line in chunk:
-                token, vec = _line_vector(path, lineno, line, dim)
-                dim = vec.size
-                tokens.append(token)
-                vectors.append(vec)
-            block = np.array(vectors)
-        dim = block.shape[1]
-        blocks.append(block)
     if dim is None:
         raise EmbeddingError(f"{path}: no embedding entries")
+    if vectors:
+        blocks.append(np.array(vectors))
     return tokens, blocks, dim
 
 

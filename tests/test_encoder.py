@@ -1,4 +1,5 @@
 import errno
+import json
 import math
 import mmap
 import os
@@ -14,10 +15,13 @@ import pytest
 from helpers import demo_gazetteer, magazine_table
 from reference_impls import reference_load_embedding_file
 from sketchsql import encoder
+from sketchsql import harness as H
 from sketchsql import kernel as K
+from sketchsql.cli import main
 from sketchsql.encoder import (EmbeddingError, EmbeddingStore, column_name_matrix,
                                load_embedding_file, load_embeddings)
 from sketchsql.slots import SketchModel
+from sketchsql.synth import generate_corpus
 from sketchsql.tagger import TAG_NONE, TaggedQuestion, TypeTag, recognize
 
 
@@ -84,7 +88,7 @@ class TestEmbeddingFiles:
         assert {t: emb.word_vec(t).tobytes() for t in want} == {
             t: np.array(vec).tobytes() for t, vec in want.items()}
 
-    @pytest.mark.parametrize("later", ["9", "9_0"], ids=["numpy", "float"])
+    @pytest.mark.parametrize("later", ["9", "9_0"], ids=["decimal", "underscored"])
     def test_token_on_two_lines_takes_the_later(self, tmp_path, monkeypatch, later):
         monkeypatch.setattr(encoder, "CHUNK_LINES", 2)  # the lines fall in two blocks
         p = tmp_path / "a.txt"
@@ -140,8 +144,8 @@ TOKENS = ["cat", "dog", "cat", "caf\u00e9", "\u732b", "x-y", "1", ""]
 
 
 def random_embedding_text(rng: random.Random) -> str:
-    """A small embedding file: mostly plain decimals, and sometimes what float() reads
-    differently, what it rejects, bad spacing, a line with no vector, blank lines and a
+    """A small embedding file: mostly plain decimals, and sometimes other text: spellings
+    float() reads or rejects, bad spacing, a line with no vector, blank lines and a
     dimension change."""
     dim = rng.randint(1, 3)
     lines = []
@@ -209,12 +213,9 @@ class TestEmbeddingFileLoaders:
             assert from_file.word_vec(token).tobytes() == want
             assert from_dict.word_vec(token).tobytes() == want
 
-    def test_numpy_merging_spaces_cannot_change_the_outcome(self, tmp_path, monkeypatch):
-        """Should numpy read a run of spaces as one delimiter, the field count still
-        sends the chunk through float()."""
-        loadtxt = np.loadtxt
-        monkeypatch.setattr(encoder.np, "loadtxt",
-                            lambda rows, **kw: loadtxt(rows, **{**kw, "delimiter": None}))
+    def test_two_spaces_are_an_empty_field(self, tmp_path):
+        """A run of spaces is not one delimiter: the empty field between them is not a
+        number."""
         path = tmp_path / "e.txt"
         path.write_text("cat 1 2\ndog 1  2\n", encoding="utf-8")
         with pytest.raises(EmbeddingError, match="e.txt:2: non-numeric"):
@@ -292,8 +293,8 @@ class FullDisk:
         return self.fh.write(data)
 
 
-# Read with blocks of 2 lines. "float" puts 9_0, which only float() reads, in the first
-# chunk; "odd tokens" holds non-ASCII, empty and control-character tokens.
+# Read with blocks of 2 lines. "float" holds spellings float() reads (9_0, 1e3, -0) in
+# both blocks; "odd tokens" holds non-ASCII, empty and control-character tokens.
 SIDECAR_TEXTS = {
     "plain": "".join(f"w{i} {i / 7:.5f} {-i / 3:.5f}\n" for i in range(11)),
     "duplicate": "cat 1 2\ndog 3 4\nemu 5 6\ncat 7 8\n",
@@ -526,6 +527,88 @@ class TestSidecar:
             assert sidecar(path).read_bytes() == before
         else:
             assert not sidecar(path).exists()
+
+
+DAMAGE = ("cut", "flip", "insert", "delete")
+
+
+def damaged(raw: bytes, seed: int) -> bytes:
+    """raw with one kind of damage, DAMAGE[seed % 4], at a place drawn from seed: cut
+    short there, one bit flipped, or 1 to 8 bytes inserted or deleted."""
+    rng = random.Random(seed)
+    kind, at = DAMAGE[seed % len(DAMAGE)], rng.randrange(len(raw))
+    if kind == "cut":
+        return raw[:at]
+    if kind == "flip":
+        return raw[:at] + bytes([raw[at] ^ 1 << rng.randrange(8)]) + raw[at + 1:]
+    n = rng.randint(1, 8)
+    if kind == "insert":
+        return raw[:at] + rng.randbytes(n) + raw[at:]
+    return raw[:at] + raw[at + n:]
+
+
+@pytest.fixture(scope="module")
+def corpus_embeddings(tmp_path_factory):
+    """A synth corpus, a config for it and the checkpoint of an untrained model of its
+    50-dimensional embeddings (323 lines, about 139 KB)."""
+    root = tmp_path_factory.mktemp("damage")
+    paths = generate_corpus(root / "corpus", seed=0, n_train=24, n_dev=4)
+    config = {"hidden_width": 8, "dropout": 0.0, "mode": "content",
+              "embedding_paths": [str(paths.embeddings)], "gazetteer_path": str(paths.gazetteer)}
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    _, store = H.build_model(H.TrainConfig(**config), load_embeddings([paths.embeddings]))
+    K.save_checkpoint(store, root / "model.tsq")
+    return paths, paths.embeddings.read_bytes(), str(config_path), str(root / "model.tsq")
+
+
+class TestDamagedEmbeddingFile:
+    """Seeded byte damage to a real embedding file: a cold load and the load after it
+    agree with the line-by-line reference, vectors or one-line error alike."""
+
+    def test_cold_and_sidecar_loads_match_the_reference(self, corpus_embeddings, parses):
+        paths, raw, _, _ = corpus_embeddings
+        path = paths.embeddings
+        seeds, errors = range(300), 0
+        try:
+            for seed in seeds:
+                path.write_bytes(damaged(raw, seed))
+                sidecar(path).unlink(missing_ok=True)
+                want = load_outcome(reference_load_embedding_file, path)
+                assert load_outcome(load_embedding_file, path) == want, seed
+                if want[0] == "error":
+                    errors += 1
+                    assert want[1].startswith(str(path)) and "\n" not in want[1], seed
+                    assert not sidecar(path).exists(), seed
+                assert load_outcome(load_embedding_file, path) == want, seed
+        finally:
+            path.write_bytes(raw)
+        assert 0 < errors < len(seeds)  # the seeds reach both outcomes
+        # each seed parsed once, and once more where the parse failed and left no sidecar
+        assert len(parses) == len(seeds) + errors
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_predict_exits_0_or_1_with_one_line_naming_the_file(self, corpus_embeddings,
+                                                                seed, capsys):
+        paths, raw, config, checkpoint = corpus_embeddings
+        path = paths.embeddings
+        path.write_bytes(damaged(raw, seed))
+        sidecar(path).unlink(missing_ok=True)
+        want = load_outcome(reference_load_embedding_file, path)
+        try:
+            runs = [(main(["predict", "--question", "what is the maximum points when the "
+                           "team is delta union?", "--tables", str(paths.tables),
+                           "--table-id", "players", "--checkpoint", checkpoint,
+                           "--config", config]), *capsys.readouterr())
+                    for _ in ("cold", "from the sidecar")]
+        finally:
+            path.write_bytes(raw)
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        if want[0] == "error":
+            assert (code, out, err) == (1, "", f"error: {want[1]}\n")
+        else:
+            assert (code, err) == (0, "") and out.count("\n") == 1
 
 
 class TestEmbedQuestion:
