@@ -10,7 +10,7 @@ from dataclasses import replace
 from . import harness
 from .encoder import load_embeddings
 from .executor import evaluate_dataset
-from .kernel import load_checkpoint
+from .kernel import KernelError, load_checkpoint
 from .sketch import render
 from .slots import check_type_dim
 from .tagger import MODES, Gazetteer, recognize
@@ -70,7 +70,15 @@ def _restore_model(config_path, checkpoint_path):
     config = harness.TrainConfig.from_file(config_path)
     emb = load_embeddings(config.embedding_paths)
     model, store = harness.build_model(config, emb)
-    store.load_state(load_checkpoint(checkpoint_path))
+    state = load_checkpoint(checkpoint_path)
+    try:
+        store.load_state(state)
+    except KernelError as exc:
+        word = state.get("col.col.fw.Wx")  # (4·hidden, word width): reads bare word vectors
+        width = word.shape[1] if word is not None and word.ndim == 2 else "unknown"
+        raise KernelError(f"{checkpoint_path}: does not fit the model of {config_path} (word width "
+                          f"{width}; embeddings {', '.join(config.embedding_paths)}: width "
+                          f"{emb.dim}): {exc}") from None
     gaz = Gazetteer.from_tsv(config.gazetteer_path) if config.gazetteer_path else None
     return model, gaz
 

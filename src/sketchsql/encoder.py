@@ -18,6 +18,7 @@ import mmap
 import os
 import struct
 import zlib
+from array import array
 from contextlib import suppress
 
 import numpy as np
@@ -35,46 +36,35 @@ class EmbeddingError(ValueError):
 class EmbeddingStore:
     """Frozen word vectors; unknown tokens look up as the zero vector.
 
-    The vectors stay in float64 blocks of up to CHUNK_LINES rows, and `rows` maps each
-    token to its row number: one array object a block, not a token, as an array object
-    costs about 100 bytes. Every block but the last holds the same number of rows, fixed
-    when the store is built.
-
-    A store parsed from text owns its blocks: blocks, not one (V, d) matrix, because a
-    matrix is one large allocation that cannot reuse the memory a trained model has
-    freed. A store read from a sidecar keeps the sidecar mapped read-only while it lives
-    and its blocks are views of the map, so it holds in memory only the pages its
-    lookups touch, not 8·V·d bytes. Deleting the sidecar or replacing it by rename is
-    safe; rewriting or truncating it in place kills the process with SIGBUS, and this
-    module never writes a sidecar in place.
+    `vectors` is one (V, d) float64 array and `rows` maps each token to its row. A store
+    parsed from text owns `vectors`; one read from a sidecar keeps the sidecar mapped
+    read-only while it lives and `vectors` is a view of the map, so it holds in memory
+    only the pages its lookups touch, not 8·V·d bytes. Deleting the sidecar or replacing
+    it by rename is safe; rewriting or truncating it in place kills the process with
+    SIGBUS, and this module never writes a sidecar in place.
     """
 
     def __init__(self, word_vectors: dict[str, np.ndarray], dim: int):
-        tokens = list(word_vectors)
-        self._keep(tokens, [np.array([word_vectors[t] for t in part], dtype=np.float64)
-                            for part in _parts(tokens)], dim)
+        self._keep(list(word_vectors),
+                   np.array(list(word_vectors.values()), dtype=np.float64).reshape(-1, dim))
 
     @classmethod
-    def from_blocks(cls, tokens: list[str], blocks: list[np.ndarray], dim: int):
-        """Store over `blocks`, whose rows in order belong to `tokens`; a token listed
-        twice resolves to its later row."""
+    def from_matrix(cls, tokens: list[str], vectors: np.ndarray):
+        """Store over the (V, d) `vectors`, whose rows in order belong to `tokens`; a
+        token listed twice resolves to its later row."""
         store = cls.__new__(cls)
-        store._keep(tokens, blocks, dim)
+        store._keep(tokens, vectors)
         return store
 
-    def _keep(self, tokens, blocks, dim):
+    def _keep(self, tokens, vectors):
         self.rows = dict(zip(tokens, range(len(tokens))))
-        self.blocks = blocks
-        self.dim = int(dim)
-        self._block_rows = len(blocks[0]) if blocks else 1
+        self.vectors = vectors
+        self.dim = vectors.shape[1]
         self._zero = np.zeros(self.dim)
 
     def word_vec(self, token: str) -> np.ndarray:
         row = self.rows.get(token)
-        if row is None:
-            return self._zero
-        block, i = divmod(row, self._block_rows)
-        return self.blocks[block][i]
+        return self._zero if row is None else self.vectors[row]
 
     def stack(self, tokens) -> np.ndarray:
         """(len(tokens), dim) word vectors of `tokens`, one row each."""
@@ -84,18 +74,7 @@ class EmbeddingStore:
         return token in self.rows
 
 
-# Rows of every block but the last, for a parsed store and for one built from a dict.
-# The sidecar header records it and a sidecar of another block length is not read, so
-# changing it invalidates every existing sidecar.
-CHUNK_LINES = 128
-
-
-def _parts(tokens: list[str]):
-    """`tokens` in runs of up to CHUNK_LINES, one a block."""
-    return (tokens[i:i + CHUNK_LINES] for i in range(0, len(tokens), CHUNK_LINES))
-
-
-def _line_vector(path, lineno: int, line: str, dim: int | None) -> tuple[str, np.ndarray]:
+def _line_vector(path, lineno: int, line: str, dim: int | None) -> tuple[str, list[float]]:
     """(token, vector) of one `token v1 .. vd` line, read with float(); every message
     about a bad line comes from here."""
     parts = line.split(" ")
@@ -111,46 +90,41 @@ def _line_vector(path, lineno: int, line: str, dim: int | None) -> tuple[str, np
     if dim is not None and len(values) != dim:
         raise EmbeddingError(
             f"{path}:{lineno}: dimension {len(values)} != {dim} from earlier lines")
-    return parts[0], np.array(values, dtype=np.float64)
+    return parts[0], values
 
 
-def _parse(path, binary) -> tuple[list[str], list[np.ndarray], int]:
-    """(tokens, blocks, dim) of the embedding text read from `binary`, a buffered reader
-    of path's bytes; messages name path.
+def _parse(path, binary) -> tuple[list[str], np.ndarray]:
+    """(tokens, (V, d) vectors) of the embedding text read from `binary`, a buffered
+    reader of path's bytes; messages name path.
 
     Each line goes through `_line_vector` in file order, so the first bad line, or
-    the first bytes that are not UTF-8, is the error; each run of CHUNK_LINES
-    vectors becomes one (n, d) block.
+    the first bytes that are not UTF-8, is the error; its floats are appended to one
+    array("d"), which the vectors view without a copy.
     """
     tokens: list[str] = []
-    blocks: list[np.ndarray] = []
-    vectors: list[np.ndarray] = []
+    values = array("d")
     dim = None
     for lineno, line in text_lines(path, EmbeddingError, binary):
         token, vec = _line_vector(path, lineno, line, dim)
-        dim = vec.size
+        dim = len(vec)
         tokens.append(token)
-        vectors.append(vec)
-        if len(vectors) == CHUNK_LINES:
-            blocks.append(np.array(vectors))
-            vectors = []
+        values.extend(vec)
     if dim is None:
         raise EmbeddingError(f"{path}: no embedding entries")
-    if vectors:
-        blocks.append(np.array(vectors))
-    return tokens, blocks, dim
+    return tokens, np.frombuffer(values, dtype=np.float64).reshape(-1, dim)
 
 
 # The sidecar `<file>.sketchsql-cache` holds what `_parse` made of the file's bytes: a
-# header (magic, format, the text's sha256, CHUNK_LINES, d, rows), then per block its
-# tokens' UTF-8 byte count and a CRC32 of its tokens and rows, its tokens joined by "\n"
-# (no token holds a newline) and its rows as little-endian float64.
+# header (magic, format, the text's sha256, d, rows, the tokens' UTF-8 byte count and a
+# CRC32 of every other byte of the file), the tokens joined by "\n" (no token holds a
+# newline), zero bytes up to a multiple of 8, and the rows as little-endian float64.
 CACHE_SUFFIX = ".sketchsql-cache"
 _MAGIC = b"SKSQLEMB"
-_FORMAT = 1
-_HEADER = struct.Struct("<8sI32sIIQ")
-_BLOCK = struct.Struct("<II")
+_FORMAT = 2
+_HEADER = struct.Struct("<8sI32sIQQI")
 _HASH_BYTES = 1 << 16
+# rows of a two-file merge filled per step, which bounds its temporary arrays
+_MERGE_ROWS = 4096
 
 
 class _Hashed(io.RawIOBase):
@@ -179,57 +153,40 @@ def _sha256(path) -> bytes:
 
 def _read_cache(cache: str, path) -> EmbeddingStore | None:
     """The store the sidecar `cache` holds for the bytes path holds now, or None when it
-    holds none: any sidecar that is absent, unreadable, of another format or block
-    length, made from other bytes, or fails a size or CRC check.
+    holds none: any sidecar that is absent, unreadable, of another format or size, made
+    from other bytes, or fails its CRC.
 
-    The checks read the rows through one reusable buffer; only once the whole file has
-    passed them is the same open file mapped read-only, each block a view of its rows."""
+    The CRC reads the file through one reusable buffer; only once the whole file has
+    passed the checks is the same open file mapped read-only, the vectors one view."""
     try:
         with open(cache, "rb") as fh:
             header = fh.read(_HEADER.size)
-            if len(header) != _HEADER.size:
-                return None
-            magic, version, sha, chunk_lines, dim, rows = _HEADER.unpack(header)
-            if (magic, version, chunk_lines) != (_MAGIC, _FORMAT, CHUNK_LINES) or not rows:
-                return None
-            # every count is checked against the file's size before it sizes a buffer,
-            # so a damaged count allocates nothing
+            magic, version, sha, dim, rows, text_bytes, crc = _HEADER.unpack(header)
+            # the size is checked before any count sizes a read: a damaged one allocates nothing
             size = os.fstat(fh.fileno()).st_size
-            least = _HEADER.size + -(-rows // chunk_lines) * _BLOCK.size + 8 * rows * dim
-            if least > size or sha != _sha256(path):
+            rows_at = (_HEADER.size + text_bytes + 7) // 8 * 8
+            if ((magic, version) != (_MAGIC, _FORMAT) or size != rows_at + 8 * rows * dim
+                    or sha != _sha256(path)):
                 return None
-            buffer = np.empty((min(chunk_lines, rows), dim), dtype="<f8")
-            tokens, spans = [], []
-            for start in range(0, rows, chunk_lines):
-                meta = fh.read(_BLOCK.size)
-                if len(meta) != _BLOCK.size:
-                    return None
-                text_bytes, crc = _BLOCK.unpack(meta)
-                if text_bytes > size - fh.tell():
-                    return None
-                text = fh.read(text_bytes)
-                block = buffer[:rows - start]
-                spans.append((len(block), fh.tell()))
-                if (len(text) != text_bytes or fh.readinto(block) != block.nbytes
-                        or zlib.crc32(block, zlib.crc32(text)) != crc):
-                    return None
-                part = text.decode().split("\n")
-                if len(part) != len(block):
-                    return None
-                tokens += part
-            if fh.read(1):
+            text = fh.read(text_bytes)
+            check = zlib.crc32(text, zlib.crc32(header[:-4]))
+            buffer = memoryview(bytearray(_HASH_BYTES))
+            while n := fh.readinto(buffer):
+                check = zlib.crc32(buffer[:n], check)
+            tokens = text.decode().split("\n")
+            if check != crc or len(tokens) != rows:
                 return None
             mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    except (OSError, ValueError):  # ValueError: not UTF-8, or emptied before the map
+    # struct.error: shorter than a header; ValueError: not UTF-8, or emptied before the map
+    except (OSError, ValueError, struct.error):
         return None
-    if len(mapped) != size:  # cut short since its checks: a view would reach past its end
+    if len(mapped) != size:  # cut short since its checks: the view would reach past its end
         return None
-    blocks = [np.ndarray((n, dim), "<f8", buffer=mapped, offset=at) for n, at in spans]
-    return EmbeddingStore.from_blocks(tokens, blocks, dim)
+    vectors = np.ndarray((rows, dim), "<f8", buffer=mapped, offset=rows_at)
+    return EmbeddingStore.from_matrix(tokens, vectors)
 
 
-def _write_cache(cache: str, sha: bytes, tokens: list[str], blocks: list[np.ndarray],
-                 dim: int):
+def _write_cache(cache: str, sha: bytes, tokens: list[str], vectors: np.ndarray):
     """Write the sidecar `cache` for text of digest sha, via a temporary file renamed
     into place. Best effort: a failed write is silent and removes its temporary file,
     and a non-empty file there that does not start with the magic is left alone. The
@@ -242,16 +199,17 @@ def _write_cache(cache: str, sha: bytes, tokens: list[str], blocks: list[np.ndar
         pass
     except OSError:
         return
+    text = "\n".join(tokens).encode()
+    pad = bytes(-(_HEADER.size + len(text)) % 8)
+    rows = vectors.astype("<f8", copy=False)
+    fields = (_MAGIC, _FORMAT, sha, vectors.shape[1], len(rows), len(text))
+    crc = zlib.crc32(rows, zlib.crc32(text + pad, zlib.crc32(_HEADER.pack(*fields, 0)[:-4])))
     tmp = f"{cache}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _FORMAT, sha, CHUNK_LINES, dim, len(tokens)))
-            for part, block in zip(_parts(tokens), blocks):
-                text = "\n".join(part).encode()
-                rows = block.astype("<f8", copy=False)
-                fh.write(_BLOCK.pack(len(text), zlib.crc32(rows, zlib.crc32(text))))
-                fh.write(text)
-                fh.write(rows)
+            fh.write(_HEADER.pack(*fields, crc))
+            fh.write(text + pad)
+            fh.write(rows)
         os.replace(tmp, cache)
     except BaseException as exc:
         with suppress(OSError):
@@ -264,18 +222,18 @@ def load_embedding_file(path) -> EmbeddingStore:
     """Load one embedding text file; all lines must share a dimension.
 
     The vectors come from the sidecar `<path>.sketchsql-cache` when it was made from
-    the file's exact bytes, as read-only views of its map; otherwise the text is
+    the file's exact bytes, as a read-only view of its map; otherwise the text is
     parsed (see `_parse`) and the sidecar written for the bytes the parse read, and
-    the store keeps the parse's blocks. A token on two lines resolves to the later one.
+    the store keeps the parse's array. A token on two lines resolves to the later one.
     """
     cache = os.fspath(path) + CACHE_SUFFIX
     store = _read_cache(cache, path)
     if store is None:
         with open(path, "rb", buffering=0) as raw:
             hashed = _Hashed(raw)
-            tokens, blocks, dim = _parse(path, io.BufferedReader(hashed, _HASH_BYTES))
-        _write_cache(cache, hashed.sha.digest(), tokens, blocks, dim)
-        store = EmbeddingStore.from_blocks(tokens, blocks, dim)
+            tokens, vectors = _parse(path, io.BufferedReader(hashed, _HASH_BYTES))
+        _write_cache(cache, hashed.sha.digest(), tokens, vectors)
+        store = EmbeddingStore.from_matrix(tokens, vectors)
     return store
 
 
@@ -292,8 +250,12 @@ def load_embeddings(paths) -> EmbeddingStore:
         return first
     second = load_embedding_file(paths[1])
     tokens = list(first.rows | second.rows)
-    blocks = [np.hstack([first.stack(part), second.stack(part)]) for part in _parts(tokens)]
-    return EmbeddingStore.from_blocks(tokens, blocks, first.dim + second.dim)
+    vectors = np.empty((len(tokens), first.dim + second.dim))
+    for at in range(0, len(tokens), _MERGE_ROWS):
+        part = tokens[at:at + _MERGE_ROWS]
+        vectors[at:at + len(part), :first.dim] = first.stack(part)
+        vectors[at:at + len(part), first.dim:] = second.stack(part)
+    return EmbeddingStore.from_matrix(tokens, vectors)
 
 
 # ---------------------------------------------------------------------------

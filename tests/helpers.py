@@ -1,5 +1,7 @@
-"""Shared fixtures: the worked-example table/question, a small gazetteer, and the
-finite-difference gradient oracle."""
+"""Shared fixtures: the worked-example table/question, a small gazetteer, seeded byte
+damage, and the finite-difference gradient oracle."""
+
+import random
 
 import numpy as np
 
@@ -52,6 +54,24 @@ def demo_gazetteer() -> Gazetteer:
         ("red sox", "organization"),
         ("baseball", "sport"),
     ])
+
+
+DAMAGE = ("cut", "flip", "insert", "delete")
+
+
+def damaged(raw: bytes, seed: int) -> bytes:
+    """raw with one kind of damage, DAMAGE[seed % 4], at a place drawn from seed: cut
+    short there, one bit flipped, or 1 to 8 bytes inserted or deleted."""
+    rng = random.Random(seed)
+    kind, at = DAMAGE[seed % len(DAMAGE)], rng.randrange(len(raw))
+    if kind == "cut":
+        return raw[:at]
+    if kind == "flip":
+        return raw[:at] + bytes([raw[at] ^ 1 << rng.randrange(8)]) + raw[at + 1:]
+    n = rng.randint(1, 8)
+    if kind == "insert":
+        return raw[:at] + rng.randbytes(n) + raw[at:]
+    return raw[:at] + raw[at + n:]
 
 
 def with_inf_backward(op):

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from helpers import (MAGAZINE_CONTENT_TAGS, MAGAZINE_GOLD_SQL,
-                     MAGAZINE_INSENSITIVE_TAGS, MAGAZINE_QUESTION, magazine_table,
+                     MAGAZINE_INSENSITIVE_TAGS, MAGAZINE_QUESTION, damaged, magazine_table,
                      with_inf_backward)
 from sketchsql import harness as H
 from sketchsql import kernel as K
@@ -171,6 +171,63 @@ def one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     return err
+
+
+def restore_args(paths, command):
+    """Arguments of `eval --checkpoint` or `predict` on the corpus's first dev question,
+    without the checkpoint and the config."""
+    if command == "eval":
+        return ["eval", "--examples", str(paths.dev), "--tables", str(paths.tables)]
+    [example, *_], _ = H.load_dataset(paths.dev, paths.tables)
+    return ["predict", "--question", example.question, "--tables", str(paths.tables),
+            "--table-id", example.table_id]
+
+
+class TestCheckpointAgainstItsModel:
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_other_word_width_names_checkpoint_embeddings_and_widths(
+            self, untrained_checkpoint, tmp_path, command, capsys):
+        paths, config, checkpoint = untrained_checkpoint
+        narrow = tmp_path / "narrow.txt"  # every line cut to its first 3 numbers
+        narrow.write_text("".join(" ".join(line.split(" ")[:4]) + "\n" for line in
+                                  paths.embeddings.read_text(encoding="utf-8").splitlines()),
+                          encoding="utf-8")
+        narrow_config = tmp_path / "narrow.json"
+        narrow_config.write_text(json.dumps(dict(json.loads(open(config).read()),
+                                                 embedding_paths=[str(narrow)])),
+                                 encoding="utf-8")
+        code = main([*restore_args(paths, command), "--checkpoint", checkpoint,
+                     "--config", str(narrow_config)])
+        assert code == 1
+        err = one_line_error(capsys)
+        assert err.startswith(f"error: {checkpoint}: does not fit the model of {narrow_config} "
+                              f"(word width 50; embeddings {narrow}: width 3): shape mismatch "
+                              "for "), err
+
+
+class TestDamagedCheckpoint:
+    """Seeded byte damage to a width-8 checkpoint (a slice of the fault-injection sweep):
+    each run exits 0, or exits 1 with one stderr line that names the checkpoint."""
+
+    def test_eval_and_predict_exit_0_or_one_line_naming_it(self, untrained_checkpoint,
+                                                           tmp_path, capsys):
+        paths, config, checkpoint = untrained_checkpoint
+        raw = open(checkpoint, "rb").read()
+        path = tmp_path / "damaged.tsq"
+        runs = [restore_args(paths, command) for command in ("eval", "predict")]
+        codes = []
+        for seed in range(300):
+            path.write_bytes(damaged(raw, seed))
+            for args in runs:
+                codes.append(main([*args, "--checkpoint", str(path), "--config", config]))
+                out, err = capsys.readouterr()
+                if codes[-1] == 0:
+                    assert err == "" and out.count("\n") == 1, (seed, args[0], err)
+                else:
+                    assert codes[-1] == 1 and out == "", (seed, args[0], codes[-1])
+                    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, (
+                        seed, args[0], err)
+        assert codes.count(1) > len(codes) // 2  # nearly every damage is found
 
 
 class TestReadersNameTheirFile:

@@ -1,6 +1,5 @@
 import errno
 import json
-import math
 import mmap
 import os
 import random
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import demo_gazetteer, magazine_table
+from helpers import damaged, demo_gazetteer, magazine_table
 from reference_impls import reference_load_embedding_file
 from sketchsql import encoder
 from sketchsql import harness as H
@@ -77,7 +76,7 @@ class TestEmbeddingFiles:
         np.testing.assert_array_equal(emb.word_vec("cat")[50:], 2.0)
 
     def test_token_in_one_file_zero_padded(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(encoder, "CHUNK_LINES", 2)  # the merged rows span blocks
+        monkeypatch.setattr(encoder, "_MERGE_ROWS", 2)  # the merge fills its rows in runs
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         write_emb(a, [("cat", [1.0, 1.5]), ("dog", [2.0, 2.5]), ("emu", [3.0, 3.5])])
         write_emb(b, [("emu", [7.0]), ("fox", [8.0]), ("cat", [9.0])])
@@ -89,8 +88,7 @@ class TestEmbeddingFiles:
             t: np.array(vec).tobytes() for t, vec in want.items()}
 
     @pytest.mark.parametrize("later", ["9", "9_0"], ids=["decimal", "underscored"])
-    def test_token_on_two_lines_takes_the_later(self, tmp_path, monkeypatch, later):
-        monkeypatch.setattr(encoder, "CHUNK_LINES", 2)  # the lines fall in two blocks
+    def test_token_on_two_lines_takes_the_later(self, tmp_path, later):
         p = tmp_path / "a.txt"
         p.write_text(f"cat 1\ndog 2\nemu 3\ncat {later}\n", encoding="utf-8")
         emb = load_embedding_file(p)
@@ -169,8 +167,7 @@ def random_embedding_text(rng: random.Random) -> str:
 
 
 class TestEmbeddingFileLoaders:
-    def test_random_files_load_as_the_line_by_line_reference(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(encoder, "CHUNK_LINES", 3)
+    def test_random_files_load_as_the_line_by_line_reference(self, tmp_path):
         rng = random.Random(1313)
         path = tmp_path / "e.txt"
         with warnings.catch_warnings():
@@ -192,26 +189,27 @@ class TestEmbeddingFileLoaders:
         outcome = load_outcome(load_embedding_file, path)
         assert outcome[0] == 7 and len(outcome[1]) == 1300
         assert outcome == load_outcome(reference_load_embedding_file, path)
-        # one array per block of lines, not one per token: every vector is a block's row
-        emb = load_embedding_file(path)
-        assert len(emb.blocks) == math.ceil(1300 / encoder.CHUNK_LINES)
-        assert ({id(emb.word_vec(token).base) for token in emb.rows}
-                == {id(block) for block in emb.blocks})
+        # one (V, d) array, not one per token: every vector is one of its rows, parsed
+        # and then mapped from the sidecar
+        for emb in (load_embedding_file(path), load_embedding_file(path)):
+            assert emb.vectors.shape == (1300, 7)
+            assert all(np.shares_memory(emb.word_vec(token), emb.vectors) for token in emb.rows)
 
-    @pytest.mark.parametrize("chunk_lines", [4, 6, 128])
-    def test_dict_and_file_stores_look_up_the_same_bytes(self, tmp_path, monkeypatch,
-                                                         chunk_lines):
-        monkeypatch.setattr(encoder, "CHUNK_LINES", chunk_lines)
-        vectors = tiny_vectors(dim=5)
+    @pytest.mark.parametrize("vocab", [4, 6, 128])
+    def test_dict_and_file_stores_look_up_the_same_bytes(self, tmp_path, vocab):
+        """A store built from a dict, one parsed from text and one mapped from the
+        sidecar hold the same bytes, for vocabularies of a few tokens and of many."""
+        vectors = tiny_vectors(dim=5, tokens=[f"w{i}" for i in range(vocab)])
         path = tmp_path / "e.txt"
         write_emb(path, vectors.items())
-        from_file, from_dict = load_embedding_file(path), EmbeddingStore(vectors, 5)
-        assert len(from_dict.blocks) == len(from_file.blocks) == math.ceil(6 / chunk_lines)
-        monkeypatch.undo()  # a store keeps the block length it was built with
-        for token in [*vectors, "zzz"]:
-            want = vectors.get(token, np.zeros(5)).tobytes()
-            assert from_file.word_vec(token).tobytes() == want
-            assert from_dict.word_vec(token).tobytes() == want
+        from_dict = EmbeddingStore(vectors, 5)
+        parsed, from_sidecar = load_embedding_file(path), load_embedding_file(path)
+        assert not mapped(parsed) and mapped(from_sidecar)
+        for store in (from_dict, parsed, from_sidecar):
+            assert store.vectors.shape == (vocab, 5)
+            for token in [*vectors, "zzz"]:
+                want = vectors.get(token, np.zeros(5)).tobytes()
+                assert store.word_vec(token).tobytes() == want
 
     def test_two_spaces_are_an_empty_field(self, tmp_path):
         """A run of spaces is not one delimiter: the empty field between them is not a
@@ -241,22 +239,22 @@ def sidecar(path) -> Path:
 
 
 def mapped(store) -> bool:
-    """Whether the store's blocks are read-only views of one map of its sidecar (a
-    sidecar load) rather than arrays that own their writable memory (a parse)."""
-    if all(b.flags.owndata and b.flags.writeable for b in store.blocks):
+    """Whether the store's vectors are a read-only view of a map of its sidecar (a
+    sidecar load) rather than writable memory of its own (a parse or a merge)."""
+    if store.vectors.flags.writeable:
         return False
-    assert len({id(b.base) for b in store.blocks}) == 1
-    assert all(isinstance(b.base, mmap.mmap) and not b.flags.writeable for b in store.blocks)
+    assert isinstance(store.vectors.base, mmap.mmap)
     return True
 
 
 def snapshot(store):
-    """All a store holds: its index, width and block length, each block's shape, dtype
-    and bytes, and the vector bytes of every token and of an unknown one. Its blocks
-    must either all own their memory or all be read-only views of one map (`mapped`)."""
+    """All a store holds: its index, width, the shape, dtype and bytes of its vectors,
+    and the vector bytes of every token and of an unknown one. Its vectors must be
+    8-byte aligned and either writable or a read-only view of a map (`mapped`)."""
     mapped(store)
-    return (dict(store.rows), store.dim, store._block_rows,
-            [(b.shape, b.dtype.str, b.tobytes()) for b in store.blocks],
+    assert store.vectors.ctypes.data % 8 == 0
+    return (dict(store.rows), store.dim,
+            (store.vectors.shape, store.vectors.dtype.str, store.vectors.tobytes()),
             {t: store.word_vec(t).tobytes() for t in [*store.rows, "not a token"]})
 
 
@@ -293,8 +291,8 @@ class FullDisk:
         return self.fh.write(data)
 
 
-# Read with blocks of 2 lines. "float" holds spellings float() reads (9_0, 1e3, -0) in
-# both blocks; "odd tokens" holds non-ASCII, empty and control-character tokens.
+# "float" holds spellings float() reads (9_0, 1e3, -0); "odd tokens" holds non-ASCII,
+# empty and control-character tokens.
 SIDECAR_TEXTS = {
     "plain": "".join(f"w{i} {i / 7:.5f} {-i / 3:.5f}\n" for i in range(11)),
     "duplicate": "cat 1 2\ndog 3 4\nemu 5 6\ncat 7 8\n",
@@ -306,10 +304,6 @@ SIDECAR_TEXTS = {
 class TestSidecar:
     """`<file>.sketchsql-cache` holds the parse of the file's exact bytes; a load that
     cannot use it parses the text, and a load never differs from the parse."""
-
-    @pytest.fixture(autouse=True)
-    def blocks_of_two(self, monkeypatch):
-        monkeypatch.setattr(encoder, "CHUNK_LINES", 2)
 
     @pytest.mark.parametrize("kind", list(SIDECAR_TEXTS))
     def test_second_load_reads_the_sidecar(self, tmp_path, parses, kind):
@@ -325,11 +319,11 @@ class TestSidecar:
         path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
         parsed = load_embedding_file(path)
         assert not mapped(parsed)
-        parsed.blocks[0][0, 0] = 1.0  # a parse's blocks are its own, writable arrays
+        parsed.vectors[0, 0] = 1.0  # a parse's vectors are its own, writable array
         store = load_embedding_file(path)
         assert mapped(store)
         before = snapshot(store)
-        for write in (lambda: store.blocks[-1].__setitem__((0, 0), 1.0),
+        for write in (lambda: store.vectors.__setitem__((-1, 0), 1.0),
                       lambda: store.word_vec("w0").__iadd__(1.0)):
             with pytest.raises(ValueError, match="read-only"):
                 write()
@@ -414,8 +408,21 @@ class TestSidecar:
         sidecar_path.write_bytes(bytes(data))
 
     @staticmethod
-    def other_block_length(path, text, sidecar_path):
-        encoder.CHUNK_LINES = 3  # the autouse fixture's monkeypatch restores it
+    def format_1(path, text, sidecar_path):
+        """The same bytes, labelled as the format that kept the rows in blocks."""
+        data = bytearray(sidecar_path.read_bytes())
+        data[8:12] = struct.pack("<I", 1)
+        sidecar_path.write_bytes(bytes(data))
+
+    @staticmethod
+    def token_bytes_into_padding(path, text, sidecar_path):
+        """One more token byte, read from the padding: the size and the bytes after the
+        header stay the same, so only the header's share of the CRC tells."""
+        data = bytearray(sidecar_path.read_bytes())
+        [count] = struct.unpack_from("<Q", data, 56)
+        assert (encoder._HEADER.size + count) % 8  # the padding holds a byte to read
+        struct.pack_into("<Q", data, 56, count + 1)
+        sidecar_path.write_bytes(bytes(data))
 
     @staticmethod
     def empty(path, text, sidecar_path):
@@ -423,7 +430,7 @@ class TestSidecar:
 
     @pytest.mark.parametrize("damage", ["change_text", "change_text_keep_size_and_mtime",
                                         "cut_short", "one_byte_longer", "other_format",
-                                        "other_block_length", "empty"])
+                                        "format_1", "token_bytes_into_padding", "empty"])
     def test_unusable_sidecar_is_rebuilt_from_the_text(self, tmp_path, parses, damage):
         path = tmp_path / "e.txt"
         text = SIDECAR_TEXTS["duplicate"]
@@ -435,8 +442,21 @@ class TestSidecar:
         fresh.write_bytes(path.read_bytes())
         want = snapshot(load_embedding_file(fresh))
         assert snapshot(load_embedding_file(path)) == want
-        assert snapshot(load_embedding_file(path)) == want
+        store = load_embedding_file(path)
+        assert mapped(store) and snapshot(store) == want
         assert parses == [path, fresh, path]  # the rebuilt sidecar serves the last load
+
+    @pytest.mark.parametrize("token_bytes", range(1, 9))
+    def test_parsed_and_mapped_vectors_are_8_byte_aligned(self, tmp_path, token_bytes):
+        """Whatever the tokens' byte count, zero padding puts the rows on 8 bytes."""
+        path = tmp_path / "e.txt"
+        path.write_text(f"{'a' * token_bytes} 1 2\n", encoding="utf-8")
+        for want_mapped in (False, True):
+            store = load_embedding_file(path)
+            assert mapped(store) == want_mapped
+            assert store.vectors.ctypes.data % 8 == 0
+        size = encoder._HEADER.size + token_bytes
+        assert os.path.getsize(sidecar(path)) == -(-size // 8) * 8 + 16
 
     def test_every_flipped_byte_after_the_magic_is_rebuilt(self, tmp_path, parses):
         path = tmp_path / "e.txt"
@@ -455,8 +475,7 @@ class TestSidecar:
         path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
         want = snapshot(load_embedding_file(path))
         data = bytearray(sidecar(path).read_bytes())
-        at, width = {"rows": (encoder._HEADER.size - 8, 8), "dim": (encoder._HEADER.size - 12, 4),
-                     "token bytes": (encoder._HEADER.size, 4)}[field]
+        at, width = {"dim": (44, 4), "rows": (48, 8), "token bytes": (56, 8)}[field]
         data[at:at + width] = b"\xff" * width
         sidecar(path).write_bytes(bytes(data))
         tracemalloc.start()
@@ -527,24 +546,6 @@ class TestSidecar:
             assert sidecar(path).read_bytes() == before
         else:
             assert not sidecar(path).exists()
-
-
-DAMAGE = ("cut", "flip", "insert", "delete")
-
-
-def damaged(raw: bytes, seed: int) -> bytes:
-    """raw with one kind of damage, DAMAGE[seed % 4], at a place drawn from seed: cut
-    short there, one bit flipped, or 1 to 8 bytes inserted or deleted."""
-    rng = random.Random(seed)
-    kind, at = DAMAGE[seed % len(DAMAGE)], rng.randrange(len(raw))
-    if kind == "cut":
-        return raw[:at]
-    if kind == "flip":
-        return raw[:at] + bytes([raw[at] ^ 1 << rng.randrange(8)]) + raw[at + 1:]
-    n = rng.randint(1, 8)
-    if kind == "insert":
-        return raw[:at] + rng.randbytes(n) + raw[at:]
-    return raw[:at] + raw[at + n:]
 
 
 @pytest.fixture(scope="module")
