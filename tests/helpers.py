@@ -1,6 +1,7 @@
 """Shared fixtures: the worked-example table/question, a small gazetteer, seeded byte
-damage, and the finite-difference gradient oracle."""
+and JSON-value damage, and the finite-difference gradient oracle."""
 
+import json
 import random
 
 import numpy as np
@@ -72,6 +73,35 @@ def damaged(raw: bytes, seed: int) -> bytes:
     if kind == "insert":
         return raw[:at] + rng.randbytes(n) + raw[at:]
     return raw[:at] + raw[at + n:]
+
+
+# [0, 0]: a condition of two parts where three belong
+HOSTILE = (10**30, [], None, -0.0, "\u00e9", [0, 0])
+
+
+def json_slots(value):
+    """(container, key) of every value nested in a parsed JSON value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, inner in list(items):
+        yield value, key
+        yield from json_slots(inner)
+
+
+def hostile(raw: str, seed: int) -> str:
+    """raw, JSON lines, with one value of one line drawn from seed replaced by one of
+    HOSTILE, or, for about one seed in five, one key of an object dropped."""
+    rng = random.Random(seed)
+    lines = raw.splitlines()
+    at = rng.randrange(len(lines))
+    record = json.loads(lines[at])
+    container, key = rng.choice(list(json_slots(record)))
+    if isinstance(container, dict) and rng.random() < 0.2:
+        del container[key]
+    else:
+        container[key] = rng.choice(HOSTILE)
+    lines[at] = json.dumps(record, ensure_ascii=False)
+    return "\n".join(lines) + "\n"
 
 
 def with_inf_backward(op):

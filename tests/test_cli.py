@@ -4,8 +4,8 @@ import re
 import pytest
 
 from helpers import (MAGAZINE_CONTENT_TAGS, MAGAZINE_GOLD_SQL,
-                     MAGAZINE_INSENSITIVE_TAGS, MAGAZINE_QUESTION, damaged, magazine_table,
-                     with_inf_backward)
+                     MAGAZINE_INSENSITIVE_TAGS, MAGAZINE_QUESTION, damaged, hostile,
+                     magazine_table, with_inf_backward)
 from sketchsql import harness as H
 from sketchsql import kernel as K
 from sketchsql.cli import main
@@ -173,6 +173,19 @@ def one_line_error(capsys) -> str:
     return err
 
 
+def exit_0_or_one_line_naming(argv, capsys, *names) -> int:
+    """Run main(argv): it exits 0 with one line on stdout and nothing on stderr, or exits
+    1 with nothing on stdout and one stderr line that starts with one of `names`."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and out.count("\n") == 1, (argv, err)
+    else:
+        assert code == 1 and out == "" and err.count("\n") == 1, (argv, code, err)
+        assert any(err.startswith(f"error: {name}") for name in names), (argv, err)
+    return code
+
+
 def restore_args(paths, command):
     """Arguments of `eval --checkpoint` or `predict` on the corpus's first dev question,
     without the checkpoint and the config."""
@@ -219,15 +232,58 @@ class TestDamagedCheckpoint:
         for seed in range(300):
             path.write_bytes(damaged(raw, seed))
             for args in runs:
-                codes.append(main([*args, "--checkpoint", str(path), "--config", config]))
-                out, err = capsys.readouterr()
-                if codes[-1] == 0:
-                    assert err == "" and out.count("\n") == 1, (seed, args[0], err)
-                else:
-                    assert codes[-1] == 1 and out == "", (seed, args[0], codes[-1])
-                    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, (
-                        seed, args[0], err)
+                codes.append(exit_0_or_one_line_naming(
+                    [*args, "--checkpoint", str(path), "--config", config], capsys, f"{path}: "))
         assert codes.count(1) > len(codes) // 2  # nearly every damage is found
+
+
+class TestDamagedInputFiles:
+    """Slices of the fault-injection sweep over the input files: seeded byte damage to
+    the gazetteer, and hostile JSON values in the dev and tables files. Every seed runs
+    the commands that load no model; those that restore the checkpoint, which costs
+    about 12 ms a run, take turns over the seeds."""
+
+    @staticmethod
+    def model_runs(paths, config, checkpoint):
+        return [[*restore_args(paths, command), "--checkpoint", checkpoint, "--config", config]
+                for command in ("eval", "predict")]
+
+    def test_gazetteer_bytes(self, untrained_checkpoint, capsys):
+        paths, config, checkpoint = untrained_checkpoint
+        gazetteer = paths.gazetteer
+        raw = gazetteer.read_bytes()
+        tag = ["tag", *restore_args(paths, "predict")[1:], "--mode", "content",
+               "--gazetteer", str(gazetteer)]
+        model_runs = self.model_runs(paths, config, checkpoint)
+        codes = []
+        try:
+            for seed in range(300):
+                gazetteer.write_bytes(damaged(raw, seed))
+                for argv in (tag, model_runs[seed % 2]):
+                    codes.append(exit_0_or_one_line_naming(argv, capsys, gazetteer))
+        finally:
+            gazetteer.write_bytes(raw)
+        assert 0 < codes.count(1) < len(codes)  # the seeds reach both outcomes
+
+    @pytest.mark.parametrize("damaged_file", ["dev", "tables"])
+    def test_hostile_json_values(self, untrained_checkpoint, capsys, damaged_file):
+        paths, config, checkpoint = untrained_checkpoint
+        path = getattr(paths, damaged_file)
+        raw = path.read_text(encoding="utf-8")
+        cheap_runs = [[*restore_args(paths, "eval"), "--preds", str(paths.dev)],
+                      ["tag", *restore_args(paths, "predict")[1:], "--mode", "content"]]
+        model_runs = self.model_runs(paths, config, checkpoint)
+        # a damaged table may fail where a dev example refers to it
+        names = [path] if damaged_file == "dev" else [path, paths.dev]
+        codes = []
+        try:
+            for seed in range(150):
+                path.write_text(hostile(raw, seed), encoding="utf-8")
+                for argv in (*cheap_runs, model_runs[seed % 2]):
+                    codes.append(exit_0_or_one_line_naming(argv, capsys, *names))
+        finally:
+            path.write_text(raw, encoding="utf-8")
+        assert 0 < codes.count(1) < len(codes)
 
 
 class TestReadersNameTheirFile:

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import mmap
 import os
@@ -6,6 +7,7 @@ import random
 import struct
 import tracemalloc
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +94,7 @@ class TestEmbeddingFiles:
         p = tmp_path / "a.txt"
         p.write_text(f"cat 1\ndog 2\nemu 3\ncat {later}\n", encoding="utf-8")
         emb = load_embedding_file(p)
-        assert list(emb.rows) == ["cat", "dog", "emu"]
+        assert emb.tokens() == ["cat", "dog", "emu"]
         np.testing.assert_array_equal(emb.word_vec("cat"), [float(later)])
         np.testing.assert_array_equal(emb.word_vec("dog"), [2.0])
 
@@ -130,7 +132,7 @@ def load_outcome(load, path):
     except EmbeddingError as exc:
         return "error", str(exc)
     if isinstance(loaded, EmbeddingStore):
-        loaded = {token: loaded.word_vec(token) for token in loaded.rows}, loaded.dim
+        loaded = {token: loaded.word_vec(token) for token in loaded.tokens()}, loaded.dim
     vectors, dim = loaded
     return dim, [(token, vec.shape, vec.tobytes()) for token, vec in vectors.items()]
 
@@ -193,7 +195,8 @@ class TestEmbeddingFileLoaders:
         # and then mapped from the sidecar
         for emb in (load_embedding_file(path), load_embedding_file(path)):
             assert emb.vectors.shape == (1300, 7)
-            assert all(np.shares_memory(emb.word_vec(token), emb.vectors) for token in emb.rows)
+            assert all(np.shares_memory(emb.word_vec(token), emb.vectors)
+                       for token in emb.tokens())
 
     @pytest.mark.parametrize("vocab", [4, 6, 128])
     def test_dict_and_file_stores_look_up_the_same_bytes(self, tmp_path, vocab):
@@ -239,23 +242,29 @@ def sidecar(path) -> Path:
 
 
 def mapped(store) -> bool:
-    """Whether the store's vectors are a read-only view of a map of its sidecar (a
-    sidecar load) rather than writable memory of its own (a parse or a merge)."""
-    if store.vectors.flags.writeable:
+    """Whether the store's vectors and key table are read-only views of a map of its
+    sidecar (a sidecar load) rather than writable memory of its own (a parse or a
+    merge)."""
+    arrays = (store.vectors, store.keys, store.key_rows, store.key_starts)
+    if all(array.flags.writeable for array in arrays):
         return False
-    assert isinstance(store.vectors.base, mmap.mmap)
+    assert all(isinstance(array.base, mmap.mmap) for array in arrays)
     return True
 
 
 def snapshot(store):
-    """All a store holds: its index, width, the shape, dtype and bytes of its vectors,
-    and the vector bytes of every token and of an unknown one. Its vectors must be
-    8-byte aligned and either writable or a read-only view of a map (`mapped`)."""
+    """All a store holds: its tokens, width, the shape, dtype and bytes of its vectors
+    and of its key table, and the vector bytes of every token and of an unknown one. Its
+    arrays must be 8-byte aligned and either writable or read-only views of a map
+    (`mapped`)."""
     mapped(store)
-    assert store.vectors.ctypes.data % 8 == 0
-    return (dict(store.rows), store.dim,
-            (store.vectors.shape, store.vectors.dtype.str, store.vectors.tobytes()),
-            {t: store.word_vec(t).tobytes() for t in [*store.rows, "not a token"]})
+    assert all(array.ctypes.data % 8 == 0
+               for array in (store.vectors, store.key_rows, store.key_starts))
+    tokens = store.tokens()
+    return (tokens, store.dim,
+            [(array.shape, array.dtype.str, array.tobytes())
+             for array in (store.vectors, store.keys, store.key_rows, store.key_starts)],
+            {t: store.word_vec(t).tobytes() for t in [*tokens, "not a token"]})
 
 
 @pytest.fixture
@@ -299,6 +308,24 @@ SIDECAR_TEXTS = {
     "float": "cat 1 2\ndog 9_0 4\nemu 5 6\nfox 1e3 -0\n",
     "odd tokens": "caf\u00e9 1 2\n\u732b 3 4\n 5 6\nx\x1cy\u2028z 7 8\n\n\nlast 9 9\n",
 }
+
+
+FORMAT_2_HEADER = struct.Struct("<8sI32sIQQI")
+
+
+def format_2_sidecar(path) -> bytes:
+    """The format-2 sidecar of an embedding file of plain lines: the header (magic,
+    format 2, sha256, d, rows, token bytes, a CRC32 of every other byte), the tokens
+    joined by "\n", zero bytes up to a multiple of 8 and the rows as <f8."""
+    raw = path.read_bytes()
+    lines = [line.split(" ") for line in raw.decode().splitlines() if line.strip()]
+    text = "\n".join(line[0] for line in lines).encode()
+    rows = np.array([[float(x) for x in line[1:]] for line in lines], "<f8")
+    fields = (encoder._MAGIC, 2, hashlib.sha256(raw).digest(), rows.shape[1], len(rows),
+              len(text))
+    body = text + bytes(-(FORMAT_2_HEADER.size + len(text)) % 8) + rows.tobytes()
+    crc = zlib.crc32(body, zlib.crc32(FORMAT_2_HEADER.pack(*fields, 0)[:-4]))
+    return FORMAT_2_HEADER.pack(*fields, crc) + body
 
 
 class TestSidecar:
@@ -415,6 +442,12 @@ class TestSidecar:
         sidecar_path.write_bytes(bytes(data))
 
     @staticmethod
+    def format_2(path, text, sidecar_path):
+        """A sidecar of format 2 for the same bytes, as the store without a key table
+        wrote it: a shorter header, the token text, padding and the rows, and no keys."""
+        sidecar_path.write_bytes(format_2_sidecar(path))
+
+    @staticmethod
     def token_bytes_into_padding(path, text, sidecar_path):
         """One more token byte, read from the padding: the size and the bytes after the
         header stay the same, so only the header's share of the CRC tells."""
@@ -430,7 +463,8 @@ class TestSidecar:
 
     @pytest.mark.parametrize("damage", ["change_text", "change_text_keep_size_and_mtime",
                                         "cut_short", "one_byte_longer", "other_format",
-                                        "format_1", "token_bytes_into_padding", "empty"])
+                                        "format_1", "format_2", "token_bytes_into_padding",
+                                        "empty"])
     def test_unusable_sidecar_is_rebuilt_from_the_text(self, tmp_path, parses, damage):
         path = tmp_path / "e.txt"
         text = SIDECAR_TEXTS["duplicate"]
@@ -446,6 +480,20 @@ class TestSidecar:
         assert mapped(store) and snapshot(store) == want
         assert parses == [path, fresh, path]  # the rebuilt sidecar serves the last load
 
+    def test_format_2_checks_turn_format_3_away(self, tmp_path):
+        """Format 2's reader compared the magic and format, then the file's size with
+        the one its header implies: a format-3 sidecar fails both, so a reader of format
+        2 parses the text and renames its own sidecar into place, as this one does with a
+        sidecar of format 2 (`test_unusable_sidecar_is_rebuilt_from_the_text`)."""
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        load_embedding_file(path)
+        data = sidecar(path).read_bytes()
+        magic, version, _, dim, rows, text_bytes, _ = FORMAT_2_HEADER.unpack_from(data)
+        assert (magic, version) == (encoder._MAGIC, 3)
+        assert len(data) != (FORMAT_2_HEADER.size + text_bytes + 7) // 8 * 8 + 8 * rows * dim
+        assert len(format_2_sidecar(path)) < len(data)
+
     @pytest.mark.parametrize("token_bytes", range(1, 9))
     def test_parsed_and_mapped_vectors_are_8_byte_aligned(self, tmp_path, token_bytes):
         """Whatever the tokens' byte count, zero padding puts the rows on 8 bytes."""
@@ -456,7 +504,8 @@ class TestSidecar:
             assert mapped(store) == want_mapped
             assert store.vectors.ctypes.data % 8 == 0
         size = encoder._HEADER.size + token_bytes
-        assert os.path.getsize(sidecar(path)) == -(-size // 8) * 8 + 16
+        # the rows (2 float64) and one key with its row and start (two int64)
+        assert os.path.getsize(sidecar(path)) == -(-size // 8) * 8 + 16 + encoder._KEY_BYTES + 16
 
     def test_every_flipped_byte_after_the_magic_is_rebuilt(self, tmp_path, parses):
         path = tmp_path / "e.txt"
@@ -469,13 +518,14 @@ class TestSidecar:
             assert sidecar(path).read_bytes() == good, i
         assert len(parses) == 1 + len(good) - len(encoder._MAGIC)
 
-    @pytest.mark.parametrize("field", ["rows", "dim", "token bytes"])
+    @pytest.mark.parametrize("field", ["rows", "dim", "token bytes", "keys", "key width"])
     def test_damaged_count_allocates_nothing(self, tmp_path, field):
         path = tmp_path / "e.txt"
         path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
         want = snapshot(load_embedding_file(path))
         data = bytearray(sidecar(path).read_bytes())
-        at, width = {"dim": (44, 4), "rows": (48, 8), "token bytes": (56, 8)}[field]
+        at, width = {"dim": (44, 4), "rows": (48, 8), "token bytes": (56, 8), "keys": (64, 8),
+                     "key width": (72, 4)}[field]
         data[at:at + width] = b"\xff" * width
         sidecar(path).write_bytes(bytes(data))
         tracemalloc.start()
@@ -546,6 +596,118 @@ class TestSidecar:
             assert sidecar(path).read_bytes() == before
         else:
             assert not sidecar(path).exists()
+
+
+KEY = encoder._KEY_BYTES
+PREFIX = "p" * KEY
+# tokens around the key width: ones as long as a key or longer that share its prefix and
+# differ after it, in length or in trailing NUL bytes; short ones that end in NUL bytes;
+# non-ASCII ones on both sides of the width; the empty token; and one short and one long
+# token on two lines each (the later line holds)
+KEY_TABLE_TOKENS = [PREFIX + "a", PREFIX, "cat", PREFIX + "b", PREFIX + "ab", PREFIX[:-1],
+                    PREFIX + "\0", PREFIX + "\0\0", "cat\0", "cat\0\0", "\0", "", "caf\u00e9",
+                    "\u732b" * 5, "\u732b" * 6, "\u00e9" * 8, "\u00e9" * 7 + "e", "cat",
+                    PREFIX + "a", "z" * 300]
+ABSENT = [PREFIX + "c", PREFIX + "a\0", PREFIX + "abc", PREFIX[:-2], "ca", "cat\0\0\0",
+          "\0\0", "\u732b" * 7, "\u732b" * 4, "\u00e9" * 9, "z" * 299, "z" * 301, "\ud800",
+          "p" * 1000, "\uffff"]
+
+
+class TestKeyTable:
+    """Parsed, mapped and dict-built stores look tokens up in a sorted key table, and
+    each gives the line-by-line reference's bytes for every token and none for others."""
+
+    @pytest.fixture
+    def key_file(self, tmp_path):
+        path = tmp_path / "keys.txt"
+        path.write_text("".join(f"{token} {i} {-i / 4}\n"
+                                for i, token in enumerate(KEY_TABLE_TOKENS)), encoding="utf-8")
+        return path
+
+    def test_every_store_looks_up_the_reference_bytes(self, key_file, parses):
+        vectors, dim = reference_load_embedding_file(key_file)
+        assert len(vectors) == len(KEY_TABLE_TOKENS) - 2  # two tokens are on two lines
+        parsed, from_sidecar = load_embedding_file(key_file), load_embedding_file(key_file)
+        assert parses == [key_file] and not mapped(parsed) and mapped(from_sidecar)
+        probes = [*vectors, *ABSENT]
+        want = [vectors.get(t, np.zeros(dim)).tobytes() for t in probes]
+        for store in (parsed, from_sidecar, EmbeddingStore(vectors, dim)):
+            assert store.tokens() == list(vectors)
+            assert [store.word_vec(t).tobytes() for t in probes] == want
+            assert [row.tobytes() for row in store.stack(probes)] == want
+            assert [t in store for t in probes] == [t in vectors for t in probes]
+        assert snapshot(parsed) == snapshot(from_sidecar)
+
+    def test_keys_are_sorted_fixed_width_and_one_per_short_token(self, key_file):
+        store = load_embedding_file(key_file)
+        assert store.keys.dtype == np.dtype(f"S{KEY}")
+        assert list(store.keys) == sorted(store.keys)
+        # the short token on two lines has one key, the long one a key per line
+        assert len(store.keys) == len(KEY_TABLE_TOKENS) - 1
+        assert store.word_vec("cat").tolist() == [17.0, -17 / 4]
+        assert store.word_vec(PREFIX + "a").tolist() == [18.0, -18 / 4]
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7, 64, 1 << 16])
+    def test_tokens_decode_in_pieces(self, key_file, monkeypatch, piece):
+        vectors, _ = reference_load_embedding_file(key_file)
+        load_embedding_file(key_file)
+        monkeypatch.setattr(encoder, "_PIECE_BYTES", piece)
+        decoded = []
+
+        class Text(bytes):
+            """Token text that records the length of each slice taken of it."""
+
+            def __getitem__(self, key):
+                got = bytes.__getitem__(self, key)
+                if isinstance(key, slice):
+                    decoded.append(len(got))
+                return got
+
+        store = load_embedding_file(key_file)
+        text, at, end = store._text
+        store._text = Text(text[at:end]), 0, end - at
+        assert store.tokens() == list(vectors)
+        # a piece holds whole tokens: at most `piece` bytes, or one longer token
+        longest = max(len(t.encode()) for t in KEY_TABLE_TOKENS)
+        assert decoded and max(decoded) <= max(piece, longest)
+        assert sum(decoded) + len(decoded) - 1 == end - at
+
+
+@pytest.fixture(scope="module")
+def big_embeddings(tmp_path_factory):
+    """The text of an embedding file of 50,000 short tokens and 2 numbers a line."""
+    return "".join(f"w{i} {i % 7} {-(i % 5)}\n" for i in range(50_000))
+
+
+class TestLargeSidecar:
+    def test_sidecar_load_allocates_under_half_a_megabyte(self, tmp_path, big_embeddings):
+        path = tmp_path / "e.txt"
+        path.write_text(big_embeddings, encoding="utf-8")
+        load_embedding_file(path)
+        tracemalloc.start()
+        try:
+            store = load_embedding_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mapped(store) and peak < 1 << 19, peak
+        assert store.word_vec("w49999").tolist() == [49_999 % 7, -(49_999 % 5)]
+
+    def test_a_long_token_grows_the_sidecar_by_little_more_than_its_bytes(self, tmp_path,
+                                                                           big_embeddings):
+        path = tmp_path / "e.txt"
+        path.write_text(big_embeddings, encoding="utf-8")
+        load_embedding_file(path)
+        before = os.path.getsize(sidecar(path))
+        long = "L" * 10_000
+        path.write_text(big_embeddings + f"{long} 1 2\n", encoding="utf-8")
+        load_embedding_file(path)
+        grown = os.path.getsize(sidecar(path)) - before
+        # its bytes and newline, its row of 2 float64, its key, row and start, padding
+        assert len(long) < grown <= len(long) + 1 + 16 + KEY + 16 + 7
+        store = load_embedding_file(path)
+        assert mapped(store) and store.word_vec(long).tolist() == [1.0, 2.0]
+        assert long[:-1] not in store and store.tokens()[-1] == long
 
 
 @pytest.fixture(scope="module")
