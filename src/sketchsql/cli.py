@@ -66,9 +66,21 @@ def _config_with_overrides(args) -> harness.TrainConfig:
                    **{name: value for name, value in overrides.items() if value is not None})
 
 
+def _load_inputs(config_path, config: harness.TrainConfig):
+    """(embeddings, gazetteer or None) that the config names, loaded before its datasets;
+    the word width is known then, so a type width that does not fit it fails here too."""
+    count = len(config.embedding_paths)
+    if not 1 <= count <= 2:
+        raise ValueError(f"{config_path}: embedding_paths must name 1 or 2 files, got {count}")
+    emb = load_embeddings(config.embedding_paths)
+    check_type_dim(config.mode, config.type_dim, emb.dim)
+    gaz = Gazetteer.from_tsv(config.gazetteer_path) if config.gazetteer_path else None
+    return emb, gaz
+
+
 def _restore_model(config_path, checkpoint_path):
     config = harness.TrainConfig.from_file(config_path)
-    emb = load_embeddings(config.embedding_paths)
+    emb, gaz = _load_inputs(config_path, config)
     model, store = harness.build_model(config, emb)
     state = load_checkpoint(checkpoint_path)
     try:
@@ -79,7 +91,6 @@ def _restore_model(config_path, checkpoint_path):
         raise KernelError(f"{checkpoint_path}: does not fit the model of {config_path} (word width "
                           f"{width}; embeddings {', '.join(config.embedding_paths)}: width "
                           f"{emb.dim}): {exc}") from None
-    gaz = Gazetteer.from_tsv(config.gazetteer_path) if config.gazetteer_path else None
     return model, gaz
 
 
@@ -95,11 +106,7 @@ def _cmd_train(args) -> int:
     config = _config_with_overrides(args)
     if not config.train_path or not config.tables_path:
         raise ValueError("config needs train_path and tables_path")
-    emb = None
-    if config.embedding_paths:  # without any, harness.train names the missing field
-        emb = load_embeddings(config.embedding_paths)
-        # the word width is known now: a wrong type width fails before the datasets load
-        check_type_dim(config.mode, config.type_dim, emb.dim)
+    emb, gaz = _load_inputs(args.config, config)
     examples, tables = harness.load_dataset(config.train_path, config.tables_path)
     dev = None
     if config.dev_path:
@@ -109,7 +116,7 @@ def _cmd_train(args) -> int:
     def log(entry):
         print(json.dumps(entry), file=sys.stderr)
 
-    result = harness.train(config, examples, tables, dev_examples=dev, emb=emb, log=log)
+    result = harness.train(config, examples, tables, dev, emb=emb, gazetteer=gaz, log=log)
     summary = {"epochs_run": len(result.epoch_losses),
                "final_loss": result.epoch_losses[-1] if result.epoch_losses else None,
                "best_dev_qm": result.best_dev_qm,
@@ -119,15 +126,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.checkpoint:  # the model's inputs load before the datasets
+        if not args.config:
+            raise ValueError("--checkpoint needs --config for the model shape")
+        model, gaz = _restore_model(args.config, args.checkpoint)
     examples, tables = harness.load_dataset(args.examples, args.tables)
     if args.preds:
         preds = harness.load_predictions(args.preds, examples, tables)
         metrics = evaluate_dataset(preds, [ex.gold for ex in examples],
                                    [ex.table_id for ex in examples], tables)
     else:
-        if not args.config:
-            raise ValueError("--checkpoint needs --config for the model shape")
-        model, gaz = _restore_model(args.config, args.checkpoint)
         metrics = harness.evaluate_model(model, examples, tables, gaz)
     print(json.dumps(metrics.to_dict()))
     return 0

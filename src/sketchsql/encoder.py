@@ -61,14 +61,12 @@ class EmbeddingStore:
         store._keep(vectors, *_index(tokens))
         return store
 
-    def _keep(self, vectors, keys, key_rows, key_starts, text, text_at=0, text_end=None):
-        """Keep the arrays; the token text is text[text_at:text_end], where text is
-        bytes or a map (both have find and rfind)."""
+    def _keep(self, vectors, keys, key_rows, key_starts, text):
+        """Keep the arrays and the token text, bytes or a memoryview of a map."""
         self.vectors, self.keys, self.key_rows, self.key_starts = (
             vectors, keys, key_rows, key_starts)
-        self._text = text, text_at, len(text) if text_end is None else text_end
+        self._text = text
         self.dim = vectors.shape[1]
-        self._zero = np.zeros(self.dim)
 
     def _find(self, tokens) -> tuple[np.ndarray, np.ndarray]:
         """(rows, missing) of the tokens: each token's row, where `missing` is False.
@@ -90,19 +88,14 @@ class EmbeddingStore:
     def _long_row(self, token: bytes, at: int) -> int:
         """Row of the UTF-8 token longer than a key whose prefix ends the run of equal
         keys at `at`: the last key in the run whose text is the token, or -1."""
-        text, text_at, text_end = self._text
         key = self.keys[at]
         while at >= 0 and self.keys[at] == key:
-            start = text_at + int(self.key_starts[at])
+            start = int(self.key_starts[at])
             # the token's bytes, then the newline after them or the text's end
-            if text[start:min(start + len(token) + 1, text_end)] in (token, token + b"\n"):
+            if self._text[start:start + len(token) + 1] in (token, token + b"\n"):
                 return int(self.key_rows[at])
             at -= 1
         return -1
-
-    def word_vec(self, token: str) -> np.ndarray:
-        rows, missing = self._find([token])
-        return self._zero if missing[0] else self.vectors[rows[0]]
 
     def stack(self, tokens) -> np.ndarray:
         """(len(tokens), dim) word vectors of `tokens`, one row each."""
@@ -115,20 +108,8 @@ class EmbeddingStore:
         return not self._find([token])[1][0]
 
     def tokens(self) -> list[str]:
-        """The distinct tokens in first-seen order, decoded from the token text in
-        pieces of at most _PIECE_BYTES, bar a token longer than that."""
-        text, at, end = self._text
-        seen = {}
-        while True:
-            # the piece ends at its last newline, or at the first after it for a token
-            # longer than a piece
-            cut = max(text.rfind(b"\n", at, at + _PIECE_BYTES), text.find(b"\n", at, end))
-            stop = end if end - at <= _PIECE_BYTES or cut < 0 else cut
-            piece = text[at:stop].decode("utf-8", "surrogatepass")
-            seen.update(dict.fromkeys(piece.split("\n")))
-            if stop == end:
-                return list(seen)
-            at = stop + 1
+        """The distinct tokens in first-seen order, decoded from the token text."""
+        return list(dict.fromkeys(str(self._text, "utf-8", "surrogatepass").split("\n")))
 
 
 def _line_vector(path, lineno: int, line: str, dim: int | None) -> tuple[str, list[float]]:
@@ -185,8 +166,6 @@ _HASH_BYTES = 1 << 16
 # a key's width: a token of fewer UTF-8 bytes is its own key, a longer one is checked in
 # the text; a fixed width keeps one long token from widening every key
 _KEY_BYTES = 16
-# bytes of token text decoded at once, below glibc's 128 KB mmap threshold
-_PIECE_BYTES = 1 << 16
 # rows of a two-file merge filled per step, which bounds its temporary arrays
 _MERGE_ROWS = 4096
 
@@ -279,7 +258,7 @@ def _read_cache(cache: str, path) -> EmbeddingStore | None:
     store._keep(view((rows, dim), "<f8", rows_at), view(keys, f"S{width}", keys_at),
                 view(keys, "<i8", keys_at + keys * width),
                 view(keys, "<i8", keys_at + keys * (width + 8)),
-                mapped, _HEADER.size, _HEADER.size + text_bytes)
+                memoryview(mapped)[_HEADER.size:_HEADER.size + text_bytes])
     return store
 
 
@@ -297,8 +276,7 @@ def _write_cache(cache: str, sha: bytes, store: EmbeddingStore):
         pass
     except OSError:
         return
-    text, text_at, text_end = store._text
-    text = text[text_at:text_end]
+    text = store._text
     rows = store.vectors.astype("<f8", copy=False)
     fields = (_MAGIC, _FORMAT, sha, store.dim, len(rows), len(text), len(store.keys),
               _KEY_BYTES)

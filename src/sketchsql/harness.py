@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernel as K
 from . import slots as S
-from .encoder import EmbeddingStore, load_embeddings
+from .encoder import EmbeddingStore
 from .executor import Metrics, evaluate_dataset
 from .sketch import SqlQuery, assemble
 from .tables import KIND_TEXT, Table, not_utf8, text_lines
@@ -406,9 +406,15 @@ class TrainResult:
 
 
 def build_model(config: TrainConfig, emb: EmbeddingStore) -> tuple[S.SketchModel, K.ParamStore]:
+    """The config's model over `emb` and its parameters; widths too large to allocate
+    raise a ValueError that names them."""
     store = K.ParamStore(seed=config.seed)
-    model = S.SketchModel(store, emb, width=config.hidden_width, mode=config.mode,
-                          type_dim=config.type_dim, dropout=config.dropout)
+    try:
+        model = S.SketchModel(store, emb, width=config.hidden_width, mode=config.mode,
+                              type_dim=config.type_dim, dropout=config.dropout)
+    except MemoryError as exc:
+        raise ValueError(f"hidden_width {config.hidden_width}, type_dim {config.type_dim}: "
+                         f"the model is too large to allocate ({exc})") from None
     return model, store
 
 
@@ -424,10 +430,11 @@ def _check_gradients(store: K.ParamStore, where: str):
 
 
 def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, Table],
-          dev_examples: list[Example] | None = None, emb: EmbeddingStore | None = None,
+          dev_examples: list[Example] | None = None, *, emb: EmbeddingStore,
           gazetteer: Gazetteer | None = None, log=None) -> TrainResult:
-    """Seeded mini-batch Adam training with best-dev checkpoints; a non-finite loss or
-    gradient raises before the update."""
+    """Seeded mini-batch Adam training over the loaded `emb` and `gazetteer`, with
+    best-dev checkpoints; of the config's paths it reads only `checkpoint_path`. A
+    non-finite loss or gradient raises before the update."""
     if not train_examples:
         where = f"{config.train_path}: " if config.train_path else ""
         raise ValueError(f"{where}no training examples")
@@ -438,12 +445,6 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
                              f"no directory {folder!r}")
         if os.path.isdir(config.checkpoint_path):
             raise ValueError(f"checkpoint_path {config.checkpoint_path!r} is a directory")
-    if emb is None:
-        if not config.embedding_paths:
-            raise ValueError("no embeddings: set embedding_paths or pass emb")
-        emb = load_embeddings(config.embedding_paths)
-    if gazetteer is None and config.gazetteer_path:
-        gazetteer = Gazetteer.from_tsv(config.gazetteer_path)
 
     model, store = build_model(config, emb)
     prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer)

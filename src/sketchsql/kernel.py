@@ -631,16 +631,20 @@ class ParamStore:
         self._entries: dict[str, Tensor] = {}
 
     def add(self, name: str, rows: int, cols: int, init: str = "fanin") -> Tensor:
-        """Register a (rows, cols) parameter; init is uniform(-a, a), a=1/sqrt(cols)."""
+        """Register a (rows, cols) parameter; init is uniform(-a, a), a=1/sqrt(cols). A
+        shape too large to allocate raises MemoryError."""
         if name in self._entries:
             raise KernelError(f"duplicate parameter name {name!r}")
-        if init == "zeros":
-            data = np.zeros((rows, cols), dtype=DTYPE)
-        elif init == "fanin":
-            a = 1.0 / np.sqrt(cols)
-            data = self._rng.uniform(-a, a, size=(rows, cols)).astype(DTYPE)
-        else:
+        if init not in ("zeros", "fanin"):
             raise KernelError(f"unknown init {init!r}")
+        try:
+            if init == "zeros":
+                data = np.zeros((rows, cols), dtype=DTYPE)
+            else:
+                a = 1.0 / np.sqrt(cols)
+                data = self._rng.uniform(-a, a, size=(rows, cols)).astype(DTYPE)
+        except (TypeError, ValueError) as exc:  # a width numpy cannot index or take a root of
+            raise MemoryError(f"{name} of shape ({rows}, {cols}): {exc}") from None
         t = Tensor(data, requires_grad=True)
         self._entries[name] = t
         return t

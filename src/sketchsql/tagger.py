@@ -113,9 +113,6 @@ class Gazetteer:
         if current is None or CATEGORY_PRIORITY.index(category) < CATEGORY_PRIORITY.index(current):
             self._entries[key] = category
 
-    def lookup(self, key: str) -> str | None:
-        return self.get(normalize_text(key))
-
     def get(self, key: str) -> str | None:
         """The category of a key already in normal form (see normalize_text), as span
         texts are, or None."""

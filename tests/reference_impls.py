@@ -22,7 +22,7 @@ from sketchsql import kernel as K
 from sketchsql import slots as S
 from sketchsql.encoder import EmbeddingError
 from sketchsql.harness import COND_COL_POS_WEIGHT
-from sketchsql.tables import cell_text, text_lines
+from sketchsql.tables import cell_text, normalize_text, text_lines
 from sketchsql.tagger import TAG_NONE, TaggedQuestion, TypeTag, tokenize
 
 DIGITS = "0123456789"
@@ -224,7 +224,7 @@ def reference_recognize(question, header, table=None, mode="insensitive", gazett
     reference_tag_numbers(tq)
     if gazetteer is not None:
         def entity(text):
-            category = gazetteer.lookup(text)
+            category = gazetteer.get(normalize_text(text))
             return TypeTag(category) if category is not None else None
         reference_span_matches(tq, entity)
     return tq

@@ -239,7 +239,7 @@ class TestDamagedCheckpoint:
 
 class TestDamagedInputFiles:
     """Slices of the fault-injection sweep over the input files: seeded byte damage to
-    the gazetteer, and hostile JSON values in the dev and tables files. Every seed runs
+    the gazetteer, and hostile JSON values in the dev, tables and config files. Every seed runs
     the commands that load no model; those that restore the checkpoint, which costs
     about 12 ms a run, take turns over the seeds."""
 
@@ -283,6 +283,38 @@ class TestDamagedInputFiles:
                     codes.append(exit_0_or_one_line_naming(argv, capsys, *names))
         finally:
             path.write_text(raw, encoding="utf-8")
+        assert 0 < codes.count(1) < len(codes)
+
+    def test_hostile_config_values(self, untrained_checkpoint, capsys):
+        # never `train`: "epochs": 10**30 is a valid config that trains for ever
+        paths, config, checkpoint = untrained_checkpoint
+        raw = open(config, encoding="utf-8").read()
+        before = json.loads(raw)
+        model_runs = self.model_runs(paths, config, checkpoint)
+        codes = []
+        try:
+            for seed in range(150):
+                text = hostile(raw, seed)
+                after = json.loads(text)
+                [field] = [key for key in before
+                           if key not in after or json.dumps(after[key]) != json.dumps(before[key])]
+                # "é", the one hostile string, names no file as a path: its error names it
+                names = [config, field, "\u00e9"]
+                with open(config, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                argv = model_runs[seed % 2]
+                code = main(argv)
+                out, err = capsys.readouterr()
+                if code == 0:
+                    assert err == "" and out.count("\n") == 1, (text, argv, err)
+                else:
+                    assert code == 1 and out == "" and err.count("\n") == 1, (text, code, err)
+                    assert err.startswith("error: ") and any(
+                        str(name) in err for name in names), (text, err)
+                codes.append(code)
+        finally:
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write(raw)
         assert 0 < codes.count(1) < len(codes)
 
 
@@ -362,9 +394,12 @@ class TestReadersNameTheirFile:
     def test_empty_training_set_names_the_file(self, magazine_files, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("\n", encoding="utf-8")
+        embeddings = tmp_path / "emb.txt"
+        embeddings.write_text("cat 1.0 2.0\n", encoding="utf-8")
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"hidden_width": 8, "train_path": str(empty),
-                                      "tables_path": magazine_files["tables"]}),
+                                      "tables_path": magazine_files["tables"],
+                                      "embedding_paths": [str(embeddings)]}),
                           encoding="utf-8")
         assert main(["train", "--config", str(config)]) == 1
         assert one_line_error(capsys) == f"error: {empty}: no training examples\n"
@@ -532,6 +567,61 @@ class TestConfigErrors:
             assert main(["train", "--config", str(config)]) == 1
             assert one_line_error(capsys) == ("error: type_dim 3 must equal the word width 50 "
                                               "in content mode, or be null\n")
+
+    @pytest.mark.parametrize("paths", [[], ["a.txt", "b.txt", "c.txt"]], ids=["none", "three"])
+    def test_embedding_count_is_the_same_one_line_error_from_every_command(
+            self, untrained_checkpoint, tmp_path, paths, capsys):
+        """The count is checked before any dataset is read: `train` reports it ahead of
+        an unparsable training file."""
+        corpus, config, checkpoint = untrained_checkpoint
+        unparsable = tmp_path / "bad.jsonl"
+        unparsable.write_text("{not json\n", encoding="utf-8")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(open(config).read()), embedding_paths=paths,
+                                       train_path=str(unparsable),
+                                       tables_path=str(corpus.tables))), encoding="utf-8")
+        runs = [["train", "--config", str(bad)],
+                *[[*restore_args(corpus, command), "--checkpoint", checkpoint, "--config",
+                   str(bad)] for command in ("eval", "predict")]]
+        for argv in runs:
+            assert main(argv) == 1
+            assert one_line_error(capsys) == (f"error: {bad}: embedding_paths must name 1 or "
+                                              f"2 files, got {len(paths)}\n")
+
+    def test_damaged_gazetteer_fails_train_before_any_epoch(self, tmp_path, capsys):
+        paths = generate_corpus(tmp_path / "corpus", seed=0, n_train=8, n_dev=4)
+        paths.gazetteer.write_bytes(paths.gazetteer.read_bytes() + b"no tab here\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "hidden_width": 8, "epochs": 1, "batch_size": 8, "mode": "content",
+            "embedding_paths": [str(paths.embeddings)], "gazetteer_path": str(paths.gazetteer),
+            "train_path": str(paths.train), "dev_path": str(paths.dev),
+            "tables_path": str(paths.tables)}), encoding="utf-8")
+        assert main(["train", "--config", str(config)]) == 1
+        # the only line on stderr: no epoch was logged
+        assert re.fullmatch(f"error: {re.escape(str(paths.gazetteer))}:\\d+: expected "
+                            "'key<TAB>category'\n", one_line_error(capsys))
+
+    @pytest.mark.parametrize("widths", [
+        {"hidden_width": 2**40}, {"hidden_width": 10**30},
+        {"mode": "insensitive", "type_dim": 2**44}, {"mode": "insensitive", "type_dim": 10**30},
+    ], ids=["hidden-2**40", "hidden-10**30", "type-2**44", "type-10**30"])
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    def test_width_too_large_to_allocate_is_one_line_error(
+            self, untrained_checkpoint, tmp_path, command, widths, capsys):
+        """Each width fails at its first allocation, which asks for more than the 128 TiB
+        of a 47-bit address space or more than numpy can index: none can be allocated."""
+        paths, config, checkpoint = untrained_checkpoint
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps(dict(json.loads(open(config).read()), **widths,
+                                        train_path=str(paths.train),
+                                        tables_path=str(paths.tables))), encoding="utf-8")
+        argv = (["train", "--config", str(wide)] if command == "train" else
+                [*restore_args(paths, command), "--checkpoint", checkpoint, "--config",
+                 str(wide)])
+        assert main(argv) == 1
+        [(name, width)] = [(name, width) for name, width in widths.items() if name != "mode"]
+        assert f"{name} {width}" in one_line_error(capsys)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_gradient_is_one_line_error(self, tmp_path, capsys, monkeypatch):

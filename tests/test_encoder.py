@@ -66,7 +66,7 @@ class TestEmbeddingFiles:
         write_emb(p, [("cat", [1.0] * 50), ("dog", [2.0] * 50)])
         emb = load_embeddings([p])
         assert emb.dim == 50
-        np.testing.assert_array_equal(emb.word_vec("cat"), 1.0)
+        np.testing.assert_array_equal(emb.stack(["cat"])[0], 1.0)
 
     def test_two_files_concatenate(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -74,8 +74,8 @@ class TestEmbeddingFiles:
         write_emb(b, [("cat", [2.0] * 25)])
         emb = load_embeddings([a, b])
         assert emb.dim == 75
-        np.testing.assert_array_equal(emb.word_vec("cat")[:50], 1.0)
-        np.testing.assert_array_equal(emb.word_vec("cat")[50:], 2.0)
+        np.testing.assert_array_equal(emb.stack(["cat"])[0][:50], 1.0)
+        np.testing.assert_array_equal(emb.stack(["cat"])[0][50:], 2.0)
 
     def test_token_in_one_file_zero_padded(self, tmp_path, monkeypatch):
         monkeypatch.setattr(encoder, "_MERGE_ROWS", 2)  # the merge fills its rows in runs
@@ -86,7 +86,7 @@ class TestEmbeddingFiles:
         want = {"cat": [1.0, 1.5, 9.0], "dog": [2.0, 2.5, 0.0], "emu": [3.0, 3.5, 7.0],
                 "fox": [0.0, 0.0, 8.0], "zzz": [0.0, 0.0, 0.0]}
         assert emb.dim == 3
-        assert {t: emb.word_vec(t).tobytes() for t in want} == {
+        assert {t: emb.stack([t])[0].tobytes() for t in want} == {
             t: np.array(vec).tobytes() for t, vec in want.items()}
 
     @pytest.mark.parametrize("later", ["9", "9_0"], ids=["decimal", "underscored"])
@@ -95,8 +95,8 @@ class TestEmbeddingFiles:
         p.write_text(f"cat 1\ndog 2\nemu 3\ncat {later}\n", encoding="utf-8")
         emb = load_embedding_file(p)
         assert emb.tokens() == ["cat", "dog", "emu"]
-        np.testing.assert_array_equal(emb.word_vec("cat"), [float(later)])
-        np.testing.assert_array_equal(emb.word_vec("dog"), [2.0])
+        np.testing.assert_array_equal(emb.stack(["cat"])[0], [float(later)])
+        np.testing.assert_array_equal(emb.stack(["dog"])[0], [2.0])
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         p = tmp_path / "a.txt"
@@ -116,12 +116,12 @@ class TestEmbeddingFiles:
         p.write_text("cat 1e308 1e308\n", encoding="utf-8")
         emb = load_embedding_file(p)
         assert emb.dim == 2
-        np.testing.assert_array_equal(emb.word_vec("cat"), 1e308)
+        np.testing.assert_array_equal(emb.stack(["cat"])[0], 1e308)
 
     def test_unknown_word_is_zero_vector(self):
         emb = tiny_store()
-        np.testing.assert_array_equal(emb.word_vec("zzz"), 0.0)
-        assert emb.word_vec("zzz").shape == (4,)
+        np.testing.assert_array_equal(emb.stack(["zzz"])[0], 0.0)
+        assert emb.stack(["zzz"])[0].shape == (4,)
 
 
 def load_outcome(load, path):
@@ -132,7 +132,8 @@ def load_outcome(load, path):
     except EmbeddingError as exc:
         return "error", str(exc)
     if isinstance(loaded, EmbeddingStore):
-        loaded = {token: loaded.word_vec(token) for token in loaded.tokens()}, loaded.dim
+        tokens = loaded.tokens()
+        loaded = dict(zip(tokens, loaded.stack(tokens))), loaded.dim
     vectors, dim = loaded
     return dim, [(token, vec.shape, vec.tobytes()) for token, vec in vectors.items()]
 
@@ -195,8 +196,7 @@ class TestEmbeddingFileLoaders:
         # and then mapped from the sidecar
         for emb in (load_embedding_file(path), load_embedding_file(path)):
             assert emb.vectors.shape == (1300, 7)
-            assert all(np.shares_memory(emb.word_vec(token), emb.vectors)
-                       for token in emb.tokens())
+            assert emb.stack(emb.tokens()).tobytes() == emb.vectors.tobytes()
 
     @pytest.mark.parametrize("vocab", [4, 6, 128])
     def test_dict_and_file_stores_look_up_the_same_bytes(self, tmp_path, vocab):
@@ -212,7 +212,7 @@ class TestEmbeddingFileLoaders:
             assert store.vectors.shape == (vocab, 5)
             for token in [*vectors, "zzz"]:
                 want = vectors.get(token, np.zeros(5)).tobytes()
-                assert store.word_vec(token).tobytes() == want
+                assert store.stack([token])[0].tobytes() == want
 
     def test_two_spaces_are_an_empty_field(self, tmp_path):
         """A run of spaces is not one delimiter: the empty field between them is not a
@@ -264,7 +264,7 @@ def snapshot(store):
     return (tokens, store.dim,
             [(array.shape, array.dtype.str, array.tobytes())
              for array in (store.vectors, store.keys, store.key_rows, store.key_starts)],
-            {t: store.word_vec(t).tobytes() for t in [*tokens, "not a token"]})
+            [row.tobytes() for row in store.stack([*tokens, "not a token"])])
 
 
 @pytest.fixture
@@ -351,7 +351,7 @@ class TestSidecar:
         assert mapped(store)
         before = snapshot(store)
         for write in (lambda: store.vectors.__setitem__((-1, 0), 1.0),
-                      lambda: store.word_vec("w0").__iadd__(1.0)):
+                      lambda: store.vectors[0].__iadd__(1.0)):
             with pytest.raises(ValueError, match="read-only"):
                 write()
         assert snapshot(store) == before
@@ -633,7 +633,7 @@ class TestKeyTable:
         want = [vectors.get(t, np.zeros(dim)).tobytes() for t in probes]
         for store in (parsed, from_sidecar, EmbeddingStore(vectors, dim)):
             assert store.tokens() == list(vectors)
-            assert [store.word_vec(t).tobytes() for t in probes] == want
+            assert [store.stack([t])[0].tobytes() for t in probes] == want
             assert [row.tobytes() for row in store.stack(probes)] == want
             assert [t in store for t in probes] == [t in vectors for t in probes]
         assert snapshot(parsed) == snapshot(from_sidecar)
@@ -644,33 +644,8 @@ class TestKeyTable:
         assert list(store.keys) == sorted(store.keys)
         # the short token on two lines has one key, the long one a key per line
         assert len(store.keys) == len(KEY_TABLE_TOKENS) - 1
-        assert store.word_vec("cat").tolist() == [17.0, -17 / 4]
-        assert store.word_vec(PREFIX + "a").tolist() == [18.0, -18 / 4]
-
-    @pytest.mark.parametrize("piece", [1, 2, 3, 7, 64, 1 << 16])
-    def test_tokens_decode_in_pieces(self, key_file, monkeypatch, piece):
-        vectors, _ = reference_load_embedding_file(key_file)
-        load_embedding_file(key_file)
-        monkeypatch.setattr(encoder, "_PIECE_BYTES", piece)
-        decoded = []
-
-        class Text(bytes):
-            """Token text that records the length of each slice taken of it."""
-
-            def __getitem__(self, key):
-                got = bytes.__getitem__(self, key)
-                if isinstance(key, slice):
-                    decoded.append(len(got))
-                return got
-
-        store = load_embedding_file(key_file)
-        text, at, end = store._text
-        store._text = Text(text[at:end]), 0, end - at
-        assert store.tokens() == list(vectors)
-        # a piece holds whole tokens: at most `piece` bytes, or one longer token
-        longest = max(len(t.encode()) for t in KEY_TABLE_TOKENS)
-        assert decoded and max(decoded) <= max(piece, longest)
-        assert sum(decoded) + len(decoded) - 1 == end - at
+        assert store.stack(["cat"])[0].tolist() == [17.0, -17 / 4]
+        assert store.stack([PREFIX + "a"])[0].tolist() == [18.0, -18 / 4]
 
 
 @pytest.fixture(scope="module")
@@ -691,7 +666,7 @@ class TestLargeSidecar:
         finally:
             tracemalloc.stop()
         assert mapped(store) and peak < 1 << 19, peak
-        assert store.word_vec("w49999").tolist() == [49_999 % 7, -(49_999 % 5)]
+        assert store.stack(["w49999"])[0].tolist() == [49_999 % 7, -(49_999 % 5)]
 
     def test_a_long_token_grows_the_sidecar_by_little_more_than_its_bytes(self, tmp_path,
                                                                            big_embeddings):
@@ -706,7 +681,7 @@ class TestLargeSidecar:
         # its bytes and newline, its row of 2 float64, its key, row and start, padding
         assert len(long) < grown <= len(long) + 1 + 16 + KEY + 16 + 7
         store = load_embedding_file(path)
-        assert mapped(store) and store.word_vec(long).tolist() == [1.0, 2.0]
+        assert mapped(store) and store.stack([long])[0].tolist() == [1.0, 2.0]
         assert long[:-1] not in store and store.tokens()[-1] == long
 
 
@@ -780,7 +755,7 @@ class TestEmbedQuestion:
         tq = TaggedQuestion(tokens=["artist"], tags=[TAG_NONE], char_spans=[(0, 6)])
         out = embed(model, tq, ["artist"])
         assert out.shape == (1, 7)
-        np.testing.assert_array_equal(out.data[0, :4], model.emb.word_vec("artist"))
+        np.testing.assert_array_equal(out.data[0, :4], model.emb.stack(["artist"])[0])
         np.testing.assert_array_equal(out.data[0, 4:], model.type_table.data[0])
 
     def test_unknown_word_zero_prefix(self):
@@ -795,7 +770,7 @@ class TestEmbedQuestion:
         tq = TaggedQuestion(tokens=["mort"], tags=[TypeTag("column_value", column=0)],
                             char_spans=[(0, 4)])
         out = embed(model, tq, ["artist"])
-        np.testing.assert_allclose(out.data[0, 4:], model.emb.word_vec("artist"), atol=1e-12)
+        np.testing.assert_allclose(out.data[0, 4:], model.emb.stack(["artist"])[0], atol=1e-12)
 
     def test_content_mode_width_mismatch_rejected(self):
         model = tiny_model()
@@ -819,7 +794,7 @@ class TestEmbedQuestion:
 class TestColumnEncoding:
     def test_column_vector_is_mean_of_words(self):
         emb = tiny_store()
-        want = (emb.word_vec("spoofed") + emb.word_vec("title")) / 2
+        want = (emb.stack(["spoofed"])[0] + emb.stack(["title"])[0]) / 2
         np.testing.assert_allclose(column_name_matrix(["spoofed title"], emb)[0], want,
                                    atol=1e-12)
 
@@ -831,7 +806,7 @@ class TestColumnEncoding:
         emb = EmbeddingStore(dict(tiny_vectors(), minus=np.full(4, -0.0)), 4)
         header = ["spoofed title", "", "artist", "  ", "quux", "issue mort drucker", "minus"]
         got = column_name_matrix(header, emb)
-        want = [np.mean([emb.word_vec(w) for w in name.split()], axis=0) if name.strip()
+        want = [np.mean([emb.stack([w])[0] for w in name.split()], axis=0) if name.strip()
                 else np.zeros(emb.dim) for name in header]
         assert got.tobytes() == np.stack(want).tobytes()
 

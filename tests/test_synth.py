@@ -52,5 +52,5 @@ class TestSyntheticCorpus:
     def test_gazetteer_loads(self, tmp_path):
         paths = generate_corpus(tmp_path / "c", seed=6, n_train=20, n_dev=5)
         gaz = Gazetteer.from_tsv(paths.gazetteer)
-        assert gaz.lookup("alma reyes") == "person"
-        assert gaz.lookup("norway") == "country"
+        assert gaz.get("alma reyes") == "person"
+        assert gaz.get("norway") == "country"

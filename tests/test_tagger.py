@@ -92,7 +92,7 @@ class TestSpanTexts:
 
     def test_gazetteer_get_reads_normal_keys_only(self):
         gaz = Gazetteer([("Mort  Drucker", "person")])
-        assert gaz.get("mort drucker") == gaz.lookup(" MORT drucker ") == "person"
+        assert gaz.get("mort drucker") == gaz.get(normalize_text(" MORT drucker ")) == "person"
         assert gaz.get(" MORT drucker ") is None
 
 
@@ -193,7 +193,7 @@ class TestEntities:
 
     def test_person_outranks_everything(self):
         gaz = Gazetteer([("jordan", "country"), ("jordan", "person")])
-        assert gaz.lookup("jordan") == "person"
+        assert gaz.get("jordan") == "person"
 
 
 class TestGazetteerFile:
@@ -201,8 +201,8 @@ class TestGazetteerFile:
         path = tmp_path / "gaz.tsv"
         path.write_text("Mort Drucker\tperson\nFrance\tcountry\n\n", encoding="utf-8")
         gaz = Gazetteer.from_tsv(path)
-        assert gaz.lookup("mort  drucker") == "person"
-        assert gaz.lookup("FRANCE") == "country"
+        assert gaz.get(normalize_text("mort  drucker")) == "person"
+        assert gaz.get(normalize_text("FRANCE")) == "country"
 
     def test_unknown_category_reports_line(self, tmp_path):
         path = tmp_path / "gaz.tsv"
