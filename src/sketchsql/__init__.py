@@ -1,17 +1,1 @@
 """Sketch-based text-to-SQL slot filling with type-aware preprocessing."""
-
-from .executor import Metrics, ResultSet, evaluate_dataset, exec_equal, execute
-from .harness import Example, TrainConfig, load_dataset, predict, total_loss, train
-from .sketch import SqlQuery, assemble, canonical_equal, render
-from .slots import SketchModel, SlotPrediction
-from .tables import Table
-from .tagger import Gazetteer, TaggedQuestion, TypeTag, recognize
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Example", "Gazetteer", "Metrics", "ResultSet", "SketchModel", "SlotPrediction",
-    "SqlQuery", "Table", "TaggedQuestion", "TrainConfig", "TypeTag", "assemble",
-    "canonical_equal", "evaluate_dataset", "exec_equal", "execute", "load_dataset",
-    "predict", "recognize", "render", "total_loss", "train", "__version__",
-]

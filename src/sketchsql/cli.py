@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import harness
@@ -66,15 +67,32 @@ def _config_with_overrides(args) -> harness.TrainConfig:
                    **{name: value for name, value in overrides.items() if value is not None})
 
 
+@contextmanager
+def _naming_field(config_path, config: harness.TrainConfig):
+    """A file that the config names and that fails to open is reported with the config
+    and the field that names it."""
+    try:
+        yield
+    except OSError as exc:
+        for name in ("embedding_paths", "gazetteer_path", "train_path", "dev_path",
+                     "tables_path"):
+            value = getattr(config, name)
+            if exc.filename is not None and exc.filename in (
+                    value if isinstance(value, list) else [value]):
+                raise OSError(f"{config_path}: {name}: {exc}") from None
+        raise
+
+
 def _load_inputs(config_path, config: harness.TrainConfig):
     """(embeddings, gazetteer or None) that the config names, loaded before its datasets;
     the word width is known then, so a type width that does not fit it fails here too."""
     count = len(config.embedding_paths)
     if not 1 <= count <= 2:
         raise ValueError(f"{config_path}: embedding_paths must name 1 or 2 files, got {count}")
-    emb = load_embeddings(config.embedding_paths)
-    check_type_dim(config.mode, config.type_dim, emb.dim)
-    gaz = Gazetteer.from_tsv(config.gazetteer_path) if config.gazetteer_path else None
+    with _naming_field(config_path, config):
+        emb = load_embeddings(config.embedding_paths)
+        check_type_dim(config.mode, config.type_dim, emb.dim)
+        gaz = Gazetteer.from_tsv(config.gazetteer_path) if config.gazetteer_path else None
     return emb, gaz
 
 
@@ -105,13 +123,14 @@ def _cmd_tag(args) -> int:
 def _cmd_train(args) -> int:
     config = _config_with_overrides(args)
     if not config.train_path or not config.tables_path:
-        raise ValueError("config needs train_path and tables_path")
+        raise ValueError(f"{args.config}: config needs train_path and tables_path")
     emb, gaz = _load_inputs(args.config, config)
-    examples, tables = harness.load_dataset(config.train_path, config.tables_path)
-    dev = None
-    if config.dev_path:
-        dev, dev_tables = harness.load_dataset(config.dev_path, config.tables_path)
-        tables.update(dev_tables)
+    with _naming_field(args.config, config):
+        examples, tables = harness.load_dataset(config.train_path, config.tables_path)
+        dev = None
+        if config.dev_path:
+            dev, dev_tables = harness.load_dataset(config.dev_path, config.tables_path)
+            tables.update(dev_tables)
 
     def log(entry):
         print(json.dumps(entry), file=sys.stderr)

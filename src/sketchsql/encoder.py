@@ -350,15 +350,8 @@ def column_name_matrix(header: list[str], emb: EmbeddingStore) -> np.ndarray:
     word in order."""
     words = [tokenize(name)[0] if name.strip() else [] for name in header]
     counts = [len(name_words) for name_words in words]
-    # one lookup for all the names' words; the last row pads shorter names: x + -0.0 is
-    # x for every x, -0.0 included
-    table = np.concatenate([emb.stack([w for name_words in words for w in name_words]),
-                            np.full((1, emb.dim), -0.0)])
-    longest, at, index = max(counts), 0, []
-    for n in counts:
-        index.append([*range(at, at + n), *[-1] * (longest - n)])
-        at += n
+    # np.add.at adds unbuffered, in index order: each row sums its words one by one
     total = np.zeros((len(header), emb.dim))
-    for kth_words in table[np.array(index, dtype=np.intp).T]:
-        total += kth_words
+    np.add.at(total, np.repeat(np.arange(len(header)), counts),
+              emb.stack([w for name_words in words for w in name_words]))
     return total / np.maximum(counts, 1)[:, None]

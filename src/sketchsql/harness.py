@@ -97,10 +97,10 @@ def load_tables(path) -> dict[str, Table]:
                                  f"got {bad!r}")
             table = Table(id=_string(rec, "id"), header=_strings(rec, "header"),
                           types=_strings(rec, "types"), rows=rows)
+            if table.id in tables:
+                raise ValueError(f"duplicate table id {table.id!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}") from None
-        if table.id in tables:
-            raise DatasetError(f"{path}:{lineno}: duplicate table id {table.id!r}")
         text_cols = [j for j, kind in enumerate(table.types) if kind == KIND_TEXT]
         for row in rows:  # numbers stay apart: 1 == 1.0 == True and 0.0 == -0.0 as keys
             for j in text_cols:
@@ -126,14 +126,11 @@ def load_dataset(examples_path, tables_path) -> tuple[list[Example], dict[str, T
             # exactly the questions that are blank
             if not example.question.strip():
                 raise ValueError(f"question has no tokens: {example.question!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"{examples_path}:{lineno}: {exc}") from None
-        table = tables.get(example.table_id)
-        if table is None:
-            raise DatasetError(f"{examples_path}:{lineno}: unknown table {example.table_id!r}")
-        try:
+            table = tables.get(example.table_id)
+            if table is None:
+                raise ValueError(f"unknown table {example.table_id!r}")
             gold.validate_against(table.n_columns)
-        except ValueError as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DatasetError(f"{examples_path}:{lineno}: {exc}") from None
         examples.append(example)
     return examples, tables
@@ -249,7 +246,10 @@ class TrainConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ValueError(f"{path}: unknown config keys {unknown}")
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except ValueError as exc:  # the field's error, named by the file that holds it
+            raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -244,8 +244,6 @@ def decode_cond_vals(H_qt: K.Tensor, q_input: K.Tensor, h_cols: K.Tensor, vp: Va
     leaves the loop when its end wins or after max_len tokens. Returns each condition's
     question-token indices.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     n = h_cols.shape[0]
     scored = scored_rows(q_lens, owners)
     context = pointer_context(vp, H_qt, h_cols, [r for rows in scored for r in rows],

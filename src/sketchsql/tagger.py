@@ -140,15 +140,13 @@ class Gazetteer:
 
 def tokenize(question: str) -> tuple[list[str], list[tuple[int, int]]]:
     """Lowercase and split; '.' survives inside digits, '-' inside words."""
-    if not question or not question.strip():
+    if not question or not question.strip():  # else the \S of _TOKEN_RE finds a token
         raise ValueError("empty question")
     lowered = question.lower()
     tokens, spans = [], []
     for m in _TOKEN_RE.finditer(lowered):
         tokens.append(m.group(0))
         spans.append((m.start(), m.end()))
-    if not tokens:
-        raise ValueError("empty question")
     return tokens, spans
 
 

@@ -173,13 +173,13 @@ def one_line_error(capsys) -> str:
     return err
 
 
-def exit_0_or_one_line_naming(argv, capsys, *names) -> int:
-    """Run main(argv): it exits 0 with one line on stdout and nothing on stderr, or exits
-    1 with nothing on stdout and one stderr line that starts with one of `names`."""
+def exit_0_or_one_line_naming(argv, capsys, *names, logged=0) -> int:
+    """Run main(argv): it exits 0 with one line on stdout and `logged` lines on stderr, or
+    exits 1 with nothing on stdout and one stderr line that starts with one of `names`."""
     code = main(argv)
     out, err = capsys.readouterr()
     if code == 0:
-        assert err == "" and out.count("\n") == 1, (argv, err)
+        assert err.count("\n") == logged and out.count("\n") == 1, (argv, err)
     else:
         assert code == 1 and out == "" and err.count("\n") == 1, (argv, code, err)
         assert any(err.startswith(f"error: {name}") for name in names), (argv, err)
@@ -239,9 +239,9 @@ class TestDamagedCheckpoint:
 
 class TestDamagedInputFiles:
     """Slices of the fault-injection sweep over the input files: seeded byte damage to
-    the gazetteer, and hostile JSON values in the dev, tables and config files. Every seed runs
-    the commands that load no model; those that restore the checkpoint, which costs
-    about 12 ms a run, take turns over the seeds."""
+    the gazetteer, and hostile JSON values in the dev, tables, config, training and
+    predictions files. Every seed runs the commands that load no model; those that
+    restore the checkpoint, which costs about 12 ms a run, take turns over the seeds."""
 
     @staticmethod
     def model_runs(paths, config, checkpoint):
@@ -298,8 +298,7 @@ class TestDamagedInputFiles:
                 after = json.loads(text)
                 [field] = [key for key in before
                            if key not in after or json.dumps(after[key]) != json.dumps(before[key])]
-                # "é", the one hostile string, names no file as a path: its error names it
-                names = [config, field, "\u00e9"]
+                names = [config, field]
                 with open(config, "w", encoding="utf-8") as fh:
                     fh.write(text)
                 argv = model_runs[seed % 2]
@@ -315,6 +314,41 @@ class TestDamagedInputFiles:
         finally:
             with open(config, "w", encoding="utf-8") as fh:
                 fh.write(raw)
+        assert 0 < codes.count(1) < len(codes)
+
+    def test_hostile_training_values(self, untrained_checkpoint, tmp_path, capsys):
+        """200 seeds of `train` for one epoch on a training file with a hostile value; a
+        table id that names no table is reported in the training file."""
+        paths, config, _ = untrained_checkpoint
+        small = tmp_path / "train.json"
+        small.write_text(json.dumps(dict(json.loads(open(config).read()), epochs=1,
+                                         train_path=str(paths.train),
+                                         tables_path=str(paths.tables))), encoding="utf-8")
+        raw = paths.train.read_text(encoding="utf-8")
+        codes = []
+        try:
+            for seed in range(200):
+                paths.train.write_text(hostile(raw, seed), encoding="utf-8")
+                codes.append(exit_0_or_one_line_naming(["train", "--config", str(small)],
+                                                       capsys, paths.train, logged=1))
+        finally:
+            paths.train.write_text(raw, encoding="utf-8")
+        assert 0 < codes.count(1) < len(codes)
+
+    def test_hostile_prediction_values(self, untrained_checkpoint, tmp_path, capsys):
+        """300 seeds of `eval --preds` on a predictions file with a hostile value, taking
+        turns over its two forms: the dev file itself, each query under "sql", and the
+        bare queries. A query outside its example's table is reported in the file."""
+        paths, _, _ = untrained_checkpoint
+        examples, _ = H.load_dataset(paths.dev, paths.tables)
+        forms = [paths.dev.read_text(encoding="utf-8"),
+                 "".join(json.dumps(ex.gold.to_dict()) + "\n" for ex in examples)]
+        preds = tmp_path / "preds.jsonl"
+        argv = [*restore_args(paths, "eval"), "--preds", str(preds)]
+        codes = []
+        for seed in range(300):
+            preds.write_text(hostile(forms[seed % 2], seed), encoding="utf-8")
+            codes.append(exit_0_or_one_line_naming(argv, capsys, preds))
         assert 0 < codes.count(1) < len(codes)
 
 
@@ -587,6 +621,30 @@ class TestConfigErrors:
             assert main(argv) == 1
             assert one_line_error(capsys) == (f"error: {bad}: embedding_paths must name 1 or "
                                               f"2 files, got {len(paths)}\n")
+
+    @pytest.mark.parametrize("field,value", [
+        ("gazetteer_path", "nope.tsv"), ("embedding_paths", ["nope.txt"]),
+        ("train_path", "nope.jsonl"), ("mode", "x"), ("hidden_width", 7),
+    ], ids=["gazetteer", "embeddings", "train", "mode", "odd-width"])
+    def test_error_names_the_config_and_the_field(self, untrained_checkpoint, tmp_path,
+                                                  field, value, capsys):
+        paths, config, checkpoint = untrained_checkpoint
+        if field.endswith("_path"):  # a file that is not there
+            value = str(tmp_path / value)
+        elif field == "embedding_paths":
+            value = [str(tmp_path / value[0])]
+        bad = tmp_path / "bad.json"
+        raw = dict(json.loads(open(config).read()), train_path=str(paths.train),
+                   tables_path=str(paths.tables))
+        bad.write_text(json.dumps(dict(raw, **{field: value})), encoding="utf-8")
+        runs = [["train", "--config", str(bad)]]
+        if field != "train_path":  # `eval --checkpoint` and `predict` read no training file
+            runs += [[*restore_args(paths, command), "--checkpoint", checkpoint, "--config",
+                      str(bad)] for command in ("eval", "predict")]
+        for argv in runs:
+            assert main(argv) == 1
+            err = one_line_error(capsys)
+            assert err.startswith(f"error: {bad}: ") and field in err, (argv, err)
 
     def test_damaged_gazetteer_fails_train_before_any_epoch(self, tmp_path, capsys):
         paths = generate_corpus(tmp_path / "corpus", seed=0, n_train=8, n_dev=4)

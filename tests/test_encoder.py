@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import damaged, demo_gazetteer, magazine_table
 from reference_impls import reference_load_embedding_file
@@ -802,12 +804,25 @@ class TestColumnEncoding:
         emb = tiny_store()
         np.testing.assert_array_equal(column_name_matrix(["quux corge"], emb)[0], 0.0)
 
-    def test_matrix_rows_are_per_name_means(self):
-        emb = EmbeddingStore(dict(tiny_vectors(), minus=np.full(4, -0.0)), 4)
-        header = ["spoofed title", "", "artist", "  ", "quux", "issue mort drucker", "minus"]
-        got = column_name_matrix(header, emb)
-        want = [np.mean([emb.stack([w])[0] for w in name.split()], axis=0) if name.strip()
-                else np.zeros(emb.dim) for name in header]
+    # known words: short ones, one whose vector is -0.0, and three of 16 UTF-8 bytes or
+    # more, two of which share their first 16 bytes, so a lookup checks them in the text
+    LONG = ("supercalifragilistic", "supercalifragilisticexpialidocious",
+            "électroencéphalogramme")
+    EMB = EmbeddingStore(dict(tiny_vectors(), minus=np.full(4, -0.0),
+                              **dict(zip(LONG, np.random.default_rng(7).normal(size=(3, 4))))),
+                         4)
+    # unknown words, one of them sharing its first 16 bytes with the known long words
+    UNKNOWN = ("quux", "corge", "supercalifragilisticz")
+    NAMES = st.one_of(st.sampled_from(["", " ", "  "]),
+                      st.lists(st.sampled_from([*EMB.tokens(), *UNKNOWN]), min_size=1,
+                               max_size=4).map(" ".join))
+
+    @given(header=st.lists(NAMES, min_size=1, max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_rows_are_per_name_means(self, header):
+        got = column_name_matrix(header, self.EMB)
+        want = [np.mean([self.EMB.stack([w])[0] for w in name.split()], axis=0)
+                if name.strip() else np.zeros(self.EMB.dim) for name in header]
         assert got.tobytes() == np.stack(want).tobytes()
 
     def test_single_column_shape(self):
