@@ -91,7 +91,10 @@ def _load_inputs(config_path, config: harness.TrainConfig):
         raise ValueError(f"{config_path}: embedding_paths must name 1 or 2 files, got {count}")
     with _naming_field(config_path, config):
         emb = load_embeddings(config.embedding_paths)
-        check_type_dim(config.mode, config.type_dim, emb.dim)
+        try:
+            check_type_dim(config.mode, config.type_dim, emb.dim)
+        except ValueError as exc:
+            raise ValueError(f"{config_path}: {exc}") from None
         gaz = Gazetteer.from_tsv(config.gazetteer_path) if config.gazetteer_path else None
     return emb, gaz
 

@@ -57,6 +57,12 @@ def _read_jsonl(path):
             raise DatasetError(f"{path}:{lineno}: bad JSON ({NESTED_TOO_DEEPLY})") from None
 
 
+def _record_error(path, lineno, exc: Exception) -> DatasetError:
+    """A bad record as one line naming its file and line; a KeyError is a missing key."""
+    msg = f"missing key {exc}" if isinstance(exc, KeyError) else exc  # str(KeyError) quotes it
+    return DatasetError(f"{path}:{lineno}: {msg}")
+
+
 def _string(rec: dict, name: str) -> str:
     value = rec[name]
     if not isinstance(value, str):
@@ -100,7 +106,7 @@ def load_tables(path) -> dict[str, Table]:
             if table.id in tables:
                 raise ValueError(f"duplicate table id {table.id!r}")
         except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+            raise _record_error(path, lineno, exc) from None
         text_cols = [j for j, kind in enumerate(table.types) if kind == KIND_TEXT]
         for row in rows:  # numbers stay apart: 1 == 1.0 == True and 0.0 == -0.0 as keys
             for j in text_cols:
@@ -131,7 +137,7 @@ def load_dataset(examples_path, tables_path) -> tuple[list[Example], dict[str, T
                 raise ValueError(f"unknown table {example.table_id!r}")
             gold.validate_against(table.n_columns)
         except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"{examples_path}:{lineno}: {exc}") from None
+            raise _record_error(examples_path, lineno, exc) from None
         examples.append(example)
     return examples, tables
 
@@ -148,7 +154,7 @@ def load_predictions(path, examples: list[Example],
             if len(preds) < len(examples):  # a surplus line fails the count check below
                 pred.validate_against(tables[examples[len(preds)].table_id].n_columns)
         except (KeyError, TypeError, ValueError) as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from None
+            raise _record_error(path, lineno, exc) from None
         preds.append(pred)
     if len(preds) != len(examples):
         raise DatasetError(f"{path}: {len(preds)} predictions for {len(examples)} examples")

@@ -10,7 +10,10 @@ inverted dropout, Adam with fixed decay rates, and `.npz` checkpoints of
 float64 arrays. Arrays are numpy; every tensor is 2-D (row vectors are 1xN,
 scalars 1x1). A minibatch is its examples' rows stacked, with segment lengths
 saying which rows belong to which example; the tape is rebuilt per minibatch,
-never cached.
+never cached. A scan step of the fused LSTM allocates nothing: its ufuncs write
+into state made before the loop (one step's, reused, when untaped; every step's,
+made per phase for the directions running in it, when taped, since the backward
+reads it).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import zipfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -161,21 +165,22 @@ def backward(loss: Tensor):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b; b may be a 1xC row broadcast over a's rows."""
-    if a.shape == b.shape:
+    a_shape, b_shape = a.data.shape, b.data.shape
+    if a_shape == b_shape:
         def bwd(g, a=a, b=b):
             _accum(a, g)
             _accum(b, g)
-    elif b.shape == (1, a.shape[1]):
+    elif b_shape == (1, a_shape[1]):
         def bwd(g, a=a, b=b):
             _accum(a, g)
             _accum(b, g.sum(axis=0, keepdims=True))
     else:
-        raise KernelError(f"add shape mismatch: {a.shape} vs {b.shape}")
+        raise KernelError(f"add shape mismatch: {a_shape} vs {b_shape}")
     return _node(a.data + b.data, (a, b), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
+    if a.data.shape[1] != b.data.shape[0]:
         raise KernelError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
 
     def bwd(g, a=a, b=b, ad=a.data, bd=b.data):
@@ -188,7 +193,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def linear(a: Tensor, w: Tensor) -> Tensor:
     """a @ w.T: a layer with weights stored as (out, in), or each row of a scored against
     each row of w."""
-    if a.shape[1] != w.shape[1]:
+    if a.data.shape[1] != w.data.shape[1]:
         raise KernelError(f"linear shape mismatch: {a.shape} with weight {w.shape}")
 
     def bwd(g, a=a, w=w, ad=a.data, wd=w.data):
@@ -263,7 +268,8 @@ def segment_sum(a: Tensor, lengths=None) -> Tensor:
 
 def block(a: Tensor, r0: int, r1: int, j0: int, j1: int) -> Tensor:
     """Rows r0:r1 and columns j0:j1 of a, as a contiguous copy."""
-    if not (0 <= r0 < r1 <= a.shape[0] and 0 <= j0 < j1 <= a.shape[1]):
+    rows, cols = a.data.shape
+    if not (0 <= r0 < r1 <= rows and 0 <= j0 < j1 <= cols):
         raise KernelError(f"block [{r0}:{r1}, {j0}:{j1}] out of range for shape {a.shape}")
 
     def bwd(g, a=a):
@@ -290,9 +296,9 @@ def concat_rows(parts) -> Tensor:
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[0] != b.shape[0]:
+    if a.data.shape[0] != b.data.shape[0]:
         raise KernelError(f"concat_cols row mismatch: {a.shape} vs {b.shape}")
-    na = a.shape[1]
+    na = a.data.shape[1]
 
     def bwd(g, a=a, b=b, na=na):
         _accum(a, g[:, :na])
@@ -309,7 +315,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     zero_rows = False
     if idx.size:
         low = idx.min()
-        if low < -1 or idx.max() >= table.shape[0]:
+        if low < -1 or idx.max() >= table.data.shape[0]:
             raise KernelError(f"gather_rows index out of range for shape {table.shape}")
         zero_rows = low == -1
     out = table.data[idx]
@@ -322,9 +328,9 @@ def gather_rows(table: Tensor, indices) -> Tensor:
             idx, g = idx[valid], g[valid]
         # one 1-D add.at over flat element indices: each element sums in the same order as
         # a 2-D add.at over rows, much faster; the flat view needs a C-ordered gradient
-        n_cols = table.shape[1]
+        n_cols = table.data.shape[1]
         if table.grad is None:
-            table.grad = np.zeros(table.shape, dtype=table.data.dtype)
+            table.grad = np.zeros(table.data.shape, dtype=table.data.dtype)
         elif not table.grad.flags.c_contiguous:
             table.grad = np.ascontiguousarray(table.grad)
         flat = idx[:, None] * n_cols + np.arange(n_cols)
@@ -417,23 +423,29 @@ class LstmWeights:
 
     @property
     def hidden(self) -> int:
-        return self.Wh.shape[1]
+        return self.Wh.data.shape[1]
 
 
-def _cell(pre: np.ndarray, c: np.ndarray):
-    """The LSTM cell on (..., 4H) gate pre-activations and the previous (..., H) cells.
+def _cell(sig: np.ndarray, c: np.ndarray, g, c_next, tanh_c, h):
+    """The LSTM cell in place, from (..., 4H) gate pre-activations in sig and the previous
+    (..., H) cells c, into arrays of the caller's (c_next may be c).
 
-    Returns (sig, g, c, tanh c, h): sig is the sigmoid of every pre-activation,
-    whose first, second and fourth quarters are the i, f and o gates, and g is
-    the candidate, tanh of the third quarter. Callers silence exp overflow,
-    which saturates the sigmoid correctly.
+    sig is left holding the sigmoid of every pre-activation, whose first, second and
+    fourth quarters are the i, f and o gates; g gets the candidate, tanh of the third
+    quarter, then c_next the new cell, tanh_c its tanh and h the new state. Callers
+    silence exp overflow, which saturates the sigmoid correctly.
     """
     hid = c.shape[-1]
-    sig = 1.0 / (1.0 + np.exp(-pre))
-    g = np.tanh(pre[..., 2 * hid : 3 * hid])
-    c = sig[..., hid : 2 * hid] * c + sig[..., :hid] * g
-    tanh_c = np.tanh(c)
-    return sig, g, c, tanh_c, sig[..., 3 * hid :] * tanh_c
+    np.tanh(sig[..., 2 * hid : 3 * hid], g)
+    np.negative(sig, sig)
+    np.exp(sig, sig)
+    np.add(1.0, sig, sig)
+    np.divide(1.0, sig, sig)
+    np.multiply(sig[..., hid : 2 * hid], c, c_next)
+    np.multiply(sig[..., :hid], g, tanh_c)  # i * g, until tanh c overwrites it
+    np.add(c_next, tanh_c, c_next)
+    np.tanh(c_next, tanh_c)
+    np.multiply(sig[..., 3 * hid :], tanh_c, h)
 
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights):
@@ -442,14 +454,15 @@ def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, w: LstmWeights):
 
     Training runs every recurrence through lstm_sequence: a gradient request is an error.
     """
-    if x.shape[1] != w.Wx.shape[1]:
+    if x.data.shape[1] != w.Wx.data.shape[1]:
         raise KernelError(f"lstm_step shape mismatch: {x.shape} with weight {w.Wx.shape}")
     if _grad_enabled and (x.requires_grad or h_prev.requires_grad or c_prev.requires_grad
                           or w.Wx.requires_grad or w.Wh.requires_grad or w.b.requires_grad):
         raise KernelError("lstm_step records no gradient; use lstm_sequence or no_grad()")
     pre = x.data @ w.Wx.data.T + h_prev.data @ w.Wh.data.T + w.b.data
+    g, c, tanh_c, h = (np.empty_like(c_prev.data) for _ in range(4))
     with np.errstate(over="ignore"):
-        _, _, c, _, h = _cell(pre, c_prev.data)
+        _cell(pre, c_prev.data, g, c, tanh_c, h)
     return Tensor._wrap(h), Tensor._wrap(c)
 
 
@@ -493,7 +506,7 @@ def _scan_group(xs: Tensor, ws, reverse, lengths) -> _ScanGroup:
     """A checked direction group; see lstm_sequence."""
     if isinstance(ws, LstmWeights):
         ws, reverse = [ws], [reverse]
-    k, n_rows = len(ws), xs.shape[0]
+    k, n_rows = len(ws), xs.data.shape[0]
     if k == 0:
         raise KernelError("lstm_sequence needs at least one direction")
     if isinstance(reverse, bool) or len(reverse) != k:
@@ -502,7 +515,7 @@ def _scan_group(xs: Tensor, ws, reverse, lengths) -> _ScanGroup:
     for w in ws:
         if w.hidden != hid:
             raise KernelError(f"lstm_sequence hidden widths differ: {w.hidden} vs {hid}")
-        if xs.shape[1] != w.Wx.shape[1]:
+        if xs.data.shape[1] != w.Wx.data.shape[1]:
             raise KernelError(f"lstm_sequence shape mismatch: {xs.shape} with weight {w.Wx.shape}")
     if n_rows < 1:
         raise KernelError("empty sequence")
@@ -528,8 +541,10 @@ def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None, more=()) -> Tenso
     sequence starts at scan step 0 in every direction, so a shorter one idles only at the
     end of its group's scan, where no output reads it and no gradient reaches it, and a
     group leaves the loop once its longest sequence ends. Each direction's output and
-    gradients are bitwise as if its group ran alone. The backward is one hand-written
-    BPTT loop.
+    gradients are bitwise as if its group ran alone. A taped call keeps each step's state
+    for the backward, made at the start of its phase for the directions that run in it;
+    an untaped one (under no_grad, or with nothing that requires a gradient) overwrites
+    one step's. The backward is one hand-written BPTT loop.
     """
     groups = [_scan_group(xs, ws, reverse, lengths)] + [_scan_group(*g) for g in more]
     k, n_seq, hid = len(groups[0].ws), groups[0].n_seq, groups[0].ws[0].hidden
@@ -547,24 +562,46 @@ def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None, more=()) -> Tenso
     phases = [(m * k, ends[m], ends[m - 1]) for m in range(len(scan), 0, -1)
               if ends[m] < ends[m - 1]]
     t_max, n_dirs = ends[0], k * len(scan)
-    Wh = np.stack([w.Wh.data for grp in scan for w in grp.ws])  # (n_dirs, 4H, H)
+    Wh = np.concatenate([w.Wh.data for grp in scan for w in grp.ws]).reshape(
+        n_dirs, 4 * hid, hid)
     Wh_T = Wh.transpose(0, 2, 1)  # per direction the same strided view as Wh.T
+    inputs = tuple(grp.xs for grp in groups)
+    params = tuple(p for grp in groups for w in grp.ws for p in (w.Wx, w.Wh, w.b))
+    taped = _grad_enabled and any(p.requires_grad for p in inputs + params)
 
-    pre_x = [  # each group's input share of the gates, (t_max, k, B, 4H) in scan order
-        np.stack([grp.xs.data @ w.Wx.data.T + w.b.data[0] for w in grp.ws], axis=1)[
-            grp.rows, grp.dirs[:, None]] for grp in scan]
+    pre_x = []  # each group's input share of the gates, (t_max, k, B, 4H) in scan order
+    for grp in scan:
+        xw = np.empty((k, grp.xs.data.shape[0], 4 * hid))
+        for j, w in enumerate(grp.ws):
+            np.matmul(grp.xs.data, w.Wx.data.T, xw[j])
+        pre = xw[grp.dirs[:, None], grp.rows]
+        pre += np.concatenate([w.b.data for w in grp.ws])[:, None]
+        pre_x.append(pre)
     hs = np.empty((t_max, n_dirs, n_seq, hid))  # h per scan step
     steps = []  # (sig, g, c, tanh c) per scan step, kept for the backward
     h = c = np.zeros((n_dirs, n_seq, hid))
+    widths = (4 * hid, hid, hid, hid)  # of sig, g, c and tanh c
+    if not taped:  # one step's state, overwritten by every step
+        state = [np.empty((n_dirs, n_seq, width)) for width in widths]
+        state[2] = c = np.zeros((n_dirs, n_seq, hid))
     with np.errstate(over="ignore"):
         for n, lo, hi in phases:
             pre = (pre_x[0][lo:hi] if n == k else
                    np.concatenate([p[lo:hi] for p in pre_x[: n // k]], axis=1))
             h, c, Wh_run = h[:n], c[:n], Wh_T[:n]
-            for pre_sp, hs_sp in zip(pre, hs[lo:hi, :n]):
-                sig, gate_g, c, tanh_c, h = _cell(pre_sp + np.matmul(h, Wh_run), c)
-                steps.append((sig, gate_g, c, tanh_c))
-                hs_sp[...] = h
+            if taped:  # every step's own state, kept for the backward; step-sized arrays,
+                # because phase-sized ones measured a higher peak RSS in training
+                bufs = [tuple(np.empty((n, n_seq, width)) for width in widths)
+                        for _ in range(hi - lo)]
+            else:
+                bufs = repeat(tuple(s[:n] for s in state), hi - lo)
+            for pre_sp, h_next, (sig, gate_g, c_next, tanh_c) in zip(pre, hs[lo:hi, :n], bufs):
+                np.matmul(h, Wh_run, sig)
+                np.add(pre_sp, sig, sig)
+                _cell(sig, c, gate_g, c_next, tanh_c, h_next)
+                h, c = h_next, c_next
+                if taped:
+                    steps.append((sig, gate_g, c_next, tanh_c))
     dirs = [i * k + grp.dirs for i, grp in enumerate(scan)]  # each group's direction slots
     place = sorted(range(len(order)), key=order.__getitem__)  # each group's index in scan
     outs = [hs[scan[i].step, dirs[i], scan[i].seq].reshape(-1, k * hid) for i in place]
@@ -614,8 +651,6 @@ def lstm_sequence(xs: Tensor, ws, reverse=False, lengths=None, more=()) -> Tenso
                 if grp.xs.requires_grad:
                     _accum(grp.xs, d_rows @ w.Wx.data)
 
-    inputs = tuple(grp.xs for grp in groups)
-    params = tuple(p for grp in groups for w in grp.ws for p in (w.Wx, w.Wh, w.b))
     return _node(out, inputs + params, bwd)
 
 

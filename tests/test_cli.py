@@ -599,8 +599,8 @@ class TestConfigErrors:
                 "embedding_paths": [str(paths.embeddings)], "train_path": str(train_path),
                 "tables_path": str(paths.tables)}), encoding="utf-8")
             assert main(["train", "--config", str(config)]) == 1
-            assert one_line_error(capsys) == ("error: type_dim 3 must equal the word width 50 "
-                                              "in content mode, or be null\n")
+            assert one_line_error(capsys) == (f"error: {config}: type_dim 3 must equal the word "
+                                              "width 50 in content mode, or be null\n")
 
     @pytest.mark.parametrize("paths", [[], ["a.txt", "b.txt", "c.txt"]], ids=["none", "three"])
     def test_embedding_count_is_the_same_one_line_error_from_every_command(

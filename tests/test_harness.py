@@ -160,6 +160,40 @@ class TestDatasetIO:
         [example], _ = H.load_dataset(path, tables_path)
         assert example.gold.conds == [(2, 0, "88.5"), (2, 1, "7")]
 
+    @pytest.mark.parametrize("key", ["id", "header", "types"])
+    def test_table_without_a_key_names_it_missing(self, tmp_path, key):
+        _, tables_path = write_magazine_files(tmp_path)
+        rec = json.loads(tables_path.read_text(encoding="utf-8"))
+        del rec[key]
+        tables_path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(H.DatasetError) as excinfo:
+            H.load_tables(tables_path)
+        assert str(excinfo.value) == f"{tables_path}:1: missing key {key!r}"
+
+    @pytest.mark.parametrize("key", ["question", "table_id", "sql", "sel", "agg"])
+    def test_example_without_a_key_names_it_missing(self, tmp_path, key):
+        examples_path, tables_path = write_magazine_files(tmp_path)
+        rec = {"question": "x?", "table_id": "mag", "sql": {"sel": 0, "agg": 0, "conds": []}}
+        del (rec["sql"] if key in rec["sql"] else rec)[key]
+        good = examples_path.read_text(encoding="utf-8")
+        examples_path.write_text(good + json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(H.DatasetError) as excinfo:
+            H.load_dataset(examples_path, tables_path)
+        assert str(excinfo.value) == f"{examples_path}:2: missing key {key!r}"
+
+    @pytest.mark.parametrize("key", ["sel", "agg"])
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_prediction_without_a_key_names_it_missing(self, tmp_path, key, wrapped):
+        examples_path, tables_path = write_magazine_files(tmp_path)
+        examples, tables = H.load_dataset(examples_path, tables_path)
+        sql = {"sel": 0, "agg": 0, "conds": []}
+        del sql[key]
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"sql": sql} if wrapped else sql) + "\n", encoding="utf-8")
+        with pytest.raises(H.DatasetError) as excinfo:
+            H.load_predictions(preds, examples, tables)
+        assert str(excinfo.value) == f"{preds}:1: missing key {key!r}"
+
 
 def fresh_text(cell):
     """An equal cell; a str one is a new object (the empty and one-letter strings are

@@ -359,6 +359,61 @@ class TestFusedGroups:
                     np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(out.data, np.vstack(outs))
 
+    def fused_call(self, seed, n_seq, first_ends_first, grad):
+        """A two-group fused call's arguments, with inputs and weights that require a
+        gradient or not."""
+        rng = np.random.default_rng(seed)
+        hid = 4
+        longer, shorter = rng.integers(5, 9, size=n_seq), rng.integers(1, 4, size=n_seq)
+        lengths = (shorter, longer) if first_ends_first else (longer, shorter)
+        groups = []
+        for n, d, rev in zip(lengths, self.WIDTHS, self.REVERSE):
+            x = K.Tensor(rng.normal(size=(int(n.sum()), d)), requires_grad=grad)
+            ws = [make_lstm_weights(rng, d, hid) for _ in rev]
+            for w in ws:
+                w.Wx.requires_grad = w.Wh.requires_grad = w.b.requires_grad = grad
+            groups.append((x, ws, rev, None if n_seq == 1 else n.tolist()))
+        return groups
+
+    @pytest.mark.parametrize("n_seq", [1, 16])
+    @pytest.mark.parametrize("first_ends_first", [False, True])
+    def test_untaped_call_matches_taped_call_bitwise(self, n_seq, first_ends_first):
+        # untaped under no_grad, or with nothing that requires a gradient: one step's state
+        # serves every step then, where a taped call keeps every step's
+        seed = 50 + n_seq + first_ends_first
+        taped = self.fused_call(seed, n_seq, first_ends_first, grad=True)
+        out = K.lstm_sequence(*taped[0], more=taped[1:])
+        assert out.requires_grad
+        with K.no_grad():
+            under_no_grad = K.lstm_sequence(*taped[0], more=taped[1:])
+        plain = self.fused_call(seed, n_seq, first_ends_first, grad=False)
+        no_inputs_need_grad = K.lstm_sequence(*plain[0], more=plain[1:])
+        for untaped in (under_no_grad, no_inputs_need_grad):
+            assert not untaped.requires_grad
+            np.testing.assert_array_equal(untaped.data, out.data)
+
+    def test_back_to_back_untaped_calls_match_fresh_calls_bitwise(self):
+        # shapes that grow and shrink between calls, in hidden width, direction count,
+        # sequence count and phase count
+        rng = np.random.default_rng(43)
+        calls = []
+        for hid, k, n_seq, n_groups in [(4, 3, 16, 2), (2, 1, 1, 1), (5, 2, 3, 3), (4, 3, 1, 2),
+                                        (3, 6, 5, 1), (2, 1, 16, 3)]:
+            groups = []
+            for _ in range(n_groups):
+                lens = rng.integers(1, 9, size=n_seq)
+                d = int(rng.integers(1, 6))
+                groups.append((K.constant(rng.normal(size=(int(lens.sum()), d))),
+                               [make_lstm_weights(rng, d, hid) for _ in range(k)],
+                               [bool(r) for r in rng.integers(0, 2, size=k)], lens.tolist()))
+            calls.append(groups)
+        fresh = [K.lstm_sequence(*groups[0], more=groups[1:]).data for groups in calls]
+        with K.no_grad():
+            for order in (range(len(calls)), reversed(range(len(calls)))):
+                for i in order:
+                    out = K.lstm_sequence(*calls[i][0], more=calls[i][1:])
+                    np.testing.assert_array_equal(out.data, fresh[i])
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(41)
         hid, lengths = 2, ([3, 1, 2], [1, 4, 1])
