@@ -1,13 +1,12 @@
-"""Input embeddings: frozen word vectors, type-tag rows and column-name vectors.
+"""Input embeddings: frozen word vectors and column-name vectors.
 
 Word vectors are frozen and loaded from text files (one `token v1 .. vd` line each,
 every number read by float()); a binary sidecar next to each file, keyed by the
 sha256 of its bytes, spares parsing the same bytes twice; a store read from it maps
 its rows and its sorted token-key table rather than copying them, and a lookup is one
-binary search of that table for a batch of tokens. `TYPE_INDEX` gives each tag kind its
-row of the trainable type table, which `slots.SketchModel` registers. A column is
-represented by the mean of its name-word vectors (`column_name_matrix`); the bi-LSTMs
-that encode questions and columns belong to the slot models.
+binary search of that table for a batch of tokens. A column is represented by the
+mean of its name-word vectors (`column_name_matrix`); the trainable type table and
+the bi-LSTMs that encode questions and columns belong to the slot models.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from contextlib import suppress
 import numpy as np
 
 from .tables import text_lines
-from .tagger import BASE_TAGS, tokenize
-
-TYPE_INDEX = {kind: i for i, kind in enumerate(BASE_TAGS)}
+from .tagger import tokenize
 
 
 class EmbeddingError(ValueError):

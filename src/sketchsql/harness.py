@@ -268,7 +268,7 @@ class PreparedExample:
 
     tq: TaggedQuestion
     gold: SqlQuery
-    q_parts: tuple  # (word, type indices, type constants) from SketchModel.question_parts
+    q_parts: tuple  # (word, type rows) from SketchModel.question_parts
     col_matrix: np.ndarray
     gold_spans: list[list[int] | None] = field(default_factory=list)
 

@@ -308,24 +308,14 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Rows of `table` by index, repeats allowed; index -1 yields a zero row."""
+    """Rows of `table` by index, repeats allowed."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise KernelError("gather_rows takes a flat index list")
-    zero_rows = False
-    if idx.size:
-        low = idx.min()
-        if low < -1 or idx.max() >= table.data.shape[0]:
-            raise KernelError(f"gather_rows index out of range for shape {table.shape}")
-        zero_rows = low == -1
-    out = table.data[idx]
-    if zero_rows:
-        out[idx == -1] = 0.0
+    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
+        raise KernelError(f"gather_rows index out of range for shape {table.shape}")
 
     def bwd(g, table=table, idx=idx):
-        if zero_rows:
-            valid = idx >= 0
-            idx, g = idx[valid], g[valid]
         # one 1-D add.at over flat element indices: each element sums in the same order as
         # a 2-D add.at over rows, much faster; the flat view needs a C-ordered gradient
         n_cols = table.data.shape[1]
@@ -336,7 +326,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         flat = idx[:, None] * n_cols + np.arange(n_cols)
         np.add.at(table.grad.reshape(-1), flat.reshape(-1), g.reshape(-1))
 
-    return _node(out, (table,), bwd)
+    return _node(table.data[idx], (table,), bwd)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

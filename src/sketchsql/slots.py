@@ -22,13 +22,16 @@ from itertools import accumulate
 import numpy as np
 
 from . import kernel as K
-from .encoder import TYPE_INDEX, EmbeddingStore, column_name_matrix
+from .encoder import EmbeddingStore, column_name_matrix
 from .sketch import MAX_CONDITIONS
 from .tagger import BASE_TAGS, COLUMN_VALUE, TaggedQuestion
 
 N_AGGREGATORS = 6
 N_OPERATORS = 3
 N_COND_CLASSES = MAX_CONDITIONS + 1  # predicted condition count in 0..4
+# each tag kind's row of the type table; in content mode a cell-value token of column c
+# reads row len(BASE_TAGS) + c of the type table with the column-name rows below it
+TYPE_INDEX = {kind: i for i, kind in enumerate(BASE_TAGS)}
 
 
 @dataclass
@@ -304,8 +307,11 @@ def stack_inputs(inputs):
     c_lens = [cols.shape[0] for _, cols in inputs]
     if len(inputs) == 1:
         return (*inputs[0], q_lens, c_lens)
-    words, indices, consts = zip(*(parts for parts, _ in inputs))
-    q_parts = (np.vstack(words), [i for idx in indices for i in idx], np.vstack(consts))
+    words, rows = zip(*(parts for parts, _ in inputs))
+    # a cell-value row moves down by the column rows stacked before its table's (c_at)
+    q_parts = (np.vstack(words), [r + c_at if r >= len(BASE_TAGS) else r
+                                  for r_q, c_at in zip(rows, accumulate(c_lens, initial=0))
+                                  for r in r_q])
     return q_parts, np.vstack([cols for _, cols in inputs]), q_lens, c_lens
 
 
@@ -382,20 +388,18 @@ class SketchModel:
     # -- input construction ------------------------------------------------
 
     def question_parts(self, tq: TaggedQuestion, col_matrix: np.ndarray):
-        """Numpy pieces of the question input, cacheable per example; a cell-value
-        token's type vector is its column's row of col_matrix (see column_matrix)."""
+        """Numpy pieces of the question input, cacheable per example: the word vectors
+        and each token's type row (TYPE_INDEX) for question_input."""
         word = self.emb.stack(tq.tokens)
-        indices = []
-        const = np.zeros((len(tq.tokens), self.type_dim))
-        for t, tag in enumerate(tq.tags):
+        rows = []
+        for tag in tq.tags:
             if tag.kind == COLUMN_VALUE:
                 if col_matrix.shape[1] != self.type_dim:
                     raise ValueError("content mode needs type width == word width")
-                indices.append(-1)
-                const[t] = col_matrix[tag.column]
+                rows.append(len(BASE_TAGS) + tag.column)
             else:
-                indices.append(TYPE_INDEX[tag.kind])
-        return word, indices, const
+                rows.append(TYPE_INDEX[tag.kind])
+        return word, rows
 
     def column_matrix(self, header: list[str]) -> np.ndarray:
         """(C, d_w) averaged column-name vectors, one row per column in schema order."""
@@ -403,9 +407,13 @@ class SketchModel:
             raise ValueError("empty schema")
         return column_name_matrix(header, self.emb)
 
-    def question_input(self, word: np.ndarray, indices, const: np.ndarray) -> K.Tensor:
-        type_part = K.add(K.gather_rows(self.type_table, indices), K.constant(const))
-        return K.concat_cols(K.constant(word), type_part)
+    def question_input(self, word: np.ndarray, rows, col_matrix: np.ndarray) -> K.Tensor:
+        """Each token's word vector beside its type vector, one row lookup: from the type
+        table, and in content mode from the type table with col_matrix's rows below it."""
+        types = self.type_table
+        if self.mode == "content":
+            types = K.concat_rows([types, K.constant(col_matrix)])
+        return K.concat_cols(K.constant(word), K.gather_rows(types, rows))
 
     # -- encoding ----------------------------------------------------------
 
@@ -443,7 +451,7 @@ class SketchModel:
              q_lens=None, c_lens=None, rng: np.random.Generator | None = None):
         """[(q_in, H_qt, H_col, H_qt_col)] per named model, from one q_in, for a batch of
         stacked questions and columns with lengths q_lens and c_lens (default: one)."""
-        q_in = self.question_input(*q_parts)
+        q_in = self.question_input(*q_parts, col_matrix)
         encoded = self.encode(which, q_in, K.constant(col_matrix), q_lens, c_lens, rng)
         mask = None if q_lens is None or len(q_lens) == 1 else block_mask(c_lens, q_lens)
         return [(q_in, H_qt, H_col, self.attend(name, H_qt, H_col, mask, rng))

@@ -59,10 +59,11 @@ def not_utf8(path, exc: UnicodeDecodeError) -> str:
 
 def text_lines(path, error, binary=None):
     """Yield (line number, line without its newline) for each non-blank line of a UTF-8
-    text file; bytes that are not UTF-8 raise error(not_utf8(...)). `binary`, a buffered
-    binary reader of path's bytes, is read in place of opening path when given."""
-    with (open(path, encoding="utf-8") if binary is None
-          else io.TextIOWrapper(binary, encoding="utf-8")) as fh:
+    text file, past a leading byte-order mark; bytes that are not UTF-8 raise
+    error(not_utf8(...)). `binary`, a buffered binary reader of path's bytes, is read in
+    place of opening path when given."""
+    with (open(path, encoding="utf-8-sig") if binary is None
+          else io.TextIOWrapper(binary, encoding="utf-8-sig")) as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if line.strip():

@@ -44,7 +44,8 @@ def tiny_model(seed=0, width=8, mode="insensitive"):
 
 
 def embed(model, tq, header):
-    return model.question_input(*model.question_parts(tq, model.column_matrix(header)))
+    col_matrix = model.column_matrix(header)
+    return model.question_input(*model.question_parts(tq, col_matrix), col_matrix)
 
 
 def encode(model, q_input, header):
@@ -342,6 +343,19 @@ class TestSidecar:
         assert sidecar(path).is_file() and len(parses) == 1
         assert snapshot(load_embedding_file(path)) == parsed
         assert len(parses) == 1
+
+    def test_byte_order_mark_is_not_read_into_the_first_token(self, tmp_path, parses):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        marked.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8-sig")
+        want = snapshot(load_embedding_file(plain))
+        assert snapshot(load_embedding_file(marked)) == want  # a parse
+        from_sidecar = load_embedding_file(marked)
+        assert mapped(from_sidecar) and snapshot(from_sidecar) == want
+        assert parses == [plain, marked]
+        # the sidecar is keyed by the sha256 of the file's bytes, the mark among them
+        header = sidecar(marked).read_bytes()[:encoder._HEADER.size]
+        assert encoder._HEADER.unpack(header)[2] == hashlib.sha256(marked.read_bytes()).digest()
 
     def test_sidecar_load_maps_read_only_blocks(self, tmp_path):
         path = tmp_path / "e.txt"

@@ -64,6 +64,14 @@ class TestDatasetIO:
         reloaded, _ = H.load_dataset(again, tables_path)
         assert reloaded == examples
 
+    def test_byte_order_mark_is_not_read_into_the_first_record(self, tmp_path):
+        examples_path, tables_path = write_magazine_files(tmp_path)
+        marked = [tmp_path / "marked-examples.jsonl", tmp_path / "marked-tables.jsonl"]
+        for src, dst in zip((examples_path, tables_path), marked):
+            dst.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        assert H.load_tables(marked[1]) == H.load_tables(tables_path)
+        assert H.load_dataset(*marked) == H.load_dataset(examples_path, tables_path)
+
     def test_bad_agg_code_reports_line(self, tmp_path):
         _, tables_path = write_magazine_files(tmp_path)
         bad = tmp_path / "bad.jsonl"

@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 import reference_impls as ref
 from helpers import MAGAZINE_QUESTION, demo_gazetteer, magazine_table
-from test_harness import tiny_embeddings
+from test_harness import synth_batch, tiny_embeddings
 from sketchsql import harness as H
 from sketchsql import kernel as K
 from sketchsql import slots as S
 from sketchsql.encoder import load_embeddings
 from sketchsql.synth import generate_corpus
-from sketchsql.tagger import Gazetteer, recognize
+from sketchsql.tagger import COLUMN_VALUE, Gazetteer, recognize
 
 
 def rand_states(rng, t_len=4, n_cols=3, width=8):
@@ -428,6 +428,26 @@ class TestGroupedRead:
         assert {name for name, _ in grouped_log} == set(LOGITS)
         for (name, got), (_, want) in zip(grouped_log, alone_log):
             np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+class TestStackInputs:
+    def test_cell_value_rows_read_their_own_tables_columns(self, tmp_path):
+        model, _, preps = synth_batch(tmp_path, 16)
+        assert len({p.col_matrix.shape[0] for p in preps}) > 1
+        cells = [[(t, tag.column) for t, tag in enumerate(p.tq.tags) if tag.kind == COLUMN_VALUE]
+                 for p in preps]
+        assert sum(map(bool, cells)) > 1  # cell values in more than one table
+        inputs = [(p.q_parts, p.col_matrix) for p in preps]
+        with K.no_grad():
+            [(q_in, *_)] = model.read(("col",), *S.stack_inputs(inputs))
+            at = 0
+            for (parts, col_matrix), cell in zip(inputs, cells):
+                [(own, *_)] = model.read(("col",), parts, col_matrix)
+                assert q_in.data[at : at + own.shape[0]].tobytes() == own.data.tobytes()
+                at += own.shape[0]
+                for t, column in cell:
+                    assert own.data[t, -model.type_dim:].tobytes() == col_matrix[column].tobytes()
+        assert at == q_in.shape[0]
 
 
 def split_logits(log, preds, q_lens, c_lens, cap):

@@ -204,6 +204,15 @@ class TestGazetteerFile:
         assert gaz.get(normalize_text("mort  drucker")) == "person"
         assert gaz.get(normalize_text("FRANCE")) == "country"
 
+    def test_byte_order_mark_is_not_read_into_the_first_key(self, tmp_path):
+        text = "Alma Reyes\tperson\nFrance\tcountry\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        gaz = Gazetteer.from_tsv(marked)
+        assert gaz.get("alma reyes") == "person"
+        assert vars(gaz) == vars(Gazetteer.from_tsv(plain))
+
     def test_unknown_category_reports_line(self, tmp_path):
         path = tmp_path / "gaz.tsv"
         path.write_text("ok\tperson\nbad\trobot\n", encoding="utf-8")
