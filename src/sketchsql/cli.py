@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 
 from . import harness
 from .encoder import load_embeddings
@@ -31,9 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train", help="train from a config file")
     train.add_argument("--config", required=True)
-    train.add_argument("--seed", type=int)
-    train.add_argument("--mode", choices=MODES)
-    train.add_argument("--checkpoint", help="checkpoint output path override")
 
     ev = sub.add_parser("eval", help="score predictions or a checkpoint on a dataset")
     ev.add_argument("--examples", required=True)
@@ -58,13 +54,6 @@ def _load_table(path, table_id):
     if table is None:
         raise harness.DatasetError(f"table {table_id!r} not found in {path}")
     return table
-
-
-def _config_with_overrides(args) -> harness.TrainConfig:
-    overrides = {"seed": args.seed, "mode": args.mode, "checkpoint_path": args.checkpoint}
-    # replace() builds a new config, so the overrides pass TrainConfig's checks too
-    return replace(harness.TrainConfig.from_file(args.config),
-                   **{name: value for name, value in overrides.items() if value is not None})
 
 
 @contextmanager
@@ -124,7 +113,7 @@ def _cmd_tag(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _config_with_overrides(args)
+    config = harness.TrainConfig.from_file(args.config)
     if not config.train_path or not config.tables_path:
         raise ValueError(f"{args.config}: config needs train_path and tables_path")
     emb, gaz = _load_inputs(args.config, config)

@@ -235,7 +235,7 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path) -> "TrainConfig":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             try:
                 raw = json.load(fh)
             except UnicodeDecodeError as exc:

@@ -148,18 +148,14 @@ def cond_col_scores(H_qt_col: K.Tensor, H_col: K.Tensor, H_qt_scol: K.Tensor,
 
 def predict_cond_cols(H_qt_col: K.Tensor, H_col: K.Tensor, H_qt_scol: K.Tensor,
                       head: CondColHead, counts, c_lens) -> list[list[int]]:
-    """Each example's top counts[i] condition columns by probability, ties toward the
-    lower index; c_lens splits the stacked columns into examples."""
+    """Each example's top counts[i] condition columns by logit, ties toward the lower
+    index; c_lens splits the stacked columns into examples."""
     if not any(counts):
         return [[] for _ in counts]
     logits = cond_col_scores(H_qt_col, H_col, H_qt_scol, head).data[0]
     out, at = [], 0
     for k, n_cols in zip(counts, c_lens):
-        picked = []
-        if k:
-            probs = K.softmax_rows(K.constant(logits[at : at + n_cols])).data[0]
-            picked = sorted(range(n_cols), key=lambda i: (-probs[i], i))[:k]
-        out.append(picked)
+        out.append(np.argsort(-logits[at : at + n_cols], kind="stable")[:k].tolist())
         at += n_cols
     return out
 
@@ -394,8 +390,8 @@ class SketchModel:
         rows = []
         for tag in tq.tags:
             if tag.kind == COLUMN_VALUE:
-                if col_matrix.shape[1] != self.type_dim:
-                    raise ValueError("content mode needs type width == word width")
+                if self.mode != "content":
+                    raise ValueError("column_value tags need content mode")
                 rows.append(len(BASE_TAGS) + tag.column)
             else:
                 rows.append(TYPE_INDEX[tag.kind])

@@ -98,6 +98,7 @@ AGG_PREFIX = {
     5: "what is the average {sel}",
 }
 OP_PHRASE = {0: "is", 1: "is greater than", 2: "is less than"}
+EMBEDDING_DIM = 50  # width of the random 'pretrained' vectors
 
 
 def _make_table(name: str, specs: list[ColumnSpec], rnd: random.Random) -> Table:
@@ -159,8 +160,7 @@ class CorpusPaths:
     gazetteer: Path
 
 
-def generate_corpus(out_dir, seed: int = 0, n_train: int = 240, n_dev: int = 60,
-                    embedding_dim: int = 50) -> CorpusPaths:
+def generate_corpus(out_dir, seed: int = 0, n_train: int = 240, n_dev: int = 60) -> CorpusPaths:
     """Write train/dev/tables JSONL plus embeddings and gazetteer files."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -199,7 +199,7 @@ def generate_corpus(out_dir, seed: int = 0, n_train: int = 240, n_dev: int = 60,
     emb_rng = np.random.default_rng(seed)
     with open(paths.embeddings, "w", encoding="utf-8") as fh:
         for token in sorted(vocab):
-            vec = emb_rng.normal(scale=0.4, size=embedding_dim)
+            vec = emb_rng.normal(scale=0.4, size=EMBEDDING_DIM)
             fh.write(token + " " + " ".join(f"{v:.5f}" for v in vec) + "\n")
 
     with open(paths.gazetteer, "w", encoding="utf-8") as fh:

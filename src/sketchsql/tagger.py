@@ -10,7 +10,7 @@ token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 
@@ -77,15 +77,17 @@ TAG_COLUMN = TypeTag(COLUMN)
 
 @dataclass
 class TaggedQuestion:
-    """Question tokens aligned one-to-one with tags and raw-text offsets."""
+    """Question tokens aligned one-to-one with tags; `spans` is span_texts(tokens), built
+    once for the four passes."""
 
     tokens: list[str]
     tags: list[TypeTag]
-    char_spans: list[tuple[int, int]]
+    spans: tuple[tuple[int, int, str], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (len(self.tokens) == len(self.tags) == len(self.char_spans) >= 1):
-            raise ValueError("tokens, tags and char_spans must be parallel and non-empty")
+        if not (len(self.tokens) == len(self.tags) >= 1):
+            raise ValueError("tokens and tags must be parallel and non-empty")
+        self.spans = span_texts(self.tokens)
 
     def display_tags(self, header: list[str]) -> list[str]:
         return [t.display(header) for t in self.tags]
@@ -159,11 +161,9 @@ def ngram_spans(t: int) -> tuple[tuple[int, int], ...]:
                  for start in range(0, t - length + 1))
 
 
-@lru_cache(maxsize=1)
-def span_texts(tokens: tuple[str, ...]) -> tuple[tuple[int, int, str], ...]:
+def span_texts(tokens: list[str]) -> tuple[tuple[int, int, str], ...]:
     """(start, end, text) of every span of ngram_spans(len(tokens)), in its walk order; a
-    span's text is its tokens joined by single spaces. The four passes over a question
-    share one build: the cache holds the last question's."""
+    span's text is its tokens joined by single spaces."""
     line = " ".join(tokens)
     stops = list(accumulate(len(token) + 1 for token in tokens))  # one past each space
     starts = [0, *stops]
@@ -191,8 +191,7 @@ def tag_schema_columns(tq: TaggedQuestion, header: list[str]) -> TaggedQuestion:
     if not header:
         raise ValueError("schema has no columns")
     names = {normalize_text(name) for name in header}
-    spans = span_texts(tuple(tq.tokens))
-    _claim(tq, [(start, end, TAG_COLUMN) for start, end, text in spans if text in names])
+    _claim(tq, [(start, end, TAG_COLUMN) for start, end, text in tq.spans if text in names])
     return tq
 
 
@@ -239,9 +238,8 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
             if text:
                 values.setdefault(text, col)
 
-    spans = span_texts(tuple(tq.tokens))
     _claim(tq, [(start, end, TypeTag(COLUMN_VALUE, column=values[text]))
-                for start, end, text in spans if text in values])
+                for start, end, text in tq.spans if text in values])
     return tq
 
 
@@ -267,7 +265,7 @@ def tag_numbers(tq: TaggedQuestion) -> TaggedQuestion:
     digits = [_DIGIT_RE.search(token) is not None for token in tq.tokens]
     if True in digits:
         tagged = ((start, end, _number_tag(text))
-                  for start, end, text in span_texts(tuple(tq.tokens))
+                  for start, end, text in tq.spans
                   if True in digits[start:end])
         _claim(tq, [(start, end, tag) for start, end, tag in tagged if tag is not None])
     return tq
@@ -277,8 +275,7 @@ def tag_entities(tq: TaggedQuestion, gazetteer: Gazetteer) -> TaggedQuestion:
     """Tag untagged spans found in the gazetteer with their entity category. The span
     texts of tokenize's tokens are already in normal form, so they are not normalised
     again."""
-    spans = span_texts(tuple(tq.tokens))
-    found = ((start, end, gazetteer.get(text)) for start, end, text in spans)
+    found = ((start, end, gazetteer.get(text)) for start, end, text in tq.spans)
     _claim(tq, [(start, end, TypeTag(category)) for start, end, category in found
                 if category is not None])
     return tq
@@ -294,8 +291,8 @@ def recognize(question: str, header: list[str], table: Table | None = None,
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "content" and table is None:
         raise ValueError("content mode needs the table rows")
-    tokens, spans = tokenize(question)
-    tq = TaggedQuestion(tokens=tokens, tags=[TAG_NONE] * len(tokens), char_spans=spans)
+    tokens = tokenize(question)[0]
+    tq = TaggedQuestion(tokens=tokens, tags=[TAG_NONE] * len(tokens))
     tag_schema_columns(tq, header)
     if mode == "content":
         tag_content(tq, table)

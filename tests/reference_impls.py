@@ -215,8 +215,8 @@ def reference_tag_numbers(tq):
 
 def reference_recognize(question, header, table=None, mode="insensitive", gazetteer=None):
     """The four passes in order: columns, cell values (content mode), numbers, entities."""
-    tokens, spans = tokenize(question)
-    tq = TaggedQuestion(tokens=tokens, tags=[TAG_NONE] * len(tokens), char_spans=spans)
+    tokens = tokenize(question)[0]
+    tq = TaggedQuestion(tokens=tokens, tags=[TAG_NONE] * len(tokens))
     names = {naive_norm(name) for name in header}
     reference_span_matches(tq, lambda text: TypeTag("column") if text in names else None)
     if mode == "content":

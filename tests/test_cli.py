@@ -152,6 +152,12 @@ class TestEvalAndPredictOptions:
             assert code == 2
             assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
+    def test_train_reads_its_run_from_the_config_alone(self, untrained_checkpoint, capsys):
+        _, config, checkpoint = untrained_checkpoint
+        for option in (["--seed", "3"], ["--mode", "content"], ["--checkpoint", checkpoint]):
+            assert main(["train", "--config", config, *option]) == 2
+            assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_garbage_checkpoint_fails_with_one_line(self, untrained_checkpoint, tmp_path,
                                                     command, capsys):
@@ -693,12 +699,6 @@ class TestConfigErrors:
         assert main(["train", "--config", str(config)]) == 1
         assert re.fullmatch(r"error: non-finite gradient in \S+ at epoch 1, batch 1\n",
                             one_line_error(capsys))
-
-    def test_flag_override_is_checked_like_a_config_field(self, tmp_path, capsys):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"hidden_width": 8}), encoding="utf-8")
-        assert main(["train", "--config", str(path), "--seed", "-1"]) == 1
-        assert one_line_error(capsys) == "error: seed must be an integer >= 0, got -1\n"
 
 
 class TestTrainEvalPredictPipeline:

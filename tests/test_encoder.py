@@ -768,7 +768,7 @@ class TestDamagedEmbeddingFile:
 class TestEmbedQuestion:
     def test_known_word_none_tag(self):
         model = tiny_model()
-        tq = TaggedQuestion(tokens=["artist"], tags=[TAG_NONE], char_spans=[(0, 6)])
+        tq = TaggedQuestion(tokens=["artist"], tags=[TAG_NONE])
         out = embed(model, tq, ["artist"])
         assert out.shape == (1, 7)
         np.testing.assert_array_equal(out.data[0, :4], model.emb.stack(["artist"])[0])
@@ -776,29 +776,30 @@ class TestEmbedQuestion:
 
     def test_unknown_word_zero_prefix(self):
         model = tiny_model()
-        tq = TaggedQuestion(tokens=["zzz"], tags=[TypeTag("integer")], char_spans=[(0, 3)])
+        tq = TaggedQuestion(tokens=["zzz"], tags=[TypeTag("integer")])
         out = embed(model, tq, ["artist"])
         np.testing.assert_array_equal(out.data[0, :4], 0.0)
         assert np.abs(out.data[0, 4:]).sum() > 0
 
     def test_column_value_uses_mean_column_name_vector(self):
         model = tiny_model(mode="content")  # content mode: type width == word width
-        tq = TaggedQuestion(tokens=["mort"], tags=[TypeTag("column_value", column=0)],
-                            char_spans=[(0, 4)])
+        tq = TaggedQuestion(tokens=["mort"], tags=[TypeTag("column_value", column=0)])
         out = embed(model, tq, ["artist"])
         np.testing.assert_allclose(out.data[0, 4:], model.emb.stack(["artist"])[0], atol=1e-12)
 
     def test_content_mode_width_mismatch_rejected(self):
-        model = tiny_model()
-        tq = TaggedQuestion(tokens=["mort"], tags=[TypeTag("column_value", column=0)],
-                            char_spans=[(0, 4)])
-        with pytest.raises(ValueError, match="type width"):
-            model.question_parts(tq, model.column_matrix(["artist"]))
+        # an insensitive model rejects a cell-value tag at any type width, the word width
+        # (4) included
+        tq = TaggedQuestion(tokens=["mort"], tags=[TypeTag("column_value", column=0)])
+        for type_dim in (3, 4):
+            model = SketchModel(K.ParamStore(seed=0), tiny_store(), width=8, type_dim=type_dim,
+                                dropout=0.0)
+            with pytest.raises(ValueError, match="^column_value tags need content mode$"):
+                model.question_parts(tq, model.column_matrix(["artist"]))
 
     def test_gradient_reaches_type_table(self):
         model = tiny_model()
-        tq = TaggedQuestion(tokens=["artist", "zzz"], tags=[TAG_NONE, TypeTag("float")],
-                            char_spans=[(0, 1), (1, 2)])
+        tq = TaggedQuestion(tokens=["artist", "zzz"], tags=[TAG_NONE, TypeTag("float")])
         out = embed(model, tq, ["artist"])
         K.backward(K.sum_all(out))
         table = model.type_table

@@ -366,10 +366,12 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("key", ["warp_factor", "decoder_max_len"])
     def test_from_file_rejects_unknown_keys(self, key, tmp_path):
+        # a file that starts with a UTF-8 byte-order mark is read past it to the same keys
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"hidden_width": 16, key: 9}), encoding="utf-8")
-        with pytest.raises(ValueError, match=re.escape(f"unknown config keys ['{key}']")):
-            H.TrainConfig.from_file(path)
+        for encoding in ("utf-8", "utf-8-sig"):
+            path.write_text(json.dumps({"hidden_width": 16, key: 9}), encoding=encoding)
+            with pytest.raises(ValueError, match=re.escape(f"unknown config keys ['{key}']")):
+                H.TrainConfig.from_file(path)
 
 
 class TestTotalLoss:

@@ -170,6 +170,16 @@ class TestCondCols:
             assert got == want
             assert len(got) == k and len(set(got)) == k
 
+    def test_tied_logits_take_the_lowest_indices(self):
+        # a zero V makes every logit 0.0, so each question gets its first counts[i] columns
+        rng = np.random.default_rng(12)
+        counts, c_lens = [2, 0, 1, 4], [3, 5, 2, 4]
+        head = cond_col_head(rng)
+        head.V.data[:] = 0.0
+        H_qt_col, H_col, scol = (const(rng.normal(size=(sum(c_lens), 8))) for _ in range(3))
+        got = S.predict_cond_cols(H_qt_col, H_col, scol, head, counts, c_lens)
+        assert got == [list(range(k)) for k in counts]
+
     def test_predicted_count_never_exceeds_columns(self, monkeypatch):
         # a count head that always says four conditions, over tables of one and two columns
         scores = S.cond_number_scores

@@ -16,11 +16,7 @@ from sketchsql.tagger import Gazetteer, GazetteerError, TaggedQuestion, TypeTag
 
 
 def fresh(tokens):
-    return TaggedQuestion(
-        tokens=list(tokens),
-        tags=[T.TAG_NONE] * len(tokens),
-        char_spans=[(0, 0)] * len(tokens),
-    )
+    return TaggedQuestion(tokens=list(tokens), tags=[T.TAG_NONE] * len(tokens))
 
 
 class TestTokenize:
@@ -82,9 +78,10 @@ class TestSpanTexts:
     @settings(max_examples=300, deadline=None)
     def test_span_texts_are_normal_and_follow_the_walk(self, question):
         # every span text is already its own normalize_text, so the entity pass may look
-        # it up in the gazetteer as it stands
+        # it up in the gazetteer as it stands; a tagged question holds the same walk
         tokens = T.tokenize(question)[0]
-        texts = T.span_texts(tuple(tokens))
+        texts = T.span_texts(tokens)
+        assert T.recognize(question, ["a"]).spans == texts
         assert [(start, end) for start, end, _ in texts] == list(T.ngram_spans(len(tokens)))
         for start, end, text in texts:
             assert text == " ".join(tokens[start:end])
@@ -364,7 +361,7 @@ class TestRecognize:
         table = magazine_table()
         gaz = demo_gazetteer()
         tq = T.recognize(question, table.header, table=table, mode="content", gazetteer=gaz)
-        assert len(tq.tokens) == len(tq.tags) == len(tq.char_spans)
+        assert len(tq.tokens) == len(tq.tags)
         again = T.recognize(" ".join(tq.tokens), table.header, table=table,
                             mode="content", gazetteer=gaz)
         assert again.tokens == tq.tokens
