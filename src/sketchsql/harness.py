@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -212,8 +213,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
+        # json reads Infinity and 1e999 as inf, but keeps an int past the float range exact
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            raise ValueError(f"learning_rate must be a finite number > 0, "
+                             f"got {self.learning_rate!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout!r}")
         qm = self.stop_at_train_qm
@@ -264,13 +267,14 @@ class TrainConfig:
 
 @dataclass
 class PreparedExample:
-    """Tagged question plus cached numpy inputs and located gold value spans."""
+    """What the model reads of a question, in training and evaluation alike: the tagged
+    question (tokens and tags), cached numpy inputs and located gold value spans."""
 
     tq: TaggedQuestion
     gold: SqlQuery
     q_parts: tuple  # (word, type rows) from SketchModel.question_parts
     col_matrix: np.ndarray
-    gold_spans: list[list[int] | None] = field(default_factory=list)
+    gold_spans: list[list[int] | None]
 
 
 def find_token_span(tokens: list[str], value: str) -> list[int] | None:
@@ -286,20 +290,14 @@ def find_token_span(tokens: list[str], value: str) -> list[int] | None:
     return None
 
 
-def question_inputs(model: S.SketchModel, question: str, table: Table,
-                    gazetteer: Gazetteer | None = None) -> tuple:
-    """(tagged question, question parts, column matrix): what the model reads of a question."""
-    tq = recognize(question, table.header, table=table, mode=model.mode, gazetteer=gazetteer)
-    col_matrix = model.column_matrix(table.header)
-    return tq, model.question_parts(tq, col_matrix), col_matrix
-
-
 def prepare_example(model: S.SketchModel, example: Example, table: Table,
                     gazetteer: Gazetteer | None = None) -> PreparedExample:
-    tq, q_parts, col_matrix = question_inputs(model, example.question, table, gazetteer)
+    tq = recognize(example.question, table.header, table=table, mode=model.mode,
+                   gazetteer=gazetteer)
+    col_matrix = model.column_matrix(table.header)
     spans = [find_token_span(tq.tokens, val) for _, _, val in example.gold.conds]
-    return PreparedExample(tq=tq, gold=example.gold, q_parts=q_parts, col_matrix=col_matrix,
-                           gold_spans=spans)
+    return PreparedExample(tq=tq, gold=example.gold, q_parts=model.question_parts(tq, col_matrix),
+                           col_matrix=col_matrix, gold_spans=spans)
 
 
 SLOTS = ("select", "count", "cond_cols", "agg", "op", "pointer")
@@ -379,21 +377,21 @@ def predict(model: S.SketchModel, question: str, table: Table,
 
 
 def evaluate_model(model: S.SketchModel, examples: list[Example], tables: dict[str, Table],
-                   gazetteer: Gazetteer | None = None, inputs: list[tuple] | None = None
-                   ) -> Metrics:
+                   gazetteer: Gazetteer | None = None,
+                   prepared: list[PreparedExample] | None = None) -> Metrics:
     """Predict every example, EVAL_CHUNK questions per batch, and score the predictions.
 
-    `inputs` holds each example's question_inputs when the caller has built them already.
+    `prepared` holds each example's PreparedExample when the caller has built them already.
     """
-    if inputs is None:
-        inputs = [question_inputs(model, ex.question, tables[ex.table_id], gazetteer)
-                  for ex in examples]
+    if prepared is None:
+        prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer)
+                    for ex in examples]
     preds = []
     for at in range(0, len(examples), EVAL_CHUNK):
-        chunk = inputs[at : at + EVAL_CHUNK]
-        slots = model.predict_batch([(q_parts, col_matrix) for _, q_parts, col_matrix in chunk])
-        for pred, (tq, _, _), ex in zip(slots, chunk, examples[at : at + EVAL_CHUNK]):
-            preds.append(_checked_query(pred, tq.tokens, tables[ex.table_id]))
+        chunk = prepared[at : at + EVAL_CHUNK]
+        slots = model.predict_batch([(p.q_parts, p.col_matrix) for p in chunk])
+        for pred, p, ex in zip(slots, chunk, examples[at : at + EVAL_CHUNK]):
+            preds.append(_checked_query(pred, p.tq.tokens, tables[ex.table_id]))
     golds = [ex.gold for ex in examples]
     return evaluate_dataset(preds, golds, [ex.table_id for ex in examples], tables)
 
@@ -455,9 +453,8 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
     model, store = build_model(config, emb)
     prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer)
                 for ex in train_examples]
-    train_inputs = [(p.tq, p.q_parts, p.col_matrix) for p in prepared]
-    dev_inputs = [question_inputs(model, ex.question, tables[ex.table_id], gazetteer)
-                  for ex in dev_examples or []]
+    dev_prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer)
+                    for ex in dev_examples or []]
     adam = K.AdamState(store, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
 
@@ -492,12 +489,12 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
         stop = False
         if epoch % config.eval_every == 0 or epoch == config.epochs:
             if config.stop_at_train_qm is not None:
-                qm = evaluate_model(model, train_examples, tables, inputs=train_inputs).acc_qm
+                qm = evaluate_model(model, train_examples, tables, prepared=prepared).acc_qm
                 entry["train_qm"] = qm
                 if qm >= config.stop_at_train_qm:
                     stop = True
             if dev_examples:
-                qm = evaluate_model(model, dev_examples, tables, inputs=dev_inputs).acc_qm
+                qm = evaluate_model(model, dev_examples, tables, prepared=dev_prepared).acc_qm
                 entry["dev_qm"] = qm
                 if best_dev is None or qm > best_dev:
                     best_dev = qm

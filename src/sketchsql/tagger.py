@@ -78,7 +78,7 @@ TAG_COLUMN = TypeTag(COLUMN)
 @dataclass
 class TaggedQuestion:
     """Question tokens aligned one-to-one with tags; `spans` is span_texts(tokens), built
-    once for the four passes."""
+    when the question is made, for the four passes, and dropped when recognize returns."""
 
     tokens: list[str]
     tags: list[TypeTag]
@@ -299,4 +299,5 @@ def recognize(question: str, header: list[str], table: Table | None = None,
     tag_numbers(tq)
     if gazetteer is not None:
         tag_entities(tq, gazetteer)
+    del tq.spans  # read by the passes only; a kept question holds its tokens and tags
     return tq

@@ -554,7 +554,8 @@ class TestConfigErrors:
                                      {"embedding_paths": "emb.txt"},
                                      {"train_path": 5, "tables_path": "tables.jsonl"},
                                      {"checkpoint_path": ["model.tsq"]},
-                                     5, None, [], [1]])
+                                     5, None, [], [1], {"learning_rate": float("inf")},
+                                     {"learning_rate": 10**400}])
     def test_bad_field_is_one_line_error(self, bad, tmp_path, capsys):
         # a config that is not a JSON object is reported by file, a bad field by name
         path = tmp_path / "config.json"

@@ -338,7 +338,8 @@ class TestTrainConfig:
                                     {"embedding_paths": ["emb.txt", 5]},
                                     {"gazetteer_path": ["gaz.tsv"]}, {"train_path": 5},
                                     {"dev_path": 5}, {"tables_path": 5},
-                                    {"checkpoint_path": 5.0}])
+                                    {"checkpoint_path": 5.0}, {"learning_rate": float("inf")},
+                                    {"learning_rate": 10**400}])
     def test_validation(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             H.TrainConfig(**kw)
@@ -415,6 +416,7 @@ class TestTotalLoss:
                             gold=SqlQuery(agg=0, sel=2, conds=[(1, 0, "unfindable name")]))
         prep = H.prepare_example(model, example, table)
         assert prep.gold_spans == [None]
+        assert not hasattr(prep.tq, "spans")  # a kept question holds no span walk
         assert np.isfinite(H.total_loss(model, [prep])[0].item())
 
     def test_pointer_terms_match_step_oracle(self):
@@ -620,9 +622,8 @@ class TestPredict:
         [entry] = entries
         assert entry["train_qm"] == H.evaluate_model(res.model, examples, tables).acc_qm
         assert entry["dev_qm"] == H.evaluate_model(res.model, examples[:3], tables).acc_qm
-        inputs = [H.question_inputs(res.model, ex.question, tables[ex.table_id])
-                  for ex in examples]
-        assert (H.evaluate_model(res.model, examples, tables, inputs=inputs)
+        prepared = [H.prepare_example(res.model, ex, tables[ex.table_id]) for ex in examples]
+        assert (H.evaluate_model(res.model, examples, tables, prepared=prepared)
                 == H.evaluate_model(res.model, examples, tables))
 
 

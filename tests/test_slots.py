@@ -526,8 +526,8 @@ class TestBatchedPrediction:
         vp = model.val_pointer
         vp.end.data = vp.end.data - 0.3 * np.sign(vp.V.data @ vp.Wqt.data)
         examples = examples[:16]
-        inputs = [H.question_inputs(model, ex.question, tables[ex.table_id], gazetteer)[1:]
-                  for ex in examples]
+        preps = [H.prepare_example(model, ex, tables[ex.table_id], gazetteer) for ex in examples]
+        inputs = [(p.q_parts, p.col_matrix) for p in preps]
         alone, alone_logits = logged_batches(model, inputs, 1, monkeypatch)
         assert alone == [model.predict_slots(
             recognize(ex.question, tables[ex.table_id].header, table=tables[ex.table_id],
