@@ -119,10 +119,7 @@ def _cmd_train(args) -> int:
     emb, gaz = _load_inputs(args.config, config)
     with _naming_field(args.config, config):
         examples, tables = harness.load_dataset(config.train_path, config.tables_path)
-        dev = None
-        if config.dev_path:
-            dev, dev_tables = harness.load_dataset(config.dev_path, config.tables_path)
-            tables.update(dev_tables)
+        dev = harness.load_examples(config.dev_path, tables) if config.dev_path else None
 
     def log(entry):
         print(json.dumps(entry), file=sys.stderr)

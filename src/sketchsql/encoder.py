@@ -65,10 +65,10 @@ class EmbeddingStore:
         self._text = text
         self.dim = vectors.shape[1]
 
-    def _find(self, tokens) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, missing) of the tokens: each token's row, where `missing` is False.
-        One search of `keys` finds them all; a token longer than a key is checked in
-        the text."""
+    def rows(self, tokens) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, missing) of the tokens: each token's row of `vectors`, where `missing`
+        is False. One search of `keys` finds them all; a token longer than a key is
+        checked in the text."""
         # a lone surrogate, which no file's token holds, encodes as no such token does
         probes = [t.encode("utf-8", "surrogatepass") + b"\xff" for t in tokens]
         keys = np.array(probes, self.keys.dtype)
@@ -94,15 +94,18 @@ class EmbeddingStore:
             at -= 1
         return -1
 
-    def stack(self, tokens) -> np.ndarray:
-        """(len(tokens), dim) word vectors of `tokens`, one row each."""
-        rows, missing = self._find(tokens)
+    def gather(self, rows: np.ndarray, missing: np.ndarray) -> np.ndarray:
+        """(len(rows), dim) copy of the vectors at `rows`, zero where `missing`."""
         out = self.vectors[rows]
         out[missing] = 0.0
         return out
 
+    def stack(self, tokens) -> np.ndarray:
+        """(len(tokens), dim) word vectors of `tokens`, one row each."""
+        return self.gather(*self.rows(tokens))
+
     def __contains__(self, token: str) -> bool:
-        return not self._find([token])[1][0]
+        return not self.rows([token])[1][0]
 
     def tokens(self) -> list[str]:
         """The distinct tokens in first-seen order, decoded from the token text."""

@@ -121,6 +121,11 @@ def load_tables(path) -> dict[str, Table]:
 def load_dataset(examples_path, tables_path) -> tuple[list[Example], dict[str, Table]]:
     """Load examples and tables; every example must reference a known table."""
     tables = load_tables(tables_path)
+    return load_examples(examples_path, tables), tables
+
+
+def load_examples(examples_path, tables: dict[str, Table]) -> list[Example]:
+    """Load the examples of a JSON-lines file; each must reference one of `tables`."""
     examples: list[Example] = []
     for lineno, rec in _read_jsonl(examples_path):
         try:
@@ -140,7 +145,7 @@ def load_dataset(examples_path, tables_path) -> tuple[list[Example], dict[str, T
         except (KeyError, TypeError, ValueError) as exc:
             raise _record_error(examples_path, lineno, exc) from None
         examples.append(example)
-    return examples, tables
+    return examples
 
 
 def load_predictions(path, examples: list[Example],
@@ -268,11 +273,14 @@ class TrainConfig:
 @dataclass
 class PreparedExample:
     """What the model reads of a question, in training and evaluation alike: the tagged
-    question (tokens and tags), cached numpy inputs and located gold value spans."""
+    question (tokens and tags), its index arrays from SketchModel.question_parts, its
+    table's column matrix and the located gold value spans. It keeps no word vector:
+    question_input gathers those per batch. Examples of one table built in one `train`
+    or `evaluate_model` call share one column matrix."""
 
     tq: TaggedQuestion
     gold: SqlQuery
-    q_parts: tuple  # (word, type rows) from SketchModel.question_parts
+    q_parts: tuple  # (store rows, missing mask, type rows)
     col_matrix: np.ndarray
     gold_spans: list[list[int] | None]
 
@@ -291,13 +299,24 @@ def find_token_span(tokens: list[str], value: str) -> list[int] | None:
 
 
 def prepare_example(model: S.SketchModel, example: Example, table: Table,
-                    gazetteer: Gazetteer | None = None) -> PreparedExample:
+                    gazetteer: Gazetteer | None = None,
+                    col_matrix: np.ndarray | None = None) -> PreparedExample:
+    """The example's PreparedExample over `col_matrix`, the table's column matrix, which
+    is built here when none is passed."""
     tq = recognize(example.question, table.header, table=table, mode=model.mode,
                    gazetteer=gazetteer)
-    col_matrix = model.column_matrix(table.header)
+    if col_matrix is None:
+        col_matrix = model.column_matrix(table.header)
     spans = [find_token_span(tq.tokens, val) for _, _, val in example.gold.conds]
     return PreparedExample(tq=tq, gold=example.gold, q_parts=model.question_parts(tq, col_matrix),
                            col_matrix=col_matrix, gold_spans=spans)
+
+
+def column_matrices(model: S.SketchModel, examples: list[Example],
+                    tables: dict[str, Table]) -> dict[str, np.ndarray]:
+    """The column matrix of each table the examples use, by table id, built once each."""
+    return {tid: model.column_matrix(tables[tid].header)
+            for tid in dict.fromkeys(ex.table_id for ex in examples)}
 
 
 SLOTS = ("select", "count", "cond_cols", "agg", "op", "pointer")
@@ -384,8 +403,9 @@ def evaluate_model(model: S.SketchModel, examples: list[Example], tables: dict[s
     `prepared` holds each example's PreparedExample when the caller has built them already.
     """
     if prepared is None:
-        prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer)
-                    for ex in examples]
+        matrices = column_matrices(model, examples, tables)
+        prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer,
+                                    matrices[ex.table_id]) for ex in examples]
     preds = []
     for at in range(0, len(examples), EVAL_CHUNK):
         chunk = prepared[at : at + EVAL_CHUNK]
@@ -451,10 +471,12 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
             raise ValueError(f"checkpoint_path {config.checkpoint_path!r} is a directory")
 
     model, store = build_model(config, emb)
-    prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer)
+    dev_examples = dev_examples or []
+    matrices = column_matrices(model, [*train_examples, *dev_examples], tables)
+    prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer, matrices[ex.table_id])
                 for ex in train_examples]
-    dev_prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer)
-                    for ex in dev_examples or []]
+    dev_prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer,
+                                    matrices[ex.table_id]) for ex in dev_examples]
     adam = K.AdamState(store, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
 

@@ -299,16 +299,15 @@ MODEL_NAMES = ("col", "agg", "opval")
 def stack_inputs(inputs):
     """One batch from (question_parts, column_matrix) pairs: the stacked question parts,
     the stacked column rows, and each question's and table's row count."""
-    q_lens = [len(parts[1]) for parts, _ in inputs]
+    q_lens = [len(parts[0]) for parts, _ in inputs]
     c_lens = [cols.shape[0] for _, cols in inputs]
     if len(inputs) == 1:
         return (*inputs[0], q_lens, c_lens)
-    words, rows = zip(*(parts for parts, _ in inputs))
-    # a cell-value row moves down by the column rows stacked before its table's (c_at)
-    q_parts = (np.vstack(words), [r + c_at if r >= len(BASE_TAGS) else r
-                                  for r_q, c_at in zip(rows, accumulate(c_lens, initial=0))
-                                  for r in r_q])
-    return q_parts, np.vstack([cols for _, cols in inputs]), q_lens, c_lens
+    rows, missing, types = (np.concatenate(part) for part in zip(*(p for p, _ in inputs)))
+    # a cell-value row moves down by the column rows stacked before its table's
+    c_at = np.repeat(np.cumsum(c_lens) - c_lens, q_lens)
+    types += np.where(types >= len(BASE_TAGS), c_at, 0)
+    return (rows, missing, types), np.vstack([cols for _, cols in inputs]), q_lens, c_lens
 
 
 def check_type_dim(mode: str, type_dim: int | None, word_dim: int):
@@ -384,18 +383,20 @@ class SketchModel:
     # -- input construction ------------------------------------------------
 
     def question_parts(self, tq: TaggedQuestion, col_matrix: np.ndarray):
-        """Numpy pieces of the question input, cacheable per example: the word vectors
-        and each token's type row (TYPE_INDEX) for question_input."""
-        word = self.emb.stack(tq.tokens)
-        rows = []
-        for tag in tq.tags:
+        """Index arrays of the question input, kept per prepared example: each token's
+        row of the embedding store, whether the store lacks it, and its type row
+        (TYPE_INDEX, or in content mode a cell value's column below them) for
+        question_input. The word vectors are gathered per batch, not kept."""
+        rows, missing = self.emb.rows(tq.tokens)
+        types = np.empty(len(tq.tags), dtype=np.int64)
+        for t, tag in enumerate(tq.tags):
             if tag.kind == COLUMN_VALUE:
                 if self.mode != "content":
                     raise ValueError("column_value tags need content mode")
-                rows.append(len(BASE_TAGS) + tag.column)
+                types[t] = len(BASE_TAGS) + tag.column
             else:
-                rows.append(TYPE_INDEX[tag.kind])
-        return word, rows
+                types[t] = TYPE_INDEX[tag.kind]
+        return rows, missing, types
 
     def column_matrix(self, header: list[str]) -> np.ndarray:
         """(C, d_w) averaged column-name vectors, one row per column in schema order."""
@@ -403,13 +404,16 @@ class SketchModel:
             raise ValueError("empty schema")
         return column_name_matrix(header, self.emb)
 
-    def question_input(self, word: np.ndarray, rows, col_matrix: np.ndarray) -> K.Tensor:
-        """Each token's word vector beside its type vector, one row lookup: from the type
-        table, and in content mode from the type table with col_matrix's rows below it."""
-        types = self.type_table
+    def question_input(self, rows: np.ndarray, missing: np.ndarray, types: np.ndarray,
+                       col_matrix: np.ndarray) -> K.Tensor:
+        """Each token's word vector, gathered from the store by its row (zero where
+        missing), beside its type vector, one row lookup: from the type table, and in
+        content mode from the type table with col_matrix's rows below it."""
+        table = self.type_table
         if self.mode == "content":
-            types = K.concat_rows([types, K.constant(col_matrix)])
-        return K.concat_cols(K.constant(word), K.gather_rows(types, rows))
+            table = K.concat_rows([table, K.constant(col_matrix)])
+        return K.concat_cols(K.constant(self.emb.gather(rows, missing)),
+                             K.gather_rows(table, types))
 
     # -- encoding ----------------------------------------------------------
 

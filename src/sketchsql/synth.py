@@ -161,7 +161,11 @@ class CorpusPaths:
 
 
 def generate_corpus(out_dir, seed: int = 0, n_train: int = 240, n_dev: int = 60) -> CorpusPaths:
-    """Write train/dev/tables JSONL plus embeddings and gazetteer files."""
+    """Write train/dev/tables JSONL plus embeddings and gazetteer files. A negative seed
+    or count raises ValueError before anything is written."""
+    for name, value in (("seed", seed), ("n_train", n_train), ("n_dev", n_dev)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rnd = random.Random(seed)
@@ -214,12 +218,22 @@ def generate_corpus(out_dir, seed: int = 0, n_train: int = 240, n_dev: int = 60)
     return paths
 
 
+def _non_negative(text: str) -> int:
+    """An argument that must be an integer >= 0, checked before anything is written."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Generate the synthetic training corpus")
     parser.add_argument("out_dir")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--train", type=int, default=240)
-    parser.add_argument("--dev", type=int, default=60)
+    parser.add_argument("--seed", type=_non_negative, default=0)
+    parser.add_argument("--train", type=_non_negative, default=240)
+    parser.add_argument("--dev", type=_non_negative, default=60)
     args = parser.parse_args(argv)
     paths = generate_corpus(args.out_dir, seed=args.seed, n_train=args.train, n_dev=args.dev)
     print(f"wrote {paths.train}, {paths.dev}, {paths.tables}, "

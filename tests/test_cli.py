@@ -766,3 +766,16 @@ class TestTrainEvalPredictPipeline:
                      "--config", str(tmp_path / "wider.json")])
         assert code == 1
         assert "mismatch" in capsys.readouterr().err
+
+    def test_train_reads_the_tables_file_once(self, tmp_path, monkeypatch, capsys):
+        paths = generate_corpus(tmp_path / "corpus", seed=0, n_train=8, n_dev=4)
+        config = {"hidden_width": 8, "dropout": 0.0, "batch_size": 4, "epochs": 1,
+                  "mode": "content", "embedding_paths": [str(paths.embeddings)],
+                  "train_path": str(paths.train), "dev_path": str(paths.dev),
+                  "tables_path": str(paths.tables)}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        read, load_tables = [], H.load_tables
+        monkeypatch.setattr(H, "load_tables", lambda path: read.append(path) or load_tables(path))
+        assert main(["train", "--config", str(tmp_path / "config.json")]) == 0
+        assert read == [str(paths.tables)]
+        assert json.loads(capsys.readouterr().out)["best_dev_qm"] is not None

@@ -23,7 +23,7 @@ from sketchsql import kernel as K
 from sketchsql.cli import main
 from sketchsql.encoder import (EmbeddingError, EmbeddingStore, column_name_matrix,
                                load_embedding_file, load_embeddings)
-from sketchsql.slots import SketchModel
+from sketchsql.slots import TYPE_INDEX, SketchModel, stack_inputs
 from sketchsql.synth import generate_corpus
 from sketchsql.tagger import TAG_NONE, TaggedQuestion, TypeTag, recognize
 
@@ -796,6 +796,34 @@ class TestEmbedQuestion:
                                 dropout=0.0)
             with pytest.raises(ValueError, match="^column_value tags need content mode$"):
                 model.question_parts(tq, model.column_matrix(["artist"]))
+
+    def test_batch_input_gathers_the_stacked_vectors_from_kept_rows(self):
+        # known words, long ones checked in the store's text, and unknown words (one sharing
+        # its first 16 UTF-8 bytes with two known ones), in two questions over two tables
+        emb = TestColumnEncoding.EMB
+        model = SketchModel(K.ParamStore(seed=3), emb, width=8, mode="content", dropout=0.0)
+        value = TypeTag("column_value", column=1)
+        questions = [
+            (["supercalifragilisticexpialidocious", "zzz", "artist", "minus"],
+             [TAG_NONE, TypeTag("integer"), value, TAG_NONE], ["spoofed", "title artist"]),
+            (["électroencéphalogramme", "supercalifragilisticz", "supercalifragilistic"],
+             [value, TypeTag("float"), TAG_NONE], ["issue", "mort", "drucker"]),
+        ]
+        inputs, words, types = [], [], []
+        for tokens, tags, header in questions:
+            col_matrix = model.column_matrix(header)
+            inputs.append((model.question_parts(TaggedQuestion(tokens, tags), col_matrix),
+                           col_matrix))
+            words.append(emb.stack(tokens))
+            types += [col_matrix[tag.column] if tag.kind == "column_value"
+                      else model.type_table.data[TYPE_INDEX[tag.kind]] for tag in tags]
+        for rows, missing, type_rows in (parts for parts, _ in inputs):
+            assert rows.dtype.kind == type_rows.dtype.kind == "i" and missing.dtype == bool
+        assert [parts[1].tolist() for parts, _ in inputs] == [[False, True, False, False],
+                                                              [False, True, False]]
+        q_parts, col_matrix, _, _ = stack_inputs(inputs)
+        q_in = model.question_input(*q_parts, col_matrix)
+        assert q_in.data.tobytes() == np.hstack([np.vstack(words), types]).tobytes()
 
     def test_gradient_reaches_type_table(self):
         model = tiny_model()

@@ -540,6 +540,58 @@ class TestBatchedLoss:
         assert loss.item() == pytest.approx(sum(slots.values()) / len(preps), rel=1e-12)
 
 
+class TestPreparedInputs:
+    def test_prepared_question_keeps_indices_not_word_vectors(self, tmp_path):
+        model, _, preps = synth_batch(tmp_path, 6)
+        for p in preps:
+            rows, missing, types = p.q_parts
+            assert rows.dtype.kind == types.dtype.kind == "i" and missing.dtype == bool
+            assert len(rows) == len(missing) == len(types) == len(p.tq.tokens)
+            # the table's column matrix is the one float array a prepared question holds
+            floats = [a for a in (*p.q_parts, *vars(p).values())
+                      if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
+            assert len(floats) == 1 and floats[0] is p.col_matrix
+
+    def test_each_tables_column_matrix_is_built_once_and_shared(self, tmp_path, monkeypatch):
+        paths = generate_corpus(tmp_path / "corpus", seed=3, n_train=24, n_dev=8)
+        train, tables = H.load_dataset(paths.train, paths.tables)
+        dev = H.load_examples(paths.dev, tables)
+        emb = load_embeddings([paths.embeddings])
+        built, preps = [], []
+        column_matrix, prepare = S.SketchModel.column_matrix, H.prepare_example
+
+        def counted(model, header):
+            built.append(tuple(header))
+            return column_matrix(model, header)
+
+        def kept(*args):
+            preps.append(prepare(*args))
+            return preps[-1]
+
+        monkeypatch.setattr(S.SketchModel, "column_matrix", counted)
+        monkeypatch.setattr(H, "prepare_example", kept)
+        cfg = H.TrainConfig(hidden_width=8, dropout=0.0, batch_size=8, epochs=1, seed=0,
+                            mode="content")
+        model = H.train(cfg, train, tables, dev, emb=emb).model
+        used = {ex.table_id for ex in train + dev}
+        assert len(used) > 1 and len(preps) == len(train) + len(dev)
+        assert sorted(built) == sorted(tuple(tables[tid].header) for tid in used)
+        assert one_matrix_per_table(preps, train + dev)
+        built.clear()
+        preps.clear()
+        H.evaluate_model(model, dev, tables)
+        assert sorted(built) == sorted(tuple(tables[tid].header)
+                                       for tid in {ex.table_id for ex in dev})
+        assert one_matrix_per_table(preps, dev)
+
+
+def one_matrix_per_table(preps, examples) -> bool:
+    """Whether the prepared examples of each table share one column matrix object."""
+    first = {}
+    return all(first.setdefault(ex.table_id, p.col_matrix) is p.col_matrix
+               for p, ex in zip(preps, examples))
+
+
 class TestParameterSharing:
     def test_six_disjoint_bilstm_sets(self):
         emb = tiny_embeddings()

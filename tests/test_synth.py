@@ -1,7 +1,9 @@
+import pytest
+
 from sketchsql import harness as H
 from sketchsql.encoder import load_embeddings
 from sketchsql.executor import execute
-from sketchsql.synth import generate_corpus
+from sketchsql.synth import generate_corpus, main
 from sketchsql.tagger import Gazetteer, tokenize
 
 
@@ -54,3 +56,24 @@ class TestSyntheticCorpus:
         gaz = Gazetteer.from_tsv(paths.gazetteer)
         assert gaz.get("alma reyes") == "person"
         assert gaz.get("norway") == "country"
+
+
+class TestNegativeArguments:
+    @pytest.mark.parametrize("bad", [{"seed": -1}, {"n_train": -3}, {"n_dev": -1}])
+    def test_generate_corpus_writes_nothing(self, tmp_path, bad):
+        name, value = next(iter(bad.items()))
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {value}$"):
+            generate_corpus(tmp_path / "c", **bad)
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("option,value", [("--seed", "-1"), ("--train", "-3"),
+                                              ("--dev", "-1"), ("--train", "x")])
+    def test_command_line_fails_with_one_error_line(self, tmp_path, capsys, option, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path / "c"), option, value])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        [error] = [line for line in err.splitlines() if "error:" in line]  # past the usage
+        assert out == "" and error.endswith(
+            f": error: argument {option}: must be an integer >= 0, got '{value}'")
+        assert not (tmp_path / "c").exists()
