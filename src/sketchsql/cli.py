@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = ev.add_mutually_exclusive_group(required=True)
     source.add_argument("--preds", help="JSONL of predicted queries, parallel to examples")
     source.add_argument("--checkpoint", help="model checkpoint to run instead of --preds")
-    ev.add_argument("--config", help="config file (needed with --checkpoint)")
+    ev.add_argument("--config", help="config file (read only with --checkpoint, which needs it)")
 
     pred = sub.add_parser("predict", help="turn one question into SQL")
     pred.add_argument("--question", required=True)
@@ -134,12 +134,15 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.checkpoint:  # the model's inputs load before the datasets
+    # an empty path names a file that fails to open, not a missing option
+    if args.preds is not None and args.config is not None:
+        raise ValueError("--config is read only with --checkpoint")
+    if args.checkpoint is not None:  # the model's inputs load before the datasets
         if not args.config:
             raise ValueError("--checkpoint needs --config for the model shape")
         model, gaz = _restore_model(args.config, args.checkpoint)
     examples, tables = harness.load_dataset(args.examples, args.tables)
-    if args.preds:
+    if args.preds is not None:
         preds = harness.load_predictions(args.preds, examples, tables)
         metrics = evaluate_dataset(preds, [ex.gold for ex in examples],
                                    [ex.table_id for ex in examples], tables)

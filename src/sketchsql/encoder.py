@@ -65,22 +65,21 @@ class EmbeddingStore:
         self._text = text
         self.dim = vectors.shape[1]
 
-    def rows(self, tokens) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, missing) of the tokens: each token's row of `vectors`, where `missing`
-        is False. One search of `keys` finds them all; a token longer than a key is
+    def rows(self, tokens) -> np.ndarray:
+        """Each token's row of `vectors` (int64), or -1 for a token the store has no
+        vector for. One search of `keys` finds them all; a token longer than a key is
         checked in the text."""
         # a lone surrogate, which no file's token holds, encodes as no such token does
         probes = [t.encode("utf-8", "surrogatepass") + b"\xff" for t in tokens]
         keys = np.array(probes, self.keys.dtype)
         at = self.keys.searchsorted(keys, side="right")
         at -= 1  # the last key <= the probe: of a token's equal keys, the later row
-        rows, missing = self.key_rows[at], self.keys[at] != keys
+        rows = np.where(self.keys[at] == keys, self.key_rows[at], -1)
         if max(map(len, probes), default=0) > _KEY_BYTES:
             for i, probe in enumerate(probes):
-                if len(probe) > _KEY_BYTES and not missing[i]:
+                if len(probe) > _KEY_BYTES and rows[i] >= 0:
                     rows[i] = self._long_row(probe[:-1], at[i])
-                    missing[i] = rows[i] < 0
-        return rows, missing
+        return rows
 
     def _long_row(self, token: bytes, at: int) -> int:
         """Row of the UTF-8 token longer than a key whose prefix ends the run of equal
@@ -94,18 +93,18 @@ class EmbeddingStore:
             at -= 1
         return -1
 
-    def gather(self, rows: np.ndarray, missing: np.ndarray) -> np.ndarray:
-        """(len(rows), dim) copy of the vectors at `rows`, zero where `missing`."""
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), dim) copy of the vectors at `rows`, zero at a row of -1."""
         out = self.vectors[rows]
-        out[missing] = 0.0
+        out[rows < 0] = 0.0
         return out
 
     def stack(self, tokens) -> np.ndarray:
         """(len(tokens), dim) word vectors of `tokens`, one row each."""
-        return self.gather(*self.rows(tokens))
+        return self.gather(self.rows(tokens))
 
     def __contains__(self, token: str) -> bool:
-        return not self.rows([token])[1][0]
+        return self.rows([token])[0] >= 0
 
     def tokens(self) -> list[str]:
         """The distinct tokens in first-seen order, decoded from the token text."""

@@ -273,14 +273,14 @@ class TrainConfig:
 @dataclass
 class PreparedExample:
     """What the model reads of a question, in training and evaluation alike: the tagged
-    question (tokens and tags), its index arrays from SketchModel.question_parts, its
+    question (tokens and tags), its index array from SketchModel.question_parts, its
     table's column matrix and the located gold value spans. It keeps no word vector:
-    question_input gathers those per batch. Examples of one table built in one `train`
-    or `evaluate_model` call share one column matrix."""
+    question_input gathers those per batch. Examples of one table built in one
+    `prepare_examples` call share one column matrix."""
 
     tq: TaggedQuestion
     gold: SqlQuery
-    q_parts: tuple  # (store rows, missing mask, type rows)
+    q_parts: np.ndarray  # (2, T) int64: store rows (-1: none), then type rows
     col_matrix: np.ndarray
     gold_spans: list[list[int] | None]
 
@@ -312,11 +312,14 @@ def prepare_example(model: S.SketchModel, example: Example, table: Table,
                            col_matrix=col_matrix, gold_spans=spans)
 
 
-def column_matrices(model: S.SketchModel, examples: list[Example],
-                    tables: dict[str, Table]) -> dict[str, np.ndarray]:
-    """The column matrix of each table the examples use, by table id, built once each."""
-    return {tid: model.column_matrix(tables[tid].header)
-            for tid in dict.fromkeys(ex.table_id for ex in examples)}
+def prepare_examples(model: S.SketchModel, examples: list[Example], tables: dict[str, Table],
+                     gazetteer: Gazetteer | None = None) -> list[PreparedExample]:
+    """Each example's PreparedExample; the examples of one table share its column matrix,
+    built once per call."""
+    matrices = {tid: model.column_matrix(tables[tid].header)
+                for tid in dict.fromkeys(ex.table_id for ex in examples)}
+    return [prepare_example(model, ex, tables[ex.table_id], gazetteer, matrices[ex.table_id])
+            for ex in examples]
 
 
 SLOTS = ("select", "count", "cond_cols", "agg", "op", "pointer")
@@ -336,8 +339,7 @@ def total_loss(model: S.SketchModel, preps: list[PreparedExample],
     q_parts, col_matrix, q_lens, c_lens = S.stack_inputs([(p.q_parts, p.col_matrix)
                                                           for p in preps])
     c_at = np.cumsum(c_lens) - c_lens  # each example's first stacked column row
-    col_read, agg_read, opval_read = model.read(S.MODEL_NAMES, q_parts, col_matrix, q_lens,
-                                                c_lens, rng)
+    col_read, agg_read, opval_read = model.read(q_parts, col_matrix, q_lens, c_lens, rng)
     golds = [p.gold for p in preps]
     sel_rows = c_at + [gold.sel for gold in golds]
     conds = [(i, c_at[i] + col, op, span) for i, p in enumerate(preps)
@@ -403,9 +405,7 @@ def evaluate_model(model: S.SketchModel, examples: list[Example], tables: dict[s
     `prepared` holds each example's PreparedExample when the caller has built them already.
     """
     if prepared is None:
-        matrices = column_matrices(model, examples, tables)
-        prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer,
-                                    matrices[ex.table_id]) for ex in examples]
+        prepared = prepare_examples(model, examples, tables, gazetteer)
     preds = []
     for at in range(0, len(examples), EVAL_CHUNK):
         chunk = prepared[at : at + EVAL_CHUNK]
@@ -472,11 +472,8 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
 
     model, store = build_model(config, emb)
     dev_examples = dev_examples or []
-    matrices = column_matrices(model, [*train_examples, *dev_examples], tables)
-    prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer, matrices[ex.table_id])
-                for ex in train_examples]
-    dev_prepared = [prepare_example(model, ex, tables[ex.table_id], gazetteer,
-                                    matrices[ex.table_id]) for ex in dev_examples]
+    prepared = prepare_examples(model, train_examples, tables, gazetteer)
+    dev_prepared = prepare_examples(model, dev_examples, tables, gazetteer)
     adam = K.AdamState(store, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
 

@@ -299,15 +299,15 @@ MODEL_NAMES = ("col", "agg", "opval")
 def stack_inputs(inputs):
     """One batch from (question_parts, column_matrix) pairs: the stacked question parts,
     the stacked column rows, and each question's and table's row count."""
-    q_lens = [len(parts[0]) for parts, _ in inputs]
+    q_lens = [parts.shape[1] for parts, _ in inputs]
     c_lens = [cols.shape[0] for _, cols in inputs]
     if len(inputs) == 1:
         return (*inputs[0], q_lens, c_lens)
-    rows, missing, types = (np.concatenate(part) for part in zip(*(p for p, _ in inputs)))
+    parts = np.concatenate([parts for parts, _ in inputs], axis=1)
     # a cell-value row moves down by the column rows stacked before its table's
     c_at = np.repeat(np.cumsum(c_lens) - c_lens, q_lens)
-    types += np.where(types >= len(BASE_TAGS), c_at, 0)
-    return (rows, missing, types), np.vstack([cols for _, cols in inputs]), q_lens, c_lens
+    parts[1] += np.where(parts[1] >= len(BASE_TAGS), c_at, 0)
+    return parts, np.vstack([cols for _, cols in inputs]), q_lens, c_lens
 
 
 def check_type_dim(mode: str, type_dim: int | None, word_dim: int):
@@ -382,54 +382,51 @@ class SketchModel:
 
     # -- input construction ------------------------------------------------
 
-    def question_parts(self, tq: TaggedQuestion, col_matrix: np.ndarray):
-        """Index arrays of the question input, kept per prepared example: each token's
-        row of the embedding store, whether the store lacks it, and its type row
-        (TYPE_INDEX, or in content mode a cell value's column below them) for
+    def question_parts(self, tq: TaggedQuestion, col_matrix: np.ndarray) -> np.ndarray:
+        """(2, T) int64 index array of the question input, kept per prepared example: on
+        top each token's row of the embedding store (-1 where it has none), below its
+        type row (TYPE_INDEX, or in content mode a cell value's column below them) for
         question_input. The word vectors are gathered per batch, not kept."""
-        rows, missing = self.emb.rows(tq.tokens)
-        types = np.empty(len(tq.tags), dtype=np.int64)
-        for t, tag in enumerate(tq.tags):
+        types = []
+        for tag in tq.tags:
             if tag.kind == COLUMN_VALUE:
                 if self.mode != "content":
                     raise ValueError("column_value tags need content mode")
-                types[t] = len(BASE_TAGS) + tag.column
+                types.append(len(BASE_TAGS) + tag.column)
             else:
-                types[t] = TYPE_INDEX[tag.kind]
-        return rows, missing, types
+                types.append(TYPE_INDEX[tag.kind])
+        return np.array([self.emb.rows(tq.tokens), types], dtype=np.int64)
 
     def column_matrix(self, header: list[str]) -> np.ndarray:
         """(C, d_w) averaged column-name vectors, one row per column in schema order."""
-        if not header:
-            raise ValueError("empty schema")
         return column_name_matrix(header, self.emb)
 
-    def question_input(self, rows: np.ndarray, missing: np.ndarray, types: np.ndarray,
-                       col_matrix: np.ndarray) -> K.Tensor:
-        """Each token's word vector, gathered from the store by its row (zero where
-        missing), beside its type vector, one row lookup: from the type table, and in
-        content mode from the type table with col_matrix's rows below it."""
+    def question_input(self, parts: np.ndarray, col_matrix: np.ndarray) -> K.Tensor:
+        """Each token's word vector, gathered from the store by its row (zero at -1),
+        beside its type vector, one row lookup: from the type table, and in content mode
+        from the type table with col_matrix's rows below it."""
         table = self.type_table
         if self.mode == "content":
             table = K.concat_rows([table, K.constant(col_matrix)])
-        return K.concat_cols(K.constant(self.emb.gather(rows, missing)),
-                             K.gather_rows(table, types))
+        return K.concat_cols(K.constant(self.emb.gather(parts[0])),
+                             K.gather_rows(table, parts[1]))
 
     # -- encoding ----------------------------------------------------------
 
-    def encode(self, which: tuple[str, ...], q_input: K.Tensor, col_input: K.Tensor,
-               q_lens=None, c_lens=None, rng: np.random.Generator | None = None):
-        """[(H_qt, H_col)] per named model, with output dropout when an rng is passed. The
-        named models' question and column bi-LSTMs run as one fused scan over every
-        question (lengths q_lens) and every table (lengths c_lens) of the batch."""
-        flags = [False, True] * len(which)
-        q_dirs, c_dirs = ([d for m in which for d in self.encoders[m][part]] for part in (0, 1))
+    def encode(self, q_input: K.Tensor, col_input: K.Tensor, q_lens, c_lens,
+               rng: np.random.Generator | None = None):
+        """[(H_qt, H_col)] per model of MODEL_NAMES, with output dropout when an rng is
+        passed. The six bi-LSTMs run as one fused scan over every question (lengths
+        q_lens) and every table (lengths c_lens) of the batch."""
+        flags = [False, True] * len(MODEL_NAMES)
+        q_dirs, c_dirs = ([d for m in MODEL_NAMES for d in self.encoders[m][part]]
+                          for part in (0, 1))
         H = K.lstm_sequence(q_input, q_dirs, flags, q_lens,
                             more=[(col_input, c_dirs, flags, c_lens)])
         n_q, n_rows = q_input.shape[0], H.shape[0]
-        width = H.shape[1] // len(which)
+        width = H.shape[1] // len(MODEL_NAMES)
         out = []
-        for i in range(len(which)):
+        for i in range(len(MODEL_NAMES)):
             j0, j1 = i * width, (i + 1) * width
             H_qt, H_col = K.block(H, 0, n_q, j0, j1), K.block(H, n_q, n_rows, j0, j1)
             if rng is not None:
@@ -447,15 +444,15 @@ class SketchModel:
             H_qt_col = K.dropout(H_qt_col, self.dropout, rng)
         return H_qt_col
 
-    def read(self, which: tuple[str, ...], q_parts, col_matrix: np.ndarray,
-             q_lens=None, c_lens=None, rng: np.random.Generator | None = None):
-        """[(q_in, H_qt, H_col, H_qt_col)] per named model, from one q_in, for a batch of
-        stacked questions and columns with lengths q_lens and c_lens (default: one)."""
-        q_in = self.question_input(*q_parts, col_matrix)
-        encoded = self.encode(which, q_in, K.constant(col_matrix), q_lens, c_lens, rng)
-        mask = None if q_lens is None or len(q_lens) == 1 else block_mask(c_lens, q_lens)
+    def read(self, q_parts: np.ndarray, col_matrix: np.ndarray, q_lens, c_lens,
+             rng: np.random.Generator | None = None):
+        """[(q_in, H_qt, H_col, H_qt_col)] per model of MODEL_NAMES, from one q_in, for a
+        batch of stacked questions and columns with lengths q_lens and c_lens."""
+        q_in = self.question_input(q_parts, col_matrix)
+        encoded = self.encode(q_in, K.constant(col_matrix), q_lens, c_lens, rng)
+        mask = None if len(q_lens) == 1 else block_mask(c_lens, q_lens)
         return [(q_in, H_qt, H_col, self.attend(name, H_qt, H_col, mask, rng))
-                for name, (H_qt, H_col) in zip(which, encoded)]
+                for name, (H_qt, H_col) in zip(MODEL_NAMES, encoded)]
 
     # -- inference ---------------------------------------------------------
 
@@ -474,8 +471,7 @@ class SketchModel:
         with K.no_grad():
             q_parts, col_matrix, q_lens, c_lens = stack_inputs(inputs)
             c_at = np.cumsum(c_lens) - c_lens
-            col_read, agg_read, opval_read = self.read(MODEL_NAMES, q_parts, col_matrix,
-                                                       q_lens, c_lens)
+            col_read, agg_read, opval_read = self.read(q_parts, col_matrix, q_lens, c_lens)
             _, _, H_col, H_qt_col = col_read
             # argmax over logits: softmax is monotonic, so it would pick the same index
             sels = _segment_argmax(select_scores(H_qt_col, H_col, self.select_head).data[0],

@@ -47,6 +47,8 @@ _MONTH_DATE_RE = re.compile(r"(?:january|february|march|april|may|june|july|augu
                             r"|october|november|december) ([0-9]+) (?:, )?[0-9]{4}")
 _DIGITS_RE = re.compile(r"[0-9]+")
 _DIGIT_RE = re.compile(r"[0-9]")
+# any character but a word character or a space, as is each that tokenize splits off
+_NON_WORD_RE = re.compile(r"[^\w\s]")
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class Gazetteer:
     def add(self, key: str, category: str):
         if category not in ENTITY_CATEGORIES:
             raise GazetteerError(f"unknown entity category {category!r}")
-        key = normalize_text(key)
+        key = span_key(normalize_text(key))
         if not key:
             raise GazetteerError("empty gazetteer key")
         current = self._entries.get(key)
@@ -116,8 +118,8 @@ class Gazetteer:
             self._entries[key] = category
 
     def get(self, key: str) -> str | None:
-        """The category of a key already in normal form (see normalize_text), as span
-        texts are, or None."""
+        """The category of a key already in span form (see span_key), as span texts are,
+        or None."""
         return self._entries.get(key)
 
     @classmethod
@@ -150,6 +152,12 @@ def tokenize(question: str) -> tuple[list[str], list[tuple[int, int]]]:
         tokens.append(m.group(0))
         spans.append((m.start(), m.end()))
     return tokens, spans
+
+
+def span_key(text: str) -> str:
+    """The normalised text as a question spells it: its tokens joined by single spaces.
+    A text of word characters and spaces only is that already and is not tokenized."""
+    return " ".join(tokenize(text)[0]) if _NON_WORD_RE.search(text) else text
 
 
 @lru_cache(maxsize=64)
@@ -190,7 +198,7 @@ def tag_schema_columns(tq: TaggedQuestion, header: list[str]) -> TaggedQuestion:
     """Tag every span that spells a column name as COLUMN."""
     if not header:
         raise ValueError("schema has no columns")
-    names = {normalize_text(name) for name in header}
+    names = {span_key(normalize_text(name)) for name in header}
     _claim(tq, [(start, end, TAG_COLUMN) for start, end, text in tq.spans if text in names])
     return tq
 
@@ -217,6 +225,7 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
     number tokens, and a plain-str column normalises only its distinct
     values (`tables.distinct_text`). Any other column (bools, None, mixed
     types, NaN, ints beyond float64) goes through `cell_text` cell by cell.
+    A str cell is keyed by its span_key, any other by its cell_text.
     """
     values: dict[str, int] = {}
     numbers = _question_numbers(tq.tokens)
@@ -231,12 +240,12 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
         if texts is not None:
             for text in map(normalize_text, texts):
                 if text:
-                    values.setdefault(text, col)
+                    values.setdefault(span_key(text), col)
             continue
         for cell in column:
             text = cell_text(cell)
             if text:
-                values.setdefault(text, col)
+                values.setdefault(span_key(text) if isinstance(cell, str) else text, col)
 
     _claim(tq, [(start, end, TypeTag(COLUMN_VALUE, column=values[text]))
                 for start, end, text in tq.spans if text in values])
@@ -272,9 +281,9 @@ def tag_numbers(tq: TaggedQuestion) -> TaggedQuestion:
 
 
 def tag_entities(tq: TaggedQuestion, gazetteer: Gazetteer) -> TaggedQuestion:
-    """Tag untagged spans found in the gazetteer with their entity category. The span
-    texts of tokenize's tokens are already in normal form, so they are not normalised
-    again."""
+    """Tag untagged spans found in the gazetteer with their entity category. A span's
+    text is already in the gazetteer's key form (see span_key), so it is looked up as it
+    stands."""
     found = ((start, end, gazetteer.get(text)) for start, end, text in tq.spans)
     _claim(tq, [(start, end, TypeTag(category)) for start, end, category in found
                 if category is not None])

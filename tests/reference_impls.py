@@ -22,7 +22,7 @@ from sketchsql import kernel as K
 from sketchsql import slots as S
 from sketchsql.encoder import EmbeddingError
 from sketchsql.harness import COND_COL_POS_WEIGHT
-from sketchsql.tables import cell_text, normalize_text, text_lines
+from sketchsql.tables import cell_text, text_lines
 from sketchsql.tagger import TAG_NONE, TaggedQuestion, TypeTag, tokenize
 
 DIGITS = "0123456789"
@@ -140,14 +140,24 @@ def reference_span_matches(tq, match_fn):
                     tq.tags[i] = tag
 
 
+def reference_key(text):
+    """A text as a question spells it: the tokens of its normal form joined by single
+    spaces, tokenized whatever characters it holds; "" for a blank text."""
+    text = naive_norm(text)
+    return " ".join(tokenize(text)[0]) if text else ""
+
+
 def reference_tag_content(tq, table):
-    """Whole-table content tagging: index every cell's `cell_text`, lowest column wins."""
+    """Whole-table content tagging: index every cell, lowest column wins. A str cell's key
+    is its `reference_key`, any other cell's its `cell_text`."""
     values = {}
     for row_cells in table.rows:
         for col, cell in enumerate(row_cells):
             text = cell_text(cell)
             if not text:
                 continue
+            if isinstance(cell, str):
+                text = reference_key(text)
             if col < values.get(text, len(table.header)):
                 values[text] = col
 
@@ -217,14 +227,14 @@ def reference_recognize(question, header, table=None, mode="insensitive", gazett
     """The four passes in order: columns, cell values (content mode), numbers, entities."""
     tokens = tokenize(question)[0]
     tq = TaggedQuestion(tokens=tokens, tags=[TAG_NONE] * len(tokens))
-    names = {naive_norm(name) for name in header}
+    names = {reference_key(name) for name in header}
     reference_span_matches(tq, lambda text: TypeTag("column") if text in names else None)
     if mode == "content":
         reference_tag_content(tq, table)
     reference_tag_numbers(tq)
     if gazetteer is not None:
         def entity(text):
-            category = gazetteer.get(normalize_text(text))
+            category = gazetteer.get(text)
             return TypeTag(category) if category is not None else None
         reference_span_matches(tq, entity)
     return tq
@@ -294,14 +304,16 @@ def ref_lstm_step(x, h, c, Wx, Wh, b):
 # ---------------------------------------------------------------------------
 
 def reference_total_loss(model, prep):
-    """One example's summed slot losses without dropout, read model by model,
-    with one teacher-forced decoder sequence per located span and one pointer step per
-    token. Returns the loss tensor and each slot's term as a float."""
+    """One example's summed slot losses without dropout, from one read of the example as a
+    batch of one, with one teacher-forced decoder sequence per located span and one
+    pointer step per token. Returns the loss tensor and each slot's term as a float."""
     gold = prep.gold
     n_cols = prep.col_matrix.shape[0]
     terms = {slot: [] for slot in ("select", "count", "cond_cols", "agg", "op", "pointer")}
 
-    [(_, _, H_col, H_qt_col)] = model.read(("col",), prep.q_parts, prep.col_matrix)
+    col_read, agg_read, opval_read = model.read(*S.stack_inputs([(prep.q_parts,
+                                                                  prep.col_matrix)]))
+    _, _, H_col, H_qt_col = col_read
     terms["select"].append(K.cross_entropy(S.select_scores(H_qt_col, H_col, model.select_head),
                                            gold.sel))
     terms["count"].append(K.cross_entropy(S.cond_number_scores(H_qt_col, model.cond_num_head),
@@ -314,11 +326,10 @@ def reference_total_loss(model, prep):
         S.cond_col_scores(H_qt_col, H_col, H_qt_scol, model.cond_col_head),
         targets, pos_weight=COND_COL_POS_WEIGHT))
 
-    [(_, _, _, H_qt_col_a)] = model.read(("agg",), prep.q_parts, prep.col_matrix)
     terms["agg"].append(K.cross_entropy(
-        S.agg_scores(K.gather_rows(H_qt_col_a, [gold.sel]), model.agg_head), gold.agg))
+        S.agg_scores(K.gather_rows(agg_read[3], [gold.sel]), model.agg_head), gold.agg))
 
-    [(q_in, H_qt, H_col, H_qt_col)] = model.read(("opval",), prep.q_parts, prep.col_matrix)
+    q_in, H_qt, H_col, H_qt_col = opval_read
     t_len = len(prep.tq.tokens)
     vp = model.val_pointer
     for (col, op, _), span in zip(gold.conds, prep.gold_spans):

@@ -87,6 +87,18 @@ class TestEvalCommand:
         assert code == 1
         assert one_line_error(capsys) == f"error: {preds}:1: {message}\n"
 
+    @pytest.mark.parametrize("config", ["missing.json", "config.json"])
+    def test_config_with_preds_fails(self, config, magazine_files, tmp_path, capsys):
+        # a config that exists or not: --preds reads none, so naming one is an error
+        (tmp_path / "config.json").write_text("{}", encoding="utf-8")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps(MAGAZINE_GOLD_SQL) + "\n", encoding="utf-8")
+        code = main(["eval", "--examples", magazine_files["examples"],
+                     "--tables", magazine_files["tables"], "--preds", str(preds),
+                     "--config", str(tmp_path / config)])
+        assert code == 1
+        assert one_line_error(capsys) == "error: --config is read only with --checkpoint\n"
+
     def test_missing_dataset_path_fails_with_message(self, magazine_files, capsys):
         code = main(["eval", "--examples", "/nonexistent/examples.jsonl",
                      "--tables", magazine_files["tables"], "--preds", "x"])
@@ -126,6 +138,14 @@ class TestEvalAndPredictOptions:
         assert len(examples) == 3 and gazetteer is not None
         assert json.loads(capsys.readouterr().out) == original(model, examples, tables,
                                                                gazetteer).to_dict()
+
+    @pytest.mark.parametrize("source", ["--preds", "--checkpoint"])
+    def test_empty_source_path_fails_as_a_file(self, source, untrained_checkpoint, capsys):
+        paths, config, _ = untrained_checkpoint
+        argv = ["eval", "--examples", str(paths.dev), "--tables", str(paths.tables), source, ""]
+        code = main(argv + (["--config", config] if source == "--checkpoint" else []))
+        assert code == 1
+        assert "No such file or directory: ''" in one_line_error(capsys)
 
     def test_preds_and_checkpoint_are_mutually_exclusive(self, untrained_checkpoint, capsys):
         paths, config, checkpoint = untrained_checkpoint

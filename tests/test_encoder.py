@@ -45,13 +45,13 @@ def tiny_model(seed=0, width=8, mode="insensitive"):
 
 def embed(model, tq, header):
     col_matrix = model.column_matrix(header)
-    return model.question_input(*model.question_parts(tq, col_matrix), col_matrix)
+    return model.question_input(model.question_parts(tq, col_matrix), col_matrix)
 
 
 def encode(model, q_input, header):
-    """(H_qt, H_col) of the column model for a question input and a header."""
-    [out] = model.encode(("col",), q_input, K.constant(model.column_matrix(header)))
-    return out
+    """(H_qt, H_col) of the column model for one question input and a header."""
+    col_input = K.constant(model.column_matrix(header))
+    return model.encode(q_input, col_input, [q_input.shape[0]], [col_input.shape[0]])[0]
 
 
 def one_token_input(model):
@@ -817,13 +817,22 @@ class TestEmbedQuestion:
             words.append(emb.stack(tokens))
             types += [col_matrix[tag.column] if tag.kind == "column_value"
                       else model.type_table.data[TYPE_INDEX[tag.kind]] for tag in tags]
-        for rows, missing, type_rows in (parts for parts, _ in inputs):
-            assert rows.dtype.kind == type_rows.dtype.kind == "i" and missing.dtype == bool
-        assert [parts[1].tolist() for parts, _ in inputs] == [[False, True, False, False],
-                                                              [False, True, False]]
+        assert [(parts[0] < 0).tolist() for parts, _ in inputs] == [[False, True, False, False],
+                                                                    [False, True, False]]
         q_parts, col_matrix, _, _ = stack_inputs(inputs)
-        q_in = model.question_input(*q_parts, col_matrix)
+        q_in = model.question_input(q_parts, col_matrix)
         assert q_in.data.tobytes() == np.hstack([np.vstack(words), types]).tobytes()
+
+    def test_question_parts_are_one_int64_array_of_store_and_type_rows(self):
+        model = tiny_model(mode="content")
+        tags = [TAG_NONE, TypeTag("integer"), TypeTag("column_value", column=1)]
+        parts = model.question_parts(TaggedQuestion(["artist", "zzz", "mort"], tags),
+                                     model.column_matrix(["title", "artist"]))
+        assert parts.dtype == np.int64 and parts.shape == (2, 3)
+        assert parts[0].tolist() == model.emb.rows(["artist", "zzz", "mort"]).tolist()
+        assert parts[0, 1] == -1
+        assert parts[1].tolist() == [TYPE_INDEX["none"], TYPE_INDEX["integer"],
+                                     len(TYPE_INDEX) + 1]
 
     def test_gradient_reaches_type_table(self):
         model = tiny_model()
@@ -834,6 +843,24 @@ class TestEmbedQuestion:
         assert table.grad is not None
         assert np.abs(table.grad[0]).sum() > 0   # none tag row
         assert np.abs(table.grad[3]).sum() > 0   # float tag row
+
+
+class TestRowLookup:
+    def test_a_token_without_a_vector_is_row_minus_one_and_gathers_as_zeros(self):
+        emb = TestColumnEncoding.EMB
+        # "supercalifragilisticz" shares its key, its first 16 bytes, with two known words,
+        # so only the check in the text finds it missing
+        tokens = ["artist", "quux", "supercalifragilisticexpialidocious",
+                  "supercalifragilisticz", "minus"]
+        rows = emb.rows(tokens)
+        assert rows.dtype == np.int64 and rows.shape == (5,)
+        assert rows[1] == rows[3] == -1 and (rows[[0, 2, 4]] >= 0).all()
+        assert [t in emb for t in tokens] == [True, False, True, False, True]
+        out = emb.gather(rows)
+        assert out.shape == (5, emb.dim)
+        np.testing.assert_array_equal(out[[1, 3]], 0.0)
+        assert out[[0, 2, 4]].tobytes() == emb.vectors[rows[[0, 2, 4]]].tobytes()
+        assert out.tobytes() == emb.stack(tokens).tobytes()
 
 
 class TestColumnEncoding:
@@ -872,10 +899,6 @@ class TestColumnEncoding:
         model = tiny_model(seed=1, width=10)
         _, out = encode(model, one_token_input(model), ["artist"])
         assert out.shape == (1, 10)
-
-    def test_empty_schema_errors(self):
-        with pytest.raises(ValueError, match="empty schema"):
-            tiny_model().column_matrix([])
 
     def test_column_order_sensitivity(self):
         model = tiny_model(seed=2, width=12)

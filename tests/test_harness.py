@@ -431,7 +431,8 @@ class TestTotalLoss:
         without = H.total_loss(model, [prep])[0].item()
 
         # the teacher-forced decoder, one reference LSTM step at a time
-        [(q_in, H_qt, H_col, _)] = model.read(("opval",), prep.q_parts, prep.col_matrix)
+        _, _, (q_in, H_qt, H_col, _) = model.read(*S.stack_inputs([(prep.q_parts,
+                                                                     prep.col_matrix)]))
         vp = model.val_pointer
         H_ext = np.vstack([H_qt.data, vp.end.data])
         t_len = H_qt.shape[0]
@@ -544,11 +545,10 @@ class TestPreparedInputs:
     def test_prepared_question_keeps_indices_not_word_vectors(self, tmp_path):
         model, _, preps = synth_batch(tmp_path, 6)
         for p in preps:
-            rows, missing, types = p.q_parts
-            assert rows.dtype.kind == types.dtype.kind == "i" and missing.dtype == bool
-            assert len(rows) == len(missing) == len(types) == len(p.tq.tokens)
+            # one index array: store rows on top, type rows below
+            assert p.q_parts.dtype == np.int64 and p.q_parts.shape == (2, len(p.tq.tokens))
             # the table's column matrix is the one float array a prepared question holds
-            floats = [a for a in (*p.q_parts, *vars(p).values())
+            floats = [a for a in vars(p).values()
                       if isinstance(a, np.ndarray) and a.dtype.kind == "f"]
             assert len(floats) == 1 and floats[0] is p.col_matrix
 
@@ -573,16 +573,30 @@ class TestPreparedInputs:
         cfg = H.TrainConfig(hidden_width=8, dropout=0.0, batch_size=8, epochs=1, seed=0,
                             mode="content")
         model = H.train(cfg, train, tables, dev, emb=emb).model
-        used = {ex.table_id for ex in train + dev}
-        assert len(used) > 1 and len(preps) == len(train) + len(dev)
-        assert sorted(built) == sorted(tuple(tables[tid].header) for tid in used)
-        assert one_matrix_per_table(preps, train + dev)
+
+        def headers(examples):
+            """Each table's header, in the order the examples first use it."""
+            return [tuple(tables[tid].header)
+                    for tid in dict.fromkeys(ex.table_id for ex in examples)]
+
+        # one prepare_examples call for the train set, then one for the dev set
+        assert len(headers(train)) > 1 and len(preps) == len(train) + len(dev)
+        assert built == headers(train) + headers(dev)
+        assert one_matrix_per_table(preps[:len(train)], train)
+        assert one_matrix_per_table(preps[len(train):], dev)
         built.clear()
         preps.clear()
         H.evaluate_model(model, dev, tables)
-        assert sorted(built) == sorted(tuple(tables[tid].header)
-                                       for tid in {ex.table_id for ex in dev})
-        assert one_matrix_per_table(preps, dev)
+        assert built == headers(dev) and one_matrix_per_table(preps, dev)
+        built.clear()
+        preps.clear()
+        got = H.prepare_examples(model, train, tables)
+        assert built == headers(train) and one_matrix_per_table(got, train)
+        assert len(got) == len(preps) and all(a is b for a, b in zip(got, preps))
+        for p, ex in zip(got, train):  # what a direct prepare_example call builds
+            alone = prepare(model, ex, tables[ex.table_id])
+            assert p.q_parts.tobytes() == alone.q_parts.tobytes()
+            assert p.col_matrix.tobytes() == alone.col_matrix.tobytes()
 
 
 def one_matrix_per_table(preps, examples) -> bool:
@@ -609,7 +623,8 @@ class TestParameterSharing:
                               type_dim=4, dropout=0.0)
         table = magazine_table()
         prep = H.prepare_example(model, magazine_example(), table)
-        [(_, _, H_col, H_qt_col)] = model.read(("col",), prep.q_parts, prep.col_matrix)
+        (_, _, H_col, H_qt_col), _, _ = model.read(*S.stack_inputs([(prep.q_parts,
+                                                                     prep.col_matrix)]))
         loss = K.cross_entropy(S.select_scores(H_qt_col, H_col, model.select_head), 0)
         K.backward(loss)
         touched = {n for n, g in gradients(store).items() if np.abs(g).sum() > 0}

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -425,14 +427,23 @@ class TestGroupedRead:
             model, questions = synth_questions(tmp_path)
         grouped, grouped_log = logged_predictions(model, questions, monkeypatch)
 
-        read = model.read
+        lstm_sequence, scans = K.lstm_sequence, []
 
-        def read_each_alone(which, *args):
-            return [read((name,), *args)[0] for name in which]
+        def each_model_alone(xs, ws, reverse, lengths, more):
+            """The read's fused scan as one call per model: its question and column
+            direction pairs, output blocks side by side in model order."""
+            [(cols, col_ws, col_reverse, col_lengths)] = more
+            outs = [lstm_sequence(xs, ws[i:i + 2], reverse[i:i + 2], lengths,
+                                  more=[(cols, col_ws[i:i + 2], col_reverse[i:i + 2],
+                                         col_lengths)])
+                    for i in range(0, len(ws), 2)]
+            scans.append(len(outs))
+            return reduce(K.concat_cols, outs)
 
-        monkeypatch.setattr(model, "read", read_each_alone)
+        monkeypatch.setattr(K, "lstm_sequence", each_model_alone)
         alone, alone_log = logged_predictions(model, questions, monkeypatch)
 
+        assert scans == [len(S.MODEL_NAMES)] * len(questions)
         assert grouped == alone
         assert [name for name, _ in grouped_log] == [name for name, _ in alone_log]
         assert {name for name, _ in grouped_log} == set(LOGITS)
@@ -449,10 +460,10 @@ class TestStackInputs:
         assert sum(map(bool, cells)) > 1  # cell values in more than one table
         inputs = [(p.q_parts, p.col_matrix) for p in preps]
         with K.no_grad():
-            [(q_in, *_)] = model.read(("col",), *S.stack_inputs(inputs))
+            q_in = model.read(*S.stack_inputs(inputs))[0][0]
             at = 0
             for (parts, col_matrix), cell in zip(inputs, cells):
-                [(own, *_)] = model.read(("col",), parts, col_matrix)
+                own = model.read(*S.stack_inputs([(parts, col_matrix)]))[0][0]
                 assert q_in.data[at : at + own.shape[0]].tobytes() == own.data.tobytes()
                 at += own.shape[0]
                 for t, column in cell:

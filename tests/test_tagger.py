@@ -89,6 +89,16 @@ class TestSpanTexts:
             assert text == " ".join(tokens[start:end])
             assert normalize_text(text) == text
 
+    # any text, and texts of word characters, spaces, hyphens and punctuation
+    @given(st.one_of(st.text(min_size=1, max_size=40),
+                     st.text(alphabet="aZ1_é -.'#\t", min_size=1, max_size=12))
+           .filter(str.strip))
+    @settings(max_examples=300, deadline=None)
+    def test_span_key_is_the_texts_tokens_joined(self, text):
+        # span_key tokenizes only a text holding a character tokenize splits off; every
+        # other normalised text is already its tokens joined by single spaces
+        assert T.span_key(normalize_text(text)) == " ".join(T.tokenize(text)[0])
+
     def test_gazetteer_get_reads_normal_keys_only(self):
         gaz = Gazetteer([("Mort  Drucker", "person")])
         assert gaz.get("mort drucker") == gaz.get(normalize_text(" MORT drucker ")) == "person"
@@ -112,6 +122,15 @@ class TestSchemaColumns:
         tq = fresh("what total score was it".split())
         T.tag_schema_columns(tq, ["total", "total score"])
         assert [t.kind for t in tq.tags] == ["none", "column", "column", "none", "none"]
+
+    def test_punctuated_column_names(self):
+        # the names' texts differ from the spans' by the spaces tokenize puts around
+        # the punctuation it splits off
+        tq = fresh(T.tokenize("what is the no. when the pick # is 3 of o'brien-smith ?")[0])
+        T.tag_schema_columns(tq, ["No.", "Pick  #", "O'Brien-Smith"])
+        assert [t.kind for t in tq.tags] == [
+            "none", "none", "none", "column", "column", "none", "none", "column", "column",
+            "none", "none", "none", "column", "column", "column", "none"]
 
     def test_empty_schema_errors(self):
         with pytest.raises(ValueError, match="no columns"):
@@ -190,6 +209,13 @@ class TestEntities:
         T.tag_entities(tq2, gaz2)
         assert tq2.tags[0].kind == "country"
 
+    def test_punctuated_key(self):
+        gaz = Gazetteer([("O'Brien", "person"), ("St. Louis", "place")])
+        tq = fresh(T.tokenize("who is o'brien in st. louis")[0])
+        T.tag_entities(tq, gaz)
+        assert [t.kind for t in tq.tags] == ["none", "none", "person", "person", "person",
+                                             "none", "place", "place", "place"]
+
     def test_person_outranks_everything(self):
         gaz = Gazetteer([("jordan", "country"), ("jordan", "person")])
         assert gaz.get("jordan") == "person"
@@ -230,7 +256,8 @@ class TestGazetteerFile:
 # and text that only normalises to a number, that only float() reads as one,
 # or that normalises to nothing.
 STR_CELLS = ["", "  ", "Mort  Drucker", "mort drucker", "\tal\tjaffee ", " STAR ", "star",
-             "1", "1.0", "-0.0", "1e-05", "true", "nan", "inf", "none", "2004", "1_000"]
+             "1", "1.0", "-0.0", "1e-05", "true", "nan", "inf", "none", "2004", "1_000",
+             "St. Louis", "o'brien", "pick #"]
 INT_CELLS = [0, 1, -1, 7, 2004, 2**53, 2**53 + 1, -(2**53 + 1), 2**64, 10**400]
 FLOAT_CELLS = [0.0, -0.0, 1.0, 7.5, 1e-05, 88.5, 2004.0, 2.0**53, 1e16, 0.1,
                float("nan"), float("inf"), float("-inf")]
@@ -267,6 +294,16 @@ class TestContent:
         T.tag_content(tq, table)
         assert tq.tags == [TypeTag("column_value", column=1)] * 2
 
+    @pytest.mark.parametrize("rows", [[["St. Louis"], ["boston"]], [["St. Louis"], [7]]],
+                             ids=["text", "mixed"])
+    def test_punctuated_cell(self, rows):
+        # a text column reads its distinct values, a mixed one each cell
+        table = Table(id="x", header=["city"], types=["text"], rows=rows)
+        tq = fresh(T.tokenize("when the city is st. louis ?")[0])
+        T.tag_content(tq, table)
+        value = TypeTag("column_value", column=0)
+        assert tq.tags == [T.TAG_NONE] * 4 + [value] * 3 + [T.TAG_NONE]
+
     def test_value_in_two_columns_takes_lowest_index(self):
         table = Table(id="x", header=["a", "b"], types=["real", "real"],
                       rows=[[2004, 1999], [1999, 2004]])
@@ -298,16 +335,17 @@ class TestContent:
 # date, number and entity spans overlap and compete; whole date phrases make month-name
 # dates frequent, also ones whose inner tokens an earlier pass has claimed.
 RECOGNIZE_TABLE = Table(
-    id="rec", header=["spoofed title", "artist", "issue", "year", "may"],
-    types=["text", "text", "real", "real", "text"],
-    rows=[["star blecch", "mort drucker", 88.5, 1999, "july 4 1999"],
-          ["the empire", "al jaffee", 203, 2100, "may"],
-          ["1e5", "new york", 7, 12, "july"]],
+    id="rec", header=["spoofed title", "artist", "issue", "year", "may", "No."],
+    types=["text", "text", "real", "real", "text", "text"],
+    rows=[["star blecch", "mort drucker", 88.5, 1999, "july 4 1999", "St. Louis"],
+          ["the empire", "al jaffee", 203, 2100, "may", "pick #"],
+          ["1e5", "new york", 7, 12, "july", "o'brien"]],
 )
 RECOGNIZE_WORDS = (
     RECOGNIZE_TABLE.header
     + sorted({cell_text(cell) for row in RECOGNIZE_TABLE.rows for cell in row})
     + ["spoofed", "title", "star", "mort", "drucker", "new", "france", "of", "the"]
+    + ["no", ".", "st", "louis", "o", "'", "brien", "pick", "#", "o'brien", "st. louis"]
     + ["january", "may", "july", "december", ","]
     + ["december 12 1999", "may 31 , 2101", "january 32 1999", "june 0 2000",
        "july 1 ١٩٩٩", "july 007 1299", "july 4 , 19999"]
@@ -318,6 +356,7 @@ RECOGNIZE_WORDS = (
 RECOGNIZE_GAZETTEER = Gazetteer([
     ("mort drucker", "person"), ("al jaffee", "person"), ("new york", "place"),
     ("france", "country"), ("may", "person"), ("july 4", "sport"), ("star", "organization"),
+    ("O'Brien", "person"), ("st. louis", "place"), ("no. 7", "sport"),
 ])
 
 
