@@ -315,7 +315,7 @@ def prepare_example(model: S.SketchModel, example: Example, table: Table,
 def prepare_examples(model: S.SketchModel, examples: list[Example], tables: dict[str, Table],
                      gazetteer: Gazetteer | None = None) -> list[PreparedExample]:
     """Each example's PreparedExample; the examples of one table share its column matrix,
-    built once per call."""
+    read once per call from `model.column_matrix`, whatever the number of tables."""
     matrices = {tid: model.column_matrix(tables[tid].header)
                 for tid in dict.fromkeys(ex.table_id for ex in examples)}
     return [prepare_example(model, ex, tables[ex.table_id], gazetteer, matrices[ex.table_id])

@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .tables import normalize_text
+from .tables import normalize_text, parse_number
 
 AGGREGATORS = ("", "MAX", "MIN", "COUNT", "SUM", "AVG")  # index 0 is the bare column
 OPERATORS = ("=", ">", "<")
@@ -88,7 +88,10 @@ def _integer(name: str, value) -> int:
 
 
 def detokenize(tokens: list[str]) -> str:
-    """Space-join, then collapse the space before punctuation tokens."""
+    """Space-join, then collapse the space before punctuation tokens; a leading '-' joins
+    the number token after it, as the sign of that number ('-5', '-3.5')."""
+    if len(tokens) > 1 and tokens[0] == "-" and parse_number(tokens[1]) is not None:
+        return "-" + detokenize(tokens[1:])
     return _PUNCT_SPACE.sub("", " ".join(tokens))
 
 

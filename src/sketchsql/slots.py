@@ -29,6 +29,7 @@ from .tagger import BASE_TAGS, COLUMN_VALUE, TaggedQuestion
 N_AGGREGATORS = 6
 N_OPERATORS = 3
 N_COND_CLASSES = MAX_CONDITIONS + 1  # predicted condition count in 0..4
+COLUMN_MATRICES = 32  # headers whose column matrix a model keeps (SketchModel.column_matrix)
 # each tag kind's row of the type table; in content mode a cell-value token of column c
 # reads row len(BASE_TAGS) + c of the type table with the column-name rows below it
 TYPE_INDEX = {kind: i for i, kind in enumerate(BASE_TAGS)}
@@ -334,6 +335,7 @@ class SketchModel:
         if width % 2 != 0:
             raise ValueError("bidirectional width must be even")
         self.emb = emb
+        self._column_matrices: dict[tuple[str, ...], np.ndarray] = {}  # see column_matrix
         self.mode = mode
         self.dropout = dropout
         check_type_dim(mode, type_dim, emb.dim)
@@ -398,8 +400,20 @@ class SketchModel:
         return np.array([self.emb.rows(tq.tokens), types], dtype=np.int64)
 
     def column_matrix(self, header: list[str]) -> np.ndarray:
-        """(C, d_w) averaged column-name vectors, one row per column in schema order."""
-        return column_name_matrix(header, self.emb)
+        """(C, d_w) averaged column-name vectors, one row per column in schema order.
+
+        The model keeps the read-only matrices of its last COLUMN_MATRICES headers, keyed
+        by the header's names: a matrix depends on them and the frozen word vectors only,
+        never on a trainable weight."""
+        key = tuple(header)
+        matrix = self._column_matrices.pop(key, None)
+        if matrix is None:
+            matrix = column_name_matrix(header, self.emb)
+            matrix.flags.writeable = False
+            if len(self._column_matrices) == COLUMN_MATRICES:
+                del self._column_matrices[next(iter(self._column_matrices))]  # least recent
+        self._column_matrices[key] = matrix
+        return matrix
 
     def question_input(self, parts: np.ndarray, col_matrix: np.ndarray) -> K.Tensor:
         """Each token's word vector, gathered from the store by its row (zero at -1),

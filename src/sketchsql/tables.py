@@ -21,12 +21,18 @@ _NUMBER = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?
 
 @dataclass
 class Table:
-    """One table: column names, column value kinds, and cell rows."""
+    """One table: column names, column value kinds, and cell rows.
+
+    Header and rows must not change once the table has been tagged in content mode: from
+    its second content tagging on, the tagger keeps what it reads of them whatever the
+    question (`tagger.ContentIndex`) in `_content_index`, which holds None before the
+    first and False after it."""
 
     id: str
     header: list[str]
     types: list[str]
     rows: list[list] = field(default_factory=list)
+    _content_index: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.header) != len(self.types):

@@ -13,6 +13,9 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
+
+import numpy as np
 
 from .tables import (Table, cell_text, column_numbers, distinct_text, normalize_text,
                      parse_number, text_lines)
@@ -203,52 +206,99 @@ def tag_schema_columns(tq: TaggedQuestion, header: list[str]) -> TaggedQuestion:
     return tq
 
 
-def _question_numbers(tokens: list[str]) -> dict[float, str]:
-    """Single tokens that are the cell text of their own number, keyed by that number.
+def _question_numbers(tokens: list[str]) -> dict[str, float]:
+    """The question's number texts, each with its value: every single token that is the
+    cell text of its own number, and every '-' token followed by such a token of a value
+    above 0, as one negative number whose cell text is the two joined ('- 5' is -5).
 
-    A number's cell text never holds a space, so no longer span can equal one.
+    A number's cell text never holds a space, so no other span can equal one.
     """
     numbers = {}
     for token in set(tokens):
+        if not token[-1:].isdigit():  # a number's cell text ends in a digit, '1e-05' too
+            continue
         value = parse_number(token)
         if value is not None and cell_text(value) == token:
-            numbers[value] = token
+            numbers[token] = value
+    for sign, token in zip(tokens, tokens[1:]):
+        if sign == "-" and numbers.get(token, 0) > 0:
+            numbers[f"- {token}"] = -numbers[token]
     return numbers
 
 
-def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
-    """Content mode: tag spans equal to a cell value with that cell's column.
+class ContentIndex(NamedTuple):
+    """What content tagging reads of a table whatever the question: `texts` maps each
+    cell text of the columns not matched by value, keyed as a question spells it, to the
+    lowest of them holding it; `number_columns` holds each all-number column's index and
+    float64 array (`tables.column_numbers`), in column order."""
 
-    The index maps each cell text to the lowest column holding it. It is
-    built column by column: an int/float column of numbers
-    (`tables.column_numbers`) is matched by value against the question's
-    number tokens, and a plain-str column normalises only its distinct
-    values (`tables.distinct_text`). Any other column (bools, None, mixed
-    types, NaN, ints beyond float64) goes through `cell_text` cell by cell.
-    A str cell is keyed by its span_key, any other by its cell_text.
-    """
-    values: dict[str, int] = {}
-    numbers = _question_numbers(tq.tokens)
+    texts: dict[str, int]
+    number_columns: list[tuple[int, np.ndarray]]
+
+
+def content_index(table: Table) -> ContentIndex:
+    """Build the table's ContentIndex column by column. A plain-str column normalises only
+    its distinct values (`tables.distinct_text`). Any other column that is not all numbers
+    (bools, None, mixed types, NaN, ints beyond float64) goes through `cell_text` cell by
+    cell: a str cell is keyed by its span_key, any other by its cell_text, and a negative
+    number also as a question spells it, its sign a token of its own ('- 5')."""
+    texts: dict[str, int] = {}
+    number_columns = []
     for col, column in enumerate(zip(*table.rows)):
         floats = column_numbers(column)
         if floats is not None:
-            for value, token in numbers.items():
-                if (floats == value).any():
-                    values.setdefault(token, col)
+            number_columns.append((col, floats))
             continue
-        texts = distinct_text(column)
-        if texts is not None:
-            for text in map(normalize_text, texts):
+        distinct = distinct_text(column)
+        if distinct is not None:
+            for text in map(normalize_text, distinct):
                 if text:
-                    values.setdefault(span_key(text), col)
+                    texts.setdefault(span_key(text), col)
             continue
         for cell in column:
             text = cell_text(cell)
-            if text:
-                values.setdefault(span_key(text) if isinstance(cell, str) else text, col)
+            if not text:
+                continue
+            if isinstance(cell, str):
+                texts.setdefault(span_key(text), col)
+            else:
+                texts.setdefault(text, col)
+                if text[0] == "-" and parse_number(cell) is not None:
+                    texts.setdefault(f"- {text[1:]}", col)
+    return ContentIndex(texts, number_columns)
 
-    _claim(tq, [(start, end, TypeTag(COLUMN_VALUE, column=values[text]))
-                for start, end, text in tq.spans if text in values])
+
+def _table_index(table: Table) -> ContentIndex:
+    """The table's ContentIndex: built afresh at its first content tagging, which leaves
+    only a mark on the table, then built once more and kept on it (`Table._content_index`)
+    from its second on, so a table tagged once keeps nothing."""
+    kept = table._content_index
+    if kept is None:
+        table._content_index = False
+        return content_index(table)
+    if kept is False:
+        kept = table._content_index = content_index(table)
+    return kept
+
+
+def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
+    """Content mode: tag spans equal to a cell value with the lowest column holding it.
+
+    The table's part is its ContentIndex (`content_index`), kept on the table from its
+    second content tagging on. The question's part matches the question's numbers
+    (`_question_numbers`, a signed one too) by value against the all-number columns,
+    each against a column's float64 array in one vectorised op, and looks every other
+    span text up in the index's texts; then the spans are claimed.
+    """
+    texts, number_columns = _table_index(table)
+    found = {}
+    for text, value in _question_numbers(tq.tokens).items():
+        for col, floats in number_columns:
+            if (floats == value).any():
+                found[text] = min(col, texts.get(text, col))
+                break
+    _claim(tq, [(start, end, TypeTag(COLUMN_VALUE, column=found.get(text, texts.get(text))))
+                for start, end, text in tq.spans if text in texts or text in found])
     return tq
 
 

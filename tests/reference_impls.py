@@ -149,7 +149,8 @@ def reference_key(text):
 
 def reference_tag_content(tq, table):
     """Whole-table content tagging: index every cell, lowest column wins. A str cell's key
-    is its `reference_key`, any other cell's its `cell_text`."""
+    is its `reference_key`, any other cell's its `cell_text`; a negative number cell is
+    also keyed with its sign as a token of its own, '- 5' for -5, as a question spells it."""
     values = {}
     for row_cells in table.rows:
         for col, cell in enumerate(row_cells):
@@ -157,9 +158,14 @@ def reference_tag_content(tq, table):
             if not text:
                 continue
             if isinstance(cell, str):
-                text = reference_key(text)
-            if col < values.get(text, len(table.header)):
-                values[text] = col
+                keys = [reference_key(text)]
+            elif naive_number(cell) is not None and naive_number(cell) < 0:
+                keys = [text, "- " + text[1:]]
+            else:
+                keys = [text]
+            for key in keys:
+                if col < values.get(key, len(table.header)):
+                    values[key] = col
 
     def match(text):
         col = values.get(text)

@@ -23,7 +23,7 @@ from sketchsql import kernel as K
 from sketchsql.cli import main
 from sketchsql.encoder import (EmbeddingError, EmbeddingStore, column_name_matrix,
                                load_embedding_file, load_embeddings)
-from sketchsql.slots import TYPE_INDEX, SketchModel, stack_inputs
+from sketchsql.slots import COLUMN_MATRICES, TYPE_INDEX, SketchModel, stack_inputs
 from sketchsql.synth import generate_corpus
 from sketchsql.tagger import TAG_NONE, TaggedQuestion, TypeTag, recognize
 
@@ -894,6 +894,24 @@ class TestColumnEncoding:
         want = [np.mean([self.EMB.stack([w])[0] for w in name.split()], axis=0)
                 if name.strip() else np.zeros(self.EMB.dim) for name in header]
         assert got.tobytes() == np.stack(want).tobytes()
+
+    def test_model_keeps_a_read_only_matrix_per_header(self):
+        model = tiny_model(seed=1)
+        header = ["spoofed title", "artist"]
+        kept = model.column_matrix(header)
+        assert model.column_matrix(list(header)) is kept and not kept.flags.writeable
+        assert kept.tobytes() == column_name_matrix(header, model.emb).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 1.0
+        other = model.column_matrix(["artist", "spoofed title"])
+        assert other is not kept and other.tobytes() == kept[::-1].tobytes()
+        # one header read between the others stays; the least recently read go first
+        for i in range(2 * COLUMN_MATRICES):
+            model.column_matrix([f"issue {i}"])
+            assert model.column_matrix(header) is kept
+            assert len(model._column_matrices) <= COLUMN_MATRICES
+        again = model.column_matrix(["artist", "spoofed title"])
+        assert again is not other and again.tobytes() == other.tobytes()
 
     def test_single_column_shape(self):
         model = tiny_model(seed=1, width=10)

@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchsql.executor import execute
+from sketchsql.harness import find_token_span
 from sketchsql.sketch import (MAX_CONDITIONS, SqlQuery, assemble,
                               canonical_equal, detokenize, render)
 from sketchsql.slots import SlotPrediction
+from sketchsql.tables import Table
+from sketchsql.tagger import tokenize
 
 
 def make_pred(**kw):
@@ -42,6 +46,26 @@ class TestAssemble:
     def test_detokenize_collapses_space_before_punctuation(self):
         assert detokenize(["88", ".", "5"]) == "88. 5"
         assert detokenize(["mort", "drucker"]) == "mort drucker"
+
+    def test_detokenize_joins_a_leading_sign_to_its_number(self):
+        assert detokenize(["-", "5"]) == "-5"
+        assert detokenize(["-", "3.5"]) == "-3.5"
+        assert detokenize(["-", "x"]) == "- x"
+        assert detokenize(["-"]) == "-"
+        assert detokenize(["a", "-", "5"]) == "a- 5"
+
+    @pytest.mark.parametrize("value, rows", [("-5", ["x"]), ("-3.5", ["y"])])
+    def test_negative_value_round_trips_through_execution(self, value, rows):
+        table = Table(id="p", header=["points", "name"], types=["real", "text"],
+                      rows=[[-5, "x"], [-3.5, "y"], [3, "z"]])
+        tokens = tokenize(f"who has points of {value}")[0]
+        span = find_token_span(tokens, value)
+        assert span == [4, 5]
+        pred = make_pred(select_col=1, cond_count=1, cond_cols=[0], cond_ops=[0],
+                         cond_val_spans=[span])
+        query, gold = assemble(pred, tokens), SqlQuery(agg=0, sel=1, conds=[(0, 0, value)])
+        assert execute(query, table).values == execute(gold, table).values == rows
+        assert canonical_equal(query, gold)
 
 
 class TestRender:

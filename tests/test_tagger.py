@@ -259,12 +259,13 @@ STR_CELLS = ["", "  ", "Mort  Drucker", "mort drucker", "\tal\tjaffee ", " STAR 
              "1", "1.0", "-0.0", "1e-05", "true", "nan", "inf", "none", "2004", "1_000",
              "St. Louis", "o'brien", "pick #"]
 INT_CELLS = [0, 1, -1, 7, 2004, 2**53, 2**53 + 1, -(2**53 + 1), 2**64, 10**400]
-FLOAT_CELLS = [0.0, -0.0, 1.0, 7.5, 1e-05, 88.5, 2004.0, 2.0**53, 1e16, 0.1,
+FLOAT_CELLS = [0.0, -0.0, 1.0, 7.5, -7.5, 1e-05, 88.5, 2004.0, 2.0**53, 1e16, 0.1,
                float("nan"), float("inf"), float("-inf")]
 BOOL_CELLS = [True, False, 0, 1, 1.0]
 CELL_POOLS = [STR_CELLS, INT_CELLS, FLOAT_CELLS, INT_CELLS + FLOAT_CELLS, BOOL_CELLS,
               STR_CELLS + INT_CELLS + FLOAT_CELLS + BOOL_CELLS + [None]]
-QUESTION_WORDS = ["1", "1.0", "0", "-1", "true", "false", "none", "nan", "inf", "1e-05",
+QUESTION_WORDS = ["1", "1.0", "0", "-1", "-0", "-7.5", "- 1e-05", "-", "true", "false", "none",
+                  "nan", "inf", "1e-05",
                   "2004", "7", "9007199254740992", "9007199254740993",
                   "18446744073709551616", "88.5", "star", "mort drucker", "al jaffee", "x",
                   "1_000", "1000"]
@@ -317,6 +318,20 @@ class TestContent:
         T.tag_content(tq, table)
         assert tq.tags[0] == TypeTag("column_value", column=0)
 
+    @pytest.mark.parametrize("question, cells, tags", [
+        ("who has points of -5", [-5, 3], ["none", "points", "points"]),
+        ("who has points of -3.5", [-3.5, 1.0], ["none", "points", "points"]),
+        ("who has points of -5", [-5, "x"], ["none", "points", "points"]),  # cell by cell
+        ("who has points of -0", [0, 3], ["none", "none", "points"]),  # -0 is no cell text
+        ("who has points of -5", [5, 3], ["none", "none", "points"]),
+    ], ids=["int", "float", "mixed", "zero", "positive"])
+    def test_a_sign_token_and_a_number_token_are_one_negative_value(self, question, cells,
+                                                                  tags):
+        table = Table(id="p", header=["points", "name"], types=["real", "text"],
+                      rows=[[cell, name] for cell, name in zip(cells, "xy")])
+        tq = T.recognize(question, table.header, table=table, mode="content")
+        assert tq.display_tags(table.header) == ["none", "none", "column", *tags]
+
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_matches_whole_table_reference(self, data):
@@ -331,6 +346,47 @@ class TestContent:
         assert got.tags == want.tags
 
 
+class TestContentIndex:
+    def test_a_table_keeps_its_index_from_its_second_tagging_on(self, monkeypatch):
+        built = []
+        content_index = T.content_index
+
+        def counted(table):
+            built.append(table.id)
+            return content_index(table)
+
+        monkeypatch.setattr(T, "content_index", counted)
+        table = magazine_table()
+        questions = ["who is mort drucker ?", "the issue 88.5", "star blecch of 203",
+                     "what about al jaffee ?"]
+        T.recognize(questions[0], table.header, table=table, mode="content")
+        # tagged once: built for the question and dropped
+        assert built == ["mag"] and not isinstance(table._content_index, T.ContentIndex)
+        T.recognize(questions[1], table.header, table=table, mode="content")
+        kept = table._content_index
+        assert built == ["mag"] * 2 and isinstance(kept, T.ContentIndex)
+        for question in questions:
+            T.recognize(question, table.header, table=table, mode="content")
+        assert built == ["mag"] * 2 and table._content_index is kept
+        T.recognize(questions[0], table.header, table=table, mode="insensitive")
+        assert built == ["mag"] * 2
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_tagging_of_one_table_matches_the_reference(self, data):
+        table = data.draw(adversarial_tables())
+        texts = sorted({cell_text(cell) for row in table.rows for cell in row} - {""})
+        words = st.sampled_from(QUESTION_WORDS + texts)
+        numbers = st.sampled_from(["1", "7", "-1", "-7.5", "88.5", "2004", "0"])
+        for _ in range(data.draw(st.integers(3, 5))):
+            question = data.draw(st.lists(words, min_size=0, max_size=7))
+            question.insert(data.draw(st.integers(0, len(question))), data.draw(numbers))
+            tokens = T.tokenize(" ".join(question))[0]
+            got = T.tag_content(fresh(tokens), table)
+            assert got.tags == reference_tag_content(fresh(tokens), table).tags, tokens
+        assert isinstance(table._content_index, T.ContentIndex)
+
+
 # Header words, cell texts, month names, ',' and number tokens, so that column, value,
 # date, number and entity spans overlap and compete; whole date phrases make month-name
 # dates frequent, also ones whose inner tokens an earlier pass has claimed.
@@ -339,7 +395,8 @@ RECOGNIZE_TABLE = Table(
     types=["text", "text", "real", "real", "text", "text"],
     rows=[["star blecch", "mort drucker", 88.5, 1999, "july 4 1999", "St. Louis"],
           ["the empire", "al jaffee", 203, 2100, "may", "pick #"],
-          ["1e5", "new york", 7, 12, "july", "o'brien"]],
+          ["1e5", "new york", 7, 12, "july", "o'brien"],
+          ["mad", "-12", -7, -1999, "june", "-7"]],
 )
 RECOGNIZE_WORDS = (
     RECOGNIZE_TABLE.header
@@ -351,6 +408,7 @@ RECOGNIZE_WORDS = (
        "july 1 ١٩٩٩", "july 007 1299", "july 4 , 19999"]
     + ["١٢", "١٩٩٩", "1e5", "007", "1e400", "2100", "2101", "1299", "1999", "1998",
        "88.5", "203", "7", "1", "4", "12", "31", "32", "0", "01999", "1e-5", "1_000",
+       "-", "-7", "-12", "-1999", "- 88.5",
        "1999-07-01", "12-31-1999", "١٩٩٩-٠٧-٠١", "9" * 400]
 )
 RECOGNIZE_GAZETTEER = Gazetteer([
