@@ -9,7 +9,7 @@ condition is simply false.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -44,7 +44,7 @@ class ResultSet:
         return cls(kind="scalar", scalar=float(value) if isinstance(value, (int, float)) else value)
 
 
-def _holds(cells: list, op: int, val: str) -> Iterable[bool]:
+def _holds(cells: Sequence, op: int, val: str) -> Iterable[bool]:
     """Whether each cell satisfies `cell <op> val`, with the operator and the kind of
     value decided once. A number value never equals a cell that is not a number, nor
     a text value one that is, since the text of a str, int or float number parses.
@@ -80,15 +80,28 @@ def _holds(cells: list, op: int, val: str) -> Iterable[bool]:
     return map(test, cells)
 
 
+def _kept_cells(column: tuple, kept: list[int] | None):
+    """The column's cells of the kept rows in row order: the column itself when no
+    condition has filtered the rows (kept is None), else the cells at the kept indices."""
+    return column if kept is None else list(map(column.__getitem__, kept))
+
+
 def execute(query: SqlQuery, table: Table) -> ResultSet:
-    """Run one sketch query; scalar aggregates over zero rows give EMPTY."""
+    """Run one sketch query column by column; scalar aggregates over zero rows give EMPTY.
+
+    The first condition reads its column whole; each later one, COUNT and the select
+    column read only the cells of the rows that every earlier condition kept, through
+    their row indices."""
     query.validate_against(table.n_columns)
-    kept = table.rows
+    columns = table.columns
+    kept = None  # the indices of the rows every condition so far holds on; None: all
     for col, op, val in query.conds:  # AND: each condition filters the survivors of the last
-        kept = list(compress(kept, _holds([row[col] for row in kept], op, val)))
+        cells = _kept_cells(columns[col], kept)
+        kept = list(compress(range(len(cells)) if kept is None else kept,
+                             _holds(cells, op, val)))
     if query.agg == AGG_COUNT:
-        return ResultSet.of_scalar(len(kept))
-    cells = [row[query.sel] for row in kept]
+        return ResultSet.of_scalar(len(columns[0]) if kept is None else len(kept))
+    cells = _kept_cells(columns[query.sel], kept)
     if query.agg == AGG_NULL:
         return ResultSet.of_rows(cells)
     if not cells:

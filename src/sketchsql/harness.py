@@ -23,7 +23,7 @@ from . import slots as S
 from .encoder import EmbeddingStore
 from .executor import Metrics, evaluate_dataset
 from .sketch import SqlQuery, assemble
-from .tables import KIND_TEXT, Table, not_utf8, text_lines
+from .tables import KIND_TEXT, Table, distinct_text, not_utf8, text_lines
 from .tagger import MODES, Gazetteer, TaggedQuestion, recognize, tokenize
 
 COND_COL_POS_WEIGHT = 3.0  # positive-class weight for the condition-column BCE
@@ -84,7 +84,9 @@ _JSON_CONTAINERS = {dict, list}  # the JSON values a cell may not be
 def load_tables(path) -> dict[str, Table]:
     """The tables of a JSON-lines file by id. Equal str cells of text columns share one
     object across the file: a wide file repeats a few values in many cells, so this
-    saves memory, and sets and dicts over a column hash and compare a few objects."""
+    saves memory, and sets and dicts over a column hash and compare a few objects. Each
+    text column is shared as a whole once its table has built its columns from the parsed
+    rows, which are then dropped."""
     tables: dict[str, Table] = {}
     shared: dict[str, str] = {}  # each distinct text cell of this file, by itself
     for lineno, rec in _read_jsonl(path):
@@ -94,9 +96,9 @@ def load_tables(path) -> dict[str, Table]:
             rows = rec.get("rows", [])
             if not isinstance(rows, list):
                 raise ValueError(f"rows must be a list of rows, got {rows!r}")
-            for i, row in enumerate(rows):
-                if not isinstance(row, list):
-                    raise ValueError(f"row {i} must be a list of cells, got {row!r}")
+            if not {list}.issuperset(map(type, rows)):  # stops at the first other type
+                i, row = next((i, row) for i, row in enumerate(rows) if type(row) is not list)
+                raise ValueError(f"row {i} must be a list of cells, got {row!r}")
             if not _JSON_CONTAINERS.isdisjoint(map(type, chain.from_iterable(rows))):
                 i, bad = next((i, cell) for i, row in enumerate(rows) for cell in row
                               if type(cell) in _JSON_CONTAINERS)
@@ -108,14 +110,23 @@ def load_tables(path) -> dict[str, Table]:
                 raise ValueError(f"duplicate table id {table.id!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise _record_error(path, lineno, exc) from None
-        text_cols = [j for j, kind in enumerate(table.types) if kind == KIND_TEXT]
-        for row in rows:  # numbers stay apart: 1 == 1.0 == True and 0.0 == -0.0 as keys
-            for j in text_cols:
-                cell = row[j]
-                if type(cell) is str:
-                    row[j] = shared.setdefault(cell, cell)
+        table.columns = tuple(_shared_text(column, shared) if kind == KIND_TEXT else column
+                              for column, kind in zip(table.columns, table.types))
         tables[table.id] = table
     return tables
+
+
+def _shared_text(column: tuple, shared: dict[str, str]) -> tuple:
+    """A text column with each str cell replaced by shared's object of the same text,
+    which is the cell itself when shared has none yet. An all-str column looks each
+    distinct text up once (`tables.distinct_text`); in any other, the cells that are not
+    a str stay as they are, since 1 == 1.0 == True and 0.0 == -0.0 as keys."""
+    texts = distinct_text(column)
+    if texts is None:
+        return tuple(shared.setdefault(cell, cell) if type(cell) is str else cell
+                     for cell in column)
+    own = {text: shared.setdefault(text, text) for text in texts}
+    return tuple(map(own.__getitem__, column))
 
 
 def load_dataset(examples_path, tables_path) -> tuple[list[Example], dict[str, Table]]:

@@ -120,7 +120,7 @@ def _make_table(name: str, specs: list[ColumnSpec], rnd: random.Random) -> Table
 def _condition_value(table: Table, specs: list[ColumnSpec], col: int, op: int,
                      rnd: random.Random) -> str:
     if op == 0:
-        return cell_text(rnd.choice(table.rows)[col])
+        return cell_text(rnd.choice(table.columns[col]))
     spec = specs[col]
     return str(rnd.randint(spec.low, spec.high))
 
@@ -197,8 +197,8 @@ def generate_corpus(out_dir, seed: int = 0, n_train: int = 240, n_dev: int = 60)
     for table in tables:
         for name in table.header:
             vocab.update(tokenize(name)[0])
-        for row in table.rows:
-            for cell in row:
+        for column in table.columns:
+            for cell in column:
                 vocab.update(tokenize(cell_text(cell))[0])
     emb_rng = np.random.default_rng(seed)
     with open(paths.embeddings, "w", encoding="utf-8") as fh:

@@ -19,32 +19,44 @@ KIND_REAL = "real"
 _NUMBER = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
-@dataclass
+@dataclass(init=False)
 class Table:
-    """One table: column names, column value kinds, and cell rows.
+    """One table: column names, column value kinds, and its cells column by column.
 
-    Header and rows must not change once the table has been tagged in content mode: from
-    its second content tagging on, the tagger keeps what it reads of them whatever the
-    question (`tagger.ContentIndex`) in `_content_index`, which holds None before the
-    first and False after it."""
+    Built from rows, it keeps `columns`, one tuple per header column holding the rows'
+    cells in row order (the same objects; an empty tuple each when there are no rows),
+    and no row lists: the tagger and the executor read a column at a time. `rows`
+    rebuilds the row lists on each read.
+
+    Header and cells must not change once the table has been tagged in content mode:
+    from its second content tagging on, the tagger keeps what it reads of them whatever
+    the question (`tagger.ContentIndex`) in `_content_index`, which holds None before
+    the first and False after it."""
 
     id: str
     header: list[str]
     types: list[str]
-    rows: list[list] = field(default_factory=list)
-    _content_index: object = field(default=None, init=False, repr=False, compare=False)
+    columns: tuple[tuple, ...]
+    _content_index: object = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if len(self.header) != len(self.types):
-            raise ValueError(f"table {self.id!r}: {len(self.header)} columns but {len(self.types)} types")
-        if not self.header:
-            raise ValueError(f"table {self.id!r} has no columns")
-        bad = [t for t in self.types if t not in (KIND_TEXT, KIND_REAL)]
+    def __init__(self, id: str, header: list[str], types: list[str], rows=()):
+        if len(header) != len(types):
+            raise ValueError(f"table {id!r}: {len(header)} columns but {len(types)} types")
+        if not header:
+            raise ValueError(f"table {id!r} has no columns")
+        bad = [t for t in types if t not in (KIND_TEXT, KIND_REAL)]
         if bad:
-            raise ValueError(f"table {self.id!r}: unknown column kind {bad[0]!r}")
-        for i, row in enumerate(self.rows):
-            if len(row) != len(self.header):
-                raise ValueError(f"table {self.id!r} row {i}: {len(row)} cells for {len(self.header)} columns")
+            raise ValueError(f"table {id!r}: unknown column kind {bad[0]!r}")
+        if not {len(header)}.issuperset(map(len, rows)):  # stops at the first other length
+            i, row = next((i, row) for i, row in enumerate(rows) if len(row) != len(header))
+            raise ValueError(f"table {id!r} row {i}: {len(row)} cells for {len(header)} columns")
+        self.id, self.header, self.types = id, header, types
+        self.columns = tuple(zip(*rows)) if len(rows) else ((),) * len(header)
+        self._content_index = None
+
+    @property
+    def rows(self) -> list[list]:
+        return [list(row) for row in zip(*self.columns)]
 
     @property
     def n_columns(self) -> int:

@@ -237,14 +237,15 @@ class ContentIndex(NamedTuple):
 
 
 def content_index(table: Table) -> ContentIndex:
-    """Build the table's ContentIndex column by column. A plain-str column normalises only
-    its distinct values (`tables.distinct_text`). Any other column that is not all numbers
-    (bools, None, mixed types, NaN, ints beyond float64) goes through `cell_text` cell by
-    cell: a str cell is keyed by its span_key, any other by its cell_text, and a negative
-    number also as a question spells it, its sign a token of its own ('- 5')."""
+    """Build the table's ContentIndex from its columns (`Table.columns`) as they are held,
+    one at a time. A plain-str column normalises only its distinct values
+    (`tables.distinct_text`). Any other column that is not all numbers (bools, None,
+    mixed types, NaN, ints beyond float64) goes through `cell_text` cell by cell: a str
+    cell is keyed by its span_key, any other by its cell_text, and a negative number also
+    as a question spells it, its sign a token of its own ('- 5')."""
     texts: dict[str, int] = {}
     number_columns = []
-    for col, column in enumerate(zip(*table.rows)):
+    for col, column in enumerate(table.columns):
         floats = column_numbers(column)
         if floats is not None:
             number_columns.append((col, floats))
@@ -304,18 +305,22 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
 
 def _number_tag(text: str) -> TypeTag | None:
     """A date ('july 4 1999', 'july 4 , 1999', '1999-07-04'), or a token `parse_number`
-    reads: a year (four digits in YEAR_RANGE), an integer (digits only) or a float."""
+    reads: a year (four digits in YEAR_RANGE), an integer (digits only) or a float. A '-'
+    token and such a token of a value above 0 are one negative number ('- 4'), an integer
+    or a float by its digits, never a year."""
     month_date = _MONTH_DATE_RE.fullmatch(text)
     # float() reads any run of ASCII digits, however long, without raising
     if month_date and 1 <= float(month_date[1]) <= 31 or _ISO_DATE_RE.fullmatch(text):
         return TypeTag(DATE)
-    value = parse_number(text)
-    if value is None:
+    signed = text[:2] == "- "
+    number = text[2:] if signed else text
+    value = parse_number(number)  # None for any text with an inner space
+    if value is None or signed and value <= 0:
         return None
-    if not _DIGITS_RE.fullmatch(text):
+    if not _DIGITS_RE.fullmatch(number):
         return TypeTag(FLOAT)
-    return TypeTag(YEAR if len(text) == 4 and YEAR_RANGE[0] <= value <= YEAR_RANGE[1]
-                   else INTEGER)
+    return TypeTag(YEAR if not signed and len(number) == 4
+                   and YEAR_RANGE[0] <= value <= YEAR_RANGE[1] else INTEGER)
 
 
 def tag_numbers(tq: TaggedQuestion) -> TaggedQuestion:

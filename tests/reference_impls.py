@@ -216,6 +216,14 @@ def reference_tag_numbers(tq):
             i += span
             continue
         token = tokens[i]
+        after = tokens[i + 1] if i + 1 < len(tokens) else None
+        if token == "-" and after is not None and tags[i + 1].kind == "none" \
+                and (naive_number(after) or 0) > 0:
+            # a sign and the number after it: one negative integer or float, never a year
+            kind = "integer" if _all_digits(after) else "float"
+            tags[i] = tags[i + 1] = TypeTag(kind)
+            i += 2
+            continue
         if _naive_iso_date(token):
             tags[i] = TypeTag("date")
         elif naive_number(token) is not None:

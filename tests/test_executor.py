@@ -282,6 +282,68 @@ class TestWideColumns:
                     == exact(*want), (name, query)
 
 
+
+def assert_matches_reference(query, table):
+    want = reference_execute(query, table)
+    if want[0] == "error":
+        with pytest.raises(ExecutionError):
+            execute(query, table)
+        return
+    got = execute(query, table)
+    assert exact(got.kind, got.values if got.kind == "rows" else got.scalar) == exact(*want), \
+        (table.id, query)
+
+
+CHAIN_TABLE = Table(id="chain", header=["name", "team", "points", "year"],
+                    types=["text", "text", "real", "real"],
+                    rows=[["ann", "red", 5, 2001], ["bob", "red", -3, 1999],
+                          ["cy", "blue", 5, 2001], ["di", "red", 5.0, 2004],
+                          ["ed", " Red ", 7, 2001], ["fay", "red", 5, 2001],
+                          ["gus", "red", True, 2001], ["hal", None, 5, 2001]])
+
+
+class TestChainedConditions:
+    """Each later condition reads only the cells of the rows the earlier ones kept."""
+
+    @pytest.mark.parametrize("conds", [
+        [],
+        [(1, 0, "red"), (2, 0, "5")],
+        [(1, 0, "red"), (2, 0, "5"), (3, 0, "2001")],
+        [(2, 1, "0"), (1, 0, "RED"), (3, 2, "2002"), (0, 0, "fay")],
+        [(3, 0, "2001"), (1, 0, "blue"), (2, 0, "5")],
+        [(3, 0, "2001"), (2, 2, "6"), (1, 0, "red")],
+        [(1, 0, "red"), (2, 0, "99")],  # every survivor fails the second
+        [(1, 0, "green"), (2, 0, "5"), (3, 1, "0")],  # nothing survives the first
+    ], ids=short_id)
+    @pytest.mark.parametrize("sel", [0, 2])
+    @pytest.mark.parametrize("agg", range(6))  # NULL, MAX, MIN, COUNT, SUM, AVG
+    def test_later_conditions_filter_survivors(self, conds, sel, agg):
+        assert_matches_reference(SqlQuery(agg=agg, sel=sel, conds=conds), CHAIN_TABLE)
+
+    @pytest.mark.parametrize("conds", [[], [(0, 0, "x")], [(0, 0, "x"), (1, 1, "3")],
+                                       [(1, 2, "3"), (0, 0, "x"), (1, 0, "1")]], ids=short_id)
+    @pytest.mark.parametrize("agg", range(6))
+    def test_zero_row_table(self, conds, agg):
+        table = Table(id="empty", header=["a", "b"], types=["text", "real"])
+        assert_matches_reference(SqlQuery(agg=agg, sel=1, conds=conds), table)
+
+    def test_fuzzed_chains_match(self):
+        # two to four conditions whose '=' values come from one anchor row, so that row
+        # survives them and each condition filters what the earlier ones kept
+        rnd = random.Random(20261021)
+        for _ in range(500):
+            table = random_table(rnd)
+            if table.n_columns < 2 or not table.rows:
+                continue
+            anchor = rnd.choice(table.rows)
+            cols = rnd.sample(range(table.n_columns), k=min(table.n_columns, rnd.randint(2, 4)))
+            conds = [(col, op, str(anchor[col]) if op == 0 else rnd.choice(["0", "-3.5", "42"]))
+                     for col, op in zip(cols, (rnd.choice([0, 0, 1, 2]) for _ in cols))]
+            for agg in range(6):
+                assert_matches_reference(
+                    SqlQuery(agg=agg, sel=rnd.randrange(table.n_columns), conds=conds), table)
+
+
 class TestEvaluateDataset:
     def golds(self):
         table = magazine_table()

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import short_id
 from reference_impls import naive_number
-from sketchsql.tables import (cell_text, column_numbers, distinct_text, normalize_text,
-                              parse_number)
+from sketchsql.tables import (Table, cell_text, column_numbers, distinct_text,
+                              normalize_text, parse_number)
+from sketchsql.tagger import content_index
 
 NUMBERS = [("+5", 5.0), (".5", 0.5), ("5.", 5.0), ("1e-05", 1e-05), (" 42 ", 42.0),
            ("-7.25E+2", -725.0), ("\x1c-0\u2003", 0.0), (7, 7.0), (88.5, 88.5),
@@ -107,3 +108,57 @@ class TestNormalizeText:
     @given(st.text(max_size=30))
     def test_matches_the_regex_definition(self, text):
         assert normalize_text(text) == re.sub(r"\s+", " ", text.strip()).lower()
+
+
+class TestTableLayout:
+    """A table holds one tuple of cells per column and no row list; `rows` is rebuilt."""
+
+    HEADER, TYPES = ["name", "score", "flag"], ["text", "real", "text"]
+
+    def rows(self):
+        return [["mort drucker", 1, True], ["al jaffee", 1.0, None], ["mort drucker", -0.0, "1"]]
+
+    def test_columns_hold_the_given_cells_and_no_row_list(self):
+        rows = self.rows()
+        table = Table(id="t", header=self.HEADER, types=self.TYPES, rows=rows)
+        assert type(table.columns) is tuple and len(table.columns) == len(self.HEADER)
+        assert all(type(column) is tuple for column in table.columns)
+        assert all(table.columns[j][i] is cell
+                   for i, row in enumerate(rows) for j, cell in enumerate(row))
+        kept = [value for value in vars(table).values() if isinstance(value, list)]
+        assert kept == [table.header, table.types]
+
+    def test_rows_rebuild_equal_lists(self):
+        rows = self.rows()
+        table = Table(id="t", header=self.HEADER, types=self.TYPES, rows=rows)
+        rebuilt = table.rows
+        assert rebuilt == rows and all(type(row) is list for row in rebuilt)
+        assert all(a is b for got, want in zip(rebuilt, rows) for a, b in zip(got, want))
+        rebuilt[0][0] = "changed"
+        assert table.rows == rows and table.rows is not table.rows
+
+    def test_zero_rows_give_one_empty_tuple_per_column(self):
+        table = Table(id="t", header=self.HEADER, types=self.TYPES)
+        assert table.columns == ((), (), ())
+        assert table.rows == []
+        assert table == Table(id="t", header=self.HEADER, types=self.TYPES, rows=[])
+
+    def test_equality_reads_cells_not_the_content_index(self):
+        a = Table(id="t", header=self.HEADER, types=self.TYPES, rows=self.rows())
+        b = Table(id="t", header=self.HEADER, types=self.TYPES, rows=self.rows())
+        a._content_index, b._content_index = content_index(a), False
+        assert a == b
+        changed = self.rows()
+        changed[2][0] = "al jaffee"
+        assert a != Table(id="t", header=self.HEADER, types=self.TYPES, rows=changed)
+        assert a != Table(id="u", header=self.HEADER, types=self.TYPES, rows=self.rows())
+
+    @pytest.mark.parametrize("header, types, rows, message", [
+        (["a", "b"], ["text"], [], "table 't': 2 columns but 1 types"),
+        ([], [], [], "table 't' has no columns"),
+        (["a"], ["date"], [], "table 't': unknown column kind 'date'"),
+        (["a", "b"], ["text", "real"], [["x", 1], ["y"]], "table 't' row 1: 1 cells for 2 columns"),
+    ])
+    def test_constructor_messages(self, header, types, rows, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Table(id="t", header=header, types=types, rows=rows)

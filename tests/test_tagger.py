@@ -8,6 +8,7 @@ from helpers import (
     MAGAZINE_QUESTION,
     demo_gazetteer,
     magazine_table,
+    short_id,
 )
 from reference_impls import reference_recognize, reference_tag_content
 from sketchsql import tagger as T
@@ -159,6 +160,33 @@ class TestNumbers:
         tq = fresh([token])
         T.tag_numbers(tq)
         assert tq.tags[0].kind == kind
+
+    @pytest.mark.parametrize("tokens, kinds", [
+        (["of", "-", "4"], ["none", "integer", "integer"]),
+        (["of", "-", "4.5"], ["none", "float", "float"]),
+        (["-", "007"], ["integer", "integer"]),
+        (["-", "2000"], ["integer", "integer"]),  # a negative value is never a year
+        (["-", "1e5"], ["float", "float"]),
+        (["-", "0"], ["none", "integer"]),  # no value above 0
+        (["-", "0.0"], ["none", "float"]),
+        (["3", "-", "4"], ["integer", "integer", "integer"]),
+        (["-", "-", "4"], ["none", "integer", "integer"]),
+        (["-", "1999-07-01"], ["none", "date"]),
+        (["-", "1e400"], ["none", "none"]),
+        (["4", "-"], ["integer", "none"]),
+    ], ids=short_id)
+    def test_a_sign_token_and_a_number_token_are_one_number(self, tokens, kinds):
+        tq = fresh(list(tokens))
+        T.tag_numbers(tq)
+        assert [t.kind for t in tq.tags] == kinds
+
+    @pytest.mark.parametrize("mode", T.MODES)
+    @pytest.mark.parametrize("question, kind", [("who has points of -4", "integer"),
+                                                ("who has points of -4.5", "float")])
+    def test_a_negative_number_in_no_cell_is_one_number(self, mode, question, kind):
+        table = Table(id="p", header=["points"], types=["real"], rows=[[-5], [3]])
+        tq = T.recognize(question, table.header, table=table, mode=mode)
+        assert tq.display_tags(table.header) == ["none", "none", "column", "none", kind, kind]
 
     def test_month_name_date_span(self):
         tq = fresh(["on", "july", "1", "1999", "then"])
