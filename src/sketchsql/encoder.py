@@ -2,7 +2,8 @@
 
 Word vectors are frozen and loaded from text files (one `token v1 .. vd` line each,
 every number read by float()); a binary sidecar next to each file, keyed by the
-sha256 of its bytes, spares parsing the same bytes twice; a store read from it maps
+sha256 of its bytes and trusted without hashing them again while the file's stat
+identity holds, spares parsing the same bytes twice; a store read from it maps
 its rows and its sorted token-key table rather than copying them, and a lookup is one
 binary search of that table for a batch of tokens. A column is represented by the
 mean of its name-word vectors (`column_name_matrix`); the trainable type table and
@@ -153,14 +154,15 @@ def _parse(path, binary) -> tuple[list[str], np.ndarray]:
 
 # The sidecar `<file>.sketchsql-cache` holds what `_parse` and `_index` made of the
 # file's bytes: a header (magic, format, the text's sha256, d, rows, the tokens' UTF-8
-# byte count, the key count, the key width and a CRC32 of every other byte of the file),
-# the token text (no token holds a newline), zero bytes up to a multiple of 8, the rows
-# as little-endian float64, then the key table: the keys, and each key's row and token
-# start as little-endian int64.
+# byte count, the key count, the key width, the text's stat identity (`_identity`, or
+# zeros, which no text has, when none was taken) and a CRC32 of every other byte of the
+# file), the token text (no token holds a newline), zero bytes up to a multiple of 8,
+# the rows as little-endian float64, then the key table: the keys, and each key's row
+# and token start as little-endian int64.
 CACHE_SUFFIX = ".sketchsql-cache"
 _MAGIC = b"SKSQLEMB"
-_FORMAT = 3
-_HEADER = struct.Struct("<8sI32sIQQQII")
+_FORMAT = 4
+_HEADER = struct.Struct("<8sI32sIQQQIQQQqqI")
 _HASH_BYTES = 1 << 16
 # a key's width: a token of fewer UTF-8 bytes is its own key, a longer one is checked in
 # the text; a fixed width keeps one long token from widening every key
@@ -218,24 +220,51 @@ def _sha256(path) -> bytes:
     return hashed.sha.digest()
 
 
+# Windows gives the creation time as st_ctime, not the inode change time: there no
+# identity is recorded or trusted, and every load hashes the text
+_CTIME_IS_CHANGE = os.name != "nt"
+
+
+def _identity(st) -> tuple[int, int, int, int, int]:
+    """A text's stat identity: its device, inode, size, mtime and ctime."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _unchanged(path, identity, since_ns: int) -> bool:
+    """Whether path's stat gives exactly the recorded `identity` and its inode last
+    changed strictly before since_ns, the sidecar's mtime: a text changed in the clock
+    tick its sidecar was written in may differ from the bytes the sidecar was made of,
+    so it is hashed (git's rule for racily clean index entries)."""
+    if not _CTIME_IS_CHANGE:
+        return False
+    st = os.stat(path)
+    return _identity(st) == identity and st.st_ctime_ns < since_ns
+
+
 def _read_cache(cache: str, path) -> EmbeddingStore | None:
     """The store the sidecar `cache` holds for the bytes path holds now, or None when it
     holds none: any sidecar that is absent, unreadable, of another format, key width or
     size, made from other bytes, or fails its CRC.
 
-    The CRC reads the file through one reusable buffer; only once the whole file has
-    passed the checks is the same open file mapped read-only. The store's arrays and
-    its token text are views of the map: a load reads no token into a Python object."""
+    The text is hashed and its sha256 compared unless `_unchanged` trusts its stat
+    identity; so an edit that keeps the text's device, inode, size, mtime and ctime is
+    not seen. The CRC reads the whole sidecar through one reusable buffer; only once the
+    file has passed the checks is the same open file mapped read-only. The store's arrays
+    and its token text are views of the map: a load reads no token into a Python object."""
     try:
         with open(cache, "rb") as fh:
             header = fh.read(_HEADER.size)
-            magic, version, sha, dim, rows, text_bytes, keys, width, crc = _HEADER.unpack(header)
+            magic, version, sha, dim, rows, text_bytes, keys, width, *identity, crc = (
+                _HEADER.unpack(header))
             # the size is checked before any count sizes a read: a damaged one allocates nothing
-            size = os.fstat(fh.fileno()).st_size
+            stat = os.fstat(fh.fileno())
+            size = stat.st_size
             rows_at = (_HEADER.size + text_bytes + 7) // 8 * 8
             keys_at = rows_at + 8 * rows * dim
             if ((magic, version, width) != (_MAGIC, _FORMAT, _KEY_BYTES) or not 0 < keys <= rows
-                    or size != keys_at + keys * (width + 16) or sha != _sha256(path)):
+                    or size != keys_at + keys * (width + 16)):
+                return None
+            if not _unchanged(path, tuple(identity), stat.st_mtime_ns) and sha != _sha256(path):
                 return None
             check = zlib.crc32(header[:-4])
             buffer = memoryview(bytearray(_HASH_BYTES))
@@ -261,12 +290,12 @@ def _read_cache(cache: str, path) -> EmbeddingStore | None:
     return store
 
 
-def _write_cache(cache: str, sha: bytes, store: EmbeddingStore):
-    """Write the sidecar `cache` of the parsed store for text of digest sha, via a
-    temporary file renamed into place. Best effort: a failed write is silent and removes
-    its temporary file, and a non-empty file there that does not start with the magic is
-    left alone. The file is not fsynced: a sidecar a crash cut short fails its checks and
-    is rebuilt."""
+def _write_cache(cache: str, sha: bytes, identity, store: EmbeddingStore):
+    """Write the sidecar `cache` of the parsed store for text of digest sha and stat
+    identity `identity`, via a temporary file renamed into place. Best effort: a failed
+    write is silent and removes its temporary file, and a non-empty file there that does
+    not start with the magic is left alone. The file is not fsynced: a sidecar a crash
+    cut short fails its checks and is rebuilt."""
     try:
         with open(cache, "rb") as fh:
             if fh.read(len(_MAGIC)) not in (b"", _MAGIC):
@@ -278,7 +307,7 @@ def _write_cache(cache: str, sha: bytes, store: EmbeddingStore):
     text = store._text
     rows = store.vectors.astype("<f8", copy=False)
     fields = (_MAGIC, _FORMAT, sha, store.dim, len(rows), len(text), len(store.keys),
-              _KEY_BYTES)
+              _KEY_BYTES, *identity)
     body = (text + bytes(-(_HEADER.size + len(text)) % 8), rows, store.keys, store.key_rows,
             store.key_starts)
     crc = zlib.crc32(_HEADER.pack(*fields, 0)[:-4])
@@ -304,17 +333,22 @@ def load_embedding_file(path) -> EmbeddingStore:
     The store comes from the sidecar `<path>.sketchsql-cache` when it was made from the
     file's exact bytes, as read-only views of its map; otherwise the text is parsed
     (see `_parse`), the store keeps the parse's array and its own key table, and the
-    sidecar is written for the bytes the parse read. A token on two lines resolves to
+    sidecar is written for the bytes the parse read, with the file's stat identity when
+    the file did not change while the parse read it. A token on two lines resolves to
     the later one.
     """
     cache = os.fspath(path) + CACHE_SUFFIX
     store = _read_cache(cache, path)
     if store is None:
         with open(path, "rb", buffering=0) as raw:
+            before = os.fstat(raw.fileno())
             hashed = _Hashed(raw)
             tokens, vectors = _parse(path, io.BufferedReader(hashed, _HASH_BYTES))
+            identity = _identity(before)
+            if not _CTIME_IS_CHANGE or identity != _identity(os.fstat(raw.fileno())):
+                identity = (0,) * 5  # no ctime to trust, or changed while the parse read it
         store = EmbeddingStore.from_matrix(tokens, vectors)
-        _write_cache(cache, hashed.sha.digest(), store)
+        _write_cache(cache, hashed.sha.digest(), identity, store)
     return store
 
 

@@ -142,7 +142,7 @@ def load_examples(examples_path, tables: dict[str, Table]) -> list[Example]:
         try:
             if not isinstance(rec, dict):
                 raise ValueError(f"an example must be a JSON object, got {rec!r}")
-            gold = SqlQuery.from_dict(rec["sql"])
+            gold = SqlQuery.from_dict(rec["sql"], rec.get("question"))
             example = Example(question=_string(rec, "question"),
                               table_id=_string(rec, "table_id"), gold=gold)
             # tokenize keeps every run of non-space characters, so it finds no token in
@@ -167,9 +167,11 @@ def load_predictions(path, examples: list[Example],
     for lineno, rec in _read_jsonl(path):
         body = rec.get("sql", rec) if isinstance(rec, dict) else rec
         try:
-            pred = SqlQuery.from_dict(body)
-            if len(preds) < len(examples):  # a surplus line fails the count check below
-                pred.validate_against(tables[examples[len(preds)].table_id].n_columns)
+            # a surplus line fails the count check below
+            example = examples[len(preds)] if len(preds) < len(examples) else None
+            pred = SqlQuery.from_dict(body, example and example.question)
+            if example is not None:
+                pred.validate_against(tables[example.table_id].n_columns)
         except (KeyError, TypeError, ValueError) as exc:
             raise _record_error(path, lineno, exc) from None
         preds.append(pred)

@@ -12,7 +12,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .tables import normalize_text, parse_number
+from .tables import cell_text, normalize_text, parse_number
+from .tagger import tokenize
 
 AGGREGATORS = ("", "MAX", "MIN", "COUNT", "SUM", "AVG")  # index 0 is the bare column
 OPERATORS = ("=", ">", "<")
@@ -61,8 +62,9 @@ class SqlQuery:
                 "conds": [[c, o, v] for c, o, v in self.conds]}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SqlQuery":
-        """Read a query from its JSON form; a field of the wrong JSON type is an error."""
+    def from_dict(cls, d: dict, question=None) -> "SqlQuery":
+        """Read a query from its JSON form; a field of the wrong JSON type is an error. A
+        value given as a JSON number reads as the question spells it (`_number_text`)."""
         if not isinstance(d, dict):
             raise ValueError(f"query must be a JSON object, got {d!r}")
         conds = d.get("conds", [])
@@ -78,7 +80,24 @@ class SqlQuery:
             if isinstance(cond[2], float) and not math.isfinite(cond[2]):
                 raise ValueError(f"condition value must be a finite number, got {cond[2]!r}")
         return cls(agg=_integer("agg", d["agg"]), sel=_integer("sel", d["sel"]),
-                   conds=[(c, o, str(v)) for c, o, v in conds])
+                   conds=[(c, o, v if isinstance(v, str) else _number_text(v, question))
+                          for c, o, v in conds])
+
+
+def _number_text(value, question) -> str:
+    """The text of a condition value given as a JSON number: its first spelling in the
+    question, one number token or '-' and one, so that the value has a span and a value
+    copied from it matches ('1996' for 1996.0, '3.50' for 3.5 when the question says
+    3.50); else its cell text ('1996')."""
+    num = parse_number(value)
+    if num is not None and isinstance(question, str) and question.strip():
+        tokens = tokenize(question)[0]
+        for i, token in enumerate(tokens):
+            if parse_number(token) == num:
+                return token
+            if token == "-" and i + 1 < len(tokens) and parse_number(tokens[i + 1]) == -num:
+                return "-" + tokens[i + 1]
+    return cell_text(value)
 
 
 def _integer(name: str, value) -> int:

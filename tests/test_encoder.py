@@ -4,6 +4,7 @@ import json
 import mmap
 import os
 import random
+import shutil
 import struct
 import tracemalloc
 import warnings
@@ -331,6 +332,46 @@ def format_2_sidecar(path) -> bytes:
     return FORMAT_2_HEADER.pack(*fields, crc) + body
 
 
+FORMAT_3_HEADER = struct.Struct("<8sI32sIQQQII")
+
+
+def format_3_sidecar(path) -> bytes:
+    """The format-3 sidecar of an embedding file of plain lines: format 2's header with
+    the key count and key width before the CRC32, and its body followed by the key
+    table (the keys, then each key's row and token start as <i8), as `_index` builds it."""
+    raw = path.read_bytes()
+    lines = [line.split(" ") for line in raw.decode().splitlines() if line.strip()]
+    keys, key_rows, key_starts, text = encoder._index([line[0] for line in lines])
+    rows = np.array([[float(x) for x in line[1:]] for line in lines], "<f8")
+    fields = (encoder._MAGIC, 3, hashlib.sha256(raw).digest(), rows.shape[1], len(rows),
+              len(text), len(keys), encoder._KEY_BYTES)
+    body = (text + bytes(-(FORMAT_3_HEADER.size + len(text)) % 8) + rows.tobytes()
+            + keys.tobytes() + key_rows.tobytes() + key_starts.tobytes())
+    crc = zlib.crc32(body, zlib.crc32(FORMAT_3_HEADER.pack(*fields, 0)[:-4]))
+    return FORMAT_3_HEADER.pack(*fields, crc) + body
+
+
+def settle(path):
+    """Move the sidecar's mtime a second past the text's ctime, so that the text was
+    not changed in the clock tick its sidecar was written in."""
+    st, side = os.stat(path), os.stat(sidecar(path))
+    os.utime(sidecar(path), ns=(side.st_atime_ns, st.st_ctime_ns + 10**9))
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """The paths whose text a sidecar load hashed, one entry a hash."""
+    calls = []
+    sha256 = encoder._sha256
+
+    def counted(path):
+        calls.append(path)
+        return sha256(path)
+
+    monkeypatch.setattr(encoder, "_sha256", counted)
+    return calls
+
+
 class TestSidecar:
     """`<file>.sketchsql-cache` holds the parse of the file's exact bytes; a load that
     cannot use it parses the text, and a load never differs from the parse."""
@@ -464,6 +505,12 @@ class TestSidecar:
         sidecar_path.write_bytes(format_2_sidecar(path))
 
     @staticmethod
+    def format_3(path, text, sidecar_path):
+        """A sidecar of format 3 for the same bytes, as the store without the text's stat
+        identity wrote it: a shorter header, then the same body."""
+        sidecar_path.write_bytes(format_3_sidecar(path))
+
+    @staticmethod
     def token_bytes_into_padding(path, text, sidecar_path):
         """One more token byte, read from the padding: the size and the bytes after the
         header stay the same, so only the header's share of the CRC tells."""
@@ -479,7 +526,8 @@ class TestSidecar:
 
     @pytest.mark.parametrize("damage", ["change_text", "change_text_keep_size_and_mtime",
                                         "cut_short", "one_byte_longer", "other_format",
-                                        "format_1", "format_2", "token_bytes_into_padding",
+                                        "format_1", "format_2", "format_3",
+                                        "token_bytes_into_padding",
                                         "empty"])
     def test_unusable_sidecar_is_rebuilt_from_the_text(self, tmp_path, parses, damage):
         path = tmp_path / "e.txt"
@@ -496,19 +544,118 @@ class TestSidecar:
         assert mapped(store) and snapshot(store) == want
         assert parses == [path, fresh, path]  # the rebuilt sidecar serves the last load
 
-    def test_format_2_checks_turn_format_3_away(self, tmp_path):
-        """Format 2's reader compared the magic and format, then the file's size with
-        the one its header implies: a format-3 sidecar fails both, so a reader of format
-        2 parses the text and renames its own sidecar into place, as this one does with a
-        sidecar of format 2 (`test_unusable_sidecar_is_rebuilt_from_the_text`)."""
+    def test_format_2_and_3_checks_turn_format_4_away(self, tmp_path):
+        """The readers of formats 2 and 3 compared the magic and format, then the file's
+        size with the one its header implies: a format-4 sidecar fails both, so either
+        reader parses the text and renames its own sidecar into place, as this one does
+        with a sidecar of format 2 or 3 (`test_unusable_sidecar_is_rebuilt_from_the_text`)."""
         path = tmp_path / "e.txt"
         path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
         load_embedding_file(path)
         data = sidecar(path).read_bytes()
         magic, version, _, dim, rows, text_bytes, _ = FORMAT_2_HEADER.unpack_from(data)
-        assert (magic, version) == (encoder._MAGIC, 3)
+        assert (magic, version) == (encoder._MAGIC, 4)
         assert len(data) != (FORMAT_2_HEADER.size + text_bytes + 7) // 8 * 8 + 8 * rows * dim
-        assert len(format_2_sidecar(path)) < len(data)
+        magic, version, _, dim, rows, text_bytes, keys, width, _ = (
+            FORMAT_3_HEADER.unpack_from(data))
+        assert (magic, version) == (encoder._MAGIC, 4)
+        rows_at = (FORMAT_3_HEADER.size + text_bytes + 7) // 8 * 8
+        assert len(data) != rows_at + 8 * rows * dim + keys * (width + 16)
+        assert len(format_2_sidecar(path)) < len(format_3_sidecar(path)) < len(data)
+
+    def test_sidecar_records_the_stat_identity_of_the_text(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        load_embedding_file(path)
+        st = os.stat(path)
+        header = encoder._HEADER.unpack_from(sidecar(path).read_bytes())
+        assert header[8:13] == (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+                                st.st_ctime_ns)
+
+    def test_warm_load_of_an_unchanged_text_hashes_nothing(self, tmp_path, parses, hashes):
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["odd tokens"], encoding="utf-8")
+        want = snapshot(load_embedding_file(path))
+        settle(path)
+        for _ in range(2):
+            store = load_embedding_file(path)
+            assert mapped(store) and snapshot(store) == want
+        assert parses == [path] and hashes == []
+
+    def test_touched_text_is_hashed_and_read_from_its_sidecar(self, tmp_path, parses, hashes):
+        """A new mtime on the same bytes fails the identity, and the sha256 still holds."""
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        want = snapshot(load_embedding_file(path))
+        st = os.stat(path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        settle(path)
+        store = load_embedding_file(path)
+        assert mapped(store) and snapshot(store) == want
+        assert parses == [path] and hashes == [path]
+
+    @pytest.mark.parametrize("sidecar_mtime", ["at the text's ctime", "before it"])
+    def test_text_changed_in_the_tick_of_its_sidecar_is_hashed(self, tmp_path, parses, hashes,
+                                                               sidecar_mtime):
+        """The text's ctime must be strictly earlier than the sidecar's mtime."""
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        want = snapshot(load_embedding_file(path))
+        ctime = os.stat(path).st_ctime_ns - (sidecar_mtime == "before it")
+        os.utime(sidecar(path), ns=(ctime, ctime))
+        store = load_embedding_file(path)
+        assert mapped(store) and snapshot(store) == want
+        assert parses == [path] and hashes == [path]
+
+    def test_copies_of_the_text_and_its_sidecar_are_hashed(self, tmp_path, parses, hashes):
+        """A copy is a new inode, even with the original's mtime."""
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        want = snapshot(load_embedding_file(path))
+        copy = tmp_path / "copy" / "e.txt"
+        copy.parent.mkdir()
+        shutil.copy2(path, copy)
+        shutil.copy2(sidecar(path), sidecar(copy))
+        settle(copy)
+        store = load_embedding_file(copy)
+        assert mapped(store) and snapshot(store) == want
+        assert parses == [path] and hashes == [copy]
+
+    @pytest.mark.parametrize("why", ["changed during the parse", "ctime is not change time"])
+    def test_no_identity_is_recorded_and_every_load_hashes(self, tmp_path, monkeypatch, hashes,
+                                                           why):
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        if why == "changed during the parse":
+            parse = encoder._parse
+
+            def touching(path, binary):
+                st = os.stat(path)
+                os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+                return parse(path, binary)
+
+            monkeypatch.setattr(encoder, "_parse", touching)
+        else:  # as on Windows, where st_ctime is the creation time
+            monkeypatch.setattr(encoder, "_CTIME_IS_CHANGE", False)
+        want = snapshot(load_embedding_file(path))
+        monkeypatch.setattr(encoder, "_parse", None)  # from here every load is a sidecar's
+        header = encoder._HEADER.unpack_from(sidecar(path).read_bytes())
+        assert header[8:13] == (0,) * 5
+        settle(path)
+        for _ in range(2):
+            assert snapshot(load_embedding_file(path)) == want
+        assert hashes == [path, path]
+
+    def test_recorded_identity_is_not_trusted_where_ctime_is_not_change_time(
+            self, tmp_path, monkeypatch, parses, hashes):
+        path = tmp_path / "e.txt"
+        path.write_text(SIDECAR_TEXTS["plain"], encoding="utf-8")
+        want = snapshot(load_embedding_file(path))
+        settle(path)
+        monkeypatch.setattr(encoder, "_CTIME_IS_CHANGE", False)
+        store = load_embedding_file(path)
+        assert mapped(store) and snapshot(store) == want
+        assert parses == [path] and hashes == [path]
 
     @pytest.mark.parametrize("token_bytes", range(1, 9))
     def test_parsed_and_mapped_vectors_are_8_byte_aligned(self, tmp_path, token_bytes):

@@ -17,7 +17,7 @@ from sketchsql import kernel as K
 from sketchsql import slots as S
 from sketchsql.encoder import EmbeddingStore
 from sketchsql.encoder import load_embeddings
-from sketchsql.executor import ExecutionError, execute
+from sketchsql.executor import ExecutionError, evaluate_dataset, execute
 from sketchsql.sketch import SqlQuery
 from sketchsql.synth import SCHEMAS, generate_corpus
 from sketchsql.tables import Table, cell_text
@@ -316,6 +316,69 @@ class TestFindTokenSpan:
 
     def test_first_occurrence_wins(self):
         assert H.find_token_span(["7", "x", "7"], "7") == [0]
+
+
+WINNERS = Table(id="won", header=["winner", "year"], types=["text", "real"],
+                rows=[["ada", 1996], ["bo", 1997]])
+
+
+def load_number_example(tmp_path, question, value, preds=None):
+    """The example of one record on WINNERS whose condition on the year has the JSON
+    text `value`, and the predictions file `preds` (JSON lines) read against it."""
+    tables_path, examples_path = tmp_path / "tables.jsonl", tmp_path / "examples.jsonl"
+    H.write_tables({"won": WINNERS}, tables_path)
+    examples_path.write_text(
+        f'{{"question": "{question}", "table_id": "won", '
+        f'"sql": {{"sel": 0, "agg": 0, "conds": [[1, 0, {value}]]}}}}\n')
+    examples, tables = H.load_dataset(examples_path, tables_path)
+    if preds is None:
+        return examples[0], tables
+    preds_path = tmp_path / "preds.jsonl"
+    preds_path.write_text(preds + "\n")
+    return examples[0], tables, H.load_predictions(preds_path, examples, tables)
+
+
+class TestNumberValues:
+    """A condition value given as a JSON number reads as the question spells it, so that
+    its span is found and a value copied from the question matches it."""
+
+    def test_integral_float_scores_a_perfect_prediction(self, tmp_path):
+        example, tables = load_number_example(tmp_path, "who won in 1996", "1996.0")
+        assert example.gold.conds == [(1, 0, "1996")]
+        assert H.find_token_span(tokenize(example.question)[0], "1996") == [3]
+        pred = SqlQuery(agg=0, sel=0, conds=[(1, 0, "1996")])
+        metrics = evaluate_dataset([pred], [example.gold], ["won"], tables)
+        assert (metrics.qm, metrics.where, metrics.lf, metrics.ex) == (1, 1, 1, 1)
+
+    def test_trailing_zero_is_the_question_s(self, tmp_path):
+        example, _ = load_number_example(tmp_path, "who sold at 3.50 ?", "3.50")
+        [(_, _, value)] = example.gold.conds
+        assert value == "3.50"
+        assert H.find_token_span(tokenize(example.question)[0], value) == [3]
+
+    def test_negative_number_spelled_with_a_sign_token(self, tmp_path):
+        example, _ = load_number_example(tmp_path, "who won in -5", "-5")
+        assert example.gold.conds == [(1, 0, "-5")]
+        assert H.find_token_span(tokenize(example.question)[0], "-5") == [3, 4]
+
+    # a JSON int past float64 reads as its digits
+    @pytest.mark.parametrize("value, text", [("1996.0", "1996"), ("3.50", "3.5"), ("7", "7"),
+                                             ("1" + "0" * 400, "1" + "0" * 400)],
+                             ids=["integral", "fraction", "int", "past float64"])
+    def test_number_the_question_does_not_spell_is_its_cell_text(self, tmp_path, value,
+                                                                 text):
+        example, _ = load_number_example(tmp_path, "who won", value)
+        assert example.gold.conds[0][2] == text
+
+    def test_string_value_is_kept_as_written(self, tmp_path):
+        example, _ = load_number_example(tmp_path, "who won in 1996", '"1996.0"')
+        assert example.gold.conds[0][2] == "1996.0"
+
+    def test_predicted_number_reads_as_its_example_s_question(self, tmp_path):
+        _, _, [pred] = load_number_example(
+            tmp_path, "who won in 1996", '"1996"',
+            preds='{"sel": 0, "agg": 0, "conds": [[1, 0, 1996.0]]}')
+        assert pred.conds == [(1, 0, "1996")]
 
 
 class TestTrainConfig:
