@@ -128,7 +128,7 @@ def _cmd_train(args) -> int:
     summary = {"epochs_run": len(result.epoch_losses),
                "final_loss": result.epoch_losses[-1] if result.epoch_losses else None,
                "best_dev_qm": result.best_dev_qm,
-               "checkpoint": result.checkpoint_path}
+               "checkpoint": config.checkpoint_path}
     print(json.dumps(summary))
     return 0
 

@@ -9,7 +9,6 @@ and sums the per-slot losses; inference feeds predicted antecedents.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 import time
@@ -23,7 +22,7 @@ from . import slots as S
 from .encoder import EmbeddingStore
 from .executor import Metrics, evaluate_dataset
 from .sketch import SqlQuery, assemble
-from .tables import KIND_TEXT, Table, distinct_text, not_utf8, text_lines
+from .tables import KIND_TEXT, Table, not_utf8, text_lines
 from .tagger import MODES, Gazetteer, TaggedQuestion, recognize, tokenize
 
 COND_COL_POS_WEIGHT = 3.0  # positive-class weight for the condition-column BCE
@@ -118,15 +117,10 @@ def load_tables(path) -> dict[str, Table]:
 
 def _shared_text(column: tuple, shared: dict[str, str]) -> tuple:
     """A text column with each str cell replaced by shared's object of the same text,
-    which is the cell itself when shared has none yet. An all-str column looks each
-    distinct text up once (`tables.distinct_text`); in any other, the cells that are not
-    a str stay as they are, since 1 == 1.0 == True and 0.0 == -0.0 as keys."""
-    texts = distinct_text(column)
-    if texts is None:
-        return tuple(shared.setdefault(cell, cell) if type(cell) is str else cell
-                     for cell in column)
-    own = {text: shared.setdefault(text, text) for text in texts}
-    return tuple(map(own.__getitem__, column))
+    which is the cell itself when shared has none yet. Cells that are not a str stay as
+    they are, since 1 == 1.0 == True and 0.0 == -0.0 as keys."""
+    return tuple(shared.setdefault(cell, cell) if type(cell) is str else cell
+                 for cell in column)
 
 
 def load_dataset(examples_path, tables_path) -> tuple[list[Example], dict[str, Table]]:
@@ -439,7 +433,6 @@ class TrainResult:
     best_dev_qm: float | None
     model: S.SketchModel
     store: K.ParamStore
-    checkpoint_path: str | None
 
 
 def build_model(config: TrainConfig, emb: EmbeddingStore) -> tuple[S.SketchModel, K.ParamStore]:
@@ -457,12 +450,8 @@ def build_model(config: TrainConfig, emb: EmbeddingStore) -> tuple[S.SketchModel
 
 def _check_gradients(store: K.ParamStore, where: str):
     """Raise before the update when a gradient is not finite, naming its parameter."""
-    grads = [(name, p.grad) for name, p in store.items() if p.grad is not None]
-    # a finite sum proves every gradient finite; only a failing sum is checked array by array
-    if math.isfinite(sum(float(g.sum()) for _, g in grads)):
-        return
-    for name, g in grads:
-        if not np.isfinite(g).all():
+    for name, p in store.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
             raise ValueError(f"non-finite gradient in {name} {where}")
 
 
@@ -540,4 +529,4 @@ def train(config: TrainConfig, train_examples: list[Example], tables: dict[str, 
     if config.checkpoint_path and best_dev is None:
         K.save_checkpoint(store, config.checkpoint_path)
     return TrainResult(epoch_losses=epoch_losses, best_dev_qm=best_dev, model=model,
-                       store=store, checkpoint_path=config.checkpoint_path)
+                       store=store)

@@ -17,17 +17,18 @@ decodes every predicted condition's value greedily in one loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
 
 from . import kernel as K
 from .encoder import EmbeddingStore, column_name_matrix
-from .sketch import MAX_CONDITIONS
+from .sketch import AGGREGATORS, MAX_CONDITIONS, OPERATORS
 from .tagger import BASE_TAGS, COLUMN_VALUE, TaggedQuestion
 
-N_AGGREGATORS = 6
-N_OPERATORS = 3
+N_AGGREGATORS = len(AGGREGATORS)
+N_OPERATORS = len(OPERATORS)
 N_COND_CLASSES = MAX_CONDITIONS + 1  # predicted condition count in 0..4
 COLUMN_MATRICES = 32  # headers whose column matrix a model keeps (SketchModel.column_matrix)
 # each tag kind's row of the type table; in content mode a cell-value token of column c
@@ -311,6 +312,12 @@ def stack_inputs(inputs):
     return parts, np.vstack([cols for _, cols in inputs]), q_lens, c_lens
 
 
+def _read_only_matrix(emb: EmbeddingStore, header: tuple[str, ...]) -> np.ndarray:
+    matrix = column_name_matrix(header, emb)
+    matrix.flags.writeable = False
+    return matrix
+
+
 def check_type_dim(mode: str, type_dim: int | None, word_dim: int):
     """Reject a content-mode `type_dim` other than null or the word width `word_dim`."""
     if mode == "content" and type_dim not in (None, word_dim):
@@ -335,7 +342,7 @@ class SketchModel:
         if width % 2 != 0:
             raise ValueError("bidirectional width must be even")
         self.emb = emb
-        self._column_matrices: dict[tuple[str, ...], np.ndarray] = {}  # see column_matrix
+        self._column_matrix = lru_cache(COLUMN_MATRICES)(partial(_read_only_matrix, emb))
         self.mode = mode
         self.dropout = dropout
         check_type_dim(mode, type_dim, emb.dim)
@@ -402,18 +409,10 @@ class SketchModel:
     def column_matrix(self, header: list[str]) -> np.ndarray:
         """(C, d_w) averaged column-name vectors, one row per column in schema order.
 
-        The model keeps the read-only matrices of its last COLUMN_MATRICES headers, keyed
-        by the header's names: a matrix depends on them and the frozen word vectors only,
-        never on a trainable weight."""
-        key = tuple(header)
-        matrix = self._column_matrices.pop(key, None)
-        if matrix is None:
-            matrix = column_name_matrix(header, self.emb)
-            matrix.flags.writeable = False
-            if len(self._column_matrices) == COLUMN_MATRICES:
-                del self._column_matrices[next(iter(self._column_matrices))]  # least recent
-        self._column_matrices[key] = matrix
-        return matrix
+        The model keeps the read-only matrices of its last COLUMN_MATRICES headers in an
+        LRU cache keyed by the header's names: a matrix depends on them and the frozen
+        word vectors only, never on a trainable weight."""
+        return self._column_matrix(tuple(header))
 
     def question_input(self, parts: np.ndarray, col_matrix: np.ndarray) -> K.Tensor:
         """Each token's word vector, gathered from the store by its row (zero at -1),

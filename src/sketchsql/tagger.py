@@ -241,8 +241,9 @@ def content_index(table: Table) -> ContentIndex:
     one at a time. A plain-str column normalises only its distinct values
     (`tables.distinct_text`). Any other column that is not all numbers (bools, None,
     mixed types, NaN, ints beyond float64) goes through `cell_text` cell by cell: a str
-    cell is keyed by its span_key, any other by its cell_text, and a negative number also
-    as a question spells it, its sign a token of its own ('- 5')."""
+    cell is keyed by its span_key, a None (JSON null) cell not at all, any other by its
+    cell_text, and a negative number also as a question spells it, its sign a token of
+    its own ('- 5')."""
     texts: dict[str, int] = {}
     number_columns = []
     for col, column in enumerate(table.columns):
@@ -257,7 +258,7 @@ def content_index(table: Table) -> ContentIndex:
                     texts.setdefault(span_key(text), col)
             continue
         for cell in column:
-            text = cell_text(cell)
+            text = None if cell is None else cell_text(cell)
             if not text:
                 continue
             if isinstance(cell, str):

@@ -148,14 +148,15 @@ def reference_key(text):
 
 
 def reference_tag_content(tq, table):
-    """Whole-table content tagging: index every cell, lowest column wins. A str cell's key
-    is its `reference_key`, any other cell's its `cell_text`; a negative number cell is
-    also keyed with its sign as a token of its own, '- 5' for -5, as a question spells it."""
+    """Whole-table content tagging: index every cell but a null, lowest column wins. A str
+    cell's key is its `reference_key`, any other cell's its `cell_text`; a negative number
+    cell is also keyed with its sign as a token of its own, '- 5' for -5, as a question
+    spells it."""
     values = {}
     for row_cells in table.rows:
         for col, cell in enumerate(row_cells):
             text = cell_text(cell)
-            if not text:
+            if cell is None or not text:
                 continue
             if isinstance(cell, str):
                 keys = [reference_key(text)]

@@ -1056,7 +1056,7 @@ class TestColumnEncoding:
         for i in range(2 * COLUMN_MATRICES):
             model.column_matrix([f"issue {i}"])
             assert model.column_matrix(header) is kept
-            assert len(model._column_matrices) <= COLUMN_MATRICES
+            assert model._column_matrix.cache_info().currsize <= COLUMN_MATRICES
         again = model.column_matrix(["artist", "spoofed title"])
         assert again is not other and again.tobytes() == other.tobytes()
 

@@ -21,7 +21,7 @@ from sketchsql.executor import ExecutionError, evaluate_dataset, execute
 from sketchsql.sketch import SqlQuery
 from sketchsql.synth import SCHEMAS, generate_corpus
 from sketchsql.tables import Table, cell_text
-from sketchsql.tagger import Gazetteer, recognize, tokenize
+from sketchsql.tagger import MODES, Gazetteer, recognize, tokenize
 
 
 def tiny_vectors(dim=6):
@@ -379,6 +379,55 @@ class TestNumberValues:
             tmp_path, "who won in 1996", '"1996"',
             preds='{"sel": 0, "agg": 0, "conds": [[1, 0, 1996.0]]}')
         assert pred.conds == [(1, 0, "1996")]
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+class TestWikiSqlFixture:
+    """A hand-written tables and examples pair in WikiSQL's record shape: punctuated
+    headers, real cells as JSON ints and floats, a null and a non-ASCII cell, keys the
+    loader does not read, and condition values as JSON numbers."""
+
+    def test_loads_tags_trains_scores_and_writes_back(self, tmp_path):
+        examples, tables = H.load_dataset(os.path.join(FIXTURES, "wikisql_examples.jsonl"),
+                                          os.path.join(FIXTURES, "wikisql_tables.jsonl"))
+        assert [len(examples), sorted(tables)] == [9, ["1-10015132-11", "2-11545282-3"]]
+        # a JSON-number value reads as the question spells it
+        assert [val for ex in examples for _, _, val in ex.gold.conds] == [
+            "31", "Marko Ćelić", "7", "Guard", "1996", "3.0", "2.0", "-0.5",
+            "Delta Union", "1996", "2"]
+        for mode in MODES:
+            for ex in examples:
+                table = tables[ex.table_id]
+                tq = recognize(ex.question, table.header, table=table, mode=mode)
+                assert len(tq.tags) == len(tq.tokens)
+                for _, _, val in ex.gold.conds:
+                    assert H.find_token_span(tq.tokens, val) is not None, (mode, val)
+        roster = tables["1-10015132-11"]
+        tq = recognize("which player has none as no.", roster.header, table=roster,
+                       mode="content")
+        assert tq.display_tags(roster.header)[3] == "none"  # No. holds a null, not "none"
+
+        words = {w for ex in examples for w in tokenize(ex.question)[0]}
+        words |= {w for table in tables.values() for name in table.header
+                  for w in tokenize(name)[0]}
+        rng = np.random.default_rng(5)
+        emb = EmbeddingStore({w: rng.normal(size=6) for w in sorted(words)}, 6)
+        cfg = H.TrainConfig(hidden_width=8, dropout=0.0, batch_size=4, epochs=1, seed=0,
+                            mode="content")
+        result = H.train(cfg, examples, tables, emb=emb)
+        assert len(result.epoch_losses) == 1 and math.isfinite(result.epoch_losses[0])
+        assert H.evaluate_model(result.model, examples, tables).n == len(examples)
+        golds = [ex.gold for ex in examples]
+        gold = evaluate_dataset(golds, golds, [ex.table_id for ex in examples], tables)
+        assert gold.acc_qm == gold.acc_ex == 1.0
+
+        # unknown keys are dropped and non-ASCII escaped, so only a second write is equal
+        once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+        H.write_tables(tables, once)
+        H.write_tables(H.load_tables(once), twice)
+        assert twice.read_bytes() == once.read_bytes()
 
 
 class TestTrainConfig:
@@ -876,6 +925,19 @@ class TestTrainLoop:
         for name, t in store.items():
             np.testing.assert_array_equal(t.data, before[name], strict=True)
         assert not ckpt.exists()
+
+    def test_non_finite_gradient_names_the_first_parameter_in_sorted_order(self):
+        cfg = H.TrainConfig(hidden_width=8, type_dim=4, mode="insensitive")
+        _, store = H.build_model(cfg, tiny_embeddings())
+        for _, t in store.items():
+            t.grad = np.ones_like(t.data)
+        H._check_gradients(store, "at epoch 1, batch 1")  # all finite: no error
+        # emb.type is added before agg.head.V, which sorts first
+        store["emb.type"].grad[0, 0] = np.nan
+        store["agg.head.V"].grad[-1, -1] = -np.inf
+        with pytest.raises(ValueError) as info:
+            H._check_gradients(store, "at epoch 2, batch 3")
+        assert str(info.value) == "non-finite gradient in agg.head.V at epoch 2, batch 3"
 
     def test_checkpoint_round_trip_reproduces_predictions(self, tmp_path):
         examples, tables = quick_corpus(tmp_path)

@@ -346,6 +346,18 @@ class TestContent:
         T.tag_content(tq, table)
         assert tq.tags[0] == TypeTag("column_value", column=0)
 
+    @pytest.mark.parametrize("question, cell, tag", [
+        ("which player has none as no.", None, "none"),  # though cell_text(None) is "none"
+        ("which player has 25 as no.", None, "no."),
+        ("which player has none as no.", "none", "no."),
+    ], ids=["null", "number-beside-null", "str-none"])
+    def test_null_cell_is_no_value(self, question, cell, tag):
+        table = Table(id="x", header=["Player", "No."], types=["text", "real"],
+                      rows=[["Pat", 25], ["Lee", cell]])
+        tq = T.recognize(question, table.header, table=table, mode="content")
+        assert tq.display_tags(table.header) == [
+            "none", "column", "none", tag, "none", "column", "column"]
+
     @pytest.mark.parametrize("question, cells, tags", [
         ("who has points of -5", [-5, 3], ["none", "points", "points"]),
         ("who has points of -3.5", [-3.5, 1.0], ["none", "points", "points"]),
