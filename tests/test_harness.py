@@ -401,7 +401,6 @@ class TestWikiSqlFixture:
             for ex in examples:
                 table = tables[ex.table_id]
                 tq = recognize(ex.question, table.header, table=table, mode=mode)
-                assert len(tq.tags) == len(tq.tokens)
                 for _, _, val in ex.gold.conds:
                     assert H.find_token_span(tq.tokens, val) is not None, (mode, val)
         roster = tables["1-10015132-11"]
