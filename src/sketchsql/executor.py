@@ -4,7 +4,7 @@ Row filtering follows the dataset's observable comparison rules, and
 `tables.parse_number` is what decides whether a cell or value is a number:
 '=' compares numbers when the value is one and trimmed, case-insensitive
 text otherwise; '>' and '<' need a number on both sides, otherwise the
-condition is simply false.
+condition is simply false. A None (JSON null) cell satisfies no condition.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ class ResultSet:
 def _holds(cells: Sequence, op: int, val: str) -> Iterable[bool]:
     """Whether each cell satisfies `cell <op> val`, with the operator and the kind of
     value decided once. A number value never equals a cell that is not a number, nor
-    a text value one that is, since the text of a str, int or float number parses.
+    a text value one that is, since the text of a str, int or float number parses; a
+    None cell holds for no value.
 
     A column of int/float numbers is compared in one vectorised op over its float64
     array, and an all-str column tests each distinct cell once. Any other column goes
@@ -66,7 +67,7 @@ def _holds(cells: Sequence, op: int, val: str) -> Iterable[bool]:
         text = normalize_text(val)
 
         def test(cell):
-            return normalize_text(str(cell)) == text
+            return cell is not None and normalize_text(str(cell)) == text
     else:  # num < n is n > num
         holds = num.__eq__ if op == OP_EQ else num.__lt__ if op == OP_GT else num.__gt__
 
@@ -87,11 +88,13 @@ def _kept_cells(column: tuple, kept: list[int] | None):
 
 
 def execute(query: SqlQuery, table: Table) -> ResultSet:
-    """Run one sketch query column by column; scalar aggregates over zero rows give EMPTY.
+    """Run one sketch query column by column. A None (JSON null) cell is no value: it
+    satisfies no condition, COUNT counts the select column's other cells, and MIN, MAX,
+    SUM and AVG skip it, giving EMPTY when no cell is left; a bare SELECT returns it.
 
-    The first condition reads its column whole; each later one, COUNT and the select
-    column read only the cells of the rows that every earlier condition kept, through
-    their row indices."""
+    The first condition reads its column whole; each later one and the select column
+    read only the cells of the rows that every earlier condition kept, through their row
+    indices."""
     query.validate_against(table.n_columns)
     columns = table.columns
     kept = None  # the indices of the rows every condition so far holds on; None: all
@@ -99,11 +102,13 @@ def execute(query: SqlQuery, table: Table) -> ResultSet:
         cells = _kept_cells(columns[col], kept)
         kept = list(compress(range(len(cells)) if kept is None else kept,
                              _holds(cells, op, val)))
-    if query.agg == AGG_COUNT:
-        return ResultSet.of_scalar(len(columns[0]) if kept is None else len(kept))
     cells = _kept_cells(columns[query.sel], kept)
     if query.agg == AGG_NULL:
         return ResultSet.of_rows(cells)
+    if None in cells:  # a NULL cell is no value: COUNT and the aggregates skip it
+        cells = [cell for cell in cells if cell is not None]
+    if query.agg == AGG_COUNT:
+        return ResultSet.of_scalar(len(cells))
     if not cells:
         return ResultSet.empty()
     if table.types[query.sel] != KIND_REAL:  # MIN / MAX compare text; SUM / AVG fail

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .tables import cell_text, normalize_text, parse_number
-from .tagger import tokenize
+from .tagger import question_numbers, tokenize
 
 AGGREGATORS = ("", "MAX", "MIN", "COUNT", "SUM", "AVG")  # index 0 is the bare column
 OPERATORS = ("=", ">", "<")
@@ -85,18 +85,15 @@ class SqlQuery:
 
 
 def _number_text(value, question) -> str:
-    """The text of a condition value given as a JSON number: its first spelling in the
-    question, one number token or '-' and one, so that the value has a span and a value
-    copied from it matches ('1996' for 1996.0, '3.50' for 3.5 when the question says
-    3.50); else its cell text ('1996')."""
+    """The text of a condition value given as a JSON number: the first of the question's
+    numbers (`tagger.question_numbers`) of its value, so that the value has a span and a
+    value copied from it matches ('1996' for 1996.0, '3.50' for 3.5 when the question says
+    3.50, '-5' for -5 when it says '- 5'); else its cell text ('1996')."""
     num = parse_number(value)
     if num is not None and isinstance(question, str) and question.strip():
-        tokens = tokenize(question)[0]
-        for i, token in enumerate(tokens):
-            if parse_number(token) == num:
-                return token
-            if token == "-" and i + 1 < len(tokens) and parse_number(tokens[i + 1]) == -num:
-                return "-" + tokens[i + 1]
+        for text, spelled in question_numbers(tokenize(question)[0]).items():
+            if spelled == num:
+                return detokenize(text.split(" "))
     return cell_text(value)
 
 

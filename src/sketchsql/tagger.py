@@ -206,20 +206,16 @@ def tag_schema_columns(tq: TaggedQuestion, header: list[str]) -> TaggedQuestion:
     return tq
 
 
-def _question_numbers(tokens: list[str]) -> dict[str, float]:
-    """The question's number texts, each with its value: every single token that is the
-    cell text of its own number, and every '-' token followed by such a token of a value
-    above 0, as one negative number whose cell text is the two joined ('- 5' is -5).
-
-    A number's cell text never holds a space, so no other span can equal one.
-    """
+def question_numbers(tokens: list[str]) -> dict[str, float]:
+    """The numbers a question spells, each text with its value, in the order they first
+    occur: every distinct token that `parse_number` reads, then every '-' token directly
+    before such a token of a value above 0, as one negative number ('- 5' is -5)."""
     numbers = {}
-    for token in set(tokens):
-        if not token[-1:].isdigit():  # a number's cell text ends in a digit, '1e-05' too
-            continue
-        value = parse_number(token)
-        if value is not None and cell_text(value) == token:
-            numbers[token] = value
+    for token in dict.fromkeys(tokens):
+        if token[-1:].isdigit():  # a number token ends in a digit, '1e-05' too
+            value = parse_number(token)
+            if value is not None:
+                numbers[token] = value
     for sign, token in zip(tokens, tokens[1:]):
         if sign == "-" and numbers.get(token, 0) > 0:
             numbers[f"- {token}"] = -numbers[token]
@@ -227,10 +223,10 @@ def _question_numbers(tokens: list[str]) -> dict[str, float]:
 
 
 class ContentIndex(NamedTuple):
-    """What content tagging reads of a table whatever the question: `texts` maps each
-    cell text of the columns not matched by value, keyed as a question spells it, to the
-    lowest of them holding it; `number_columns` holds each all-number column's index and
-    float64 array (`tables.column_numbers`), in column order."""
+    """What content tagging reads of a table whatever the question: `texts` maps the text
+    of each cell of the columns that are not all numbers, keyed as a question spells it
+    (`span_key`), to the lowest of them holding it; `number_columns` holds each all-number
+    column's index and float64 array (`tables.column_numbers`), in column order."""
 
     texts: dict[str, int]
     number_columns: list[tuple[int, np.ndarray]]
@@ -238,12 +234,11 @@ class ContentIndex(NamedTuple):
 
 def content_index(table: Table) -> ContentIndex:
     """Build the table's ContentIndex from its columns (`Table.columns`) as they are held,
-    one at a time. A plain-str column normalises only its distinct values
-    (`tables.distinct_text`). Any other column that is not all numbers (bools, None,
-    mixed types, NaN, ints beyond float64) goes through `cell_text` cell by cell: a str
-    cell is keyed by its span_key, a None (JSON null) cell not at all, any other by its
-    cell_text, and a negative number also as a question spells it, its sign a token of
-    its own ('- 5')."""
+    one at a time. An all-str column reads only its normalised distinct values
+    (`tables.distinct_text`); any other column that is not all numbers (bools, None, mixed
+    types, NaN, ints beyond float64) reads the `cell_text` of each cell but a None (JSON
+    null), which is no value. Each non-empty text is keyed by its `span_key`: -5 as
+    '- 5', 1.5e-07 as '1.5 e-07'."""
     texts: dict[str, int] = {}
     number_columns = []
     for col, column in enumerate(table.columns):
@@ -252,21 +247,11 @@ def content_index(table: Table) -> ContentIndex:
             number_columns.append((col, floats))
             continue
         distinct = distinct_text(column)
-        if distinct is not None:
-            for text in map(normalize_text, distinct):
-                if text:
-                    texts.setdefault(span_key(text), col)
-            continue
-        for cell in column:
-            text = None if cell is None else cell_text(cell)
-            if not text:
-                continue
-            if isinstance(cell, str):
+        cells = (map(normalize_text, distinct) if distinct is not None
+                 else (cell_text(cell) for cell in column if cell is not None))
+        for text in cells:
+            if text:
                 texts.setdefault(span_key(text), col)
-            else:
-                texts.setdefault(text, col)
-                if text[0] == "-" and parse_number(cell) is not None:
-                    texts.setdefault(f"- {text[1:]}", col)
     return ContentIndex(texts, number_columns)
 
 
@@ -288,13 +273,14 @@ def tag_content(tq: TaggedQuestion, table: Table) -> TaggedQuestion:
 
     The table's part is its ContentIndex (`content_index`), kept on the table from its
     second content tagging on. The question's part matches the question's numbers
-    (`_question_numbers`, a signed one too) by value against the all-number columns,
-    each against a column's float64 array in one vectorised op, and looks every other
-    span text up in the index's texts; then the spans are claimed.
+    (`question_numbers`: '3.0', '007', '- 5') by value against the all-number columns,
+    each against a column's float64 array in one vectorised op, and looks every span
+    text up in the index's texts; a number matched both ways takes the lower column.
+    Then the spans are claimed.
     """
     texts, number_columns = _table_index(table)
     found = {}
-    for text, value in _question_numbers(tq.tokens).items():
+    for text, value in question_numbers(tq.tokens).items():
         for col, floats in number_columns:
             if (floats == value).any():
                 found[text] = min(col, texts.get(text, col))

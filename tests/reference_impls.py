@@ -78,14 +78,17 @@ def naive_norm(s):
 
 
 def reference_execute(query, table):
-    """Brute-force interpreter: loop rows, apply each condition literally."""
+    """Brute-force interpreter: loop rows, apply each condition literally. A None cell is
+    SQL's NULL: no condition holds on it, and COUNT and the aggregates skip it."""
     kept = []
     for row in table.rows:
         ok = True
         for col, op, val in query.conds:
             cell = row[col]
             cn, vn = naive_number(cell), naive_number(val)
-            if op == 0:
+            if cell is None:
+                good = False
+            elif op == 0:
                 if cn is not None and vn is not None:
                     good = cn == vn
                 else:
@@ -102,11 +105,12 @@ def reference_execute(query, table):
         if ok:
             kept.append(row)
 
-    if query.agg == 3:  # COUNT
-        return ("scalar", len(kept))
     picked = [row[query.sel] for row in kept]
     if query.agg == 0:
         return ("rows", picked)
+    picked = [cell for cell in picked if cell is not None]
+    if query.agg == 3:  # COUNT
+        return ("scalar", len(picked))
     if not picked:
         return ("empty", None)
     if query.agg in (4, 5):  # SUM / AVG
@@ -127,14 +131,15 @@ def reference_execute(query, table):
 
 
 def reference_span_matches(tq, match_fn):
-    """Every span longest first then leftmost, each re-checked token by token."""
+    """Every span longest first then leftmost, each re-checked token by token; match_fn
+    gets the span's tokens."""
     t = len(tq.tokens)
     for length in range(min(6, t), 0, -1):
         for start in range(0, t - length + 1):
             end = start + length
             if any(tq.tags[i].kind != "none" for i in range(start, end)):
                 continue
-            tag = match_fn(" ".join(tq.tokens[start:end]))
+            tag = match_fn(tq.tokens[start:end])
             if tag is not None:
                 for i in range(start, end):
                     tq.tags[i] = tag
@@ -147,30 +152,39 @@ def reference_key(text):
     return " ".join(tokenize(text)[0]) if text else ""
 
 
-def reference_tag_content(tq, table):
-    """Whole-table content tagging: index every cell but a null, lowest column wins. A str
-    cell's key is its `reference_key`, any other cell's its `cell_text`; a negative number
-    cell is also keyed with its sign as a token of its own, '- 5' for -5, as a question
-    spells it."""
-    values = {}
-    for row_cells in table.rows:
-        for col, cell in enumerate(row_cells):
-            text = cell_text(cell)
-            if cell is None or not text:
-                continue
-            if isinstance(cell, str):
-                keys = [reference_key(text)]
-            elif naive_number(cell) is not None and naive_number(cell) < 0:
-                keys = [text, "- " + text[1:]]
-            else:
-                keys = [text]
-            for key in keys:
-                if col < values.get(key, len(table.header)):
-                    values[key] = col
+def _spelled_number(span):
+    """The value of a span that is one token naive_number reads, or '-' and such a token
+    of a value above 0; else None."""
+    if len(span) == 1:
+        return naive_number(span[0])
+    if len(span) == 2 and span[0] == "-":
+        value = naive_number(span[1])
+        if value is not None and value > 0:
+            return -value
+    return None
 
-    def match(text):
-        col = values.get(text)
-        return TypeTag("column_value", column=col) if col is not None else None
+
+def reference_tag_content(tq, table):
+    """Whole-table content tagging, the lowest column winning. A column whose cells are
+    all finite ints or floats (not bools) matches a span that spells a number
+    (`_spelled_number`) of a value equal to one of its cells. Any other column matches a
+    span equal to the `reference_key` of the `cell_text` of one of its cells but a null."""
+    n = len(table.header)
+    all_numbers = [all(type(row[col]) in (int, float) and naive_number(row[col]) is not None
+                       for row in table.rows) for col in range(n)]
+    keys = {}
+    for row in table.rows:
+        for col, cell in enumerate(row):
+            if cell is not None and not all_numbers[col]:
+                keys.setdefault(reference_key(cell_text(cell)), set()).add(col)
+
+    def match(span):
+        cols = set(keys.get(" ".join(span), ()))
+        value = _spelled_number(span)
+        if value is not None:
+            cols |= {col for row in table.rows for col, cell in enumerate(row)
+                     if all_numbers[col] and naive_number(cell) == value}
+        return TypeTag("column_value", column=min(cols)) if cols else None
 
     reference_span_matches(tq, match)
     return tq
@@ -243,13 +257,14 @@ def reference_recognize(question, header, table=None, mode="insensitive", gazett
     tokens = tokenize(question)[0]
     tq = TaggedQuestion(tokens=tokens, tags=[TAG_NONE] * len(tokens))
     names = {reference_key(name) for name in header}
-    reference_span_matches(tq, lambda text: TypeTag("column") if text in names else None)
+    reference_span_matches(tq, lambda span: TypeTag("column") if " ".join(span) in names
+                           else None)
     if mode == "content":
         reference_tag_content(tq, table)
     reference_tag_numbers(tq)
     if gazetteer is not None:
-        def entity(text):
-            category = gazetteer.get(text)
+        def entity(span):
+            category = gazetteer.get(" ".join(span))
             return TypeTag(category) if category is not None else None
         reference_span_matches(tq, entity)
     return tq

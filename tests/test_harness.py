@@ -21,7 +21,7 @@ from sketchsql.executor import ExecutionError, evaluate_dataset, execute
 from sketchsql.sketch import SqlQuery
 from sketchsql.synth import SCHEMAS, generate_corpus
 from sketchsql.tables import Table, cell_text
-from sketchsql.tagger import MODES, Gazetteer, recognize, tokenize
+from sketchsql.tagger import MODES, Gazetteer, TypeTag, recognize, tokenize
 
 
 def tiny_vectors(dim=6):
@@ -407,6 +407,14 @@ class TestWikiSqlFixture:
         tq = recognize("which player has none as no.", roster.header, table=roster,
                        mode="content")
         assert tq.display_tags(roster.header)[3] == "none"  # No. holds a null, not "none"
+        # a number matches an all-number column by value however the question spells it:
+        # Pick #, the lowest such column, holds 3.0 and 2 as Rating does
+        draft = tables["2-11545282-3"]
+        for ex in examples[5:7]:
+            tq = recognize(ex.question, draft.header, table=draft, mode="content")
+            [val] = [val for _, _, val in ex.gold.conds]
+            span = H.find_token_span(tq.tokens, val)
+            assert [tq.tags[i] for i in span] == [TypeTag("column_value", column=0)], val
 
         words = {w for ex in examples for w in tokenize(ex.question)[0]}
         words |= {w for table in tables.values() for name in table.header
@@ -427,6 +435,19 @@ class TestWikiSqlFixture:
         H.write_tables(tables, once)
         H.write_tables(H.load_tables(once), twice)
         assert twice.read_bytes() == once.read_bytes()
+
+    @pytest.mark.parametrize("agg, conds, kind, want", [
+        (0, [(1, 0, "none")], "rows", []),  # no condition holds on a null
+        (0, [(0, 0, "dan o'neal")], "rows", [None]),  # a bare select returns it
+        (1, [], "scalar", 31.0),  # MAX skips it
+        (3, [], "scalar", 3.0),  # COUNT counts the other cells
+        (4, [(0, 0, "dan o'neal")], "empty", None),  # nothing left to sum
+    ], ids=["where-none", "select", "max", "count", "sum-of-null"])
+    def test_a_null_cell_is_no_value_in_the_executor(self, agg, conds, kind, want):
+        _, tables = H.load_dataset(os.path.join(FIXTURES, "wikisql_examples.jsonl"),
+                                   os.path.join(FIXTURES, "wikisql_tables.jsonl"))
+        got = execute(SqlQuery(agg=agg, sel=1, conds=conds), tables["1-10015132-11"])
+        assert (got.kind, got.values if kind == "rows" else got.scalar) == (kind, want)
 
 
 class TestTrainConfig:

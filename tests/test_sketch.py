@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sketchsql import sketch
 from sketchsql.executor import execute
 from sketchsql.harness import find_token_span
 from sketchsql.sketch import (MAX_CONDITIONS, SqlQuery, assemble,
@@ -166,3 +167,27 @@ class TestSqlQueryInvariants:
     def test_dict_round_trip(self):
         q = SqlQuery(agg=2, sel=1, conds=[(0, 1, "7")])
         assert SqlQuery.from_dict(q.to_dict()) == q
+
+
+class TestNumberText:
+    """A condition value given as a JSON number reads as the question spells it."""
+
+    @pytest.mark.parametrize("value, question, text", [
+        (3.5, "who sold at 3.50 ?", "3.50"),
+        (-0.5, "which team drafted the player rated -0.5?", "-0.5"),
+        (7, "who is no. 007 , not 7 ?", "007"),  # the first spelling
+        (3.5, "who sold at 4 ?", "3.5"),  # not spelled: its cell text
+        # a sign and a number are one number only above 0, so -0.0 reads as the '0'
+        (-0.0, "who scored -0 ?", "0"),
+    ], ids=["trailing-zero", "signed", "first", "unspelled", "signed-zero"])
+    def test_reads_the_question_s_numbers(self, monkeypatch, value, question, text):
+        read = []
+
+        def spy(tokens):
+            read.append(tokens)
+            return question_numbers(tokens)
+
+        question_numbers = sketch.question_numbers
+        monkeypatch.setattr(sketch, "question_numbers", spy)
+        assert sketch._number_text(value, question) == text
+        assert read == [tokenize(question)[0]]

@@ -372,6 +372,29 @@ class TestContent:
         tq = T.recognize(question, table.header, table=table, mode="content")
         assert tq.display_tags(table.header) == ["none", "none", "column", *tags]
 
+    def test_mixed_column_matches_the_question_s_spellings(self):
+        # a column that is not all numbers keys each cell as a question spells it; 1e20's
+        # cell text is its digits, and 1.5e-07's splits in two before the 'e'
+        table = Table(id="m", header=["points"], types=["real"],
+                      rows=[[-5], [float("-inf")], [1e20], [1.5e-07], ["x"]])
+        index = T.content_index(table)
+        assert index.texts == {"- 5": 0, "- inf": 0, "100000000000000000000": 0,
+                               "1.5 e-07": 0, "x": 0}
+        assert "-5" not in index.texts
+        for question in ["points of -5", "points of -inf", "points of 100000000000000000000",
+                         "points of 1.5e-07"]:
+            tq = T.recognize(question, table.header, table=table, mode="content")
+            assert tq.display_tags(table.header)[2:] == ["points"] * (len(tq.tokens) - 2)
+
+    def test_number_column_matches_by_value_however_spelled(self):
+        table = Table(id="n", header=["pick", "rating"], types=["real", "real"],
+                      rows=[[1, 3.5], [2, -0.5], [3.0, 7]])
+        for question, tags in [("rating of 3.0", ["pick"]), ("rating of 2.0", ["pick"]),
+                               ("rating of 3.50", ["rating"]), ("rating of 007", ["rating"]),
+                               ("rating of -0.5", ["rating"] * 2)]:
+            tq = T.recognize(question, table.header, table=table, mode="content")
+            assert tq.display_tags(table.header) == ["column", "none", *tags], question
+
     @given(st.data())
     @settings(max_examples=400, deadline=None)
     def test_matches_whole_table_reference(self, data):
@@ -384,6 +407,14 @@ class TestContent:
         got = T.tag_content(fresh(tokens), table)
         want = reference_tag_content(fresh(tokens), table)
         assert got.tags == want.tags
+
+
+class TestQuestionNumbers:
+    def test_distinct_numbers_in_order_then_signed_ones(self):
+        tokens = ["-", "5", "3.0", "5", "x1", "007", "-", "0", "1e-05", "-", "3.0", "1_000"]
+        assert list(T.question_numbers(tokens).items()) == [
+            ("5", 5.0), ("3.0", 3.0), ("007", 7.0), ("0", 0.0), ("1e-05", 1e-05),
+            ("- 5", -5.0), ("- 3.0", -3.0)]
 
 
 class TestContentIndex:
